@@ -17,7 +17,6 @@ from .config import (
 )
 from .control import (
     ControllerConfig,
-    DelayBuffer,
     GainInterval,
     PredictionMode,
     StabilityVerdict,
@@ -97,7 +96,6 @@ __all__ = [
     "ControllerConfig",
     "GainInterval",
     "StabilityVerdict",
-    "DelayBuffer",
     "control_term",
     "control_input",
     "delay_steps",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from dataclasses import replace
 from typing import Optional, Sequence
@@ -50,6 +51,22 @@ def _load_config(path: Optional[str]) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from exc
     return parse_config(text)
+
+
+# Options whose value may be a list of negative numbers, like "-0.9,-0.6".
+# argparse takes such a token for an option, so it is attached with "=".
+_LIST_OPTIONS = ("--K", "--epsilon")
+_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
+
+
+def _attach_negative_lists(argv: Sequence[str]) -> list:
+    args: list = []
+    for tok in argv:
+        if args and args[-1] in _LIST_OPTIONS and _NEGATIVE_VALUE.match(tok):
+            args[-1] += "=" + tok
+        else:
+            args.append(tok)
+    return args
 
 
 def _float_list(text: str, name: str) -> list:
@@ -287,7 +304,7 @@ def cli_dispatch(argv: Sequence[str]) -> int:
     """Parse argv (without the program name) and run one subcommand."""
     parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(_attach_negative_lists(argv))
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; fold the latter
         # into the documented config/usage code.

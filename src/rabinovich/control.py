@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -47,7 +46,6 @@ __all__ = [
     "ControllerConfig",
     "GainInterval",
     "StabilityVerdict",
-    "DelayBuffer",
     "control_term",
     "control_input",
     "admissible_gain_interval",
@@ -275,47 +273,24 @@ def closed_loop_jacobian(p: Params, K: float, at: State) -> np.ndarray:
     return J
 
 
-class DelayBuffer:
-    """Ring buffer over the last ``lag_steps`` integration samples.
-
-    ``delayed()`` returns the state pushed ``lag_steps`` pushes ago (the
-    state at t - tau on a synchronized grid), or None while the window is
-    still filling.
-    """
-
-    def __init__(self, lag_steps: int):
-        if lag_steps < 1:
-            raise ValueError(f"lag_steps must be >= 1, got {lag_steps!r}")
-        self.lag_steps = lag_steps
-        self._buf: deque = deque(maxlen=lag_steps + 1)
-
-    def push(self, state) -> None:
-        self._buf.append(np.array(state, dtype=float))
-
-    def delayed(self) -> Optional[np.ndarray]:
-        if len(self._buf) < self._buf.maxlen:
-            return None
-        return self._buf[0]
-
-
 def activation_gate(
-    history, t: float, s, cfg: ControllerConfig
+    delayed, t: float, s, cfg: ControllerConfig
 ) -> tuple[bool, Optional[float]]:
     """Decide whether control applies at time ``t``.
 
-    ``history`` must provide ``delayed()`` returning the state at t - tau,
-    or None while the delay window has not filled (in which case the gate
-    is inactive and r is absent).  Otherwise r is the Euclidean norm of
-    s(t) - s(t - tau) over the full state vector, and the gate is active
-    iff t > t_on (the time gate) AND r < epsilon (the recurrence gate).
+    ``delayed`` is the state (x, y, z) at t - tau, or None while the delay
+    window has not filled (in which case the gate is inactive and r is
+    absent).  Otherwise r is the Euclidean norm of s(t) - s(t - tau) over
+    the full state vector, and the gate is active iff t > t_on (the time
+    gate) AND r < epsilon (the recurrence gate).
     """
-    prev = history.delayed()
-    if prev is None:
+    if delayed is None:
         return False, None
-    cur = np.asarray(s, dtype=float)
-    dx = float(cur[0]) - float(prev[0])
-    dy = float(cur[1]) - float(prev[1])
-    dz = float(cur[2]) - float(prev[2])
+    x, y, z = s
+    px, py, pz = delayed
+    dx = x - px
+    dy = y - py
+    dz = z - pz
     r = math.sqrt(dx * dx + dy * dy + dz * dz)
     active = (t > cfg.t_on) and (r < cfg.epsilon)
     return active, r

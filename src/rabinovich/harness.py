@@ -1,12 +1,13 @@
 """Simulation harness: controlled/uncontrolled runs, convergence metrics, sweeps.
 
 Gating semantics: the activation gate is evaluated once per step, at the
-step's start, from the ring-buffer history.  An active step integrates the
-controlled vector field (open-loop field plus the control term on the
-z-equation, evaluated at every RK4 substage); an inactive step integrates
-the pure open-loop field.  Every recorded sample carries the control input
-u in force at that sample (zero when inactive), the gate flag, and the
-recurrence distance r (absent while the delay window fills).
+step's start, from the current state and the state one delay tau earlier.
+An active step integrates the controlled vector field (open-loop field plus
+the control term on the z-equation, evaluated at every RK4 substage); an
+inactive step integrates the pure open-loop field.  Every recorded sample
+carries the control input u in force at that sample (zero when inactive),
+the gate flag, and the recurrence distance r (absent while the delay window
+fills).
 
 Convergence is a measured quantity, never an assumption: a run is declared
 stabilized only if the whole tail window stays within the capture radius
@@ -23,7 +24,6 @@ import numpy as np
 
 from .control import (
     ControllerConfig,
-    DelayBuffer,
     PredictionMode,
     activation_gate,
     admissible_gain_interval,
@@ -31,14 +31,7 @@ from .control import (
     delay_steps,
 )
 from .dynamics import EquilibriumSet, Params, State, equilibria, field_components
-from .integrator import (
-    DivergenceError,
-    IntegrationError,
-    TimeGrid,
-    check_state,
-    integrate,
-    rk4_step,
-)
+from .integrator import DIVERGENCE_LIMIT, DivergenceError, IntegrationError, TimeGrid
 
 __all__ = [
     "Trajectory",
@@ -98,45 +91,96 @@ class Trajectory:
         return State.from_array(self.states[-1])
 
 
-def _open_field(p: Params):
+def _divergence(k, t0, dt, stages, state) -> DivergenceError:
+    """The error a failed step k raises, found after the fact: the first
+    stage with a non-finite derivative, else the non-finite or too large state.
+
+    A non-finite derivative always makes the stepped state non-finite, so the
+    loop needs only its one magnitude test to know that something failed.
+    """
+    t_prev = t0 + (k - 1) * dt
+    stage_times = (t_prev, t_prev + 0.5 * dt, t_prev + 0.5 * dt, t_prev + dt)
+    for t_stage, derivative in zip(stage_times, stages):
+        if not all(math.isfinite(v) for v in derivative):
+            return DivergenceError(k, t_prev, f"non-finite derivative at t={t_stage!r}")
+    t_k = t0 + k * dt if k else t0
+    if not all(math.isfinite(v) for v in state):
+        return DivergenceError(k, t_k, "non-finite state component")
+    return DivergenceError(k, t_k, f"state magnitude exceeded {DIVERGENCE_LIMIT:g}")
+
+
+def _run(
+    p: Params, s0: State, grid: TimeGrid, cfg: Optional[ControllerConfig]
+) -> Trajectory:
+    """The one RK4 stepping loop; ``cfg=None`` integrates the free flow.
+
+    The state is kept as three Python floats and every sample is written
+    straight into the preallocated output arrays; the gate reads the delayed
+    state back from them.  Each arithmetic operation is the one
+    ``integrator.rk4_step`` makes on each array component, in the same order,
+    so both give bit-identical results.
+    """
+    lag = delay_steps(cfg, grid.dt) if cfg is not None else 0
+    # Looked up here, as names of this module, so that one definition each of
+    # the field, the control law and the gate is used (and can be wrapped).
+    field, u_of, gate = field_components, control_term, activation_gate
     a, b, d, h = p.a, p.b, p.d, p.h
+    t0, dt, n = grid.t0, grid.dt, grid.n_steps
+    half, sixth, limit = 0.5 * dt, dt / 6.0, DIVERGENCE_LIMIT
 
-    def f(t, s):
-        x, y, z = s
-        return np.array(field_components(a, b, d, h, x, y, z))
+    states = np.empty((n + 1, 3))
+    us = np.zeros(n + 1)
+    actives = np.zeros(n + 1, dtype=bool)
+    rs = np.full(n + 1, np.nan)
+    state_out, r_out = memoryview(states.reshape(-1)), memoryview(rs)
 
-    return f
+    x, y, z = s0.x, s0.y, s0.z
+    active = False
+    for k in range(n + 1):
+        if k:
+            k1x, k1y, k1z = field(a, b, d, h, x, y, z)
+            if active:
+                k1z = k1z + u_of(p, cfg, x, y, z)
+            sx, sy, sz = x + half * k1x, y + half * k1y, z + half * k1z
+            k2x, k2y, k2z = field(a, b, d, h, sx, sy, sz)
+            if active:
+                k2z = k2z + u_of(p, cfg, sx, sy, sz)
+            sx, sy, sz = x + half * k2x, y + half * k2y, z + half * k2z
+            k3x, k3y, k3z = field(a, b, d, h, sx, sy, sz)
+            if active:
+                k3z = k3z + u_of(p, cfg, sx, sy, sz)
+            sx, sy, sz = x + dt * k3x, y + dt * k3y, z + dt * k3z
+            k4x, k4y, k4z = field(a, b, d, h, sx, sy, sz)
+            if active:
+                k4z = k4z + u_of(p, cfg, sx, sy, sz)
+            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        # Fails on NaN as well as on magnitude.
+        if not (abs(x) <= limit and abs(y) <= limit and abs(z) <= limit):
+            stages = (
+                ((k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z)) if k else ()
+            )
+            raise _divergence(k, t0, dt, stages, (x, y, z))
+        j = 3 * k
+        state_out[j], state_out[j + 1], state_out[j + 2] = x, y, z
+        if cfg is None:
+            continue
+        i = j - 3 * lag
+        delayed = (state_out[i], state_out[i + 1], state_out[i + 2]) if k >= lag else None
+        active, r = gate(delayed, t0 + k * dt, (x, y, z), cfg)
+        if r is not None:
+            r_out[k] = r
+        if active:
+            actives[k] = True
+            us[k] = u_of(p, cfg, x, y, z)
 
-
-def _controlled_field(p: Params, cfg: ControllerConfig):
-    a, b, d, h = p.a, p.b, p.d, p.h
-
-    def f(t, s):
-        x, y, z = s
-        dx, dy, dz = field_components(a, b, d, h, x, y, z)
-        return np.array((dx, dy, dz + control_term(p, cfg, x, y, z)))
-
-    return f
+    return Trajectory(t=grid.times(), states=states, u=us, active=actives, r=rs)
 
 
 def run_uncontrolled(p: Params, s0: State, grid: TimeGrid) -> Trajectory:
     """Integrate the open-loop flow; u is zero and the gate never applies."""
-    ts: list = []
-    rows: list = []
-
-    def observer(t, y):
-        ts.append(t)
-        rows.append(y)
-
-    integrate(_open_field(p), s0.as_array(), grid, observer)
-    n = len(ts)
-    return Trajectory(
-        t=np.array(ts),
-        states=np.vstack(rows),
-        u=np.zeros(n),
-        active=np.zeros(n, dtype=bool),
-        r=np.full(n, np.nan),
-    )
+    return _run(p, s0, grid, None)
 
 
 def run_controlled(
@@ -148,49 +192,7 @@ def run_controlled(
     run_uncontrolled sample for sample; the gate diagnostics (active, r)
     are still recorded, since gating does not depend on the gain.
     """
-    lag = delay_steps(cfg, grid.dt)
-    f_open = _open_field(p)
-    f_ctl = _controlled_field(p, cfg)
-
-    buffer = DelayBuffer(lag)
-    y = s0.as_array()
-    check_state(y, 0, grid.t0)
-    buffer.push(y)
-
-    n = grid.n_steps
-    ts = np.empty(n + 1)
-    states = np.empty((n + 1, 3))
-    us = np.zeros(n + 1)
-    actives = np.zeros(n + 1, dtype=bool)
-    rs = np.full(n + 1, np.nan)
-
-    def record(k: int, t: float, state: np.ndarray) -> bool:
-        active, r = activation_gate(buffer, t, state, cfg)
-        ts[k] = t
-        states[k] = state
-        actives[k] = active
-        if r is not None:
-            rs[k] = r
-        if active:
-            us[k] = control_term(p, cfg, state[0], state[1], state[2])
-        return active
-
-    active = record(0, grid.t0, y)
-    for k in range(1, n + 1):
-        t_prev = grid.t0 + (k - 1) * grid.dt
-        field = f_ctl if active else f_open
-        try:
-            y = rk4_step(field, t_prev, y, grid.dt)
-        except DivergenceError:
-            raise
-        except IntegrationError as exc:
-            raise DivergenceError(k, t_prev, str(exc)) from exc
-        t_k = grid.t0 + k * grid.dt
-        check_state(y, k, t_k)
-        buffer.push(y)
-        active = record(k, t_k, y)
-
-    return Trajectory(t=ts, states=states, u=us, active=actives, r=rs)
+    return _run(p, s0, grid, cfg)
 
 
 @dataclass(frozen=True)
@@ -357,7 +359,7 @@ def sweep(
     the report empty; it never aborts the sweep.  Each cell is flagged
     against the admissible gain interval for the system's d.
     """
-    if not K_values or not eps_values:
+    if len(K_values) == 0 or len(eps_values) == 0:
         raise ValueError("K_values and eps_values must be nonempty")
     mode_list = tuple(modes) if modes is not None else (base_cfg.mode,)
     if not mode_list:

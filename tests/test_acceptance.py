@@ -4,6 +4,7 @@ Each test is deliberately self-contained (oracle values inline) so a single
 ``pytest -v tests/test_acceptance.py`` emits one pass/fail line per criterion.
 """
 
+import hashlib
 import math
 import time
 
@@ -153,6 +154,34 @@ def test_determinism_regression(tmp_path):
     a = (first / "fig4_trajectory.csv").read_bytes()
     b = (second / "fig4_trajectory.csv").read_bytes()
     assert a == b
+
+
+# sha256 prefixes of the reference outputs; any change to the numerics or to
+# the output formats moves them.
+OUTPUT_PINS = {
+    "fig4_trajectory.csv": "9b151002c085c517",
+    "fig5_trajectory.csv": "9b151002c085c517",
+    "fig4_report.txt": "973cd22ee1406c49",
+    "fig5_report.txt": "118b7cad984915a6",
+}
+ACCEPTANCE_SWEEP_PIN = "1fb2ebabedd06794"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_output_bit_identity_pins(tmp_path, capsys):
+    assert cli_dispatch(["reproduce", "all", "--out-dir", str(tmp_path)]) == 0
+    for name, pin in OUTPUT_PINS.items():
+        assert _sha256(tmp_path / name).startswith(pin), name
+    out = tmp_path / "sweep.csv"
+    assert cli_dispatch([
+        "sweep", "--K=-0.9,-0.6,-0.3,-0.1", "--epsilon", "0.1,0.5",
+        "--modes", "literal,euler", "--out", str(out),
+    ]) == 0
+    assert _sha256(out).startswith(ACCEPTANCE_SWEEP_PIN)
+    capsys.readouterr()
 
 
 def test_invariant_suite(tmp_path):

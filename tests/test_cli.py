@@ -157,6 +157,32 @@ def test_sweep_writes_csv(capsys, tmp_path):
     assert "8 cells" in out
 
 
+def test_sweep_readme_example_with_negative_gains(capsys, tmp_path, monkeypatch):
+    # the README's command, negative list after a space, default --out
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "sweep", "--K", "-0.9,-0.6,-0.3",
+                             "--epsilon", "0.1,0.5", "--modes", "literal,euler")
+    assert code == 0, err
+    assert "12 cells" in out
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 13  # header + 2 modes * 3 gains * 2 epsilons
+    assert [float(line.split(",")[0]) for line in lines[1:4:2]] == [-0.9, -0.6]
+
+
+def test_sweep_negative_epsilon_list_names_the_field(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "sweep", "--K", "-0.6", "--epsilon", "-0.1,0.5",
+                           "--out", str(tmp_path / "s.csv"))
+    assert code == 1
+    assert "epsilon must be positive" in err
+
+
+def test_sweep_option_is_not_taken_for_a_gain_list(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "sweep", "--K", "--epsilon", "0.1",
+                           "--out", str(tmp_path / "s.csv"))
+    assert code == 1
+    assert "expected one argument" in err
+
+
 def test_sweep_rejects_bad_gain_list(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sweep", "--K", "abc", "--epsilon", "0.1",
                            "--out", str(tmp_path / "s.csv"))

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rabinovich import (
     ControllerConfig,
-    DelayBuffer,
     PredictionMode,
     Params,
     State,
@@ -289,73 +288,36 @@ def test_eigen3_rejects_nonfinite_and_wrong_shape():
         eigen3(np.eye(4))
 
 
-# --- delay buffer and gate --------------------------------------------------------
-
-def test_delay_buffer_fills_then_slides():
-    buf = DelayBuffer(3)
-    assert buf.delayed() is None
-    for k in range(3):
-        buf.push([float(k), 0.0, 0.0])
-        assert buf.delayed() is None  # needs lag+1 samples
-    buf.push([3.0, 0.0, 0.0])
-    assert buf.delayed()[0] == 0.0
-    buf.push([4.0, 0.0, 0.0])
-    assert buf.delayed()[0] == 1.0
-
-
-def test_delay_buffer_copies_input():
-    buf = DelayBuffer(1)
-    state = np.array([1.0, 2.0, 3.0])
-    buf.push(state)
-    state[:] = 99.0
-    buf.push(state)
-    assert buf.delayed()[0] == 1.0
-
-
-def test_delay_buffer_rejects_zero_lag():
-    with pytest.raises(ValueError):
-        DelayBuffer(0)
-
-
-class _FrozenHistory:
-    def __init__(self, state):
-        self._state = None if state is None else np.asarray(state, dtype=float)
-
-    def delayed(self):
-        return self._state
-
+# --- activation gate ---------------------------------------------------------------
 
 def test_gate_inactive_before_window_fills():
     cfg = ControllerConfig(K=-0.6, epsilon=0.1, t_on=0.0)
-    active, r = activation_gate(_FrozenHistory(None), 5.0, np.zeros(3), cfg)
+    active, r = activation_gate(None, 5.0, np.zeros(3), cfg)
     assert not active and r is None
 
 
 def test_gate_at_constant_history():
     cfg = ControllerConfig(K=-0.6, epsilon=0.1, t_on=40.0)
     s = np.array([4.6119, 1.3979, 6.4469])
-    hist = _FrozenHistory(s)
-    active, r = activation_gate(hist, 50.0, s, cfg)
+    active, r = activation_gate(s, 50.0, s, cfg)
     assert active and r == 0.0
     # time gate wins regardless of recurrence
-    active, r = activation_gate(hist, 40.0, s, cfg)
+    active, r = activation_gate(s, 40.0, s, cfg)
     assert not active and r == 0.0
-    active, _ = activation_gate(hist, 39.9, s, cfg)
+    active, _ = activation_gate(s, 39.9, s, cfg)
     assert not active
 
 
 def test_gate_threshold_comparison():
     cfg = ControllerConfig(K=-0.6, epsilon=0.1, t_on=0.0)
-    hist = _FrozenHistory([0.0, 0.0, 0.0])
-    active, r = activation_gate(hist, 1.0, np.array([0.5, 0.0, 0.0]), cfg)
+    active, r = activation_gate((0.0, 0.0, 0.0), 1.0, (0.5, 0.0, 0.0), cfg)
     assert not active
     assert r == 0.5
 
 
 def test_gate_r_is_euclidean_norm():
     cfg = ControllerConfig(K=-0.6, epsilon=10.0, t_on=0.0)
-    hist = _FrozenHistory([1.0, 2.0, 3.0])
-    _, r = activation_gate(hist, 1.0, np.array([4.0, 6.0, 3.0]), cfg)
+    _, r = activation_gate((1.0, 2.0, 3.0), 1.0, (4.0, 6.0, 3.0), cfg)
     assert r == 5.0  # 3-4-5 triangle in the x-y plane
 
 
@@ -368,10 +330,9 @@ def test_gate_monotone_in_epsilon(eps_small, eps_large, x, y, z):
     # shrinking epsilon can only deactivate, never activate
     if eps_small > eps_large:
         eps_small, eps_large = eps_large, eps_small
-    hist = _FrozenHistory([0.0, 0.0, 0.0])
-    s = np.array([x, y, z])
-    small_on, _ = activation_gate(hist, 50.0, s, ControllerConfig(K=-0.6, epsilon=eps_small))
-    large_on, _ = activation_gate(hist, 50.0, s, ControllerConfig(K=-0.6, epsilon=eps_large))
+    origin, s = (0.0, 0.0, 0.0), (x, y, z)
+    small_on, _ = activation_gate(origin, 50.0, s, ControllerConfig(K=-0.6, epsilon=eps_small))
+    large_on, _ = activation_gate(origin, 50.0, s, ControllerConfig(K=-0.6, epsilon=eps_large))
     assert not (small_on and not large_on)
 
 

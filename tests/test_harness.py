@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rabinovich import (
     ControllerConfig,
     DivergenceError,
+    IntegrationError,
     Params,
     PredictionMode,
     State,
@@ -16,11 +17,15 @@ from rabinovich import (
     Trajectory,
     control_term,
     convergence_report,
+    delay_steps,
     equilibria,
+    field_components,
+    rk4_step,
     run_controlled,
     run_uncontrolled,
     sweep,
 )
+from rabinovich.integrator import check_state
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 short_grid = TimeGrid(0.0, 5.0, 0.1)
@@ -185,6 +190,18 @@ def test_modes_agree_while_gate_is_shut(params, s0, grid):
     assert np.array_equal(a.states, b.states)
 
 
+def test_delay_window_fills_then_slides(params, s0):
+    # lag 3: r is absent until three steps have been taken, then measures the
+    # distance to the state exactly three samples back
+    g = TimeGrid(0.0, 5.0, 0.1)
+    traj = run_controlled(params, s0, g, ControllerConfig(K=-0.6, epsilon=0.5, tau=0.3))
+    assert np.isnan(traj.r[:3]).all()
+    S = traj.states
+    for k in range(3, g.n_steps + 1):
+        dx, dy, dz = (float(S[k, i]) - float(S[k - 3, i]) for i in range(3))
+        assert traj.r[k] == math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
 def test_tau_must_fit_grid(params, s0):
     cfg = ControllerConfig(K=-0.6, tau=1.0)
     with pytest.raises(ValueError):
@@ -316,6 +333,21 @@ def test_sweep_rejects_empty_lists(params, s0, grid, controller):
         sweep(params, s0, grid, [-0.6], [], controller)
 
 
+def test_sweep_accepts_numpy_arrays(params, s0):
+    g = TimeGrid(0.0, 30.0, 0.1)
+    base = ControllerConfig(K=-0.6, epsilon=0.1, t_on=10.0)
+    from_lists = sweep(params, s0, g, [-0.6, -0.3], [0.1, 0.5], base, tail=10.0)
+    from_arrays = sweep(params, s0, g, np.array([-0.6, -0.3]), np.array([0.1, 0.5]), base,
+                        tail=10.0)
+    assert from_arrays == from_lists
+    # a one-element array holding zero is not empty
+    single = sweep(params, s0, g, np.array([0.0]), np.array([0.5]), base, tail=10.0)
+    assert single.K_values == (0.0,)
+    assert len(single.cells) == 1
+    with pytest.raises(ValueError):
+        sweep(params, s0, g, np.array([]), np.array([0.5]), base, tail=10.0)
+
+
 def test_sweep_report_validates_grid_shape():
     with pytest.raises(ValueError):
         SweepReport(K_values=(0.1,), eps_values=(0.1,), modes=("literal",), cells=())
@@ -328,3 +360,113 @@ def test_sweep_is_deterministic(params, s0):
     b = sweep(params, s0, g, [-0.6], [0.5], base, tail=10.0)
     assert a.cells[0].report.tail_max_distance == b.cells[0].report.tail_max_distance
     assert a.cells[0].report.control_effort == b.cells[0].report.control_effort
+
+
+# --- the scalar stepping core against an rk4_step-driven reference ---------------------
+
+def reference_run(p, s0, grid, cfg=None):
+    """Generic RK4 run: ``rk4_step`` on numpy arrays, the gate worked out from
+    the state history, and every divergence check wrapped the way the
+    integrator's own ``integrate`` does it."""
+    a, b, d, h = p.a, p.b, p.d, p.h
+
+    def f_open(t, s):
+        x, y, z = s
+        return np.array(field_components(a, b, d, h, x, y, z))
+
+    def f_ctl(t, s):
+        x, y, z = s
+        dx, dy, dz = field_components(a, b, d, h, x, y, z)
+        return np.array((dx, dy, dz + control_term(p, cfg, x, y, z)))
+
+    lag = delay_steps(cfg, grid.dt) if cfg is not None else None
+    n = grid.n_steps
+    ts, states = np.empty(n + 1), np.empty((n + 1, 3))
+    us, actives, rs = np.zeros(n + 1), np.zeros(n + 1, dtype=bool), np.full(n + 1, np.nan)
+
+    def record(k, t, state):
+        ts[k] = t
+        states[k] = state
+        if cfg is None or k < lag:
+            return False
+        prev = states[k - lag]
+        dx, dy, dz = (float(state[i]) - float(prev[i]) for i in range(3))
+        rs[k] = math.sqrt(dx * dx + dy * dy + dz * dz)
+        actives[k] = t > cfg.t_on and rs[k] < cfg.epsilon
+        if actives[k]:
+            us[k] = control_term(p, cfg, state[0], state[1], state[2])
+        return actives[k]
+
+    y = s0.as_array()
+    check_state(y, 0, grid.t0)
+    active = record(0, grid.t0, y)
+    for k in range(1, n + 1):
+        t_prev = grid.t0 + (k - 1) * grid.dt
+        try:
+            y = rk4_step(f_ctl if active else f_open, t_prev, y, grid.dt)
+        except IntegrationError as exc:
+            raise DivergenceError(k, t_prev, str(exc)) from exc
+        t_k = grid.t0 + k * grid.dt
+        check_state(y, k, t_k)
+        active = record(k, t_k, y)
+    return Trajectory(t=ts, states=states, u=us, active=actives, r=rs)
+
+
+def core_run(p, s0, grid, cfg=None):
+    return run_uncontrolled(p, s0, grid) if cfg is None else run_controlled(p, s0, grid, cfg)
+
+
+def outcome(run, *args):
+    try:
+        return run(*args)
+    except DivergenceError as exc:
+        return (exc.step_index, exc.time, str(exc))
+
+
+DIFFERENTIAL_CASES = {
+    "free": None,
+    "literal-gate-open": ControllerConfig(K=-0.3, epsilon=5.0, t_on=5.0),
+    "euler-gate-open": ControllerConfig(
+        K=-0.3, epsilon=5.0, t_on=5.0, mode=PredictionMode.EULER
+    ),
+    "lag-one-gate-open": ControllerConfig(K=-0.6, epsilon=0.5, t_on=5.0, tau=0.1),
+    "zero-gain-gate-open": ControllerConfig(K=0.0, epsilon=1e9, t_on=0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
+def test_core_matches_rk4_step_reference(params, s0, name):
+    cfg = DIFFERENTIAL_CASES[name]
+    g = TimeGrid(0.0, 100.0, 0.1)
+    core = core_run(params, s0, g, cfg)
+    ref = reference_run(params, s0, g, cfg)
+    if name.endswith("gate-open"):
+        assert core.active.mean() > 0.3
+    assert np.array_equal(core.t, ref.t)
+    assert np.array_equal(core.states, ref.states)
+    assert np.array_equal(core.u, ref.u)
+    assert np.array_equal(core.active, ref.active)
+    assert np.array_equal(core.r, ref.r, equal_nan=True)
+
+
+@pytest.mark.parametrize("cfg, reason", [
+    # the gate opens at t > 5 and the literal law at K=-0.9 blows the state up
+    (ControllerConfig(K=-0.9, epsilon=5.0, t_on=5.0), "state magnitude exceeded"),
+    # a gain of 1e200 overflows the control term inside the first open step
+    (ControllerConfig(K=1e200, epsilon=1e9, t_on=0.0), "non-finite derivative"),
+])
+def test_core_divergence_matches_reference(params, s0, cfg, reason):
+    g = TimeGrid(0.0, 100.0, 0.1)
+    core = outcome(core_run, params, s0, g, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = outcome(reference_run, params, s0, g, cfg)
+    assert isinstance(core, tuple)
+    assert reason in core[2]
+    assert core == ref
+
+
+def test_core_initial_state_beyond_limit_matches_reference(params):
+    s0 = State(2e6, 0.0, 0.0)
+    core = outcome(core_run, params, s0, short_grid)
+    assert core == outcome(reference_run, params, s0, short_grid)
+    assert core[0] == 0
