@@ -8,6 +8,8 @@ stdout carries data, stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import os
 import re
 import sys
@@ -67,6 +69,17 @@ def _attach_negative_lists(argv: Sequence[str]) -> list:
         else:
             args.append(tok)
     return args
+
+
+def _finite_float(text: str) -> float:
+    """argparse type for a single number that must be finite."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _float_list(text: str, name: str) -> list:
@@ -248,7 +261,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="rabinovich",
         description=(
@@ -263,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="list fixed points with open- and closed-loop stability verdicts",
     )
     p_eq.add_argument("--config", help="key=value config file (defaults if omitted)")
-    p_eq.add_argument("--K", type=float, default=None, help="gain for the closed-loop verdicts")
+    p_eq.add_argument("--K", type=_finite_float, default=None, help="gain for the closed-loop verdicts")
     p_eq.set_defaults(func=_cmd_equilibria)
 
     p_sim = sub.add_parser(
@@ -278,8 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gain = sub.add_parser(
         "gain-check", help="admissible interval and both stability checks for (d, K)"
     )
-    p_gain.add_argument("--d", type=float, default=1.0)
-    p_gain.add_argument("--K", type=float, default=-0.6)
+    p_gain.add_argument("--d", type=_finite_float, default=1.0)
+    p_gain.add_argument("--K", type=_finite_float, default=-0.6)
     p_gain.set_defaults(func=_cmd_gain_check)
 
     p_sweep = sub.add_parser("sweep", help="grid of (mode, K, epsilon) runs to CSV")
@@ -302,9 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cli_dispatch(argv: Sequence[str]) -> int:
     """Parse argv (without the program name) and run one subcommand."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_lists(argv))
+        args = _parser().parse_args(_attach_negative_lists(argv))
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; fold the latter
         # into the documented config/usage code.

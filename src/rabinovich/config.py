@@ -13,6 +13,7 @@ parse(serialize(cfg)) reproduces cfg bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -93,10 +94,10 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate a flat key=value configuration.
 
     Raises ConfigError with a line number for syntax problems (missing '=',
-    unknown or duplicate keys, unparseable numbers) and with the field name
-    for domain violations (non-positive parameters, uneven grids, a tau
-    that is not a whole number of steps, a tail at least as long as the
-    run).
+    unknown or duplicate keys, unparseable or non-finite numbers) and with
+    the field name for domain violations (non-positive parameters, uneven
+    grids, a tau that is not a whole number of steps, a tail at least as
+    long as the run).
     """
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -115,6 +116,8 @@ def parse_config(text: str) -> RunConfig:
                 raw[key] = float(value)
             except ValueError:
                 raise ConfigError(f"{key}: not a number: {value!r}", lineno) from None
+            if not math.isfinite(raw[key]):
+                raise ConfigError(f"{key} must be finite, got {value!r}", lineno)
         else:
             raw[key] = value
 

@@ -77,9 +77,8 @@ class ControllerConfig:
 
     ``tau`` is both the prediction horizon of the EULER mode and the lag of
     the recurrence test r(t) = ||s(t) - s(t - tau)||; it must be a positive
-    integer multiple of the integration step.  ``controlled_component`` is
-    recorded for honesty of the run record but only the z-equation (index 2)
-    is supported.
+    integer multiple of the integration step.  The control acts on the
+    z-equation only.
     """
 
     K: float
@@ -87,7 +86,6 @@ class ControllerConfig:
     t_on: float = 40.0
     mode: PredictionMode = PredictionMode.DERIVATIVE
     tau: float = 1.0
-    controlled_component: int = 2
 
     def __post_init__(self):
         for name in ("K", "epsilon", "t_on", "tau"):
@@ -103,11 +101,6 @@ class ControllerConfig:
             raise ValueError(f"t_on must be nonnegative, got {self.t_on!r}")
         if not isinstance(self.mode, PredictionMode):
             raise ValueError(f"mode must be a PredictionMode, got {self.mode!r}")
-        if self.controlled_component != 2:
-            raise ValueError(
-                "only the z-equation (controlled_component=2) is supported, "
-                f"got {self.controlled_component!r}"
-            )
 
 
 def delay_steps(cfg: ControllerConfig, dt: float) -> int:

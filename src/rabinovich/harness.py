@@ -246,14 +246,16 @@ def convergence_report(
     ``capture_radius``.  Control effort is the trapezoid-rule integral of
     |u| over the whole run.
     """
-    if tail <= 0.0:
-        raise ValueError(f"tail must be positive, got {tail!r}")
+    if not (math.isfinite(tail) and tail > 0.0):
+        raise ValueError(f"tail must be positive and finite, got {tail!r}")
     if tail >= traj.span:
         raise ValueError(
             f"tail window ({tail!r}) must be shorter than the trajectory span ({traj.span!r})"
         )
-    if capture_radius <= 0.0:
-        raise ValueError(f"capture_radius must be positive, got {capture_radius!r}")
+    if not (math.isfinite(capture_radius) and capture_radius > 0.0):
+        raise ValueError(
+            f"capture_radius must be positive and finite, got {capture_radius!r}"
+        )
 
     cut = traj.t[-1] - tail
     sel = traj.t >= cut

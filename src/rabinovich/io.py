@@ -2,12 +2,17 @@
 
 All floats are written with 17 significant digits so a written trajectory
 reads back bit-for-bit.  Line endings are "\n" on every platform.
+
+Trajectory files are written and read in blocks of ``_BLOCK_ROWS`` rows:
+each block is formatted or converted column by column, so memory stays
+bounded by the block, not the file.  Read errors name the row (its line in
+the file) and the column.
 """
 
 from __future__ import annotations
 
 import csv
-import math
+from itertools import islice
 from typing import TextIO, Union
 
 import numpy as np
@@ -35,6 +40,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# Rows per block when a trajectory is written or read.  Blocks of 128 to
+# 1024 rows run equally fast; larger ones only raise peak memory (about 5 MB
+# more at 4096 rows on a 20001-row file).
+_BLOCK_ROWS = 256
+
+# One trajectory row; "%.17g" gives the digits of format(x, ".17g").  An
+# absent r (NaN) is written "nan" here and blanked per block.
+_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
+
+
 def write_trajectory_csv(traj: Trajectory, dest: Union[str, TextIO]) -> None:
     """Write one sample per row: t,x,y,z,u,active,r.
 
@@ -46,26 +61,53 @@ def write_trajectory_csv(traj: Trajectory, dest: Union[str, TextIO]) -> None:
         with open(dest, "w", newline="") as fh:
             write_trajectory_csv(traj, fh)
         return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(TRAJECTORY_HEADER)
-    for k in range(traj.n_samples):
-        x, y, z = traj.states[k]
-        r = traj.r[k]
-        writer.writerow(
-            (
-                _fmt(traj.t[k]),
-                _fmt(x),
-                _fmt(y),
-                _fmt(z),
-                _fmt(traj.u[k]),
-                "1" if traj.active[k] else "0",
-                "" if math.isnan(r) else _fmt(r),
-            )
+    dest.write(",".join(TRAJECTORY_HEADER) + "\n")
+    active = np.asarray(traj.active, dtype=bool)
+    for lo in range(0, traj.n_samples, _BLOCK_ROWS):
+        block = slice(lo, lo + _BLOCK_ROWS)
+        x, y, z = traj.states[block].T.tolist()
+        rows = zip(
+            traj.t[block].tolist(), x, y, z, traj.u[block].tolist(),
+            active[block].tolist(), traj.r[block].tolist(),
         )
+        dest.write("".join(map(_ROW.__mod__, rows)).replace(",nan\n", ",\n"))
+
+
+def _checked_rows(reader):
+    """The non-blank data rows, each checked for its field count and active
+    flag and extended by its line number in the file."""
+    width = len(TRAJECTORY_HEADER)
+    for row in reader:
+        if not row:
+            continue
+        line = reader.line_num
+        if len(row) != width:
+            raise ValueError(f"row {line}: expected {width} fields, got {len(row)}")
+        if row[5] not in ("0", "1"):
+            raise ValueError(f"row {line}: active must be 0 or 1, got {row[5]!r}")
+        row.append(line)
+        yield row
+
+
+def _floats(column, name: str, lines) -> np.ndarray:
+    try:
+        return np.fromiter(map(float, column), dtype=float, count=len(column))
+    except ValueError:
+        for text, line in zip(column, lines):
+            try:
+                float(text)
+            except ValueError:
+                raise ValueError(
+                    f"row {line}: {name} is not a number: {text!r}"
+                ) from None
+        raise
 
 
 def read_trajectory_csv(source: Union[str, TextIO]) -> Trajectory:
-    """Inverse of write_trajectory_csv; rejects files with a wrong header."""
+    """Inverse of write_trajectory_csv; rejects files with a wrong header.
+
+    Errors in the data name the row by its line number and the column.
+    """
     if isinstance(source, str):
         with open(source, "r", newline="") as fh:
             return read_trajectory_csv(fh)
@@ -79,26 +121,23 @@ def read_trajectory_csv(source: Union[str, TextIO]) -> Trajectory:
             f"bad trajectory header: expected {','.join(TRAJECTORY_HEADER)}, "
             f"got {','.join(header)}"
         )
-    t, states, u, active, r = [], [], [], [], []
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != len(TRAJECTORY_HEADER):
-            raise ValueError(f"row {reader.line_num}: expected 7 fields, got {len(row)}")
-        t.append(float(row[0]))
-        states.append((float(row[1]), float(row[2]), float(row[3])))
-        u.append(float(row[4]))
-        if row[5] not in ("0", "1"):
-            raise ValueError(f"row {reader.line_num}: active must be 0 or 1, got {row[5]!r}")
-        active.append(row[5] == "1")
-        r.append(math.nan if row[6] == "" else float(row[6]))
-    return Trajectory(
-        t=np.asarray(t, dtype=float),
-        states=np.asarray(states, dtype=float),
-        u=np.asarray(u, dtype=float),
-        active=np.asarray(active, dtype=bool),
-        r=np.asarray(r, dtype=float),
-    )
+    rows = _checked_rows(reader)
+    blocks = []
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        t, x, y, z, u, active, r, lines = zip(*block)
+        blocks.append((
+            _floats(t, "t", lines),
+            _floats(x, "x", lines),
+            _floats(y, "y", lines),
+            _floats(z, "z", lines),
+            _floats(u, "u", lines),
+            np.fromiter(map("1".__eq__, active), dtype=bool, count=len(active)),
+            _floats([text or "nan" for text in r], "r", lines),
+        ))
+    if not blocks:
+        raise ValueError("a trajectory needs at least two samples")
+    t, x, y, z, u, active, r = (np.concatenate(col) for col in zip(*blocks))
+    return Trajectory(t=t, states=np.column_stack((x, y, z)), u=u, active=active, r=r)
 
 
 def write_sweep_csv(report: SweepReport, dest: Union[str, TextIO]) -> None:

@@ -64,6 +64,30 @@ def test_gain_check_rejects_bad_d(capsys):
     assert "error" in err
 
 
+def test_gain_check_rejects_nan_gain(capsys):
+    code, out, err = run_cli(capsys, "gain-check", "--K", "nan")
+    assert code == 1
+    assert "--K" in err and "finite" in err
+    assert out == ""
+
+
+def test_gain_check_rejects_nan_d(capsys):
+    code, out, err = run_cli(capsys, "gain-check", "--d", "nan")
+    assert code == 1
+    assert "--d" in err and "finite" in err
+    assert out == ""
+
+
+def test_parser_is_reused_across_calls(capsys):
+    first = run_cli(capsys, "gain-check", "--K", "-0.4")
+    code, _, err = run_cli(capsys, "gain-check", "--K", "abc")
+    assert code == 1
+    assert "--K" in err
+    third = run_cli(capsys, "gain-check", "--K", "-0.4")
+    assert first == third
+    assert third[0] == 0 and third[2] == ""
+
+
 # --- equilibria --------------------------------------------------------------------
 
 def test_equilibria_lists_reference_points(capsys):
@@ -117,6 +141,24 @@ def test_simulate_bad_config_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--config", str(bad))
     assert code == 1
     assert "line 2" in err
+
+
+@pytest.mark.parametrize("line, field", [
+    ("tail = nan", "tail"),
+    ("capture_radius = inf", "capture_radius"),
+    ("capture_radius = nan", "capture_radius"),
+])
+def test_simulate_nonfinite_setting_exits_one(capsys, tmp_path, line, field):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(cfg),
+        "--out-csv", str(tmp_path / "t.csv"), "--out-report", str(tmp_path / "r.txt"),
+    )
+    assert code == 1
+    assert f"{field} must be finite" in err
+    assert out == ""
+    assert not (tmp_path / "t.csv").exists()
 
 
 def test_simulate_missing_config_exits_one(capsys, tmp_path):

@@ -95,6 +95,17 @@ def test_nonfinite_value_rejected():
         parse_config("h = inf\n")
 
 
+@pytest.mark.parametrize("text, field", [
+    ("tail = nan\n", "tail"),
+    ("capture_radius = inf\n", "capture_radius"),
+    ("capture_radius = nan\n", "capture_radius"),
+    ("x0 = -inf\n", "x0"),
+])
+def test_nonfinite_value_names_the_field(text, field):
+    with pytest.raises(ConfigError, match=rf"line 1: {field} must be finite"):
+        parse_config(text)
+
+
 def test_output_paths_pass_through():
     cfg = parse_config("out_csv = results/a.csv\nout_report = results/a.txt\n")
     assert cfg.out_csv == "results/a.csv"

@@ -36,16 +36,21 @@ def test_config_defaults():
     assert cfg.t_on == 40.0
     assert cfg.mode is PredictionMode.DERIVATIVE
     assert cfg.tau == 1.0
-    assert cfg.controlled_component == 2
 
 
 @pytest.mark.parametrize("kwargs", [
     {"epsilon": 0.0}, {"epsilon": -0.1}, {"tau": 0.0}, {"tau": -1.0},
-    {"t_on": -5.0}, {"controlled_component": 1}, {"K": math.nan},
+    {"t_on": -5.0}, {"mode": "literal"}, {"K": math.nan},
 ])
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         ControllerConfig(**{"K": -0.6, **kwargs})
+
+
+def test_config_has_no_controlled_component():
+    # the control acts on the z-equation only; there is no field to pick another
+    with pytest.raises(TypeError):
+        ControllerConfig(K=-0.6, controlled_component=2)
 
 
 def test_mode_tokens():

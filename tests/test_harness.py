@@ -267,6 +267,16 @@ def test_report_rejects_bad_tail(free_run, eqs):
         convergence_report(free_run, eqs, capture_radius=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"tail": math.nan}, {"tail": math.inf},
+    {"capture_radius": math.nan}, {"capture_radius": math.inf},
+])
+def test_report_rejects_nonfinite_settings(free_run, eqs, kwargs):
+    (name,) = kwargs
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        convergence_report(free_run, eqs, **kwargs)
+
+
 def test_uncontrolled_report_has_no_controller_echo(free_run, eqs):
     rep = convergence_report(free_run, eqs)
     assert rep.settings.mode is None

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from rabinovich import (
     ControllerConfig,
+    PredictionMode,
     State,
     SweepReport,
     TimeGrid,
@@ -21,6 +23,7 @@ from rabinovich import (
     write_sweep_csv,
     write_trajectory_csv,
 )
+from rabinovich.io import _BLOCK_ROWS
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -105,6 +108,139 @@ def test_seventeen_digits_round_trip_any_double(values):
     )
     back = read_trajectory_csv(io.StringIO(_dump(traj)))
     assert np.array_equal(back.states, traj.states)
+
+
+# --- byte format against the per-row reference writer ---------------------------
+
+def _reference_csv(traj) -> str:
+    """The per-row writer the block writer replaced: csv.writer and
+    format(x, ".17g") on every field, one row at a time."""
+    def fmt(x):
+        return format(float(x), ".17g")
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("t", "x", "y", "z", "u", "active", "r"))
+    for k in range(traj.n_samples):
+        x, y, z = traj.states[k]
+        r = traj.r[k]
+        writer.writerow((
+            fmt(traj.t[k]), fmt(x), fmt(y), fmt(z), fmt(traj.u[k]),
+            "1" if traj.active[k] else "0",
+            "" if math.isnan(r) else fmt(r),
+        ))
+    return buf.getvalue()
+
+
+def test_block_writer_matches_reference_on_gated_run(params, s0):
+    # 2 * block + 1 rows: two full blocks and a one-row tail
+    dt = 0.01
+    g = TimeGrid(0.0, 2 * _BLOCK_ROWS * dt, dt)
+    cfg = ControllerConfig(K=-0.3, epsilon=5.0, t_on=0.0, mode=PredictionMode.EULER)
+    traj = run_controlled(params, s0, g, cfg)
+    assert traj.n_samples == 2 * _BLOCK_ROWS + 1
+    assert 0 < traj.active.sum() < traj.n_samples
+    assert np.isnan(traj.r).any() and (traj.u != 0.0).any()
+    text = _dump(traj)
+    assert text == _reference_csv(traj)
+    back = read_trajectory_csv(io.StringIO(text))
+    assert np.array_equal(back.states, traj.states)
+    assert np.array_equal(back.r, traj.r, equal_nan=True)
+
+
+edge_doubles = st.sampled_from([
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1.7976931348623157e308, 0.1, 1.0 / 3.0,
+])
+
+
+@given(st.lists(st.one_of(finite, edge_doubles), min_size=2, max_size=12))
+def test_block_writer_matches_reference_on_any_double(values):
+    n = len(values)
+    r = np.array(values[::-1])
+    r[0] = math.nan
+    traj = Trajectory(
+        t=np.arange(n, dtype=float),
+        states=np.array([[v, -v, v * 0.5] for v in values]),
+        u=np.array(values),
+        active=np.ones(n, dtype=bool),
+        r=r,
+    )
+    assert _dump(traj) == _reference_csv(traj)
+
+
+def test_block_writer_matches_reference_on_nonfinite_values():
+    # only an absent r is written blank; NaN and inf elsewhere keep their text
+    nan, inf = math.nan, math.inf
+    traj = Trajectory(
+        t=np.array([0.0, 0.5, 1.0]),
+        states=np.array([[nan, inf, -inf], [1.0, nan, 2.0], [nan, nan, nan]]),
+        u=np.array([0.0, nan, -inf]),
+        active=np.array([False, True, True]),
+        r=np.array([nan, inf, nan]),
+    )
+    text = _dump(traj)
+    assert text == _reference_csv(traj)
+    assert text.splitlines()[3] == "1,nan,nan,nan,-inf,1,"
+
+
+# --- read errors ------------------------------------------------------------------
+
+HEADER = "t,x,y,z,u,active,r\n"
+
+
+def _rows_past_one_block(bad_row: str, newline: str = "\n") -> tuple:
+    """A file whose bad row comes after the first block; returns the text and
+    the bad row's line number."""
+    good = [f"{0.1 * k!r},1,2,3,0,0,{newline}" for k in range(_BLOCK_ROWS + 40)]
+    text = HEADER.replace("\n", newline) + "".join(good) + bad_row + newline
+    return text, len(good) + 2
+
+
+def test_read_bad_number_names_row_and_column():
+    text, line = _rows_past_one_block("1e9,1,abc,3,0,0,")
+    with pytest.raises(ValueError, match=rf"row {line}: y is not a number: 'abc'"):
+        read_trajectory_csv(io.StringIO(text))
+
+
+def test_read_bad_r_names_row_and_column():
+    text, line = _rows_past_one_block("1e9,1,2,3,0,0,x")
+    with pytest.raises(ValueError, match=rf"row {line}: r is not a number"):
+        read_trajectory_csv(io.StringIO(text))
+
+
+def test_read_short_row_after_first_block_names_its_row():
+    text, line = _rows_past_one_block("1e9,1,2,3,0,0")
+    with pytest.raises(ValueError, match=rf"row {line}: expected 7 fields"):
+        read_trajectory_csv(io.StringIO(text))
+
+
+def test_read_bad_active_after_first_block_names_its_row():
+    text, line = _rows_past_one_block("1e9,1,2,3,0,2,")
+    with pytest.raises(ValueError, match=rf"row {line}: active must be 0 or 1"):
+        read_trajectory_csv(io.StringIO(text))
+
+
+def test_read_accepts_crlf_and_blank_lines(tmp_path):
+    rows = [f"{0.1 * k!r},{k!r},2,3,0,0,\r\n" for k in range(_BLOCK_ROWS + 5)]
+    rows[3] = "\r\n"
+    rows[_BLOCK_ROWS + 1] = "\r\n"
+    text = HEADER.replace("\n", "\r\n") + "".join(rows)
+    back = read_trajectory_csv(io.StringIO(text))
+    assert back.n_samples == len(rows) - 2
+    path = tmp_path / "crlf.csv"
+    path.write_bytes(text.encode())
+    back_file = read_trajectory_csv(str(path))
+    assert np.array_equal(back_file.states, back.states)
+    # blank lines still count toward the line numbers in errors
+    bad = text + "1e9,1,zz,3,0,0,\r\n"
+    with pytest.raises(ValueError, match=rf"row {len(rows) + 2}: y is not a number"):
+        read_trajectory_csv(io.StringIO(bad))
+
+
+def test_read_rejects_header_only_file():
+    with pytest.raises(ValueError, match="two samples"):
+        read_trajectory_csv(io.StringIO(HEADER))
 
 
 def test_read_rejects_wrong_header():
