@@ -123,37 +123,45 @@ def _cmd_equilibria(args: argparse.Namespace) -> int:
     p = cfg.params
     K = cfg.controller.K if args.K is None else args.K
     eqs = equilibria(p)
-    out = sys.stdout
-    print(f"parameters: a={_fmt(p.a)} b={_fmt(p.b)} d={_fmt(p.d)} h={_fmt(p.h)}", file=out)
+    # Printed only once every point is worked out, so an error prints nothing.
+    lines = [f"parameters: a={_fmt(p.a)} b={_fmt(p.b)} d={_fmt(p.d)} h={_fmt(p.h)}"]
     if eqs.degenerate:
-        print("degenerate case (h^2 <= a*b): only the origin", file=out)
+        lines.append("degenerate case (h^2 <= a*b): only the origin")
     for label, point in eqs.labeled():
         res = residual_norm(p, point)
         A = jacobian(p, point)
         open_loop = closed_loop_check(A, 0.0)
-        closed = closed_loop_check(A, K)
+        try:
+            closed = closed_loop_check(A, K)
+        except ValueError as exc:
+            raise ConfigError(f"--K: {exc}" if args.K is not None else str(exc)) from None
         lam = eigen3(closed_loop_jacobian(p, K, point))
         max_re = max(ev.real for ev in lam)
-        print(
+        lines.append(
             f"{label}: ({point.x:.4f}, {point.y:.4f}, {point.z:.4f})"
-            f"  residual = {format(res, '.3e')}",
-            file=out,
+            f"  residual = {format(res, '.3e')}"
         )
-        print(_verdict_line("open loop           ", open_loop), file=out)
-        print(_verdict_line(f"gain check (K={_fmt(K)})", closed), file=out)
-        print(
+        lines.append(_verdict_line("open loop           ", open_loop))
+        lines.append(_verdict_line(f"gain check (K={_fmt(K)})", closed))
+        lines.append(
             f"  controlled jacobian (K={_fmt(K)}): max Re = {format(max_re, '+.6g')}"
-            f" -> {'stable' if max_re < 0.0 else 'unstable'} (continuous)",
-            file=out,
+            f" -> {'stable' if max_re < 0.0 else 'unstable'} (continuous)"
         )
+    sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
 
 def _cmd_gain_check(args: argparse.Namespace) -> int:
     d, K = args.d, args.K
-    interval = admissible_gain_interval(d)
+    try:
+        interval = admissible_gain_interval(d)
+    except ValueError as exc:
+        raise ConfigError(f"--d: {exc}") from None
+    try:
+        verdict = closed_loop_check(-d, K)
+    except ValueError as exc:
+        raise ConfigError(f"--K: {exc}") from None
     coeff = closed_loop_scalar_coeff(d, K)
-    verdict = closed_loop_check(-d, K)
     inside = interval.contains(K)
     out = sys.stdout
     print(f"gain K = {_fmt(K)} at d = {_fmt(d)}", file=out)

@@ -132,17 +132,8 @@ def parse_config(text: str) -> RunConfig:
 
     try:
         params = Params(values["a"], values["b"], values["d"], values["h"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
         s0 = State(values["x0"], values["y0"], values["z0"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
         grid = TimeGrid(values["t0"], values["t_end"], values["dt"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    try:
         controller = ControllerConfig(
             K=values["K"],
             epsilon=values["epsilon"],

@@ -151,7 +151,12 @@ def admissible_gain_interval(d: float) -> GainInterval:
     d = float(d)
     if not (math.isfinite(d) and d > 0.0):
         raise ValueError(f"d must be a positive finite number, got {d!r}")
-    return GainInterval(-1.0, (1.0 - d) / (d + 1.0))
+    hi = (1.0 - d) / (d + 1.0)
+    if hi <= -1.0:
+        raise ValueError(
+            f"d = {d!r} is too large: the interval bound (1-d)/(d+1) rounds to -1"
+        )
+    return GainInterval(-1.0, hi)
 
 
 def closed_loop_scalar_coeff(d: float, K: float) -> float:
@@ -197,20 +202,23 @@ class StabilityVerdict:
     gain_exists: bool
 
 
-def closed_loop_check(A, K) -> StabilityVerdict:
+def closed_loop_check(A, K: float) -> StabilityVerdict:
     """Form the closed-loop matrix M = A + K(A - I) and judge it both ways.
 
     ``A`` may be a scalar (the linearized controlled coordinate) or a 3x3
-    matrix; ``K`` may be a scalar or a matrix of the same shape as ``A``.
-    A scalar ``K`` against a matrix ``A`` is taken as K times the identity.
+    matrix; the gain ``K`` is a scalar, taken as K times the identity against
+    a matrix.  A gain so large that M overflows is rejected with a ValueError.
     """
+    k = float(K)
+    overflow = f"K = {k!r} is too large: the closed-loop matrix A + K(A - I) overflows"
     if np.isscalar(A) or np.ndim(A) == 0:
         a = float(A)
         if not math.isfinite(a):
             raise ValueError(f"A must be finite, got {a!r}")
-        k = float(K)
         a_minus_one = a - 1.0
         m = a + k * a_minus_one
+        if not math.isfinite(m):
+            raise ValueError(overflow)
         return StabilityVerdict(
             closed_loop_matrix=m,
             eigenvalues=(complex(m),),
@@ -224,14 +232,11 @@ def closed_loop_check(A, K) -> StabilityVerdict:
     arr = np.asarray(A, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape != (3, 3):
         raise ValueError(f"A must be a scalar or a 3x3 matrix, got shape {np.shape(A)}")
-    if np.isscalar(K) or np.ndim(K) == 0:
-        k_mat = float(K) * np.eye(3)
-    else:
-        k_mat = np.asarray(K, dtype=float)
-        if k_mat.shape != arr.shape:
-            raise ValueError(f"K must match A's shape {arr.shape}, got {k_mat.shape}")
     a_minus_i = arr - np.eye(3)
-    m = arr + k_mat @ a_minus_i
+    with np.errstate(over="ignore"):
+        m = arr + (k * np.eye(3)) @ a_minus_i
+    if not np.isfinite(m).all():
+        raise ValueError(overflow)
     try:
         eigs = eigen3(m)
         det = float(np.linalg.det(a_minus_i))

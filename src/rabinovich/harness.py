@@ -35,7 +35,6 @@ from .integrator import DIVERGENCE_LIMIT, DivergenceError, IntegrationError, Tim
 
 __all__ = [
     "Trajectory",
-    "ReportSettings",
     "ConvergenceReport",
     "SweepCell",
     "SweepReport",
@@ -196,25 +195,10 @@ def run_controlled(
 
 
 @dataclass(frozen=True)
-class ReportSettings:
-    """Echo of everything that shaped a run, frozen into its report."""
-
-    mode: Optional[str]
-    K: Optional[float]
-    epsilon: Optional[float]
-    t_on: Optional[float]
-    tau: Optional[float]
-    dt: float
-    t_end: float
-    capture_radius: float
-    tail: float
-    r_norm: str = R_NORM_NOTE
-    gate_evaluation: str = GATE_NOTE
-
-
-@dataclass(frozen=True)
 class ConvergenceReport:
-    """Measured convergence outcome of one run."""
+    """Measured convergence outcome of one run, with the settings that shaped
+    it: the controller (None for a free run), the step, the end time and the
+    report's own capture radius and tail."""
 
     target_label: str
     target: State
@@ -223,7 +207,11 @@ class ConvergenceReport:
     stabilized: bool
     control_effort: float
     max_abs_u_post_activation: float
-    settings: ReportSettings
+    controller: Optional[ControllerConfig]
+    dt: float
+    t_end: float
+    capture_radius: float
+    tail: float
 
 
 def _trapezoid(values: np.ndarray, t: np.ndarray) -> float:
@@ -284,18 +272,6 @@ def convergence_report(
     else:
         max_abs_u = float(abs_u.max())
 
-    dt = float(traj.t[1] - traj.t[0])
-    settings = ReportSettings(
-        mode=cfg.mode.value if cfg is not None else None,
-        K=cfg.K if cfg is not None else None,
-        epsilon=cfg.epsilon if cfg is not None else None,
-        t_on=cfg.t_on if cfg is not None else None,
-        tau=cfg.tau if cfg is not None else None,
-        dt=dt,
-        t_end=float(traj.t[-1]),
-        capture_radius=capture_radius,
-        tail=tail,
-    )
     return ConvergenceReport(
         target_label=eqs.labels[best_idx],
         target=target,
@@ -304,7 +280,11 @@ def convergence_report(
         stabilized=tail_max <= capture_radius,
         control_effort=effort,
         max_abs_u_post_activation=max_abs_u,
-        settings=settings,
+        controller=cfg,
+        dt=float(traj.t[1] - traj.t[0]),
+        t_end=float(traj.t[-1]),
+        capture_radius=capture_radius,
+        tail=tail,
     )
 
 
@@ -324,18 +304,7 @@ class SweepCell:
 class SweepReport:
     """All sweep cells in deterministic (mode, K, epsilon) order."""
 
-    K_values: tuple[float, ...]
-    eps_values: tuple[float, ...]
-    modes: tuple[str, ...]
     cells: tuple[SweepCell, ...]
-
-    def __post_init__(self):
-        expected = len(self.K_values) * len(self.eps_values) * len(self.modes)
-        if len(self.cells) != expected:
-            raise ValueError(
-                f"sweep grid mismatch: {len(self.cells)} cells for "
-                f"{len(self.modes)}x{len(self.K_values)}x{len(self.eps_values)} grid"
-            )
 
     def stabilized_cells(self) -> tuple[SweepCell, ...]:
         return tuple(
@@ -387,9 +356,4 @@ def sweep(
                     cells.append(
                         SweepCell(cfg.K, cfg.epsilon, mode.value, in_interval, None, str(exc))
                     )
-    return SweepReport(
-        K_values=tuple(float(k) for k in K_values),
-        eps_values=tuple(float(e) for e in eps_values),
-        modes=tuple(m.value for m in mode_list),
-        cells=tuple(cells),
-    )
+    return SweepReport(cells=tuple(cells))

@@ -1,4 +1,5 @@
-"""Fixed-step classical fourth-order Runge-Kutta integration.
+"""Fixed-step classical fourth-order Runge-Kutta: the time grid, the
+divergence guard and its errors, and the generic reference step.
 
 Only fixed-step RK4 is provided: the simulation protocols this package
 reproduces use a constant step, and a fixed grid keeps runs bit-for-bit
@@ -6,30 +7,27 @@ reproducible.  Grid times are always computed as ``t0 + k*dt`` (one
 multiplication per step, never accumulated addition) so the time axis
 carries no compounding rounding error.
 
-The field callable receives the time even for autonomous systems because
-the switched controlled field is time-gated.
+Runs are stepped by ``harness._run``.  ``rk4_step`` and ``check_state`` are
+the generic numpy reference that the core is tested against: the same
+arithmetic on arrays, with the field given as a callable ``f(t, y)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "TimeGrid",
-    "FieldFn",
     "IntegrationError",
     "DivergenceError",
     "DIVERGENCE_LIMIT",
     "rk4_step",
-    "integrate",
     "check_state",
 ]
-
-FieldFn = Callable[[float, np.ndarray], np.ndarray]
 
 # Abort threshold for any state component.  The attractors this package
 # targets live at magnitudes of order 10, so 1e6 cleanly separates
@@ -97,14 +95,14 @@ def check_state(y: np.ndarray, step_index: int, t: float) -> None:
         )
 
 
-def _eval(f: FieldFn, t: float, y: np.ndarray) -> np.ndarray:
+def _eval(f: Callable, t: float, y: np.ndarray) -> np.ndarray:
     k = np.asarray(f(t, y), dtype=float)
     if not np.isfinite(k).all():
         raise IntegrationError(f"non-finite derivative at t={t!r}")
     return k
 
 
-def rk4_step(f: FieldFn, t: float, state, dt: float) -> np.ndarray:
+def rk4_step(f: Callable, t: float, state, dt: float) -> np.ndarray:
     """One classical RK4 update with the (1, 2, 2, 1)/6 weighting.
 
     Pure function of its inputs; identical inputs give bit-identical
@@ -121,36 +119,3 @@ def rk4_step(f: FieldFn, t: float, state, dt: float) -> np.ndarray:
     k4 = _eval(f, t + dt, y + dt * k3)
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-
-def integrate(
-    f: FieldFn,
-    y0,
-    grid: TimeGrid,
-    observer: Optional[Callable[[float, np.ndarray], None]] = None,
-) -> np.ndarray:
-    """Integrate ``f`` over ``grid``, reporting every grid point.
-
-    The observer (if given) is invoked at every grid time including t0 and
-    t_end, with a private copy of the state, so exactly
-    ``grid.n_steps + 1`` times.  Returns the final state.
-
-    Raises DivergenceError, carrying the step index, as soon as any state
-    component is non-finite or exceeds DIVERGENCE_LIMIT in magnitude.
-    """
-    y = np.array(y0, dtype=float)
-    check_state(y, 0, grid.t0)
-    if observer is not None:
-        observer(grid.t0, y.copy())
-    for k in range(1, grid.n_steps + 1):
-        t_prev = grid.t0 + (k - 1) * grid.dt
-        try:
-            y = rk4_step(f, t_prev, y, grid.dt)
-        except DivergenceError:
-            raise
-        except IntegrationError as exc:
-            raise DivergenceError(k, t_prev, str(exc)) from exc
-        t_k = grid.t0 + k * grid.dt
-        check_state(y, k, t_k)
-        if observer is not None:
-            observer(t_k, y.copy())
-    return y

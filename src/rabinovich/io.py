@@ -17,7 +17,7 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from .harness import ConvergenceReport, SweepReport, Trajectory
+from .harness import GATE_NOTE, R_NORM_NOTE, ConvergenceReport, SweepReport, Trajectory
 
 __all__ = [
     "TRAJECTORY_HEADER",
@@ -179,20 +179,20 @@ def _fmt_point(point) -> str:
 
 def render_report(report: ConvergenceReport) -> str:
     """Deterministic plain-text summary of one run's outcome."""
-    s = report.settings
+    c = report.controller
     lines = ["run summary", "-----------"]
-    if s.mode is None:
+    if c is None:
         lines.append("control: off")
     else:
-        lines.append(f"control: {s.mode} prediction")
-        lines.append(f"K = {_fmt(s.K)}")
-        lines.append(f"epsilon = {_fmt(s.epsilon)}")
-        lines.append(f"t_on = {_fmt(s.t_on)}")
-        lines.append(f"tau = {_fmt(s.tau)}")
-    lines.append(f"dt = {_fmt(s.dt)}")
-    lines.append(f"t_end = {_fmt(s.t_end)}")
-    lines.append(f"capture_radius = {_fmt(s.capture_radius)}")
-    lines.append(f"tail = {_fmt(s.tail)}")
+        lines.append(f"control: {c.mode.value} prediction")
+        lines.append(f"K = {_fmt(c.K)}")
+        lines.append(f"epsilon = {_fmt(c.epsilon)}")
+        lines.append(f"t_on = {_fmt(c.t_on)}")
+        lines.append(f"tau = {_fmt(c.tau)}")
+    lines.append(f"dt = {_fmt(report.dt)}")
+    lines.append(f"t_end = {_fmt(report.t_end)}")
+    lines.append(f"capture_radius = {_fmt(report.capture_radius)}")
+    lines.append(f"tail = {_fmt(report.tail)}")
     lines.append("")
     lines.append(f"target: {report.target_label} at {_fmt_point(report.target)}")
     lines.append(f"tail_max_distance = {_fmt(report.tail_max_distance)}")
@@ -203,8 +203,8 @@ def render_report(report: ConvergenceReport) -> str:
         f"max_abs_u_post_activation = {_fmt(report.max_abs_u_post_activation)}"
     )
     lines.append("")
-    lines.append(f"note: distances use the {s.r_norm}")
-    lines.append(f"note: {s.gate_evaluation}")
+    lines.append(f"note: distances use the {R_NORM_NOTE}")
+    lines.append(f"note: {GATE_NOTE}")
     return "\n".join(lines) + "\n"
 
 

@@ -78,6 +78,19 @@ def test_gain_check_rejects_nan_d(capsys):
     assert out == ""
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, option", [
+    (("gain-check", "--K", "1e308"), "--K"),
+    (("gain-check", "--d", "1e308", "--K", "5"), "--d"),
+    (("equilibria", "--K", "1e308"), "--K"),
+], ids=["gain-check-K", "gain-check-d", "equilibria-K"])
+def test_huge_finite_input_names_the_option(capsys, argv, option):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {option}: ") and "too large" in err
+    assert out == ""
+
+
 def test_parser_is_reused_across_calls(capsys):
     first = run_cli(capsys, "gain-check", "--K", "-0.4")
     code, _, err = run_cli(capsys, "gain-check", "--K", "abc")

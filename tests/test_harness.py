@@ -12,20 +12,20 @@ from rabinovich import (
     Params,
     PredictionMode,
     State,
-    SweepReport,
     TimeGrid,
     Trajectory,
+    check_state,
     control_term,
     convergence_report,
     delay_steps,
     equilibria,
     field_components,
+    render_report,
     rk4_step,
     run_controlled,
     run_uncontrolled,
     sweep,
 )
-from rabinovich.integrator import check_state
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 short_grid = TimeGrid(0.0, 5.0, 0.1)
@@ -244,18 +244,19 @@ def test_report_effort_is_time_integral(eqs):
 def test_report_settings_echo(params, s0, grid, controller, eqs):
     traj = run_controlled(params, s0, grid, controller)
     rep = convergence_report(traj, eqs, tail=20.0, capture_radius=0.5, cfg=controller)
-    s = rep.settings
-    assert s.mode == "literal"
-    assert s.K == -0.6
-    assert s.epsilon == 0.1
-    assert s.t_on == 40.0
-    assert s.tau == 1.0
-    assert s.dt == pytest.approx(0.1)
-    assert s.t_end == 200.0
-    assert s.capture_radius == 0.5
-    assert s.tail == 20.0
-    assert "euclidean" in s.r_norm
-    assert "step's start" in s.gate_evaluation
+    assert rep.controller is controller
+    assert rep.controller.mode.value == "literal"
+    assert rep.dt == pytest.approx(0.1)
+    assert rep.t_end == 200.0
+    assert rep.capture_radius == 0.5
+    assert rep.tail == 20.0
+    text = render_report(rep)
+    for line in ("control: literal prediction", "K = -0.59999999999999998",
+                 "epsilon = 0.10000000000000001", "t_on = 40", "tau = 1",
+                 "capture_radius = 0.5", "tail = 20"):
+        assert line + "\n" in text
+    assert "note: distances use the euclidean norm over the full state vector\n" in text
+    assert "note: gate evaluated once per step, at the step's start\n" in text
 
 
 def test_report_rejects_bad_tail(free_run, eqs):
@@ -279,9 +280,12 @@ def test_report_rejects_nonfinite_settings(free_run, eqs, kwargs):
 
 def test_uncontrolled_report_has_no_controller_echo(free_run, eqs):
     rep = convergence_report(free_run, eqs)
-    assert rep.settings.mode is None
-    assert rep.settings.K is None
+    assert rep.controller is None
     assert rep.max_abs_u_post_activation == 0.0
+    text = render_report(rep)
+    assert "control: off\n" in text
+    assert "K = " not in text and "tau = " not in text
+    assert "note: distances use the euclidean norm" in text
 
 
 # --- sweeps -----------------------------------------------------------------------------
@@ -311,7 +315,6 @@ def test_sweep_cell_order_is_mode_then_K_then_eps(params, s0):
         ("euler", -0.6, 0.1), ("euler", -0.6, 0.5),
         ("euler", -0.3, 0.1), ("euler", -0.3, 0.5),
     ]
-    assert rep.modes == ("literal", "euler")
 
 
 def test_sweep_flags_inadmissible_gain(params, s0):
@@ -352,15 +355,9 @@ def test_sweep_accepts_numpy_arrays(params, s0):
     assert from_arrays == from_lists
     # a one-element array holding zero is not empty
     single = sweep(params, s0, g, np.array([0.0]), np.array([0.5]), base, tail=10.0)
-    assert single.K_values == (0.0,)
-    assert len(single.cells) == 1
+    assert [(c.K, c.epsilon) for c in single.cells] == [(0.0, 0.5)]
     with pytest.raises(ValueError):
         sweep(params, s0, g, np.array([]), np.array([0.5]), base, tail=10.0)
-
-
-def test_sweep_report_validates_grid_shape():
-    with pytest.raises(ValueError):
-        SweepReport(K_values=(0.1,), eps_values=(0.1,), modes=("literal",), cells=())
 
 
 def test_sweep_is_deterministic(params, s0):
@@ -376,8 +373,8 @@ def test_sweep_is_deterministic(params, s0):
 
 def reference_run(p, s0, grid, cfg=None):
     """Generic RK4 run: ``rk4_step`` on numpy arrays, the gate worked out from
-    the state history, and every divergence check wrapped the way the
-    integrator's own ``integrate`` does it."""
+    the state history, a non-finite stage derivative turned into a
+    ``DivergenceError`` for its step, and ``check_state`` on every state."""
     a, b, d, h = p.a, p.b, p.d, p.h
 
     def f_open(t, s):
@@ -480,3 +477,43 @@ def test_core_initial_state_beyond_limit_matches_reference(params):
     core = outcome(core_run, params, s0, short_grid)
     assert core == outcome(reference_run, params, s0, short_grid)
     assert core[0] == 0
+
+
+# --- an oracle that does not use the code under test -----------------------------------
+
+ORACLE_DTS = (0.005, 0.0025, 0.00125, 0.000625)
+
+
+def core_endpoints(params, s0):
+    """Final states of free runs over t in [0, 5], one per step in ORACLE_DTS."""
+    return [run_uncontrolled(params, s0, TimeGrid(0.0, 5.0, dt)).states[-1] for dt in ORACLE_DTS]
+
+
+def halving_orders(errors):
+    return [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
+
+
+def test_core_self_convergence_order_on_chaotic_flow(params, s0):
+    # measured orders 4.26 and 4.12
+    ends = core_endpoints(params, s0)
+    differences = [np.linalg.norm(ends[i] - ends[i + 1]) for i in range(3)]
+    for order in halving_orders(differences):
+        assert order == pytest.approx(4.0, abs=0.3)
+
+
+def test_core_converges_to_scipy_solution(params, s0):
+    integrate = pytest.importorskip("scipy.integrate")
+    a, b, d, h = params.a, params.b, params.d, params.h
+
+    def rabinovich(t, s):  # written out here, not taken from the package
+        x, y, z = s
+        return [h * y - a * x + y * z, h * x - b * y - x * z, x * y - d * z]
+
+    solution = integrate.solve_ivp(
+        rabinovich, (0.0, 5.0), [s0.x, s0.y, s0.z], method="DOP853", rtol=1e-13, atol=1e-13
+    )
+    errors = [np.linalg.norm(end - solution.y[:, -1]) for end in core_endpoints(params, s0)]
+    # measured orders 4.25, 4.12 and 4.08, and 3.8e-11 at the finest step
+    for order in halving_orders(errors)[1:]:
+        assert order == pytest.approx(4.0, abs=0.3)
+    assert errors[-1] < 1e-10

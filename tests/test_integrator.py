@@ -2,17 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from rabinovich import (
-    DIVERGENCE_LIMIT,
-    DivergenceError,
-    IntegrationError,
-    TimeGrid,
-    integrate,
-    rk4_step,
-)
+from rabinovich import DIVERGENCE_LIMIT, IntegrationError, TimeGrid, rk4_step
 
 
 class TestTimeGrid:
@@ -101,76 +94,5 @@ class TestRk4Step:
             assert p == pytest.approx(4.0, abs=0.2)
 
 
-class TestIntegrate:
-    def test_zero_field_constant_solution(self):
-        g = TimeGrid(0.0, 1.0, 0.1)
-        seen = []
-        final = integrate(lambda t, y: np.zeros(3), np.array([1.0, -2.0, 3.0]), g,
-                          observer=lambda t, y: seen.append((t, y)))
-        assert np.array_equal(final, np.array([1.0, -2.0, 3.0]))
-        assert len(seen) == g.n_steps + 1
-        assert seen[0][0] == 0.0 and seen[-1][0] == 1.0
-        for _, y in seen:
-            assert np.array_equal(y, final)
-
-    def test_observer_gets_private_copies(self):
-        g = TimeGrid(0.0, 0.5, 0.1)
-        copies = []
-
-        def observer(t, y):
-            copies.append(y)
-            y[:] = 1e9  # must not corrupt the integration
-
-        final = integrate(lambda t, y: -y, np.array([1.0]), g, observer)
-        assert final[0] == pytest.approx(math.exp(-0.5), rel=1e-6)
-        assert all(c[0] == 1e9 for c in copies)
-
-    def test_observer_times_are_grid_times(self):
-        g = TimeGrid(0.0, 2.0, 0.1)
-        times = []
-        integrate(lambda t, y: np.zeros(1), np.ones(1), g, lambda t, y: times.append(t))
-        assert times == [g.time_at(k) for k in range(g.n_steps + 1)]
-
-    def test_exponential_growth_hits_divergence_guard(self):
-        # y' = y from (1,1,1) at dt=0.1: each component grows by the
-        # degree-4 Taylor factor 1.10517083... per step and first exceeds
-        # 1e6 at step 139 (oracle: growth-factor loop).
-        g = TimeGrid(0.0, 100.0, 0.1)
-        with pytest.raises(DivergenceError) as exc_info:
-            integrate(lambda t, y: y, np.ones(3), g)
-        err = exc_info.value
-        assert err.step_index == 139
-        assert err.time == pytest.approx(13.9, abs=1e-12)
-        assert "step 139" in str(err)
-
-    def test_divergence_limit_value(self):
-        assert DIVERGENCE_LIMIT == 1e6
-
-    def test_nonfinite_field_becomes_divergence_error(self):
-        calls = {"n": 0}
-
-        def field(t, y):
-            calls["n"] += 1
-            if calls["n"] > 20:  # 4 stage evals per step -> dies in step 6
-                return np.array([math.nan])
-            return -y
-
-        g = TimeGrid(0.0, 1.0, 0.1)
-        with pytest.raises(DivergenceError) as exc_info:
-            integrate(field, np.ones(1), g)
-        assert exc_info.value.step_index == 6
-
-    def test_nonfinite_initial_state_rejected(self):
-        g = TimeGrid(0.0, 1.0, 0.1)
-        with pytest.raises(DivergenceError) as exc_info:
-            integrate(lambda t, y: y, np.array([math.nan]), g)
-        assert exc_info.value.step_index == 0
-
-    @settings(max_examples=25)
-    @given(y0=st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
-    def test_repeat_runs_bit_identical(self, y0):
-        g = TimeGrid(0.0, 1.0, 0.1)
-        f = lambda t, y: np.sin(y) - 0.5 * y
-        a = integrate(f, np.array([y0]), g)
-        b = integrate(f, np.array([y0]), g)
-        assert np.array_equal(a, b)
+def test_divergence_limit_value():
+    assert DIVERGENCE_LIMIT == 1e6
