@@ -44,6 +44,12 @@ def _fmt(x: float) -> str:
     return format(float(x), ".6g")
 
 
+def _echo(x: float) -> str:
+    """6 significant digits if they read back as x, else every digit of x."""
+    short = _fmt(x)
+    return short if float(short) == x else repr(float(x))
+
+
 def _load_config(path: Optional[str]) -> RunConfig:
     if path is None:
         return default_config()
@@ -142,9 +148,9 @@ def _cmd_equilibria(args: argparse.Namespace) -> int:
             f"  residual = {format(res, '.3e')}"
         )
         lines.append(_verdict_line("open loop           ", open_loop))
-        lines.append(_verdict_line(f"gain check (K={_fmt(K)})", closed))
+        lines.append(_verdict_line(f"gain check (K={_echo(K)})", closed))
         lines.append(
-            f"  controlled jacobian (K={_fmt(K)}): max Re = {format(max_re, '+.6g')}"
+            f"  controlled jacobian (K={_echo(K)}): max Re = {format(max_re, '+.6g')}"
             f" -> {'stable' if max_re < 0.0 else 'unstable'} (continuous)"
         )
     sys.stdout.write("\n".join(lines) + "\n")
@@ -164,9 +170,9 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
     coeff = closed_loop_scalar_coeff(d, K)
     inside = interval.contains(K)
     out = sys.stdout
-    print(f"gain K = {_fmt(K)} at d = {_fmt(d)}", file=out)
+    print(f"gain K = {_echo(K)} at d = {_echo(d)}", file=out)
     print(
-        f"admissible interval: ({_fmt(interval.lo)}, {_fmt(interval.hi)})"
+        f"admissible interval: ({_echo(interval.lo)}, {_echo(interval.hi)})"
         f" -> K inside: {'yes' if inside else 'no'}",
         file=out,
     )
@@ -194,27 +200,27 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_one(cfg: RunConfig, controlled: bool):
+def _run_and_write(cfg: RunConfig, controlled: bool, out_csv: str, out_report: str):
+    """Run one configuration, write its trajectory CSV and report; return the report."""
     eqs = equilibria(cfg.params)
     if controlled:
         traj = run_controlled(cfg.params, cfg.s0, cfg.grid, cfg.controller)
-        ctl = cfg.controller
     else:
         traj = run_uncontrolled(cfg.params, cfg.s0, cfg.grid)
-        ctl = None
     report = convergence_report(
-        traj, eqs, tail=cfg.tail, capture_radius=cfg.capture_radius, cfg=ctl
+        traj, eqs, tail=cfg.tail, capture_radius=cfg.capture_radius,
+        cfg=cfg.controller if controlled else None,
     )
-    return traj, report
+    write_trajectory_csv(traj, out_csv)
+    write_report(report, out_report)
+    return report
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    traj, report = _run_one(cfg, controlled=not args.uncontrolled)
     out_csv = args.out_csv or cfg.out_csv
     out_report = args.out_report or cfg.out_report
-    write_trajectory_csv(traj, out_csv)
-    write_report(report, out_report)
+    report = _run_and_write(cfg, not args.uncontrolled, out_csv, out_report)
     print(f"wrote {out_csv} and {out_report}", file=sys.stderr)
     sys.stdout.write(render_report(report))
     return EXIT_OK
@@ -252,11 +258,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         cfg = replace(
             base, controller=replace(base.controller, t_on=REPRODUCE_PRESETS[name])
         )
-        traj, report = _run_one(cfg, controlled=True)
         csv_path = os.path.join(args.out_dir, f"{name}_trajectory.csv")
         report_path = os.path.join(args.out_dir, f"{name}_report.txt")
-        write_trajectory_csv(traj, csv_path)
-        write_report(report, report_path)
+        report = _run_and_write(cfg, True, csv_path, report_path)
         print(f"{name}: wrote {csv_path} and {report_path}", file=sys.stderr)
         print(
             f"{name}: target = {report.target_label},"

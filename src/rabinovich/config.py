@@ -6,9 +6,6 @@ runnable configuration: the shipped defaults are the chaotic parameter set
 (a=4, b=1, d=1, h=6.75), the standard initial point (1.5, -1.25, 3.5), the
 0.1 step over [0, 200], and the default controller (K=-0.6, epsilon=0.1,
 t_on=40, literal prediction, tau=1).
-
-``serialize_config`` emits 17-significant-digit floats, so
-parse(serialize(cfg)) reproduces cfg bit for bit.
 """
 
 from __future__ import annotations
@@ -19,14 +16,13 @@ from typing import Optional
 
 from .control import ControllerConfig, PredictionMode, delay_steps
 from .dynamics import Params, State
-from .harness import DEFAULT_CAPTURE_RADIUS, DEFAULT_TAIL
+from .harness import DEFAULT_CAPTURE_RADIUS, DEFAULT_TAIL, check_report_settings
 from .integrator import TimeGrid
 
 __all__ = [
     "RunConfig",
     "ConfigError",
     "parse_config",
-    "serialize_config",
     "default_config",
     "CONFIG_KEYS",
 ]
@@ -142,28 +138,17 @@ def parse_config(text: str) -> RunConfig:
             tau=values["tau"],
         )
         delay_steps(controller, grid.dt)
+        check_report_settings(values["tail"], values["capture_radius"], grid.t_end - grid.t0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    capture_radius = values["capture_radius"]
-    if capture_radius <= 0.0:
-        raise ConfigError(f"capture_radius must be positive, got {capture_radius!r}")
-    tail = values["tail"]
-    if tail <= 0.0:
-        raise ConfigError(f"tail must be positive, got {tail!r}")
-    span = grid.t_end - grid.t0
-    if tail >= span:
-        raise ConfigError(
-            f"tail ({tail!r}) must be shorter than the run span ({span!r})"
-        )
 
     return RunConfig(
         params=params,
         s0=s0,
         grid=grid,
         controller=controller,
-        capture_radius=capture_radius,
-        tail=tail,
+        capture_radius=values["capture_radius"],
+        tail=values["tail"],
         out_csv=values["out_csv"],
         out_report=values["out_report"],
     )
@@ -173,32 +158,3 @@ def default_config() -> RunConfig:
     """The all-defaults configuration (equivalent to parsing an empty file)."""
     return parse_config("")
 
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Render a RunConfig back to the flat key=value format, losslessly."""
-    lines = [
-        f"a = {_fmt(cfg.params.a)}",
-        f"b = {_fmt(cfg.params.b)}",
-        f"d = {_fmt(cfg.params.d)}",
-        f"h = {_fmt(cfg.params.h)}",
-        f"x0 = {_fmt(cfg.s0.x)}",
-        f"y0 = {_fmt(cfg.s0.y)}",
-        f"z0 = {_fmt(cfg.s0.z)}",
-        f"t0 = {_fmt(cfg.grid.t0)}",
-        f"t_end = {_fmt(cfg.grid.t_end)}",
-        f"dt = {_fmt(cfg.grid.dt)}",
-        f"K = {_fmt(cfg.controller.K)}",
-        f"epsilon = {_fmt(cfg.controller.epsilon)}",
-        f"t_on = {_fmt(cfg.controller.t_on)}",
-        f"mode = {cfg.controller.mode.value}",
-        f"tau = {_fmt(cfg.controller.tau)}",
-        f"capture_radius = {_fmt(cfg.capture_radius)}",
-        f"tail = {_fmt(cfg.tail)}",
-        f"out_csv = {cfg.out_csv}",
-        f"out_report = {cfg.out_report}",
-    ]
-    return "\n".join(lines) + "\n"

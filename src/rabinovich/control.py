@@ -35,7 +35,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -47,7 +47,6 @@ __all__ = [
     "GainInterval",
     "StabilityVerdict",
     "control_term",
-    "control_input",
     "admissible_gain_interval",
     "closed_loop_scalar_coeff",
     "eigen3",
@@ -121,11 +120,6 @@ def control_term(p: Params, cfg: ControllerConfig, x: float, y: float, z: float)
     if cfg.mode is PredictionMode.DERIVATIVE:
         return cfg.K * (-(p.d + 1.0) * z + x * y)
     return cfg.K * cfg.tau * (-p.d * z + x * y)
-
-
-def control_input(p: Params, s: State, cfg: ControllerConfig) -> float:
-    """Control input u evaluated at a state."""
-    return control_term(p, cfg, s.x, s.y, s.z)
 
 
 @dataclass(frozen=True)
@@ -271,19 +265,14 @@ def closed_loop_jacobian(p: Params, K: float, at: State) -> np.ndarray:
     return J
 
 
-def activation_gate(
-    delayed, t: float, s, cfg: ControllerConfig
-) -> tuple[bool, Optional[float]]:
+def activation_gate(delayed, t: float, s, cfg: ControllerConfig) -> tuple[bool, float]:
     """Decide whether control applies at time ``t``.
 
-    ``delayed`` is the state (x, y, z) at t - tau, or None while the delay
-    window has not filled (in which case the gate is inactive and r is
-    absent).  Otherwise r is the Euclidean norm of s(t) - s(t - tau) over
-    the full state vector, and the gate is active iff t > t_on (the time
-    gate) AND r < epsilon (the recurrence gate).
+    ``delayed`` is the state (x, y, z) at t - tau and ``s`` the state at t.
+    r is the Euclidean norm of s(t) - s(t - tau) over the full state vector;
+    the gate is active iff t > t_on (the time gate) AND r < epsilon (the
+    recurrence gate).
     """
-    if delayed is None:
-        return False, None
     x, y, z = s
     px, py, pz = delayed
     dx = x - px

@@ -69,11 +69,6 @@ class State:
     def as_array(self) -> np.ndarray:
         return np.array((self.x, self.y, self.z), dtype=float)
 
-    @classmethod
-    def from_array(cls, arr) -> "State":
-        x, y, z = (float(v) for v in arr)
-        return cls(x, y, z)
-
 
 @dataclass(frozen=True)
 class EquilibriumSet:

@@ -1,13 +1,13 @@
 """Simulation harness: controlled/uncontrolled runs, convergence metrics, sweeps.
 
-Gating semantics: the activation gate is evaluated once per step, at the
-step's start, from the current state and the state one delay tau earlier.
-An active step integrates the controlled vector field (open-loop field plus
-the control term on the z-equation, evaluated at every RK4 substage); an
-inactive step integrates the pure open-loop field.  Every recorded sample
-carries the control input u in force at that sample (zero when inactive),
-the gate flag, and the recurrence distance r (absent while the delay window
-fills).
+Gating semantics: from one delay tau into the run on, the activation gate
+is evaluated once per step, at the step's start, from the current state and
+the state tau earlier.  An active step integrates the controlled vector
+field (open-loop field plus the control term on the z-equation, evaluated
+at every RK4 substage); an inactive step integrates the pure open-loop
+field.  Every recorded sample carries the control input u in force at that
+sample (zero when inactive), the gate flag, and the recurrence distance r
+(absent, with the gate inactive, while the delay window fills).
 
 Convergence is a measured quantity, never an assumption: a run is declared
 stabilized only if the whole tail window stays within the capture radius
@@ -86,9 +86,6 @@ class Trajectory:
     def span(self) -> float:
         return float(self.t[-1] - self.t[0])
 
-    def final_state(self) -> State:
-        return State.from_array(self.states[-1])
-
 
 def _divergence(k, t0, dt, stages, state) -> DivergenceError:
     """The error a failed step k raises, found after the fact: the first
@@ -163,13 +160,11 @@ def _run(
             raise _divergence(k, t0, dt, stages, (x, y, z))
         j = 3 * k
         state_out[j], state_out[j + 1], state_out[j + 2] = x, y, z
-        if cfg is None:
+        if cfg is None or k < lag:
             continue
         i = j - 3 * lag
-        delayed = (state_out[i], state_out[i + 1], state_out[i + 2]) if k >= lag else None
-        active, r = gate(delayed, t0 + k * dt, (x, y, z), cfg)
-        if r is not None:
-            r_out[k] = r
+        delayed = (state_out[i], state_out[i + 1], state_out[i + 2])
+        active, r_out[k] = gate(delayed, t0 + k * dt, (x, y, z), cfg)
         if active:
             actives[k] = True
             us[k] = u_of(p, cfg, x, y, z)
@@ -219,6 +214,17 @@ def _trapezoid(values: np.ndarray, t: np.ndarray) -> float:
     return float(np.sum(widths * (values[1:] + values[:-1])) * 0.5)
 
 
+def check_report_settings(tail: float, capture_radius: float, span: float) -> None:
+    """Require a positive finite tail window shorter than the run span and a
+    positive finite capture radius; raises ValueError naming the setting."""
+    if not (math.isfinite(tail) and tail > 0.0):
+        raise ValueError(f"tail must be positive and finite, got {tail!r}")
+    if tail >= span:
+        raise ValueError(f"tail ({tail!r}) must be shorter than the run span ({span!r})")
+    if not (math.isfinite(capture_radius) and capture_radius > 0.0):
+        raise ValueError(f"capture_radius must be positive and finite, got {capture_radius!r}")
+
+
 def convergence_report(
     traj: Trajectory,
     eqs: EquilibriumSet,
@@ -234,16 +240,7 @@ def convergence_report(
     ``capture_radius``.  Control effort is the trapezoid-rule integral of
     |u| over the whole run.
     """
-    if not (math.isfinite(tail) and tail > 0.0):
-        raise ValueError(f"tail must be positive and finite, got {tail!r}")
-    if tail >= traj.span:
-        raise ValueError(
-            f"tail window ({tail!r}) must be shorter than the trajectory span ({traj.span!r})"
-        )
-    if not (math.isfinite(capture_radius) and capture_radius > 0.0):
-        raise ValueError(
-            f"capture_radius must be positive and finite, got {capture_radius!r}"
-        )
+    check_report_settings(tail, capture_radius, traj.span)
 
     cut = traj.t[-1] - tail
     sel = traj.t >= cut

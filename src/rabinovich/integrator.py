@@ -34,6 +34,10 @@ __all__ = [
 # "still physical" from "numerically blown up".
 DIVERGENCE_LIMIT = 1e6
 
+# Largest step count of a grid: a run preallocates about 49 bytes a sample
+# (t, state, u, active, r), so its arrays stay below about 0.5 GB.
+MAX_STEPS = 10**7
+
 _GRID_TOL = 1e-9
 
 
@@ -69,6 +73,10 @@ class TimeGrid:
         if self.t_end <= self.t0:
             raise ValueError(f"t_end ({self.t_end!r}) must exceed t0 ({self.t0!r})")
         quotient = (self.t_end - self.t0) / self.dt
+        if quotient >= MAX_STEPS + 0.5:  # also when the quotient overflows to inf
+            raise ValueError(
+                f"dt = {self.dt!r} gives {quotient:.12g} steps, more than the {MAX_STEPS} allowed"
+            )
         if abs(quotient - round(quotient)) >= _GRID_TOL or round(quotient) < 1:
             raise ValueError(
                 f"grid does not divide evenly: (t_end - t0)/dt = {quotient!r} is not an integer"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from rabinovich import read_trajectory_csv
@@ -91,6 +93,23 @@ def test_huge_finite_input_names_the_option(capsys, argv, option):
     assert out == ""
 
 
+def test_inputs_and_bounds_echo_distinct_numbers_distinctly(capsys):
+    # 6 significant digits print both K and the upper bound as -1
+    code, out, _ = run_cli(capsys, "gain-check", "--d", "1e7", "--K", "-0.9999999")
+    assert code == 0
+    assert out.startswith(
+        "gain K = -0.9999999 at d = 1e+07\n"
+        "admissible interval: (-1, -0.99999980000002) -> K inside: yes\n"
+    )
+    code, out, _ = run_cli(capsys, "equilibria", "--K", "-0.9999999")
+    assert code == 0
+    assert out.count("gain check (K=-0.9999999)") == 3
+    assert out.count("controlled jacobian (K=-0.9999999)") == 3
+    # numbers that 6 digits hold print as before
+    code, out, _ = run_cli(capsys, "gain-check")
+    assert out.startswith("gain K = -0.6 at d = 1\nadmissible interval: (-1, 0) -> K inside: yes\n")
+
+
 def test_parser_is_reused_across_calls(capsys):
     first = run_cli(capsys, "gain-check", "--K", "-0.4")
     code, _, err = run_cli(capsys, "gain-check", "--K", "abc")
@@ -172,6 +191,25 @@ def test_simulate_nonfinite_setting_exits_one(capsys, tmp_path, line, field):
     assert f"{field} must be finite" in err
     assert out == ""
     assert not (tmp_path / "t.csv").exists()
+
+
+def test_simulate_oversized_grid_exits_one_without_allocating(capsys, tmp_path):
+    cfg = tmp_path / "tiny_dt.cfg"
+    cfg.write_text("dt = 1e-9\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "simulate", "--config", str(cfg),
+            "--out-csv", str(tmp_path / "t.csv"), "--out-report", str(tmp_path / "r.txt"),
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert err.startswith("error: dt = 1e-09 gives 200000000000 steps, more than")
+    assert out == ""
+    assert not (tmp_path / "t.csv").exists()
+    assert peak < 1_000_000
 
 
 def test_simulate_missing_config_exits_one(capsys, tmp_path):

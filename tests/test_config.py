@@ -7,7 +7,6 @@ from rabinovich import (
     PredictionMode,
     default_config,
     parse_config,
-    serialize_config,
 )
 
 
@@ -112,45 +111,15 @@ def test_output_paths_pass_through():
     assert cfg.out_report == "results/a.txt"
 
 
-def test_serialize_parse_identity_on_defaults():
-    cfg = default_config()
-    assert parse_config(serialize_config(cfg)) == cfg
-
-
-def test_serialize_parse_identity_on_custom_config():
-    text = "\n".join([
-        "a = 5.5", "h = 7.25", "x0 = -0.125", "dt = 0.05", "t_end = 50",
-        "K = -0.37", "epsilon = 0.2", "t_on = 12.5", "mode = euler",
-        "tau = 0.5", "capture_radius = 0.25", "tail = 5",
-        "out_csv = out/traj.csv",
-    ])
-    cfg = parse_config(text)
-    again = parse_config(serialize_config(cfg))
-    assert again == cfg
-
-
 @given(
     K=st.floats(min_value=-0.999, max_value=-0.001),
     eps=st.floats(min_value=1e-6, max_value=10.0),
     h=st.floats(min_value=2.5, max_value=20.0),
 )
 def test_float_round_trip_is_bit_exact(K, eps, h):
-    # 17 significant digits round-trip any double through text
+    # repr round-trips any double through text, and parsing keeps every bit
     text = f"K = {K!r}\nepsilon = {eps!r}\nh = {h!r}\n"
     cfg = parse_config(text)
     assert cfg.controller.K == K
     assert cfg.controller.epsilon == eps
     assert cfg.params.h == h
-    again = parse_config(serialize_config(cfg))
-    assert again.controller.K == K
-    assert again.controller.epsilon == eps
-    assert again.params.h == h
-
-
-def test_serialized_form_is_flat_key_value():
-    lines = serialize_config(default_config()).strip().splitlines()
-    assert all("=" in line for line in lines)
-    keys = [line.split("=")[0].strip() for line in lines]
-    assert keys[0] == "a"
-    assert "mode" in keys and "out_csv" in keys
-    assert len(keys) == len(set(keys))  # no duplicates

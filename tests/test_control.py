@@ -10,17 +10,18 @@ from rabinovich import (
     PredictionMode,
     Params,
     State,
+    TimeGrid,
     activation_gate,
     admissible_gain_interval,
     closed_loop_check,
     closed_loop_jacobian,
     closed_loop_scalar_coeff,
-    control_input,
     control_term,
     delay_steps,
     eigen3,
     field_components,
     jacobian,
+    run_controlled,
     vector_field,
 )
 
@@ -72,14 +73,14 @@ def test_delay_steps():
 
 def test_control_vanishes_at_origin(params):
     cfg = ControllerConfig(K=-0.6)
-    assert control_input(params, State(0.0, 0.0, 0.0), cfg) == 0.0
+    assert control_term(params, cfg, 0.0, 0.0, 0.0) == 0.0
 
 
 def test_literal_control_at_positive_equilibrium(params, eqs):
     # u = K(-(d+1)z + xy) = -0.6*(-2*6.4469 + 4.6119*1.3979) ~ +3.8681
     cfg = ControllerConfig(K=-0.6)
     pos = eqs.points[1]
-    u = control_input(params, pos, cfg)
+    u = control_term(params, cfg, *pos.as_array())
     assert u == pytest.approx(3.8681, abs=1e-3)
     # xy = d z at a fixed point, so the offset collapses to -K z*
     assert u == pytest.approx(-cfg.K * pos.z, rel=1e-12)
@@ -88,7 +89,7 @@ def test_literal_control_at_positive_equilibrium(params, eqs):
 def test_euler_control_vanishes_at_equilibria(params, eqs):
     cfg = ControllerConfig(K=-0.6, mode=PredictionMode.EULER)
     for point in eqs.points:
-        assert control_input(params, point, cfg) == pytest.approx(0.0, abs=1e-3)
+        assert control_term(params, cfg, *point.as_array()) == pytest.approx(0.0, abs=1e-3)
 
 
 @given(x=coords, y=coords, z=coords, K=gains)
@@ -296,10 +297,15 @@ def test_eigen3_rejects_nonfinite_and_wrong_shape():
 
 # --- activation gate ---------------------------------------------------------------
 
-def test_gate_inactive_before_window_fills():
-    cfg = ControllerConfig(K=-0.6, epsilon=0.1, t_on=0.0)
-    active, r = activation_gate(None, 5.0, np.zeros(3), cfg)
-    assert not active and r is None
+def test_gate_inactive_before_window_fills(params, s0):
+    # t_on = 0 and a huge epsilon open the gate on every sample that has a
+    # state tau earlier; the first tau/dt = 3 samples have none.
+    cfg = ControllerConfig(K=-0.6, epsilon=1e9, t_on=0.0, tau=0.375)
+    traj = run_controlled(params, s0, TimeGrid(0.0, 2.0, 0.125), cfg)
+    assert not traj.active[:3].any()
+    assert np.all(traj.u[:3] == 0.0)
+    assert np.all(np.isnan(traj.r[:3]))
+    assert traj.active[3:].all()
 
 
 def test_gate_at_constant_history():
@@ -346,4 +352,5 @@ def test_control_input_consistent_with_vector_field(params, s0):
     # literal mode: u + z = K*(dz/dt) + (1+K)... sanity via direct identity
     cfg = ControllerConfig(K=-0.6)
     dz = vector_field(params, s0).z
-    assert control_input(params, s0, cfg) == pytest.approx(cfg.K * (dz - s0.z), rel=1e-12)
+    u = control_term(params, cfg, *s0.as_array())
+    assert u == pytest.approx(cfg.K * (dz - s0.z), rel=1e-12)

@@ -41,11 +41,6 @@ def test_state_rejects_nonfinite():
         State(math.inf, 0.0, 0.0)
 
 
-def test_state_array_round_trip():
-    s = State(1.5, -1.25, 3.5)
-    assert State.from_array(s.as_array()) == s
-
-
 def test_field_vanishes_at_origin(params):
     assert vector_field(params, State(0.0, 0.0, 0.0)) == State(0.0, 0.0, 0.0)
 

@@ -70,8 +70,6 @@ def test_trajectory_rejects_control_while_inactive():
 def test_trajectory_basic_accessors(free_run):
     assert free_run.n_samples == 2001
     assert free_run.span == pytest.approx(200.0)
-    final = free_run.final_state()
-    assert np.array_equal(final.as_array(), free_run.states[-1])
 
 
 # --- uncontrolled runs ------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rabinovich import DIVERGENCE_LIMIT, IntegrationError, TimeGrid, rk4_step
+from rabinovich.integrator import MAX_STEPS
 
 
 class TestTimeGrid:
@@ -35,6 +36,16 @@ class TestTimeGrid:
     def test_rejects_bad_grids(self, t0, t_end, dt):
         with pytest.raises(ValueError):
             TimeGrid(t0, t_end, dt)
+
+    def test_step_count_is_bounded(self):
+        assert TimeGrid(0.0, float(MAX_STEPS), 1.0).n_steps == MAX_STEPS
+        with pytest.raises(ValueError, match="dt = 1.0 gives 10000001 steps, more than the 10000000"):
+            TimeGrid(0.0, float(MAX_STEPS + 1), 1.0)
+        with pytest.raises(ValueError, match=r"dt = 1e-09 gives 200000000000 steps"):
+            TimeGrid(0.0, 200.0, 1e-9)
+        # a span/dt quotient that overflows to inf is a step count too
+        with pytest.raises(ValueError, match=r"dt = 1e-300 gives inf steps"):
+            TimeGrid(0.0, 1e300, 1e-300)
 
     def test_times_matches_time_at(self):
         g = TimeGrid(0.0, 5.0, 0.1)
