@@ -40,6 +40,7 @@ from typing import Union
 import numpy as np
 
 from .dynamics import Params, State, jacobian
+from .integrator import whole_steps
 
 __all__ = [
     "PredictionMode",
@@ -59,8 +60,6 @@ __all__ = [
 # |det(A - I)| at or below this scaled tolerance is treated as singular,
 # i.e. no admissible gain exists.
 SINGULAR_DET_TOL = 1e-12
-
-_DELAY_GRID_TOL = 1e-9
 
 
 class PredictionMode(enum.Enum):
@@ -104,14 +103,13 @@ class ControllerConfig:
 
 def delay_steps(cfg: ControllerConfig, dt: float) -> int:
     """Number of grid steps in the delay tau; errors unless it is a whole number."""
-    ratio = cfg.tau / dt
-    n = round(ratio)
-    if abs(ratio - n) >= _DELAY_GRID_TOL or n < 1:
+    ratio, n = whole_steps(cfg.tau, dt)
+    if n is None:
         raise ValueError(
             f"tau must be a positive integer multiple of dt: tau={cfg.tau!r}, "
             f"dt={dt!r} gives tau/dt={ratio!r}"
         )
-    return int(n)
+    return n
 
 
 def control_term(p: Params, cfg: ControllerConfig, x: float, y: float, z: float) -> float:

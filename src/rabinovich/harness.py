@@ -9,6 +9,11 @@ field.  Every recorded sample carries the control input u in force at that
 sample (zero when inactive), the gate flag, and the recurrence distance r
 (absent, with the gate inactive, while the delay window fills).
 
+So until its gate first opens, a controlled run is the free flow bit for
+bit: it steps the open-loop field, and the gate only reads the state.  The
+cells of a sweep share one start and one grid, so they share that prefix,
+and a sweep steps it only once.
+
 Convergence is a measured quantity, never an assumption: a run is declared
 stabilized only if the whole tail window stays within the capture radius
 of the nearest equilibrium.
@@ -106,7 +111,8 @@ def _divergence(k, t0, dt, stages, state) -> DivergenceError:
 
 
 def _run(
-    p: Params, s0: State, grid: TimeGrid, cfg: Optional[ControllerConfig]
+    p: Params, s0: State, grid: TimeGrid, cfg: Optional[ControllerConfig],
+    free: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """The one RK4 stepping loop; ``cfg=None`` integrates the free flow.
 
@@ -115,6 +121,12 @@ def _run(
     state back from them.  Each arithmetic operation is the one
     ``integrator.rk4_step`` makes on each array component, in the same order,
     so both give bit-identical results.
+
+    ``free`` may hold the leading rows of the free flow of the same ``p``,
+    ``s0`` and ``grid``.  Until the gate first opens the run is that flow bit
+    for bit, so those samples are read from ``free`` instead of stepped; the
+    gate still runs at each of them.  Stepping starts at the first open gate,
+    or after the last row of ``free``.
     """
     lag = delay_steps(cfg, grid.dt) if cfg is not None else 0
     # Looked up here, as names of this module, so that one definition each of
@@ -129,43 +141,52 @@ def _run(
     actives = np.zeros(n + 1, dtype=bool)
     rs = np.full(n + 1, np.nan)
     state_out, r_out = memoryview(states.reshape(-1)), memoryview(rs)
+    shared = 0  # samples still to be read from the free flow
+    if free is not None:
+        shared = len(free)
+        states[:shared] = free
 
     x, y, z = s0.x, s0.y, s0.z
     active = False
     for k in range(n + 1):
-        if k:
-            k1x, k1y, k1z = field(a, b, d, h, x, y, z)
-            if active:
-                k1z = k1z + u_of(p, cfg, x, y, z)
-            sx, sy, sz = x + half * k1x, y + half * k1y, z + half * k1z
-            k2x, k2y, k2z = field(a, b, d, h, sx, sy, sz)
-            if active:
-                k2z = k2z + u_of(p, cfg, sx, sy, sz)
-            sx, sy, sz = x + half * k2x, y + half * k2y, z + half * k2z
-            k3x, k3y, k3z = field(a, b, d, h, sx, sy, sz)
-            if active:
-                k3z = k3z + u_of(p, cfg, sx, sy, sz)
-            sx, sy, sz = x + dt * k3x, y + dt * k3y, z + dt * k3z
-            k4x, k4y, k4z = field(a, b, d, h, sx, sy, sz)
-            if active:
-                k4z = k4z + u_of(p, cfg, sx, sy, sz)
-            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        # Fails on NaN as well as on magnitude.
-        if not (abs(x) <= limit and abs(y) <= limit and abs(z) <= limit):
-            stages = (
-                ((k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z)) if k else ()
-            )
-            raise _divergence(k, t0, dt, stages, (x, y, z))
         j = 3 * k
-        state_out[j], state_out[j + 1], state_out[j + 2] = x, y, z
+        if k < shared:
+            x, y, z = state_out[j], state_out[j + 1], state_out[j + 2]
+        else:
+            if k:
+                k1x, k1y, k1z = field(a, b, d, h, x, y, z)
+                if active:
+                    k1z = k1z + u_of(p, cfg, x, y, z)
+                sx, sy, sz = x + half * k1x, y + half * k1y, z + half * k1z
+                k2x, k2y, k2z = field(a, b, d, h, sx, sy, sz)
+                if active:
+                    k2z = k2z + u_of(p, cfg, sx, sy, sz)
+                sx, sy, sz = x + half * k2x, y + half * k2y, z + half * k2z
+                k3x, k3y, k3z = field(a, b, d, h, sx, sy, sz)
+                if active:
+                    k3z = k3z + u_of(p, cfg, sx, sy, sz)
+                sx, sy, sz = x + dt * k3x, y + dt * k3y, z + dt * k3z
+                k4x, k4y, k4z = field(a, b, d, h, sx, sy, sz)
+                if active:
+                    k4z = k4z + u_of(p, cfg, sx, sy, sz)
+                x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+                y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+                z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            # Fails on NaN as well as on magnitude.
+            if not (abs(x) <= limit and abs(y) <= limit and abs(z) <= limit):
+                stages = (
+                    ((k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z))
+                    if k else ()
+                )
+                raise _divergence(k, t0, dt, stages, (x, y, z))
+            state_out[j], state_out[j + 1], state_out[j + 2] = x, y, z
         if cfg is None or k < lag:
             continue
         i = j - 3 * lag
         delayed = (state_out[i], state_out[i + 1], state_out[i + 2])
         active, r_out[k] = gate(delayed, t0 + k * dt, (x, y, z), cfg)
         if active:
+            shared = 0  # the controlled field applies from here: step every sample
             actives[k] = True
             us[k] = u_of(p, cfg, x, y, z)
 
@@ -326,6 +347,13 @@ def sweep(
     reproducible.  A cell whose run diverges records the error and leaves
     the report empty; it never aborts the sweep.  Each cell is flagged
     against the admissible gain interval for the system's d.
+
+    Every cell starts from the same state on the same grid, and until its
+    gate first opens it integrates the open-loop field, which no controller
+    setting enters.  So the cells share one free-flow prefix: each finished
+    cell's states up to its first open gate are the free flow, bit for bit,
+    and later cells read the longest such prefix instead of stepping it
+    again.  Each cell still evaluates its own gate at every sample.
     """
     if len(K_values) == 0 or len(eps_values) == 0:
         raise ValueError("K_values and eps_values must be nonempty")
@@ -336,21 +364,28 @@ def sweep(
     eqs = equilibria(p)
     interval = admissible_gain_interval(p.d)
     cells = []
+    free = None  # the longest free-flow prefix a finished cell has produced
     for mode in mode_list:
         for K in K_values:
             for eps in eps_values:
                 cfg = replace(base_cfg, K=float(K), epsilon=float(eps), mode=mode)
                 in_interval = interval.contains(cfg.K)
                 try:
-                    traj = run_controlled(p, s0, grid, cfg)
-                    report = convergence_report(
-                        traj, eqs, tail=tail, capture_radius=capture_radius, cfg=cfg
-                    )
-                    cells.append(
-                        SweepCell(cfg.K, cfg.epsilon, mode.value, in_interval, report, None)
-                    )
+                    traj = _run(p, s0, grid, cfg, free)
                 except IntegrationError as exc:
                     cells.append(
                         SweepCell(cfg.K, cfg.epsilon, mode.value, in_interval, None, str(exc))
                     )
+                    continue
+                report = convergence_report(
+                    traj, eqs, tail=tail, capture_radius=capture_radius, cfg=cfg
+                )
+                cells.append(SweepCell(cfg.K, cfg.epsilon, mode.value, in_interval, report, None))
+                # The run is the free flow up to and including its first
+                # active sample, and all through if the gate never opened.
+                first = int(traj.active.argmax())
+                end = first + 1 if traj.active[first] else traj.n_samples
+                if free is None or end > len(free):
+                    free = traj.states[:end]
+                del traj  # the next cell's run then shares memory with the prefix only
     return SweepReport(cells=tuple(cells))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -35,10 +35,24 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e6
 
 # Largest step count of a grid: a run preallocates about 49 bytes a sample
-# (t, state, u, active, r), so its arrays stay below about 0.5 GB.
+# (t, state, u, active, r), so its arrays stay below about 0.5 GB.  A sweep
+# also keeps one free-flow prefix of states (24 bytes a sample) alive, so its
+# arrays peak near 0.73 GB.  The convergence report's temporaries add about
+# 33 bytes a sample while it runs.
 MAX_STEPS = 10**7
 
-_GRID_TOL = 1e-9
+
+def whole_steps(length: float, dt: float) -> tuple[float, Optional[int]]:
+    """``length / dt`` and, when it is within 1e-9 of a whole number of at
+    least one, that number; else None.  A quotient that overflows to inf is
+    not a whole number (it is bounded before it is rounded)."""
+    quotient = length / dt
+    if not math.isfinite(quotient):
+        return quotient, None
+    n = round(quotient)
+    if abs(quotient - n) >= 1e-9 or n < 1:
+        return quotient, None
+    return quotient, n
 
 
 class IntegrationError(RuntimeError):
@@ -72,19 +86,19 @@ class TimeGrid:
             raise ValueError(f"dt must be positive, got {self.dt!r}")
         if self.t_end <= self.t0:
             raise ValueError(f"t_end ({self.t_end!r}) must exceed t0 ({self.t0!r})")
-        quotient = (self.t_end - self.t0) / self.dt
+        quotient, n = whole_steps(self.t_end - self.t0, self.dt)
         if quotient >= MAX_STEPS + 0.5:  # also when the quotient overflows to inf
             raise ValueError(
                 f"dt = {self.dt!r} gives {quotient:.12g} steps, more than the {MAX_STEPS} allowed"
             )
-        if abs(quotient - round(quotient)) >= _GRID_TOL or round(quotient) < 1:
+        if n is None:
             raise ValueError(
                 f"grid does not divide evenly: (t_end - t0)/dt = {quotient!r} is not an integer"
             )
 
     @property
     def n_steps(self) -> int:
-        return int(round((self.t_end - self.t0) / self.dt))
+        return whole_steps(self.t_end - self.t0, self.dt)[1]
 
     def time_at(self, k: int) -> float:
         return self.t0 + k * self.dt

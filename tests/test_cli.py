@@ -1,9 +1,15 @@
+import contextlib
+import io
+import sys
 import tracemalloc
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from rabinovich import read_trajectory_csv
 from rabinovich.cli import cli_dispatch
+from rabinovich.config import _FLOAT_KEYS, default_config
 
 
 def run_cli(capsys, *argv):
@@ -212,6 +218,18 @@ def test_simulate_oversized_grid_exits_one_without_allocating(capsys, tmp_path):
     assert peak < 1_000_000
 
 
+def test_simulate_overflowing_delay_ratio_exits_one(capsys, tmp_path):
+    cfg = tmp_path / "tau.cfg"
+    cfg.write_text("t_end = 1e-9\ndt = 1e-10\ntau = 1e300\ntail = 1e-10\n")
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(cfg),
+        "--out-csv", str(tmp_path / "t.csv"), "--out-report", str(tmp_path / "r.txt"),
+    )
+    assert code == 1
+    assert err.startswith("error: tau must be a positive integer multiple of dt")
+    assert "Traceback" not in err and out == ""
+
+
 def test_simulate_missing_config_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.cfg"))
     assert code == 1
@@ -325,3 +343,59 @@ def test_reproduce_missing_directory_exits_one(capsys, tmp_path):
                            "--out-dir", str(tmp_path / "missing"))
     assert code == 1
     assert "error" in err
+
+
+# --- extreme inputs -------------------------------------------------------------------
+
+EXTREME_DOUBLES = (
+    0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, sys.float_info.max, -sys.float_info.max,
+)
+
+
+def dispatch_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli_dispatch(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60)
+@given(
+    values=st.dictionaries(st.sampled_from(_FLOAT_KEYS), st.sampled_from(EXTREME_DOUBLES),
+                           max_size=3),
+    mode=st.sampled_from(["literal", "euler"]),
+    uncontrolled=st.booleans(),
+    gains=st.lists(st.sampled_from((-0.6, -0.3)) | st.sampled_from(EXTREME_DOUBLES),
+                   min_size=2, max_size=2),
+    thresholds=st.lists(st.sampled_from((0.05, 0.5, 5.0)) | st.sampled_from(EXTREME_DOUBLES),
+                        min_size=2, max_size=2),
+)
+# tau/dt overflows to inf: it once escaped as an OverflowError traceback
+@example(values={"tau": sys.float_info.max}, mode="euler", uncontrolled=False,
+         gains=[-0.6, -0.3], thresholds=[0.05, 5.0])
+def test_extreme_config_values_exit_cleanly(tmp_path_factory, values, mode, uncontrolled,
+                                            gains, thresholds):
+    # every float key at 0, the smallest subnormal, 1e300 or the largest
+    # double, either sign: simulate and a 2 x 2 sweep exit 0, 1 or 2, with no
+    # traceback and no numpy warning (warnings are errors here)
+    grid = default_config().grid
+    t0, t_end, dt = (values.get(k, getattr(grid, k)) for k in ("t0", "t_end", "dt"))
+    if dt > 0.0 and t_end > t0:
+        assume(not 5000 <= (t_end - t0) / dt <= 10**7)  # too slow for tier-1
+    work = tmp_path_factory.getbasetemp() / "extreme-config"
+    work.mkdir(exist_ok=True)
+    cfg = work / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items()) + f"mode = {mode}\n")
+    simulate = ["simulate", "--config", str(cfg), "--out-csv", str(work / "t.csv"),
+                "--out-report", str(work / "r.txt")]
+    runs = [
+        simulate + (["--uncontrolled"] if uncontrolled else []),
+        ["sweep", "--config", str(cfg), "--K=" + ",".join(map(repr, gains)),
+         "--epsilon=" + ",".join(map(repr, thresholds)), "--modes", mode,
+         "--out", str(work / "sweep.csv")],
+    ]
+    for argv in runs:
+        code, _, err = dispatch_captured(argv)
+        assert code in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err

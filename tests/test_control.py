@@ -67,6 +67,10 @@ def test_delay_steps():
         delay_steps(cfg, 0.3)  # 1/0.3 is not an integer
     with pytest.raises(ValueError):
         delay_steps(ControllerConfig(K=-0.6, tau=0.05), 0.1)  # lag < 1 step
+    # tau/dt overflows to inf: an error that names tau, not an OverflowError
+    with pytest.raises(ValueError, match=r"^tau must be a positive integer multiple of dt: "
+                                         r"tau=1e\+300, dt=1e-10 gives tau/dt=inf$"):
+        delay_steps(ControllerConfig(K=-0.6, tau=1e300), 1e-10)
 
 
 # --- control law --------------------------------------------------------------

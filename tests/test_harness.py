@@ -26,6 +26,8 @@ from rabinovich import (
     run_uncontrolled,
     sweep,
 )
+from rabinovich import harness
+from rabinovich.harness import _run
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 short_grid = TimeGrid(0.0, 5.0, 0.1)
@@ -515,3 +517,149 @@ def test_core_converges_to_scipy_solution(params, s0):
     for order in halving_orders(errors)[1:]:
         assert order == pytest.approx(4.0, abs=0.3)
     assert errors[-1] < 1e-10
+
+
+# --- sweep cells sharing the free-flow prefix -------------------------------------------
+
+BOTH_MODES = [PredictionMode.DERIVATIVE, PredictionMode.EULER]
+SWEEP_GRID = TimeGrid(0.0, 100.0, 0.1)  # lag 10 at the default tau = 1
+
+
+def never_opened(firsts, errors):
+    return all(f is None for f in firsts) and all(e is None for e in errors)
+
+
+def diverged_after_a_finished_cell(firsts, errors):
+    return errors[0] is None and any(e is not None for e in errors[1:])
+
+
+# (gains, thresholds, t_on, modes, whether the case covers what its name says,
+# given each independent run's first active sample and error text)
+SWEEP_CASES = {
+    "gate-never-opens": (
+        [-0.6, -0.3], [0.05, 0.1], 40.0, BOTH_MODES, never_opened,
+    ),
+    "gate-opens-at-first-eligible-sample": (
+        [-0.3, 0.5], [1e9, 0.05], 0.0, None, lambda firsts, errors: 10 in firsts,
+    ),
+    "gate-opens-late": (
+        [-0.6, -0.3], [1.0, 0.05], 40.0, BOTH_MODES,
+        lambda firsts, errors: any(f is not None and f > 400 for f in firsts),
+    ),
+    "zero-gain": (
+        [0.0, -0.3], [5.0, 0.05], 5.0, None, lambda firsts, errors: firsts[0] is not None,
+    ),
+    "diverges-after-branching": (
+        [-0.3, -0.9], [0.05, 5.0], 5.0, None, diverged_after_a_finished_cell,
+    ),
+    "first-cell-diverges": (
+        [-0.9, -0.3], [5.0, 0.05], 5.0, None,
+        lambda firsts, errors: errors[0] is not None and None in errors,
+    ),
+}
+
+
+def sweep_case(params, s0, name):
+    """The case's sweep report, and the config of each of its cells in order."""
+    gains, thresholds, t_on, modes, _ = SWEEP_CASES[name]
+    base = ControllerConfig(K=-0.6, epsilon=0.1, t_on=t_on)
+    rep = sweep(params, s0, SWEEP_GRID, gains, thresholds, base, modes=modes, tail=10.0)
+    cfgs = [
+        ControllerConfig(K=K, epsilon=eps, t_on=t_on, mode=mode)
+        for mode in (modes or [base.mode]) for K in gains for eps in thresholds
+    ]
+    return rep, cfgs
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_sweep_cells_match_independent_runs(params, s0, eqs, name):
+    rep, cfgs = sweep_case(params, s0, name)
+    assert len(rep.cells) == len(cfgs)
+    firsts, errors = [], []
+    for cell, cfg in zip(rep.cells, cfgs):
+        assert (cell.mode, cell.K, cell.epsilon) == (cfg.mode.value, cfg.K, cfg.epsilon)
+        try:
+            traj = run_controlled(params, s0, SWEEP_GRID, cfg)
+        except IntegrationError as exc:
+            assert cell.report is None
+            assert cell.error == str(exc)
+            firsts.append(None)
+            errors.append(str(exc))
+            continue
+        assert cell.error is None
+        assert cell.report == convergence_report(traj, eqs, tail=10.0, cfg=cfg)
+        opened = np.flatnonzero(traj.active)
+        firsts.append(int(opened[0]) if len(opened) else None)
+        errors.append(None)
+    covers = SWEEP_CASES[name][-1]
+    assert covers(firsts, errors)
+
+
+@pytest.mark.parametrize("name", ["diverges-after-branching", "gate-opens-late"])
+def test_sweep_cells_match_reference_run(params, s0, eqs, name):
+    rep, cfgs = sweep_case(params, s0, name)
+    for cell, cfg in zip(rep.cells, cfgs):
+        ref = outcome(reference_run, params, s0, SWEEP_GRID, cfg)
+        if isinstance(ref, tuple):
+            assert (cell.report, cell.error) == (None, ref[2])
+        else:
+            assert cell.report == convergence_report(ref, eqs, tail=10.0, cfg=cfg)
+
+
+@pytest.mark.parametrize("name, steps", [
+    # no gate opens: only the first cell steps
+    ("gate-never-opens", 1000),
+    # (-0.3, 1e9) steps all 1000 and opens at sample 10; (-0.3, 0.05) reads
+    # those first 11 samples and steps the other 990; (0.5, 1e9) reads 11 of
+    # that cell's full prefix, opens at 10 and steps 990; (0.5, 0.05) steps
+    # nothing
+    ("gate-opens-at-first-eligible-sample", 1000 + 2 * 990),
+])
+def test_sweep_steps_only_what_no_earlier_cell_stepped(params, s0, monkeypatch, name, steps):
+    calls = {"field": 0, "gate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(harness, "field_components", counted("field", field_components))
+    monkeypatch.setattr(harness, "activation_gate", counted("gate", harness.activation_gate))
+    _, cfgs = sweep_case(params, s0, name)
+    # every cell still runs its gate at every sample from the lag on
+    assert calls == {"field": 4 * steps, "gate": len(cfgs) * (SWEEP_GRID.n_steps + 1 - 10)}
+
+
+def assert_same_outcome(got, expected):
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert not isinstance(got, tuple)
+    for name in ("t", "states", "u", "active", "r"):
+        a, b = getattr(got, name), getattr(expected, name)
+        assert np.array_equal(a, b, equal_nan=True), name
+        if a.dtype.kind == "f":
+            assert np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+PREFIX_CASES = dict(
+    DIFFERENTIAL_CASES,
+    **{
+        "never-opens": ControllerConfig(K=-0.6, epsilon=0.05),
+        "opens-late": ControllerConfig(K=-0.6, epsilon=1.0, t_on=40.0),
+        "diverges-after-opening": ControllerConfig(K=-0.9, epsilon=5.0, t_on=5.0),
+        "overflows-in-first-open-step": ControllerConfig(K=1e200, epsilon=1e9, t_on=0.0),
+        "negative-zero-gain": ControllerConfig(K=-0.0, epsilon=5.0, t_on=5.0),
+    },
+)
+
+
+@pytest.mark.parametrize("name", sorted(PREFIX_CASES))
+def test_run_with_free_prefix_matches_run_without(params, s0, rng, name):
+    cfg = PREFIX_CASES[name]
+    free = _run(params, s0, SWEEP_GRID, None).states
+    expected = outcome(_run, params, s0, SWEEP_GRID, cfg)
+    cuts = [len(free), 1] + [int(c) for c in rng.integers(1, len(free), size=3)]
+    for cut in cuts:
+        assert_same_outcome(outcome(_run, params, s0, SWEEP_GRID, cfg, free[:cut]), expected)

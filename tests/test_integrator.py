@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rabinovich import DIVERGENCE_LIMIT, IntegrationError, TimeGrid, rk4_step
-from rabinovich.integrator import MAX_STEPS
+from rabinovich.integrator import MAX_STEPS, whole_steps
 
 
 class TestTimeGrid:
@@ -46,6 +46,15 @@ class TestTimeGrid:
         # a span/dt quotient that overflows to inf is a step count too
         with pytest.raises(ValueError, match=r"dt = 1e-300 gives inf steps"):
             TimeGrid(0.0, 1e300, 1e-300)
+
+    @pytest.mark.parametrize("length, dt, expected", [
+        (0.3, 0.1, (2.9999999999999996, 3)),       # within 1e-9 of a whole number
+        (1.0, 0.3, (3.3333333333333335, None)),
+        (0.05, 0.1, (0.5, None)),                  # fewer than one step
+        (1e300, 1e-10, (math.inf, None)),          # overflows: bounded before round
+    ])
+    def test_whole_steps(self, length, dt, expected):
+        assert whole_steps(length, dt) == expected
 
     def test_times_matches_time_at(self):
         g = TimeGrid(0.0, 5.0, 0.1)
