@@ -54,6 +54,7 @@ __all__ = [
     "closed_loop_check",
     "closed_loop_jacobian",
     "activation_gate",
+    "gate_samples",
     "delay_steps",
 ]
 
@@ -278,4 +279,29 @@ def activation_gate(delayed, t: float, s, cfg: ControllerConfig) -> tuple[bool, 
     dz = z - pz
     r = math.sqrt(dx * dx + dy * dy + dz * dz)
     active = (t > cfg.t_on) and (r < cfg.epsilon)
+    return active, r
+
+
+def gate_samples(states: np.ndarray, lag: int, t0: float, dt: float, cfg: ControllerConfig):
+    """``activation_gate`` at every sample ``k = lag, lag+1, ...`` of the
+    ``(n, 3)`` array ``states`` on the grid ``t0 + k*dt``, as arrays
+    ``(active, r)`` of length ``n - lag``.
+
+    Each element is rounded through the same IEEE operations in the same
+    order as the scalar gate (``dx*dx + dy*dy + dz*dz``, the square root,
+    ``t0 + k*dt``, both comparisons), so it is equal to it bit for bit.
+    """
+    m = len(states) - lag
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as in Python
+        sq = states[lag:] - states[:m]
+        sq *= sq
+        r = sq[:, 0] + sq[:, 1]
+        r += sq[:, 2]
+    del sq
+    np.sqrt(r, out=r)
+    t = np.arange(lag, lag + m, dtype=float)
+    t *= dt
+    t += t0
+    active = t > cfg.t_on
+    active &= r < cfg.epsilon
     return active, r

@@ -12,7 +12,10 @@ sample (zero when inactive), the gate flag, and the recurrence distance r
 So until its gate first opens, a controlled run is the free flow bit for
 bit: it steps the open-loop field, and the gate only reads the state.  The
 cells of a sweep share one start and one grid, so they share that prefix,
-and a sweep steps it only once.
+and a sweep steps it only once.  Each cell gates the shared prefix in one
+numpy pass (``control.gate_samples``): the gate is elementwise IEEE
+arithmetic, each operation rounded once, so the array form gives the same
+bits as the per-sample gate.
 
 Convergence is a measured quantity, never an assumption: a run is declared
 stabilized only if the whole tail window stays within the capture radius
@@ -34,6 +37,7 @@ from .control import (
     admissible_gain_interval,
     control_term,
     delay_steps,
+    gate_samples,
 )
 from .dynamics import EquilibriumSet, Params, State, equilibria, field_components
 from .integrator import DIVERGENCE_LIMIT, DivergenceError, IntegrationError, TimeGrid
@@ -124,9 +128,10 @@ def _run(
 
     ``free`` may hold the leading rows of the free flow of the same ``p``,
     ``s0`` and ``grid``.  Until the gate first opens the run is that flow bit
-    for bit, so those samples are read from ``free`` instead of stepped; the
-    gate still runs at each of them.  Stepping starts at the first open gate,
-    or after the last row of ``free``.
+    for bit, so those rows are copied, not stepped.  The gate is evaluated
+    over them in one ``gate_samples`` pass, whose elementwise IEEE arithmetic
+    equals the per-sample gate bit for bit.  Stepping starts right after the
+    first open gate, or after the last row of ``free``.
     """
     lag = delay_steps(cfg, grid.dt) if cfg is not None else 0
     # Looked up here, as names of this module, so that one definition each of
@@ -141,52 +146,61 @@ def _run(
     actives = np.zeros(n + 1, dtype=bool)
     rs = np.full(n + 1, np.nan)
     state_out, r_out = memoryview(states.reshape(-1)), memoryview(rs)
-    shared = 0  # samples still to be read from the free flow
-    if free is not None:
-        shared = len(free)
-        states[:shared] = free
 
     x, y, z = s0.x, s0.y, s0.z
     active = False
-    for k in range(n + 1):
+    start = 0 if free is None else len(free)  # the first sample to step
+    if start:
+        states[:start] = free
+        if cfg is not None and start > lag:
+            opens, r = gate_samples(free, lag, t0, dt, cfg)
+            first = int(opens.argmax())
+            active = bool(opens[first])
+            if active:  # the controlled field applies from the next step on
+                start = lag + first + 1
+                r = r[:first + 1]
+            rs[lag:start] = r
+            del opens, r
+        x, y, z = states[start - 1].tolist()
+        if active:
+            actives[start - 1] = True
+            us[start - 1] = u_of(p, cfg, x, y, z)
+
+    for k in range(start, n + 1):
         j = 3 * k
-        if k < shared:
-            x, y, z = state_out[j], state_out[j + 1], state_out[j + 2]
-        else:
-            if k:
-                k1x, k1y, k1z = field(a, b, d, h, x, y, z)
-                if active:
-                    k1z = k1z + u_of(p, cfg, x, y, z)
-                sx, sy, sz = x + half * k1x, y + half * k1y, z + half * k1z
-                k2x, k2y, k2z = field(a, b, d, h, sx, sy, sz)
-                if active:
-                    k2z = k2z + u_of(p, cfg, sx, sy, sz)
-                sx, sy, sz = x + half * k2x, y + half * k2y, z + half * k2z
-                k3x, k3y, k3z = field(a, b, d, h, sx, sy, sz)
-                if active:
-                    k3z = k3z + u_of(p, cfg, sx, sy, sz)
-                sx, sy, sz = x + dt * k3x, y + dt * k3y, z + dt * k3z
-                k4x, k4y, k4z = field(a, b, d, h, sx, sy, sz)
-                if active:
-                    k4z = k4z + u_of(p, cfg, sx, sy, sz)
-                x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-                y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-                z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-            # Fails on NaN as well as on magnitude.
-            if not (abs(x) <= limit and abs(y) <= limit and abs(z) <= limit):
-                stages = (
-                    ((k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z))
-                    if k else ()
-                )
-                raise _divergence(k, t0, dt, stages, (x, y, z))
-            state_out[j], state_out[j + 1], state_out[j + 2] = x, y, z
+        if k:
+            k1x, k1y, k1z = field(a, b, d, h, x, y, z)
+            if active:
+                k1z = k1z + u_of(p, cfg, x, y, z)
+            sx, sy, sz = x + half * k1x, y + half * k1y, z + half * k1z
+            k2x, k2y, k2z = field(a, b, d, h, sx, sy, sz)
+            if active:
+                k2z = k2z + u_of(p, cfg, sx, sy, sz)
+            sx, sy, sz = x + half * k2x, y + half * k2y, z + half * k2z
+            k3x, k3y, k3z = field(a, b, d, h, sx, sy, sz)
+            if active:
+                k3z = k3z + u_of(p, cfg, sx, sy, sz)
+            sx, sy, sz = x + dt * k3x, y + dt * k3y, z + dt * k3z
+            k4x, k4y, k4z = field(a, b, d, h, sx, sy, sz)
+            if active:
+                k4z = k4z + u_of(p, cfg, sx, sy, sz)
+            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+        # Fails on NaN as well as on magnitude.
+        if not (abs(x) <= limit and abs(y) <= limit and abs(z) <= limit):
+            stages = (
+                ((k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z))
+                if k else ()
+            )
+            raise _divergence(k, t0, dt, stages, (x, y, z))
+        state_out[j], state_out[j + 1], state_out[j + 2] = x, y, z
         if cfg is None or k < lag:
             continue
         i = j - 3 * lag
         delayed = (state_out[i], state_out[i + 1], state_out[i + 2])
         active, r_out[k] = gate(delayed, t0 + k * dt, (x, y, z), cfg)
         if active:
-            shared = 0  # the controlled field applies from here: step every sample
             actives[k] = True
             us[k] = u_of(p, cfg, x, y, z)
 
@@ -231,8 +245,9 @@ class ConvergenceReport:
 
 
 def _trapezoid(values: np.ndarray, t: np.ndarray) -> float:
-    widths = t[1:] - t[:-1]
-    return float(np.sum(widths * (values[1:] + values[:-1])) * 0.5)
+    sums = values[1:] + values[:-1]
+    sums *= t[1:] - t[:-1]
+    return float(np.sum(sums) * 0.5)
 
 
 def check_report_settings(tail: float, capture_radius: float, span: float) -> None:
@@ -263,9 +278,9 @@ def convergence_report(
     """
     check_report_settings(tail, capture_radius, traj.span)
 
+    # t strictly increases, so both windows are slices, not masked copies.
     cut = traj.t[-1] - tail
-    sel = traj.t >= cut
-    tail_states = traj.states[sel]
+    tail_states = traj.states[np.searchsorted(traj.t, cut, "left"):]
     mean_state = tail_states.mean(axis=0)
 
     best_idx = 0
@@ -285,7 +300,7 @@ def convergence_report(
     abs_u = np.abs(traj.u)
     effort = _trapezoid(abs_u, traj.t)
     if cfg is not None:
-        post = abs_u[traj.t > cfg.t_on]
+        post = abs_u[np.searchsorted(traj.t, cfg.t_on, "right"):]
         max_abs_u = float(post.max()) if len(post) else 0.0
     else:
         max_abs_u = float(abs_u.max())
@@ -353,7 +368,9 @@ def sweep(
     setting enters.  So the cells share one free-flow prefix: each finished
     cell's states up to its first open gate are the free flow, bit for bit,
     and later cells read the longest such prefix instead of stepping it
-    again.  Each cell still evaluates its own gate at every sample.
+    again.  Each cell still evaluates its own gate at every sample: over the
+    prefix in one array pass, which equals the per-sample gate bit for bit,
+    and at each sample it steps after that.
     """
     if len(K_values) == 0 or len(eps_values) == 0:
         raise ValueError("K_values and eps_values must be nonempty")

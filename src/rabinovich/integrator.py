@@ -35,10 +35,11 @@ __all__ = [
 DIVERGENCE_LIMIT = 1e6
 
 # Largest step count of a grid: a run preallocates about 49 bytes a sample
-# (t, state, u, active, r), so its arrays stay below about 0.5 GB.  A sweep
-# also keeps one free-flow prefix of states (24 bytes a sample) alive, so its
-# arrays peak near 0.73 GB.  The convergence report's temporaries add about
-# 33 bytes a sample while it runs.
+# (t, state, u, active, r), so its arrays stay below about 0.5 GB.  Measured
+# tracemalloc peaks: a controlled run and its convergence report 73 bytes a
+# sample (the report's temporaries add 24), so about 0.73 GB here; a sweep,
+# which also keeps a free-flow prefix of states (24 bytes a sample) and gates
+# it in one pass (32 bytes a sample of temporaries), 98, so about 0.98 GB.
 MAX_STEPS = 10**7
 
 

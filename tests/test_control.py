@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rabinovich import (
+    DIVERGENCE_LIMIT,
     ControllerConfig,
     PredictionMode,
     Params,
@@ -20,6 +22,7 @@ from rabinovich import (
     delay_steps,
     eigen3,
     field_components,
+    gate_samples,
     jacobian,
     run_controlled,
     vector_field,
@@ -350,6 +353,59 @@ def test_gate_monotone_in_epsilon(eps_small, eps_large, x, y, z):
     small_on, _ = activation_gate(origin, 50.0, s, ControllerConfig(K=-0.6, epsilon=eps_small))
     large_on, _ = activation_gate(origin, 50.0, s, ControllerConfig(K=-0.6, epsilon=eps_large))
     assert not (small_on and not large_on)
+
+
+def scalar_gate_samples(states, lag, t0, dt, cfg):
+    """activation_gate at each sample from the lag on, as the harness calls it."""
+    pairs = [
+        activation_gate(states[k - lag].tolist(), t0 + k * dt, states[k].tolist(), cfg)
+        for k in range(lag, len(states))
+    ]
+    return np.array([a for a, _ in pairs], dtype=bool), np.array([r for _, r in pairs])
+
+
+def gate_states(rng, lag):
+    """64 random states with signed zeros, components at the divergence limit,
+    differences whose squares (or the differences themselves) overflow to
+    inf, and rows equal to the row ``lag`` before them."""
+    n = 64
+    states = rng.normal(scale=10.0, size=(n, 3))
+    states[rng.random((n, 3)) < 0.1] = 0.0
+    states[rng.random((n, 3)) < 0.1] = -0.0
+    limit, big = DIVERGENCE_LIMIT, sys.float_info.max
+    states[20:22] = [(limit, -limit, np.nextafter(limit, 0.0)), (-limit, limit, -0.0)]
+    states[40:43] = [(1e200, -1e200, 0.0), (-1e200, big, 1.0), (big, -big, -big)]
+    for k in (lag, 30 + lag):
+        if k < n - 1:
+            states[k] = states[k - lag]
+    states[0, 0], states[lag, 0] = -0.0, 0.0  # still r = +0.0
+    return states
+
+
+@pytest.mark.parametrize("lag", [1, 2, 10, 63])  # 63: one sample, len(states) - 1
+def test_gate_samples_equals_scalar_gate_bit_for_bit(rng, lag):
+    states = gate_states(rng, lag)
+    t0, dt = 0.25, 0.1
+    _, r = scalar_gate_samples(states, lag, t0, dt, ControllerConfig(K=-0.6))
+    if lag < len(states) - 1:
+        assert np.isinf(r).any() and (r == 0.0).any()
+    ks = np.arange(lag, len(states))
+    positive = np.flatnonzero(np.isfinite(r) & (r > 0.0))
+    cfgs = [
+        ControllerConfig(K=-0.6, epsilon=1e9, t_on=0.0),
+        ControllerConfig(K=-0.6, epsilon=20.0, t_on=3.0),
+        # epsilon equal to an r and t_on equal to a grid time, exactly
+        ControllerConfig(K=-0.6, epsilon=float(r[positive[len(positive) // 2]]),
+                         t_on=t0 + int(ks[len(ks) // 2]) * dt),
+        ControllerConfig(K=-0.6, epsilon=float(r[positive[0]]), t_on=t0 + lag * dt),
+    ]
+    for cfg in cfgs:
+        expected_active, expected_r = scalar_gate_samples(states, lag, t0, dt, cfg)
+        active, got_r = gate_samples(states, lag, t0, dt, cfg)
+        assert active.dtype == bool and got_r.dtype == np.float64
+        assert np.array_equal(active, expected_active)
+        # the bits of r, sign bit included
+        assert np.array_equal(got_r.view(np.uint64), expected_r.view(np.uint64))
 
 
 def test_control_input_consistent_with_vector_field(params, s0):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from rabinovich import (
     State,
     TimeGrid,
     Trajectory,
+    activation_gate,
     check_state,
     control_term,
     convergence_report,
@@ -239,6 +241,20 @@ def test_report_effort_is_time_integral(eqs):
     traj = constant_trajectory(State(0.0, 0.0, 0.0), u=2.0, active=True)
     rep = convergence_report(traj, eqs)
     assert rep.control_effort == pytest.approx(60.0, rel=1e-12)
+
+
+def test_report_temporaries_stay_below_a_run(controller, eqs):
+    # The windows are slices and the trapezoid works in place, so the report
+    # allocates |u| and the interval sums and widths, about 24 bytes a sample
+    # (33 with masked copies), well under the 49 bytes of the trajectory.
+    traj = constant_trajectory(eqs.points[1], t_end=2000.0, u=2.0, active=True)
+    tracemalloc.start()
+    try:
+        convergence_report(traj, eqs, cfg=controller)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / traj.n_samples < 28.0
 
 
 def test_report_settings_echo(params, s0, grid, controller, eqs):
@@ -626,9 +642,11 @@ def test_sweep_steps_only_what_no_earlier_cell_stepped(params, s0, monkeypatch, 
 
     monkeypatch.setattr(harness, "field_components", counted("field", field_components))
     monkeypatch.setattr(harness, "activation_gate", counted("gate", harness.activation_gate))
-    _, cfgs = sweep_case(params, s0, name)
-    # every cell still runs its gate at every sample from the lag on
-    assert calls == {"field": 4 * steps, "gate": len(cfgs) * (SWEEP_GRID.n_steps + 1 - 10)}
+    sweep_case(params, s0, name)
+    # The per-sample gate runs at each stepped sample from the lag (10) on; a
+    # prefix is gated in one array pass.  Only the first cell steps samples
+    # 1 to 9, so that is every step but 9.
+    assert calls == {"field": 4 * steps, "gate": steps - 9}
 
 
 def assert_same_outcome(got, expected):
@@ -661,5 +679,18 @@ def test_run_with_free_prefix_matches_run_without(params, s0, rng, name):
     free = _run(params, s0, SWEEP_GRID, None).states
     expected = outcome(_run, params, s0, SWEEP_GRID, cfg)
     cuts = [len(free), 1] + [int(c) for c in rng.integers(1, len(free), size=3)]
+    if cfg is not None:
+        # the prefix ends just before the first gated sample, at it, and just
+        # before and at the row where the free flow first opens the gate
+        lag = delay_steps(cfg, SWEEP_GRID.dt)
+        cuts += [lag, lag + 1]
+        t0, dt = SWEEP_GRID.t0, SWEEP_GRID.dt
+        opening = next(
+            (k for k in range(lag, len(free))
+             if activation_gate(free[k - lag], t0 + k * dt, free[k], cfg)[0]),
+            None,
+        )
+        if opening is not None:
+            cuts += [opening, opening + 1]
     for cut in cuts:
         assert_same_outcome(outcome(_run, params, s0, SWEEP_GRID, cfg, free[:cut]), expected)
