@@ -12,8 +12,9 @@ import functools
 import math
 import os
 import re
+import shutil
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from typing import Optional, Sequence
 
 from .config import ConfigError, RunConfig, default_config, parse_config
@@ -26,7 +27,7 @@ from .control import (
     eigen3,
 )
 from .dynamics import equilibria, jacobian, residual_norm
-from .harness import convergence_report, run_controlled, run_uncontrolled, sweep
+from .harness import convergence_report, run_controlled, run_each, run_uncontrolled, sweep
 from .integrator import IntegrationError
 from .io import render_report, write_report, write_sweep_csv, write_trajectory_csv
 
@@ -200,27 +201,21 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_and_write(cfg: RunConfig, controlled: bool, out_csv: str, out_report: str):
-    """Run one configuration, write its trajectory CSV and report; return the report."""
-    eqs = equilibria(cfg.params)
-    if controlled:
-        traj = run_controlled(cfg.params, cfg.s0, cfg.grid, cfg.controller)
-    else:
-        traj = run_uncontrolled(cfg.params, cfg.s0, cfg.grid)
-    report = convergence_report(
-        traj, eqs, tail=cfg.tail, capture_radius=cfg.capture_radius,
-        cfg=cfg.controller if controlled else None,
-    )
-    write_trajectory_csv(traj, out_csv)
-    write_report(report, out_report)
-    return report
-
-
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     out_csv = args.out_csv or cfg.out_csv
     out_report = args.out_report or cfg.out_report
-    report = _run_and_write(cfg, not args.uncontrolled, out_csv, out_report)
+    controller = None if args.uncontrolled else cfg.controller
+    eqs = equilibria(cfg.params)
+    if controller is None:
+        traj = run_uncontrolled(cfg.params, cfg.s0, cfg.grid)
+    else:
+        traj = run_controlled(cfg.params, cfg.s0, cfg.grid, controller)
+    report = convergence_report(
+        traj, eqs, tail=cfg.tail, capture_radius=cfg.capture_radius, cfg=controller
+    )
+    write_trajectory_csv(traj, out_csv)
+    write_report(report, out_report)
     print(f"wrote {out_csv} and {out_report}", file=sys.stderr)
     sys.stdout.write(render_report(report))
     return EXIT_OK
@@ -251,16 +246,33 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _same_bits(a, b) -> bool:
+    """Equal bytes in every array; not values, as 0.0 == -0.0 but the CSV writes 0 and -0."""
+    return all(getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes() for f in fields(a))
+
+
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     names = list(REPRODUCE_PRESETS) if args.preset == "all" else [args.preset]
-    for name in names:
-        base = default_config()
-        cfg = replace(
-            base, controller=replace(base.controller, t_on=REPRODUCE_PRESETS[name])
+    base = default_config()
+    cfgs = [replace(base.controller, t_on=REPRODUCE_PRESETS[name]) for name in names]
+    eqs = equilibria(base.params)
+    last = None  # the previous preset's trajectory and CSV path
+    # The presets differ only in t_on: at the default epsilon the gate never
+    # opens, so fig5 steps nothing and its CSV is a copy of fig4's.
+    for name, cfg, traj in zip(names, cfgs, run_each(base.params, base.s0, base.grid, cfgs)):
+        if isinstance(traj, IntegrationError):
+            raise traj
+        report = convergence_report(
+            traj, eqs, tail=base.tail, capture_radius=base.capture_radius, cfg=cfg
         )
         csv_path = os.path.join(args.out_dir, f"{name}_trajectory.csv")
         report_path = os.path.join(args.out_dir, f"{name}_report.txt")
-        report = _run_and_write(cfg, True, csv_path, report_path)
+        if last is not None and _same_bits(traj, last[0]):
+            shutil.copyfile(last[1], csv_path)
+        else:
+            write_trajectory_csv(traj, csv_path)
+        write_report(report, report_path)
+        last = traj, csv_path
         print(f"{name}: wrote {csv_path} and {report_path}", file=sys.stderr)
         print(
             f"{name}: target = {report.target_label},"

@@ -10,12 +10,13 @@ sample (zero when inactive), the gate flag, and the recurrence distance r
 (absent, with the gate inactive, while the delay window fills).
 
 So until its gate first opens, a controlled run is the free flow bit for
-bit: it steps the open-loop field, and the gate only reads the state.  The
-cells of a sweep share one start and one grid, so they share that prefix,
-and a sweep steps it only once.  Each cell gates the shared prefix in one
-numpy pass (``control.gate_samples``): the gate is elementwise IEEE
-arithmetic, each operation rounded once, so the array form gives the same
-bits as the per-sample gate.
+bit: it steps the open-loop field, and the gate only reads the state.  Runs
+from one start on one grid share that prefix, and ``run_each`` steps it only
+once for a sequence of controllers (the cells of a sweep, the presets of
+``reproduce``).  Each run gates the shared prefix in one numpy pass
+(``control.gate_samples``): the gate is elementwise IEEE arithmetic, each
+operation rounded once, so the array form gives the same bits as the
+per-sample gate.
 
 Convergence is a measured quantity, never an assumption: a run is declared
 stabilized only if the whole tail window stays within the capture radius
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +50,7 @@ __all__ = [
     "SweepReport",
     "run_uncontrolled",
     "run_controlled",
+    "run_each",
     "convergence_report",
     "sweep",
     "DEFAULT_CAPTURE_RADIUS",
@@ -82,9 +84,11 @@ class Trajectory:
             raise ValueError("a trajectory needs at least two samples")
         if self.states.shape != (n, 3):
             raise ValueError(f"states must have shape ({n}, 3), got {self.states.shape}")
-        if not np.all(np.diff(self.t) > 0.0):
+        # Both tests allocate at most a bool a sample (and an index a nonzero
+        # u), not full-length float temporaries; NaN fails each of them.
+        if not (self.t[1:] > self.t[:-1]).all():
             raise ValueError("sample times must be strictly increasing")
-        if not np.all(self.u[~self.active] == 0.0):
+        if not self.active[np.flatnonzero(self.u)].all():
             raise ValueError("u must be zero at every inactive sample")
 
     @property
@@ -222,6 +226,33 @@ def run_controlled(
     are still recorded, since gating does not depend on the gain.
     """
     return _run(p, s0, grid, cfg)
+
+
+def run_each(
+    p: Params, s0: State, grid: TimeGrid, cfgs: Iterable[ControllerConfig]
+) -> Iterator[Union[Trajectory, IntegrationError]]:
+    """Yield, in order, each controller's ``run_controlled(p, s0, grid, cfg)``,
+    bit for bit, or the ``IntegrationError`` it raised.
+
+    A finished run is the free flow up to its first open gate, which no
+    controller setting enters; each later run reads the longest such prefix
+    instead of stepping it again, and steps from its own first open gate.
+    """
+    free = None  # the longest free-flow prefix a finished run has produced
+    for cfg in cfgs:
+        try:
+            result = _run(p, s0, grid, cfg, free)
+        except IntegrationError as exc:
+            result = exc
+        else:
+            # The run is the free flow up to and including its first active
+            # sample, and all through if the gate never opened.
+            first = int(result.active.argmax())
+            end = first + 1 if result.active[first] else result.n_samples
+            if free is None or end > len(free):
+                free = result.states[:end]
+        yield result
+        del result  # the next run then shares memory with the prefix only
 
 
 @dataclass(frozen=True)
@@ -363,14 +394,9 @@ def sweep(
     the report empty; it never aborts the sweep.  Each cell is flagged
     against the admissible gain interval for the system's d.
 
-    Every cell starts from the same state on the same grid, and until its
-    gate first opens it integrates the open-loop field, which no controller
-    setting enters.  So the cells share one free-flow prefix: each finished
-    cell's states up to its first open gate are the free flow, bit for bit,
-    and later cells read the longest such prefix instead of stepping it
-    again.  Each cell still evaluates its own gate at every sample: over the
-    prefix in one array pass, which equals the per-sample gate bit for bit,
-    and at each sample it steps after that.
+    The cells are the controllers of one ``run_each``, so they step the
+    shared free-flow prefix only once; the outputs equal those of running
+    every cell on its own.
     """
     if len(K_values) == 0 or len(eps_values) == 0:
         raise ValueError("K_values and eps_values must be nonempty")
@@ -380,29 +406,23 @@ def sweep(
 
     eqs = equilibria(p)
     interval = admissible_gain_interval(p.d)
+    cfgs = [
+        replace(base_cfg, K=float(K), epsilon=float(eps), mode=mode)
+        for mode in mode_list for K in K_values for eps in eps_values
+    ]
+    results = run_each(p, s0, grid, cfgs)
     cells = []
-    free = None  # the longest free-flow prefix a finished cell has produced
-    for mode in mode_list:
-        for K in K_values:
-            for eps in eps_values:
-                cfg = replace(base_cfg, K=float(K), epsilon=float(eps), mode=mode)
-                in_interval = interval.contains(cfg.K)
-                try:
-                    traj = _run(p, s0, grid, cfg, free)
-                except IntegrationError as exc:
-                    cells.append(
-                        SweepCell(cfg.K, cfg.epsilon, mode.value, in_interval, None, str(exc))
-                    )
-                    continue
-                report = convergence_report(
-                    traj, eqs, tail=tail, capture_radius=capture_radius, cfg=cfg
-                )
-                cells.append(SweepCell(cfg.K, cfg.epsilon, mode.value, in_interval, report, None))
-                # The run is the free flow up to and including its first
-                # active sample, and all through if the gate never opened.
-                first = int(traj.active.argmax())
-                end = first + 1 if traj.active[first] else traj.n_samples
-                if free is None or end > len(free):
-                    free = traj.states[:end]
-                del traj  # the next cell's run then shares memory with the prefix only
+    for cfg in cfgs:
+        result = next(results)  # not zip(), whose reused tuple keeps it alive a run longer
+        if isinstance(result, IntegrationError):
+            report, error = None, str(result)
+        else:
+            report = convergence_report(
+                result, eqs, tail=tail, capture_radius=capture_radius, cfg=cfg
+            )
+            error = None
+        del result
+        cells.append(
+            SweepCell(cfg.K, cfg.epsilon, cfg.mode.value, interval.contains(cfg.K), report, error)
+        )
     return SweepReport(cells=tuple(cells))

@@ -2,13 +2,15 @@ import contextlib
 import io
 import sys
 import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rabinovich import read_trajectory_csv
-from rabinovich.cli import cli_dispatch
+from rabinovich import Trajectory, cli, harness, read_trajectory_csv
+from rabinovich.cli import _same_bits, cli_dispatch
 from rabinovich.config import _FLOAT_KEYS, default_config
 
 
@@ -331,6 +333,71 @@ def test_reproduce_all(capsys, tmp_path):
     assert code == 0
     for name in ("fig4", "fig5"):
         assert (tmp_path / f"{name}_trajectory.csv").exists()
+    # The gate never opens at the default epsilon: both presets are one free run.
+    fig4 = (tmp_path / "fig4_trajectory.csv").read_bytes()
+    assert (tmp_path / "fig5_trajectory.csv").read_bytes() == fig4
+
+
+def test_reproduce_all_steps_one_run(capsys, tmp_path, monkeypatch):
+    calls, field = [], harness.field_components
+
+    def counted(*args):
+        calls.append(None)
+        return field(*args)
+
+    monkeypatch.setattr(harness, "field_components", counted)
+    code, _, _ = run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert len(calls) == 4 * default_config().grid.n_steps == 4 * 2000
+
+
+@pytest.mark.parametrize("epsilon, same_run", [
+    (0.5, True),    # both presets first open the gate at t = 132.4
+    (1.0, False),   # fig4 opens at t = 42.2, fig5 at t = 104.5
+])
+def test_reproduce_all_equals_each_preset_alone(capsys, tmp_path, monkeypatch,
+                                                epsilon, same_run):
+    base = default_config()
+    monkeypatch.setattr(cli, "default_config", lambda: replace(
+        base, controller=replace(base.controller, epsilon=epsilon)))
+    together, alone = tmp_path / "all", tmp_path / "alone"
+    together.mkdir(), alone.mkdir()
+    code, out_all, _ = run_cli(capsys, "reproduce", "all", "--out-dir", str(together))
+    assert code == 0
+    out_alone = ""
+    for name in ("fig4", "fig5"):
+        code, out, _ = run_cli(capsys, "reproduce", name, "--out-dir", str(alone))
+        assert code == 0
+        out_alone += out
+        for kind in ("trajectory.csv", "report.txt"):
+            path = f"{name}_{kind}"
+            assert (together / path).read_bytes() == (alone / path).read_bytes(), path
+    assert out_all == out_alone
+    csvs = [(together / f"{name}_trajectory.csv").read_bytes() for name in ("fig4", "fig5")]
+    assert (csvs[0] == csvs[1]) == same_run
+    assert read_trajectory_csv(str(together / "fig4_trajectory.csv")).active.any()
+
+
+def test_reproduce_divergence_exits_two(capsys, tmp_path, monkeypatch):
+    base = default_config()
+    monkeypatch.setattr(cli, "default_config", lambda: replace(
+        base, controller=replace(base.controller, K=-0.9, epsilon=5.0)))
+    code, out, err = run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))
+    assert code == 2
+    assert "aborted at step 685" in err
+    assert out == "" and list(tmp_path.iterdir()) == []
+
+
+def test_same_bits_tells_signed_zeros_apart():
+    def traj(u0):
+        return Trajectory(
+            t=np.array([0.0, 0.1]), states=np.zeros((2, 3)), u=np.array([u0, 1.0]),
+            active=np.array([False, True]), r=np.full(2, np.nan),
+        )
+
+    assert _same_bits(traj(0.0), traj(0.0))
+    assert traj(0.0).u[0] == traj(-0.0).u[0]
+    assert not _same_bits(traj(0.0), traj(-0.0))
 
 
 def test_reproduce_rejects_unknown_preset(capsys, tmp_path):

@@ -25,6 +25,7 @@ from rabinovich import (
     render_report,
     rk4_step,
     run_controlled,
+    run_each,
     run_uncontrolled,
     sweep,
 )
@@ -69,6 +70,50 @@ def test_trajectory_rejects_control_while_inactive():
             active=np.array([False, False]),
             r=np.full(2, np.nan),
         )
+
+
+def trajectory_with(t=(0.0, 0.1, 0.2), u=(0.0, 0.0, 0.0), active=(False, False, False)):
+    n = len(t)
+    return Trajectory(
+        t=np.array(t),
+        states=np.zeros((n, 3)),
+        u=np.array(u),
+        active=np.array(active, dtype=bool),
+        r=np.full(n, np.nan),
+    )
+
+
+@pytest.mark.parametrize("t", [(0.0, 0.1, 0.1), (0.0, math.nan, 0.2), (math.nan, 0.1, 0.2)])
+def test_trajectory_rejects_times_not_strictly_increasing(t):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        trajectory_with(t=t)
+
+
+@pytest.mark.parametrize("u", [math.nan, 1e-300, -math.inf])
+def test_trajectory_rejects_nonzero_or_nan_u_while_inactive(u):
+    with pytest.raises(ValueError, match="zero at every inactive sample"):
+        trajectory_with(u=(0.0, u, 2.0), active=(False, False, True))
+
+
+def test_trajectory_accepts_negative_zero_u_while_inactive():
+    traj = trajectory_with(u=(-0.0, 0.0, math.nan), active=(False, False, True))
+    assert math.copysign(1.0, traj.u[0]) == -1.0
+
+
+def test_trajectory_checks_allocate_no_float_temporaries(params, s0, controller):
+    # A never-open run: the checks allocate one bool a sample for the times
+    # and nothing for u (no nonzero entries); 9 bytes a sample with
+    # np.diff and a masked copy of u.
+    run = run_controlled(params, s0, TimeGrid(0.0, 2000.0, 0.1), controller)
+    assert run.n_samples == 20001 and not run.active.any()
+    arrays = {name: getattr(run, name) for name in ("t", "states", "u", "active", "r")}
+    tracemalloc.start()
+    try:
+        Trajectory(**arrays)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / run.n_samples < 2.0
 
 
 def test_trajectory_basic_accessors(free_run):
@@ -657,6 +702,7 @@ def assert_same_outcome(got, expected):
     for name in ("t", "states", "u", "active", "r"):
         a, b = getattr(got, name), getattr(expected, name)
         assert np.array_equal(a, b, equal_nan=True), name
+        assert a.tobytes() == b.tobytes(), name
         if a.dtype.kind == "f":
             assert np.array_equal(np.signbit(a), np.signbit(b)), name
 
@@ -694,3 +740,12 @@ def test_run_with_free_prefix_matches_run_without(params, s0, rng, name):
             cuts += [opening, opening + 1]
     for cut in cuts:
         assert_same_outcome(outcome(_run, params, s0, SWEEP_GRID, cfg, free[:cut]), expected)
+
+
+@pytest.mark.parametrize("order", ["sorted", "reversed"])
+def test_run_each_matches_independent_runs(params, s0, order):
+    cfgs = [PREFIX_CASES[name] for name in sorted(PREFIX_CASES, reverse=order == "reversed")]
+    for cfg, got in zip(cfgs, run_each(params, s0, SWEEP_GRID, cfgs)):
+        if isinstance(got, DivergenceError):
+            got = (got.step_index, got.time, str(got))
+        assert_same_outcome(got, outcome(run_controlled, params, s0, SWEEP_GRID, cfg))
