@@ -66,6 +66,15 @@ R_NORM_NOTE = "euclidean norm over the full state vector"
 GATE_NOTE = "gate evaluated once per step, at the step's start"
 
 
+class _SampleError(ValueError):
+    """A Trajectory check that fails first at sample ``index``; the CSV
+    reader names that sample's row."""
+
+    def __init__(self, message: str, index: int):
+        super().__init__(message)
+        self.index = index
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-ordered samples (t, state, u, active, r); r is NaN while absent."""
@@ -86,10 +95,18 @@ class Trajectory:
             raise ValueError(f"states must have shape ({n}, 3), got {self.states.shape}")
         # Both tests allocate at most a bool a sample (and an index a nonzero
         # u), not full-length float temporaries; NaN fails each of them.
-        if not (self.t[1:] > self.t[:-1]).all():
-            raise ValueError("sample times must be strictly increasing")
-        if not self.active[np.flatnonzero(self.u)].all():
-            raise ValueError("u must be zero at every inactive sample")
+        later = self.t[1:] > self.t[:-1]
+        if not later.all():
+            raise _SampleError(
+                "sample times must be strictly increasing", int(later.argmin()) + 1
+            )
+        del later
+        nonzero = np.flatnonzero(self.u)
+        gated = self.active[nonzero]
+        if not gated.all():
+            raise _SampleError(
+                "u must be zero at every inactive sample", int(nonzero[gated.argmin()])
+            )
 
     @property
     def n_samples(self) -> int:
@@ -128,7 +145,9 @@ def _run(
     straight into the preallocated output arrays; the gate reads the delayed
     state back from them.  Each arithmetic operation is the one
     ``integrator.rk4_step`` makes on each array component, in the same order,
-    so both give bit-identical results.
+    so both give bit-identical results.  A step from an open sample takes
+    the u recorded there as its first-stage control term: the same call on
+    the same state, so the same bits, made once.
 
     ``free`` may hold the leading rows of the free flow of the same ``p``,
     ``s0`` and ``grid``.  Until the gate first opens the run is that flow bit
@@ -168,14 +187,14 @@ def _run(
         x, y, z = states[start - 1].tolist()
         if active:
             actives[start - 1] = True
-            us[start - 1] = u_of(p, cfg, x, y, z)
+            us[start - 1] = u = u_of(p, cfg, x, y, z)
 
     for k in range(start, n + 1):
         j = 3 * k
         if k:
             k1x, k1y, k1z = field(a, b, d, h, x, y, z)
-            if active:
-                k1z = k1z + u_of(p, cfg, x, y, z)
+            if active:  # the u recorded at the step's start
+                k1z = k1z + u
             sx, sy, sz = x + half * k1x, y + half * k1y, z + half * k1z
             k2x, k2y, k2z = field(a, b, d, h, sx, sy, sz)
             if active:
@@ -206,7 +225,7 @@ def _run(
         active, r_out[k] = gate(delayed, t0 + k * dt, (x, y, z), cfg)
         if active:
             actives[k] = True
-            us[k] = u_of(p, cfg, x, y, z)
+            us[k] = u = u_of(p, cfg, x, y, z)
 
     return Trajectory(t=grid.times(), states=states, u=us, active=actives, r=rs)
 

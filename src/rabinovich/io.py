@@ -3,21 +3,27 @@
 All floats are written with 17 significant digits so a written trajectory
 reads back bit-for-bit.  Line endings are "\n" on every platform.
 
-Trajectory files are written and read in blocks of ``_BLOCK_ROWS`` rows:
-each block is formatted or converted column by column, so memory stays
-bounded by the block, not the file.  Read errors name the row (its line in
-the file) and the column.
+Trajectory files are written and read in blocks of ``_BLOCK_ROWS`` rows,
+so memory stays bounded by the block, not the file.  A block is written
+as one string of "%"-formatted rows.  A block is read by numpy's C text
+reader; a block it refuses, or may read otherwise, goes through the row
+reader (``csv`` and Python's ``float``), which gives the same arrays on every
+block both accept.  Read errors name the row (its line in the file) and the
+column.
 """
 
 from __future__ import annotations
 
 import csv
-from itertools import islice
-from typing import TextIO, Union
+from io import StringIO
+from itertools import chain, islice
+from typing import Optional, TextIO, Union
 
 import numpy as np
 
-from .harness import GATE_NOTE, R_NORM_NOTE, ConvergenceReport, SweepReport, Trajectory
+from .harness import (
+    GATE_NOTE, R_NORM_NOTE, ConvergenceReport, SweepReport, Trajectory, _SampleError,
+)
 
 __all__ = [
     "TRAJECTORY_HEADER",
@@ -73,14 +79,15 @@ def write_trajectory_csv(traj: Trajectory, dest: Union[str, TextIO]) -> None:
         dest.write("".join(map(_ROW.__mod__, rows)).replace(",nan\n", ",\n"))
 
 
-def _checked_rows(reader):
+def _checked_rows(reader, offset: int):
     """The non-blank data rows, each checked for its field count and active
-    flag and extended by its line number in the file."""
+    flag and extended by its line number in the file (``offset`` lines
+    precede the reader's first)."""
     width = len(TRAJECTORY_HEADER)
     for row in reader:
         if not row:
             continue
-        line = reader.line_num
+        line = offset + reader.line_num
         if len(row) != width:
             raise ValueError(f"row {line}: expected {width} fields, got {len(row)}")
         if row[5] not in ("0", "1"):
@@ -103,6 +110,61 @@ def _floats(column, name: str, lines) -> np.ndarray:
         raise
 
 
+def _converted(rows) -> tuple:
+    """The columns (t, states, u, active, r) of checked rows, converted one
+    column at a time with Python's ``float``."""
+    t, x, y, z, u, active, r, lines = zip(*rows)
+    return (
+        _floats(t, "t", lines),
+        np.column_stack((_floats(x, "x", lines), _floats(y, "y", lines), _floats(z, "z", lines))),
+        _floats(u, "u", lines),
+        np.fromiter(map("1".__eq__, active), dtype=bool, count=len(active)),
+        _floats([text or "nan" for text in r], "r", lines),
+    )
+
+
+# A row as numpy's C reader converts it.  ``active`` stays text: two
+# characters tell "1" from "10", "1.0", "+1" or " 1", which read as 1.
+_ROW_DTYPE = np.dtype([
+    ("t", float), ("states", float, (3,)), ("u", float), ("active", "U2"), ("r", float),
+])
+
+
+def _loaded(text: str) -> np.ndarray:
+    return np.loadtxt(
+        StringIO(text), dtype=_ROW_DTYPE, delimiter=",",
+        comments=None, quotechar=None, ndmin=1,
+    )
+
+
+def _parsed(lines) -> Optional[tuple]:
+    """The columns of a block of lines read by numpy's C reader, or None if
+    that reader may read them otherwise than ``csv`` and ``float``: quotes,
+    CR, NUL, blank lines, a field it refuses, an active not "0" or "1".
+
+    numpy converts with CPython's own string-to-double, so each number it
+    accepts has the bits ``float`` gives; spellings only ``float`` accepts,
+    such as ``1_0`` or non-ASCII digits, it refuses.
+    """
+    text = "".join(lines)
+    if "\n" in lines or '"' in text or "\r" in text or "\0" in text:
+        return None
+    try:
+        block = _loaded(text)
+    except ValueError:
+        # Once more with each empty r, the last field of its line, as NaN;
+        # looking for one first would cost more than this retry.
+        try:
+            block = _loaded(text.replace(",\n", ",nan\n"))
+        except ValueError:
+            return None
+    active = block["active"]
+    ones = active == "1"
+    if not (ones | (active == "0")).all():
+        return None
+    return block["t"], block["states"], block["u"], ones, block["r"]
+
+
 def read_trajectory_csv(source: Union[str, TextIO]) -> Trajectory:
     """Inverse of write_trajectory_csv; rejects files with a wrong header.
 
@@ -121,23 +183,32 @@ def read_trajectory_csv(source: Union[str, TextIO]) -> Trajectory:
             f"bad trajectory header: expected {','.join(TRAJECTORY_HEADER)}, "
             f"got {','.join(header)}"
         )
-    rows = _checked_rows(reader)
-    blocks = []
-    while block := list(islice(rows, _BLOCK_ROWS)):
-        t, x, y, z, u, active, r, lines = zip(*block)
-        blocks.append((
-            _floats(t, "t", lines),
-            _floats(x, "x", lines),
-            _floats(y, "y", lines),
-            _floats(z, "z", lines),
-            _floats(u, "u", lines),
-            np.fromiter(map("1".__eq__, active), dtype=bool, count=len(active)),
-            _floats([text or "nan" for text in r], "r", lines),
-        ))
+    done = reader.line_num  # lines read so far
+    blocks, rows = [], []   # rows: the line number of each block's samples
+    while lines := list(islice(source, _BLOCK_ROWS)):
+        block = _parsed(lines)
+        if block is not None:
+            rows.append(range(done + 1, done + 1 + len(lines)))
+            done += len(lines)
+        else:
+            # The row reader takes the block's rows from its first line on;
+            # blank lines and quoted line breaks take it past ``lines``.
+            reader = csv.reader(chain(lines, source))
+            checked = list(islice(_checked_rows(reader, done), _BLOCK_ROWS))
+            done += reader.line_num
+            if not checked:
+                break
+            block = _converted(checked)
+            rows.append([row[-1] for row in checked])
+        blocks.append(block)
     if not blocks:
         raise ValueError("a trajectory needs at least two samples")
-    t, x, y, z, u, active, r = (np.concatenate(col) for col in zip(*blocks))
-    return Trajectory(t=t, states=np.column_stack((x, y, z)), u=u, active=active, r=r)
+    t, states, u, active, r = (np.concatenate(col) for col in zip(*blocks))
+    try:
+        return Trajectory(t=t, states=states, u=u, active=active, r=r)
+    except _SampleError as exc:
+        k = exc.index
+        raise ValueError(f"row {rows[k // _BLOCK_ROWS][k % _BLOCK_ROWS]}: {exc}") from None
 
 
 def write_sweep_csv(report: SweepReport, dest: Union[str, TextIO]) -> None:

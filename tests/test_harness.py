@@ -749,3 +749,29 @@ def test_run_each_matches_independent_runs(params, s0, order):
         if isinstance(got, DivergenceError):
             got = (got.step_index, got.time, str(got))
         assert_same_outcome(got, outcome(run_controlled, params, s0, SWEEP_GRID, cfg))
+
+
+def test_open_sample_computes_its_control_term_once(params, s0, monkeypatch):
+    # A step from an open sample takes the u recorded there as its first-stage
+    # control term: one call for that u and three for the later stages.
+    calls, u_of = [], harness.control_term
+
+    def counted(*args):
+        calls.append(None)
+        return u_of(*args)
+
+    monkeypatch.setattr(harness, "control_term", counted)
+    grid = TimeGrid(0.0, 60.0, 0.01)
+    cfg = ControllerConfig(K=-0.3, epsilon=5.0, mode=PredictionMode.EULER)
+    never = ControllerConfig(K=-0.6, epsilon=0.05)
+    alone = run_controlled(params, s0, grid, cfg)
+    opened = int(alone.active.sum())
+    assert 0 < opened < alone.n_samples - 1 and not alone.active[-1]
+    assert len(calls) == 4 * opened
+    # the same count where the gate opens inside a shared free-flow prefix
+    calls.clear()
+    shut, shared = run_each(params, s0, grid, [never, cfg])
+    assert not shut.active.any()
+    assert len(calls) == 4 * opened
+    assert shared.u.tobytes() == alone.u.tobytes()
+    assert shared.states.tobytes() == alone.states.tobytes()

@@ -1,14 +1,18 @@
 import csv
 import io
 import math
+import tracemalloc
+import warnings
+from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rabinovich import (
     ControllerConfig,
+    Params,
     PredictionMode,
     State,
     SweepReport,
@@ -18,6 +22,7 @@ from rabinovich import (
     read_trajectory_csv,
     render_report,
     run_controlled,
+    run_uncontrolled,
     sweep,
     write_report,
     write_sweep_csv,
@@ -279,6 +284,212 @@ def test_file_path_interface(tmp_path):
     assert np.array_equal(back.t, traj.t)
     # unix newlines regardless of platform
     assert b"\r" not in path.read_bytes()
+
+
+def test_read_names_the_row_of_a_time_that_does_not_increase():
+    text = HEADER + "0,1,2,3,0,0,\n0.1,1,2,3,0,0,\n0.1,1,2,3,0,0,\n0.3,1,2,3,0,0,\n"
+    with pytest.raises(ValueError, match=r"^row 4: sample times must be strictly increasing$"):
+        read_trajectory_csv(io.StringIO(text))
+
+
+def test_read_names_the_row_of_a_nonzero_u_at_an_inactive_sample():
+    text, _ = _rows_past_one_block("1e9,1,2,3,0,1,")
+    text += "2e9,1,2,3,-0.5,0,\n"
+    line = _BLOCK_ROWS + 40 + 3
+    with pytest.raises(ValueError, match=rf"^row {line}: u must be zero at every inactive sample$"):
+        read_trajectory_csv(io.StringIO(text))
+
+
+def test_read_stays_within_the_row_readers_memory(tmp_path, params, s0):
+    # tracemalloc peak of the row reader on this file: 130.4 bytes a sample
+    cfg = ControllerConfig(K=-0.3, epsilon=5.0, mode=PredictionMode.EULER)
+    traj = run_controlled(params, s0, TimeGrid(0.0, 200.0, 0.01), cfg)
+    assert traj.n_samples == 20001
+    path = tmp_path / "long.csv"
+    write_trajectory_csv(traj, str(path))
+    tracemalloc.start()
+    try:
+        read_trajectory_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / traj.n_samples <= 1.05 * 130.4
+
+
+@pytest.mark.parametrize("tail", ["", "\n", "\n\n\n", "\n" * (_BLOCK_ROWS + 3)])
+@pytest.mark.parametrize("rows", [0, 1, 2, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+def test_read_of_blank_endings_warns_nothing(rows, tail):
+    text = HEADER + "".join(f"{k},1,2,3,0,0,\n" for k in range(rows)) + tail
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _outcome(read_trajectory_csv, text) == _outcome(_reference_read, text)
+
+
+# --- the block reader against the row reader it replaced -----------------------
+
+def _reference_read(source):
+    """The reader before blocks went through numpy's C reader: csv.reader,
+    the row checks and Python's float for every block; the two Trajectory
+    errors are prefixed with the row of the first failing sample."""
+    if isinstance(source, str):
+        with open(source, "r", newline="") as fh:
+            return _reference_read(fh)
+    reader = csv.reader(source)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValueError("empty trajectory file") from None
+    if tuple(header) != ("t", "x", "y", "z", "u", "active", "r"):
+        raise ValueError(
+            f"bad trajectory header: expected t,x,y,z,u,active,r, got {','.join(header)}"
+        )
+
+    def checked():
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != 7:
+                raise ValueError(f"row {line}: expected 7 fields, got {len(row)}")
+            if row[5] not in ("0", "1"):
+                raise ValueError(f"row {line}: active must be 0 or 1, got {row[5]!r}")
+            yield row + [line]
+
+    def floats(column, name, lines):
+        for text, line in zip(column, lines):
+            try:
+                float(text)
+            except ValueError:
+                raise ValueError(f"row {line}: {name} is not a number: {text!r}") from None
+        return np.array([float(text) for text in column])
+
+    rows = checked()
+    blocks = []
+    while block := list(islice(rows, _BLOCK_ROWS)):
+        t, x, y, z, u, active, r, lines = zip(*block)
+        blocks.append((
+            floats(t, "t", lines), floats(x, "x", lines), floats(y, "y", lines),
+            floats(z, "z", lines), floats(u, "u", lines),
+            np.array([a == "1" for a in active], dtype=bool),
+            floats([text or "nan" for text in r], "r", lines), lines,
+        ))
+    if not blocks:
+        raise ValueError("a trajectory needs at least two samples")
+    t, x, y, z, u, active, r, lines = (np.concatenate(col) for col in zip(*blocks))
+    if len(t) >= 2:
+        for k in range(1, len(t)):
+            if not t[k] > t[k - 1]:
+                raise ValueError(f"row {lines[k]}: sample times must be strictly increasing")
+        for k in range(len(t)):
+            if u[k] != 0.0 and not active[k]:
+                raise ValueError(f"row {lines[k]}: u must be zero at every inactive sample")
+    return Trajectory(t=t, states=np.column_stack((x, y, z)), u=u, active=active, r=r)
+
+
+def _outcome(read, text):
+    """The bytes, dtype and shape of every array read, or the error raised."""
+    try:
+        traj = read(io.StringIO(text))
+    except (ValueError, csv.Error) as exc:
+        return type(exc), str(exc)
+    arrays = (traj.t, traj.states, traj.u, traj.active, traj.r)
+    return tuple((a.tobytes(), a.dtype.str, a.shape) for a in arrays)
+
+
+def _base_files():
+    """Files from real runs and from arbitrary doubles, two full blocks and
+    a partial one each."""
+    p, s0 = Params(4.0, 1.0, 1.0, 6.75), State(1.5, -1.25, 3.5)
+    grid = TimeGrid(0.0, 60.0, 0.1)
+    runs = [
+        run_uncontrolled(p, s0, grid),
+        run_controlled(p, s0, grid, ControllerConfig(K=-0.6, epsilon=0.1, t_on=5.0)),
+        run_controlled(p, s0, grid, ControllerConfig(K=-0.6, epsilon=2.0, t_on=5.0)),
+        run_controlled(p, s0, grid, ControllerConfig(
+            K=-0.3, epsilon=5.0, t_on=0.0, mode=PredictionMode.EULER)),
+    ]
+    assert not runs[1].active.any() and runs[2].active.any() and runs[3].active.any()
+    n = grid.n_steps + 1
+    bits = np.random.default_rng(9).integers(0, 2**64, size=(n, 5), dtype=np.uint64)
+    doubles = bits.view(np.float64)
+    active = doubles[:, 0] > 0.0
+    runs.append(Trajectory(
+        t=np.arange(n) * 0.1, states=doubles[:, 1:4],
+        u=np.where(active, doubles[:, 4], 0.0), active=active, r=doubles[:, 0],
+    ))
+    return [_dump(run) for run in runs]
+
+
+BASE_FILES = _base_files()
+# A row in the first block, at both sides of the first block boundary, in
+# the middle block, and in the last partial block.
+ROW_PICKS = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 400, 2 * _BLOCK_ROWS + 5, -1)
+NUMBER_TEXTS = (
+    "abc", "", " ", "1e", "1_0", "\u0661", "-nan", "nan", "NaN", "+nan", "Infinity",
+    "-Infinity", "inf", "-inf", "1e999", " 1.5", "1.5 ", "\xa01", "\ufeff1", "1\x0b",
+    "0x1p3", "1d0", '"1.5"', '"1,5"', "1\u20282", "1\x00", "\x1c2",
+)
+ACTIVE_TEXTS = ("0", "1", "2", "1.0", "+1", " 1", "1 ", "01", "", "10", "1\x00", "\u0661", '"1"')
+
+
+def _mutate(text, mutations):
+    header, *rows = text.split("\n")[:-1]
+    ends = ["\n"] * len(rows)
+    for kind, pick, value in mutations:
+        k = ROW_PICKS[pick] % len(rows)
+        fields = rows[k].split(",")
+        if kind == "number":
+            fields[value % 7 if value % 7 != 5 else 6] = NUMBER_TEXTS[value % len(NUMBER_TEXTS)]
+        elif kind == "active":
+            fields[5] = ACTIVE_TEXTS[value % len(ACTIVE_TEXTS)]
+        elif kind == "width":
+            fields = fields[:-1] if value % 2 else fields + ["0"]
+        elif kind == "repeat-t" and k:
+            fields[0] = rows[k - 1].split(",")[0]
+        elif kind == "u-inactive":
+            fields[4], fields[5] = "0.5", "0"
+        elif kind == "crlf":
+            ends[k] = "\r\n"
+        elif kind == "cr":
+            ends[k] = "\r"
+        elif kind == "blank":
+            ends[k] += "\n" * (1 + value % 3)
+        elif kind == "spaces":
+            ends[k] += " \n"
+        rows[k] = ",".join(fields)
+    return header + "\n" + "".join(row + end for row, end in zip(rows, ends))
+
+
+mutation = st.tuples(
+    st.sampled_from(
+        ["number", "active", "width", "repeat-t", "u-inactive", "crlf", "cr", "blank", "spaces"]
+    ),
+    st.integers(0, len(ROW_PICKS) - 1),
+    st.integers(0, 1000),
+)
+
+
+@settings(max_examples=150)
+@given(
+    st.integers(0, len(BASE_FILES) - 1),
+    st.lists(mutation, max_size=3),
+    st.sampled_from(["keep", "all-crlf", "no-final-newline", "blank-tail"]),
+)
+def test_block_reader_matches_row_reader(tmp_path_factory, base, mutations, ending):
+    text = _mutate(BASE_FILES[base], mutations)
+    if ending == "all-crlf":
+        text = text.replace("\n", "\r\n")
+    elif ending == "no-final-newline":
+        text = text[:-1]
+    elif ending == "blank-tail":
+        text += "\n" * 300
+    expected = _outcome(_reference_read, text)
+    assert _outcome(read_trajectory_csv, text) == expected
+    # a path is opened with newline="", so a lone CR also ends a line there
+    path = tmp_path_factory.mktemp("read") / "traj.csv"
+    path.write_bytes(text.encode())
+    assert _outcome(lambda fh: read_trajectory_csv(str(path)), text) == _outcome(
+        lambda fh: _reference_read(str(path)), text)
 
 
 # --- sweep CSV --------------------------------------------------------------------
