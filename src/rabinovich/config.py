@@ -92,8 +92,8 @@ def parse_config(text: str) -> RunConfig:
     Raises ConfigError with a line number for syntax problems (missing '=',
     unknown or duplicate keys, unparseable or non-finite numbers) and with
     the field name for domain violations (non-positive parameters, uneven
-    grids, a tau that is not a whole number of steps, a tail at least as
-    long as the run).
+    grids, a tau that is not a whole number of steps, a tail or a tau at
+    least as long as the run, a t_on at or past its end).
     """
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -139,6 +139,15 @@ def parse_config(text: str) -> RunConfig:
         )
         delay_steps(controller, grid.dt)
         check_report_settings(values["tail"], values["capture_radius"], grid.t_end - grid.t0)
+        # Else the controller could never act on a step: the delay window
+        # would not fill before the last sample, or t > t_on would never hold.
+        span = grid.t_end - grid.t0
+        if controller.tau >= span:
+            raise ValueError(
+                f"tau ({controller.tau!r}) must be shorter than the run span ({span!r})"
+            )
+        if controller.t_on >= grid.t_end:
+            raise ValueError(f"t_on ({controller.t_on!r}) must be before t_end ({grid.t_end!r})")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

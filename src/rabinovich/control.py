@@ -282,10 +282,13 @@ def activation_gate(delayed, t: float, s, cfg: ControllerConfig) -> tuple[bool, 
     return active, r
 
 
-def gate_samples(states: np.ndarray, lag: int, t0: float, dt: float, cfg: ControllerConfig):
+def gate_samples(
+    states: np.ndarray, lag: int, t0: float, dt: float, cfg: ControllerConfig, start: int = 0
+):
     """``activation_gate`` at every sample ``k = lag, lag+1, ...`` of the
-    ``(n, 3)`` array ``states`` on the grid ``t0 + k*dt``, as arrays
-    ``(active, r)`` of length ``n - lag``.
+    ``(n, 3)`` array ``states``, whose first row is grid sample ``start``, on
+    the grid ``t0 + (start + k)*dt``, as arrays ``(active, r)`` of length
+    ``n - lag``.
 
     Each element is rounded through the same IEEE operations in the same
     order as the scalar gate (``dx*dx + dy*dy + dz*dz``, the square root,
@@ -299,7 +302,7 @@ def gate_samples(states: np.ndarray, lag: int, t0: float, dt: float, cfg: Contro
         r += sq[:, 2]
     del sq
     np.sqrt(r, out=r)
-    t = np.arange(lag, lag + m, dtype=float)
+    t = np.arange(start + lag, start + lag + m, dtype=float)
     t *= dt
     t += t0
     active = t > cfg.t_on

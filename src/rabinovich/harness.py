@@ -13,10 +13,12 @@ So until its gate first opens, a controlled run is the free flow bit for
 bit: it steps the open-loop field, and the gate only reads the state.  Runs
 from one start on one grid share that prefix, and ``run_each`` steps it only
 once for a sequence of controllers (the cells of a sweep, the presets of
-``reproduce``).  Each run gates the shared prefix in one numpy pass
-(``control.gate_samples``): the gate is elementwise IEEE arithmetic, each
-operation rounded once, so the array form gives the same bits as the
-per-sample gate.
+``reproduce``).  Until its gate first opens, a run calls no gate per sample:
+it gates the shared prefix, and then the free flow it steps in stretches of
+doubling length, one numpy pass (``control.gate_samples``) each.  The gate
+is elementwise IEEE arithmetic, each operation rounded once, so the array
+form gives the same bits as the per-sample gate.  At the first open gate
+the stretch's later samples are dropped and the gate runs per sample.
 
 Convergence is a measured quantity, never an assumption: a run is declared
 stabilized only if the whole tail window stays within the capture radius
@@ -135,6 +137,19 @@ def _divergence(k, t0, dt, stages, state) -> DivergenceError:
     return DivergenceError(k, t_k, f"state magnitude exceeded {DIVERGENCE_LIMIT:g}")
 
 
+def _first_after(t_on: float, t0: float, dt: float, n: int) -> int:
+    """The first sample ``k <= n`` whose time ``t0 + k*dt`` exceeds ``t_on``,
+    else ``n + 1``.  The quotient is bounded before it is rounded, so a huge
+    ``t_on`` cannot overflow ``int``; the grid times rise with ``k``, so the
+    loops only mend its rounding."""
+    k = int(min(max((t_on - t0) / dt, 0.0), n + 1.0))
+    while k and t0 + (k - 1) * dt > t_on:
+        k -= 1
+    while k <= n and not t0 + k * dt > t_on:
+        k += 1
+    return k
+
+
 def _run(
     p: Params, s0: State, grid: TimeGrid, cfg: Optional[ControllerConfig],
     free: Optional[np.ndarray] = None,
@@ -149,12 +164,18 @@ def _run(
     the u recorded there as its first-stage control term: the same call on
     the same state, so the same bits, made once.
 
-    ``free`` may hold the leading rows of the free flow of the same ``p``,
-    ``s0`` and ``grid``.  Until the gate first opens the run is that flow bit
-    for bit, so those rows are copied, not stepped.  The gate is evaluated
-    over them in one ``gate_samples`` pass, whose elementwise IEEE arithmetic
-    equals the per-sample gate bit for bit.  Stepping starts right after the
-    first open gate, or after the last row of ``free``.
+    Until the gate first opens the run is the free flow bit for bit, so no
+    gate is called per sample until then.  ``free`` may hold the leading rows
+    of the free flow of the same ``p``, ``s0`` and ``grid``; they are copied,
+    not stepped.  The free flow then goes on in stretches stepped with no
+    gate call, each gated in one ``gate_samples`` pass, whose elementwise
+    IEEE arithmetic equals the per-sample gate bit for bit.  The first
+    stretch ends one sample past the last one that cannot open (before the
+    delay window fills or at ``t <= t_on``), and each later one is as long as
+    all the samples gated so far from there on, so the lengths double from 1.
+    At the first open sample the stretch's later samples are dropped, and the
+    run steps on from there with the gate evaluated per sample.  A free step
+    that diverges inside a stretch raises only if no gate opens before it.
     """
     lag = delay_steps(cfg, grid.dt) if cfg is not None else 0
     # Looked up here, as names of this module, so that one definition each of
@@ -172,62 +193,79 @@ def _run(
 
     x, y, z = s0.x, s0.y, s0.z
     active = False
-    start = 0 if free is None else len(free)  # the first sample to step
-    if start:
-        states[:start] = free
-        if cfg is not None and start > lag:
-            opens, r = gate_samples(free, lag, t0, dt, cfg)
+    k = 0 if free is None else len(free)  # the next sample to step
+    if k:
+        states[:k] = free
+        x, y, z = states[k - 1].tolist()
+    shut = cfg is not None  # the gate has not opened yet
+    if shut:
+        opening = max(lag, _first_after(cfg.t_on, t0, dt, n))  # the first that can open
+        gated = lag  # the first sample whose r is not yet recorded
+    stop = k if shut else n + 1  # the end of the stretch being stepped
+    gate_from = n + 1  # the first sample gated one by one
+
+    while True:
+        for k in range(k, stop):
+            j = 3 * k
+            if k:
+                k1x, k1y, k1z = field(a, b, d, h, x, y, z)
+                if active:  # the u recorded at the step's start
+                    k1z = k1z + u
+                sx, sy, sz = x + half * k1x, y + half * k1y, z + half * k1z
+                k2x, k2y, k2z = field(a, b, d, h, sx, sy, sz)
+                if active:
+                    k2z = k2z + u_of(p, cfg, sx, sy, sz)
+                sx, sy, sz = x + half * k2x, y + half * k2y, z + half * k2z
+                k3x, k3y, k3z = field(a, b, d, h, sx, sy, sz)
+                if active:
+                    k3z = k3z + u_of(p, cfg, sx, sy, sz)
+                sx, sy, sz = x + dt * k3x, y + dt * k3y, z + dt * k3z
+                k4x, k4y, k4z = field(a, b, d, h, sx, sy, sz)
+                if active:
+                    k4z = k4z + u_of(p, cfg, sx, sy, sz)
+                x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+                y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+                z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            # Fails on NaN as well as on magnitude.
+            if not (abs(x) <= limit and abs(y) <= limit and abs(z) <= limit):
+                break  # step k diverged
+            state_out[j], state_out[j + 1], state_out[j + 2] = x, y, z
+            if k < gate_from:
+                continue
+            i = j - 3 * lag
+            delayed = (state_out[i], state_out[i + 1], state_out[i + 2])
+            active, r_out[k] = gate(delayed, t0 + k * dt, (x, y, z), cfg)
+            if active:
+                actives[k] = True
+                us[k] = u = u_of(p, cfg, x, y, z)
+        else:
+            k = stop
+        if shut and k > gated:  # gate the free samples stepped since the last pass
+            opens, r = gate_samples(states[gated - lag:k], lag, t0, dt, cfg, gated - lag)
             first = int(opens.argmax())
-            active = bool(opens[first])
-            if active:  # the controlled field applies from the next step on
-                start = lag + first + 1
-                r = r[:first + 1]
-            rs[lag:start] = r
+            shut = not opens[first]
+            end = k if shut else gated + first + 1
+            rs[gated:end] = r[:end - gated]
+            gated = end
             del opens, r
-        x, y, z = states[start - 1].tolist()
-        if active:
-            actives[start - 1] = True
-            us[start - 1] = u = u_of(p, cfg, x, y, z)
-
-    for k in range(start, n + 1):
-        j = 3 * k
-        if k:
-            k1x, k1y, k1z = field(a, b, d, h, x, y, z)
-            if active:  # the u recorded at the step's start
-                k1z = k1z + u
-            sx, sy, sz = x + half * k1x, y + half * k1y, z + half * k1z
-            k2x, k2y, k2z = field(a, b, d, h, sx, sy, sz)
-            if active:
-                k2z = k2z + u_of(p, cfg, sx, sy, sz)
-            sx, sy, sz = x + half * k2x, y + half * k2y, z + half * k2z
-            k3x, k3y, k3z = field(a, b, d, h, sx, sy, sz)
-            if active:
-                k3z = k3z + u_of(p, cfg, sx, sy, sz)
-            sx, sy, sz = x + dt * k3x, y + dt * k3y, z + dt * k3z
-            k4x, k4y, k4z = field(a, b, d, h, sx, sy, sz)
-            if active:
-                k4z = k4z + u_of(p, cfg, sx, sy, sz)
-            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-            z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-        # Fails on NaN as well as on magnitude.
-        if not (abs(x) <= limit and abs(y) <= limit and abs(z) <= limit):
-            stages = (
+            if not shut:  # drop the later free samples; step on, controlled
+                k, stop, gate_from = end, n + 1, end
+                x, y, z = states[k - 1].tolist()
+                actives[k - 1] = active = True
+                us[k - 1] = u = u_of(p, cfg, x, y, z)
+                continue
+        if k < stop:
+            # Built here, not kept in a local: a kept error would hold this
+            # frame, and its arrays, in a cycle through its traceback.
+            raise _divergence(
+                k, t0, dt,
                 ((k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z))
-                if k else ()
+                if k else (),
+                (x, y, z),
             )
-            raise _divergence(k, t0, dt, stages, (x, y, z))
-        state_out[j], state_out[j + 1], state_out[j + 2] = x, y, z
-        if cfg is None or k < lag:
-            continue
-        i = j - 3 * lag
-        delayed = (state_out[i], state_out[i + 1], state_out[i + 2])
-        active, r_out[k] = gate(delayed, t0 + k * dt, (x, y, z), cfg)
-        if active:
-            actives[k] = True
-            us[k] = u = u_of(p, cfg, x, y, z)
-
-    return Trajectory(t=grid.times(), states=states, u=us, active=actives, r=rs)
+        if k > n:
+            return Trajectory(t=grid.times(), states=states, u=us, active=actives, r=rs)
+        stop = min(n + 1, max(opening + 1, 2 * k - opening))
 
 
 def run_uncontrolled(p: Params, s0: State, grid: TimeGrid) -> Trajectory:
@@ -251,7 +289,7 @@ def run_each(
     p: Params, s0: State, grid: TimeGrid, cfgs: Iterable[ControllerConfig]
 ) -> Iterator[Union[Trajectory, IntegrationError]]:
     """Yield, in order, each controller's ``run_controlled(p, s0, grid, cfg)``,
-    bit for bit, or the ``IntegrationError`` it raised.
+    bit for bit, or the ``IntegrationError`` it raised, without its traceback.
 
     A finished run is the free flow up to its first open gate, which no
     controller setting enters; each later run reads the longest such prefix
@@ -262,7 +300,10 @@ def run_each(
         try:
             result = _run(p, s0, grid, cfg, free)
         except IntegrationError as exc:
-            result = exc
+            # Yielded as a value, without its traceback: this frame holds it
+            # while suspended, and the traceback's frames would close a cycle
+            # that keeps the failed run's arrays until a collection.
+            result = exc.with_traceback(None)
         else:
             # The run is the free flow up to and including its first active
             # sample, and all through if the gate never opened.

@@ -8,6 +8,7 @@ from rabinovich import (
     State,
     TimeGrid,
     equilibria,
+    harness,
     run_uncontrolled,
 )
 
@@ -57,3 +58,20 @@ def free_run(params, s0, grid):
 @pytest.fixture()
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture()
+def core_calls(monkeypatch):
+    """Counts of the field evaluations and per-sample gate calls of the
+    stepping core (``harness._run``)."""
+    calls = {"field": 0, "gate": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(harness, "field_components", counted("field", harness.field_components))
+    monkeypatch.setattr(harness, "activation_gate", counted("gate", harness.activation_gate))
+    return calls

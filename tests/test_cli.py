@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rabinovich import Trajectory, cli, harness, read_trajectory_csv
+from rabinovich import Trajectory, cli, read_trajectory_csv
 from rabinovich.cli import _same_bits, cli_dispatch
 from rabinovich.config import _FLOAT_KEYS, default_config
 
@@ -232,6 +232,29 @@ def test_simulate_overflowing_delay_ratio_exits_one(capsys, tmp_path):
     assert "Traceback" not in err and out == ""
 
 
+@pytest.mark.parametrize("text, error", [
+    ("tau = 300\n", "tau (300.0) must be shorter than the run span (200.0)"),
+    ("tau = 200\n", "tau (200.0) must be shorter than the run span (200.0)"),
+    ("t0 = 150\ntau = 50\ntail = 10\n", "tau (50.0) must be shorter than the run span (50.0)"),
+    ("t_on = 200\n", "t_on (200.0) must be before t_end (200.0)"),
+    ("t_end = 30\ntail = 10\n", "t_on (40.0) must be before t_end (30.0)"),
+])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_controller_that_can_never_act_exits_one(capsys, tmp_path, command, text, error):
+    # the delay window would never fill, or t > t_on would never hold: the run
+    # would report "control: literal prediction" with no control at all
+    cfg = tmp_path / "idle.cfg"
+    cfg.write_text(text)
+    argv = {
+        "simulate": ["--out-csv", str(tmp_path / "t.csv"), "--out-report", str(tmp_path / "r.txt")],
+        "sweep": ["--K", "-0.6", "--epsilon", "0.1", "--out", str(tmp_path / "s.csv")],
+    }[command]
+    code, out, err = run_cli(capsys, command, "--config", str(cfg), *argv)
+    assert code == 1
+    assert err == f"error: {error}\n"
+    assert out == "" and list(tmp_path.iterdir()) == [cfg]
+
+
 def test_simulate_missing_config_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--config", str(tmp_path / "nope.cfg"))
     assert code == 1
@@ -338,17 +361,12 @@ def test_reproduce_all(capsys, tmp_path):
     assert (tmp_path / "fig5_trajectory.csv").read_bytes() == fig4
 
 
-def test_reproduce_all_steps_one_run(capsys, tmp_path, monkeypatch):
-    calls, field = [], harness.field_components
-
-    def counted(*args):
-        calls.append(None)
-        return field(*args)
-
-    monkeypatch.setattr(harness, "field_components", counted)
+def test_reproduce_all_steps_one_run(capsys, tmp_path, core_calls):
     code, _, _ = run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))
     assert code == 0
-    assert len(calls) == 4 * default_config().grid.n_steps == 4 * 2000
+    # the gate never opens, so both presets gate the free run in array passes only
+    assert default_config().grid.n_steps == 2000
+    assert core_calls == {"field": 4 * 2000, "gate": 0}
 
 
 @pytest.mark.parametrize("epsilon, same_run", [

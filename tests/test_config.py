@@ -79,6 +79,18 @@ def test_tail_must_fit_span():
         parse_config("t_end = 10\ntail = 10\n")
 
 
+def test_tau_must_be_shorter_than_span():
+    with pytest.raises(ConfigError, match=r"tau \(10.0\) must be shorter than the run span"):
+        parse_config("t_end = 10\nt_on = 5\ntail = 5\ntau = 10\n")
+    assert parse_config("t_end = 10\nt_on = 5\ntail = 5\ntau = 9.9\n").controller.tau == 9.9
+
+
+def test_t_on_must_be_before_t_end():
+    with pytest.raises(ConfigError, match=r"t_on \(10.0\) must be before t_end \(10.0\)"):
+        parse_config("t_end = 10\nt_on = 10\ntail = 5\n")
+    assert parse_config("t_end = 10\nt_on = 9.9\ntail = 5\n").controller.t_on == 9.9
+
+
 def test_capture_radius_must_be_positive():
     with pytest.raises(ConfigError, match="capture_radius"):
         parse_config("capture_radius = 0\n")

@@ -401,11 +401,13 @@ def test_gate_samples_equals_scalar_gate_bit_for_bit(rng, lag):
     ]
     for cfg in cfgs:
         expected_active, expected_r = scalar_gate_samples(states, lag, t0, dt, cfg)
-        active, got_r = gate_samples(states, lag, t0, dt, cfg)
-        assert active.dtype == bool and got_r.dtype == np.float64
-        assert np.array_equal(active, expected_active)
-        # the bits of r, sign bit included
-        assert np.array_equal(got_r.view(np.uint64), expected_r.view(np.uint64))
+        # also over windows whose first row is a later grid sample
+        for start in [s for s in (0, 1, 17) if s + lag < len(states)]:
+            active, got_r = gate_samples(states[start:], lag, t0, dt, cfg, start)
+            assert active.dtype == bool and got_r.dtype == np.float64
+            assert np.array_equal(active, expected_active[start:])
+            # the bits of r, sign bit included
+            assert np.array_equal(got_r.view(np.uint64), expected_r[start:].view(np.uint64))
 
 
 def test_control_input_consistent_with_vector_field(params, s0):

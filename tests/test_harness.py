@@ -1,4 +1,6 @@
+import gc
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -667,31 +669,51 @@ def test_sweep_cells_match_reference_run(params, s0, eqs, name):
             assert cell.report == convergence_report(ref, eqs, tail=10.0, cfg=cfg)
 
 
-@pytest.mark.parametrize("name, steps", [
-    # no gate opens: only the first cell steps
-    ("gate-never-opens", 1000),
-    # (-0.3, 1e9) steps all 1000 and opens at sample 10; (-0.3, 0.05) reads
-    # those first 11 samples and steps the other 990; (0.5, 1e9) reads 11 of
-    # that cell's full prefix, opens at 10 and steps 990; (0.5, 0.05) steps
-    # nothing
-    ("gate-opens-at-first-eligible-sample", 1000 + 2 * 990),
+@pytest.mark.parametrize("name, steps, gates", [
+    # no gate opens: only the first cell steps, and no gate is called per sample
+    pytest.param("gate-never-opens", 1000, 0, id="gate-never-opens-1000"),
+    # (-0.3, 1e9) opens at sample 10, the end of its first free stretch, and
+    # steps all 1000; (-0.3, 0.05) reads those first 11 samples and steps the
+    # other 990; (0.5, 1e9) reads 11 of that cell's full prefix, opens at 10
+    # and steps 990; (0.5, 0.05) steps nothing
+    pytest.param("gate-opens-at-first-eligible-sample", 1000 + 2 * 990, 2 * 990,
+                 id="gate-opens-at-first-eligible-sample-2980"),
 ])
-def test_sweep_steps_only_what_no_earlier_cell_stepped(params, s0, monkeypatch, name, steps):
-    calls = {"field": 0, "gate": 0}
-
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(harness, "field_components", counted("field", field_components))
-    monkeypatch.setattr(harness, "activation_gate", counted("gate", harness.activation_gate))
+def test_sweep_steps_only_what_no_earlier_cell_stepped(params, s0, core_calls, name, steps,
+                                                       gates):
     sweep_case(params, s0, name)
-    # The per-sample gate runs at each stepped sample from the lag (10) on; a
-    # prefix is gated in one array pass.  Only the first cell steps samples
-    # 1 to 9, so that is every step but 9.
-    assert calls == {"field": 4 * steps, "gate": steps - 9}
+    # The gate runs per sample only at the samples stepped after a first open
+    # gate; the free flow before it is gated in one array pass a stretch.
+    # Each first open gate here ends its stretch, so no free step is dropped.
+    assert core_calls == {"field": 4 * steps, "gate": gates}
+
+
+def stretch_end(opening, k):
+    """The end of the free stretch of ``_run`` that holds sample ``k``, given
+    the first sample ``opening`` at which the gate can open: the first stretch
+    ends just past ``opening``, and each later one is as long as all the
+    samples gated from ``opening`` on before it."""
+    end = opening + 1
+    while end <= k:
+        end = 2 * end - opening
+    return end
+
+
+# first open gates at samples 401 (none dropped), 421 (11), 98 (16) and 636 (20)
+@pytest.mark.parametrize("epsilon, t_on", [(1e9, 40.0), (2.0, 40.0), (1.0, 5.0), (0.7, 40.0)])
+def test_free_stretch_steps_past_the_first_open_gate_less_than_it_gated(
+        params, s0, core_calls, epsilon, t_on):
+    cfg = ControllerConfig(K=-0.3, epsilon=epsilon, t_on=t_on)
+    n, dt = SWEEP_GRID.n_steps, SWEEP_GRID.dt
+    active = run_controlled(params, s0, SWEEP_GRID, cfg).active
+    first = int(active.argmax())
+    opening = next(k for k in range(n + 1) if k * dt > t_on)  # past the lag (10) here
+    assert active[first] and first >= opening
+    # the free steps past the first open gate that its stretch drops, exactly
+    dropped = min(stretch_end(opening, first), n + 1) - 1 - first
+    assert core_calls == {"field": 4 * (n + dropped), "gate": n - first}
+    # fewer than the shut samples gated from ``opening`` on, when any were
+    assert dropped <= max(0, first - opening - 1)
 
 
 def assert_same_outcome(got, expected):
@@ -775,3 +797,106 @@ def test_open_sample_computes_its_control_term_once(params, s0, monkeypatch):
     assert len(calls) == 4 * opened
     assert shared.u.tobytes() == alone.u.tobytes()
     assert shared.states.tobytes() == alone.states.tobytes()
+
+
+# --- the edges of the free stretches against the rk4_step reference ----------------------
+
+def opening_past(offset, p, s0, grid, tau=1.0):
+    """A controller whose gate first opens ``offset`` samples past the first
+    sample after its t_on, and that sample: t_on halfway between two grid
+    times, epsilon halfway between r there and the least r of the samples
+    from the first one after t_on up to it (which must all be larger)."""
+    states = run_uncontrolled(p, s0, grid).states
+    lag = delay_steps(ControllerConfig(K=-0.3, tau=tau), grid.dt)
+    r = np.linalg.norm(states[lag:] - states[:-lag], axis=1)  # at samples lag, lag+1, ...
+    for after in range(lag + 1, len(states) - offset):
+        before, here = r[after - lag:after - lag + offset].min(), r[after - lag + offset]
+        if here < 0.99 * before:
+            t_on = grid.t0 + (after - 0.5) * grid.dt
+            cfg = ControllerConfig(K=-0.3, epsilon=(here + before) / 2, t_on=t_on, tau=tau)
+            return grid, cfg, after + offset
+    raise AssertionError("no such sample")
+
+
+DIVERGING_GRID = TimeGrid(0.0, 10.0, 0.25)  # the free flow diverges at step 6
+# the free flow diverges at step 24, and with lag 1 its r drops below 1.3 first at 18
+OPEN_THEN_DIVERGING_GRID = TimeGrid(0.0, 28.0, 0.28)
+
+# name -> (grid, controller, the first open sample, None, or ("diverges", step))
+STRETCH_CASES = {
+    # the first sample after t_on ends the first stretch
+    "opens-at-first-sample-after-t_on": lambda p, s0: (
+        SWEEP_GRID, ControllerConfig(K=-0.3, epsilon=1e9, t_on=40.0), 401,
+    ),
+    # past the first sample after t_on, the stretches are 1, 2, 4, 8, ... long;
+    # [+4, +8) and [+8, +16) are two of them
+    "opens-at-first-sample-of-a-stretch": lambda p, s0: opening_past(4, p, s0, SWEEP_GRID),
+    "opens-at-last-sample-of-a-stretch": lambda p, s0: opening_past(7, p, s0, SWEEP_GRID),
+    "opens-one-past-last-sample-of-a-stretch": lambda p, s0: opening_past(8, p, s0, SWEEP_GRID),
+    "opens-at-last-sample-of-a-long-stretch": lambda p, s0: opening_past(15, p, s0, SWEEP_GRID),
+    "never-opens": lambda p, s0: (SWEEP_GRID, ControllerConfig(K=-0.3, epsilon=1e-9), None),
+    "t_on-beyond-every-grid-time": lambda p, s0: (
+        SWEEP_GRID, ControllerConfig(K=-0.3, epsilon=1e9, t_on=1e300), None,
+    ),
+    # (t_on - t0)/dt overflows to inf
+    "t_on-largest-double": lambda p, s0: (
+        SWEEP_GRID, ControllerConfig(K=-0.3, epsilon=1e9, t_on=sys.float_info.max), None,
+    ),
+    "t0-nonzero": lambda p, s0: opening_past(7, p, s0, TimeGrid(3.0, 53.0, 0.1)),
+    "lag-one": lambda p, s0: opening_past(4, p, s0, SWEEP_GRID, tau=0.1),
+    "lag-longer-than-first-stretch": lambda p, s0: (
+        SWEEP_GRID, ControllerConfig(K=-0.3, epsilon=1e9, t_on=0.0, tau=4.0), 40,
+    ),
+    # stretches [5, 9) and [17, 33) hold the free flow's diverging step
+    "diverges-in-a-stretch-gate-shut": lambda p, s0: (
+        DIVERGING_GRID, ControllerConfig(K=-0.3, epsilon=1e-9, t_on=0.0, tau=0.25),
+        ("diverges", 6),
+    ),
+    "diverges-in-a-stretch-after-gate-opens": lambda p, s0: (
+        OPEN_THEN_DIVERGING_GRID,
+        ControllerConfig(K=-0.3, epsilon=1.3, t_on=0.0, tau=0.28),
+        ("diverges", 92),  # the controlled run, stepped from sample 18
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRETCH_CASES))
+def test_free_stretch_edges_match_reference_run(params, s0, name):
+    grid, cfg, expected = STRETCH_CASES[name](params, s0)
+    got = outcome(_run, params, s0, grid, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = outcome(reference_run, params, s0, grid, cfg)
+    assert_same_outcome(got, ref)
+    if isinstance(expected, tuple):
+        assert ref[0] == expected[1]
+    else:
+        assert (int(ref.active.argmax()) if ref.active.any() else None) == expected
+
+
+def test_free_stretch_edge_cases_diverge_where_named(params, s0):
+    assert outcome(_run, params, s0, DIVERGING_GRID, None)[0] == 6
+    assert outcome(_run, params, s0, OPEN_THEN_DIVERGING_GRID, None)[0] == 24
+    free = _run(params, s0, TimeGrid(0.0, 23 * 0.28, 0.28), None).states
+    r = np.linalg.norm(free[1:] - free[:-1], axis=1)  # at samples 1, 2, ...
+    assert r[17] < 1.3 <= r[:17].min()
+
+
+def test_divergence_in_a_free_stretch_leaves_no_cycle(params, s0):
+    # A kept error would hold the failed run's frame, and its arrays, in a
+    # cycle through its traceback until the cyclic collector ran.
+    cfg = ControllerConfig(K=-0.3, epsilon=1e-9, t_on=0.0, tau=0.25)
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            run_controlled(params, s0, DIVERGING_GRID, cfg)
+        except DivergenceError as exc:
+            error = str(exc)
+        # the last cell too, whose error run_each holds while suspended
+        rep = sweep(params, s0, DIVERGING_GRID, [-0.6, -0.3], [1e-9], cfg, tail=1.0)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert error.startswith("integration aborted at step 6 ")
+    assert [c.error for c in rep.cells] == [error, error]
+    assert freed == 0
