@@ -93,7 +93,7 @@ def parse_config(text: str) -> RunConfig:
     unknown or duplicate keys, unparseable or non-finite numbers) and with
     the field name for domain violations (non-positive parameters, uneven
     grids, a tau that is not a whole number of steps, a tail or a tau at
-    least as long as the run, a t_on at or past its end).
+    least as long as the run, a t_on at or past the start of its last step).
     """
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -137,17 +137,24 @@ def parse_config(text: str) -> RunConfig:
             mode=_MODE_TOKENS[mode_token],
             tau=values["tau"],
         )
-        delay_steps(controller, grid.dt)
+        lag = delay_steps(controller, grid.dt)
         check_report_settings(values["tail"], values["capture_radius"], grid.t_end - grid.t0)
-        # Else the controller could never act on a step: the delay window
-        # would not fill before the last sample, or t > t_on would never hold.
-        span = grid.t_end - grid.t0
-        if controller.tau >= span:
+        # Else the controller could never act on a step: a gate can open only
+        # at a sample with a full delay window and t > t_on, and an open gate
+        # controls the step from its sample, so that sample must come before
+        # the last one.
+        n = grid.n_steps
+        if lag >= n:
+            span = grid.t_end - grid.t0
             raise ValueError(
                 f"tau ({controller.tau!r}) must be shorter than the run span ({span!r})"
             )
-        if controller.t_on >= grid.t_end:
-            raise ValueError(f"t_on ({controller.t_on!r}) must be before t_end ({grid.t_end!r})")
+        last_start = grid.time_at(n - 1)
+        if controller.t_on >= last_start:
+            raise ValueError(
+                f"t_on ({controller.t_on!r}) must be before the last step starts,"
+                f" at t = {last_start!r}"
+            )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 

@@ -170,12 +170,14 @@ def _run(
     not stepped.  The free flow then goes on in stretches stepped with no
     gate call, each gated in one ``gate_samples`` pass, whose elementwise
     IEEE arithmetic equals the per-sample gate bit for bit.  The first
-    stretch ends one sample past the last one that cannot open (before the
-    delay window fills or at ``t <= t_on``), and each later one is as long as
-    all the samples gated so far from there on, so the lengths double from 1.
-    At the first open sample the stretch's later samples are dropped, and the
-    run steps on from there with the gate evaluated per sample.  A free step
-    that diverges inside a stretch raises only if no gate opens before it.
+    stretch ends one sample past the later of the last sample that cannot
+    open (before the delay window fills or at ``t <= t_on``) and the last row
+    of ``free``, and each later one is as long as all the samples this run
+    stepped from there on, so the lengths double from 1.  At the first open
+    sample the stretch's later samples are dropped, and the run steps on from
+    there with the gate evaluated per sample: the free steps dropped are
+    fewer than the free steps this run stepped and gated before them.  A free
+    step that diverges inside a stretch raises only if no gate opens before it.
     """
     lag = delay_steps(cfg, grid.dt) if cfg is not None else 0
     # Looked up here, as names of this module, so that one definition each of
@@ -200,6 +202,7 @@ def _run(
     shut = cfg is not None  # the gate has not opened yet
     if shut:
         opening = max(lag, _first_after(cfg.t_on, t0, dt, n))  # the first that can open
+        base = max(opening, k)  # where the doubling counts from: this run's own steps
         gated = lag  # the first sample whose r is not yet recorded
     stop = k if shut else n + 1  # the end of the stretch being stepped
     gate_from = n + 1  # the first sample gated one by one
@@ -265,7 +268,7 @@ def _run(
             )
         if k > n:
             return Trajectory(t=grid.times(), states=states, u=us, active=actives, r=rs)
-        stop = min(n + 1, max(opening + 1, 2 * k - opening))
+        stop = min(n + 1, max(base + 1, 2 * k - base))
 
 
 def run_uncontrolled(p: Params, s0: State, grid: TimeGrid) -> Trajectory:

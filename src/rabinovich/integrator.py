@@ -36,13 +36,13 @@ DIVERGENCE_LIMIT = 1e6
 
 # Largest step count of a grid: a run preallocates about 49 bytes a sample
 # (t, state, u, active, r), so its arrays stay below about 0.5 GB.  Measured
-# tracemalloc peaks: a controlled run alone 52 bytes a sample with its gate
-# never open (the pass over its last chunk of free flow, 32 bytes a row for
-# at most half the run, overlaps only the arrays without t: 57 at most); a
-# controlled run and its convergence report 73 (the report's temporaries
-# add 24), so about 0.73 GB here; a sweep, which also keeps a free-flow
-# prefix of states (24 bytes a sample) and gates it in one pass (32 bytes a
-# sample of temporaries), 98, so about 0.98 GB.
+# tracemalloc peaks: a controlled run alone, with its gate never open, 52
+# bytes a sample at t_on = 40 of 200 and 73 at t_on = 199 (the pass over its
+# first stretch of free flow, which reaches past t_on, adds 32 bytes a row
+# to the arrays without t); a controlled run and its convergence report 74
+# (the report's temporaries add 24), so about 0.74 GB here; a sweep, which
+# also keeps a free-flow prefix of states (24 bytes a sample) and gates it
+# in one pass (32 bytes a sample of temporaries), 98, so about 0.98 GB.
 MAX_STEPS = 10**7
 
 

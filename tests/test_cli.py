@@ -236,13 +236,16 @@ def test_simulate_overflowing_delay_ratio_exits_one(capsys, tmp_path):
     ("tau = 300\n", "tau (300.0) must be shorter than the run span (200.0)"),
     ("tau = 200\n", "tau (200.0) must be shorter than the run span (200.0)"),
     ("t0 = 150\ntau = 50\ntail = 10\n", "tau (50.0) must be shorter than the run span (50.0)"),
-    ("t_on = 200\n", "t_on (200.0) must be before t_end (200.0)"),
-    ("t_end = 30\ntail = 10\n", "t_on (40.0) must be before t_end (30.0)"),
+    ("t_on = 200\n", "t_on (200.0) must be before the last step starts, at t = 199.9"),
+    ("t_on = 199.9\n", "t_on (199.9) must be before the last step starts, at t = 199.9"),
+    ("t_end = 30\ntail = 10\n",
+     "t_on (40.0) must be before the last step starts, at t = 29.900000000000002"),
 ])
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_controller_that_can_never_act_exits_one(capsys, tmp_path, command, text, error):
-    # the delay window would never fill, or t > t_on would never hold: the run
-    # would report "control: literal prediction" with no control at all
+    # the delay window would never fill, or t > t_on would hold at no sample
+    # that starts a step: the run would report "control: literal prediction"
+    # with no control at all
     cfg = tmp_path / "idle.cfg"
     cfg.write_text(text)
     argv = {

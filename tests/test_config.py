@@ -85,10 +85,17 @@ def test_tau_must_be_shorter_than_span():
     assert parse_config("t_end = 10\nt_on = 5\ntail = 5\ntau = 9.9\n").controller.tau == 9.9
 
 
-def test_t_on_must_be_before_t_end():
-    with pytest.raises(ConfigError, match=r"t_on \(10.0\) must be before t_end \(10.0\)"):
-        parse_config("t_end = 10\nt_on = 10\ntail = 5\n")
-    assert parse_config("t_end = 10\nt_on = 9.9\ntail = 5\n").controller.t_on == 9.9
+def test_t_on_must_be_before_the_last_step():
+    # a gate can open only at t > t_on, and one open at the last sample
+    # controls no step
+    last = "must be before the last step starts, at t = "
+    for t_on in ("10.0", "9.9"):
+        with pytest.raises(ConfigError, match=rf"t_on \({t_on}\) {last}9\.9$"):
+            parse_config(f"t_end = 10\nt_on = {t_on}\ntail = 5\n")
+    assert parse_config("t_end = 10\nt_on = 9.85\ntail = 5\n").controller.t_on == 9.85
+    with pytest.raises(ConfigError, match=rf"t_on \(12.0\) {last}12\.0$"):
+        parse_config("t0 = 2\nt_end = 12.5\ndt = 0.5\nt_on = 12\ntail = 5\n")
+    assert parse_config("t0 = 2\nt_end = 12.5\ndt = 0.5\nt_on = 11.9\ntail = 5\n")
 
 
 def test_capture_radius_must_be_positive():

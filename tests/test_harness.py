@@ -619,6 +619,12 @@ SWEEP_CASES = {
         [-0.9, -0.3], [5.0, 0.05], 5.0, None,
         lambda firsts, errors: errors[0] is not None and None in errors,
     ),
+    # thresholds descending: each later cell first opens past the prefix
+    # the cells before it stepped
+    "gate-opens-past-the-prefix": (
+        [-0.3], [0.69, 0.66, 0.6442], 20.0, None,
+        lambda firsts, errors: firsts == [636, 637, 648],
+    ),
 }
 
 
@@ -678,13 +684,23 @@ def test_sweep_cells_match_reference_run(params, s0, eqs, name):
     # and steps 990; (0.5, 0.05) steps nothing
     pytest.param("gate-opens-at-first-eligible-sample", 1000 + 2 * 990, 2 * 990,
                  id="gate-opens-at-first-eligible-sample-2980"),
+    # the first cell can open from sample 201 on and opens at 636, inside its
+    # stretch [457, 713), so it steps 1000 + 76 dropped; the second steps from
+    # the end of that prefix and opens at once, at 637: 364 steps, none
+    # dropped; the third steps from 638 and opens at 648, inside its stretch
+    # [646, 654): 363 + 5 dropped.  Doubling from 201 instead would have
+    # dropped 363 and 352.
+    pytest.param("gate-opens-past-the-prefix", 1076 + 364 + 368, 364 + 363 + 352,
+                 id="gate-opens-past-the-prefix-1808"),
 ])
 def test_sweep_steps_only_what_no_earlier_cell_stepped(params, s0, core_calls, name, steps,
                                                        gates):
     sweep_case(params, s0, name)
     # The gate runs per sample only at the samples stepped after a first open
     # gate; the free flow before it is gated in one array pass a stretch.
-    # Each first open gate here ends its stretch, so no free step is dropped.
+    # A cell steps the free flow from the end of the longest prefix before
+    # it, so it drops fewer free steps past its first open gate than it
+    # stepped itself.
     assert core_calls == {"field": 4 * steps, "gate": gates}
 
 
