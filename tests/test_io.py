@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import math
 import tracemalloc
@@ -19,6 +20,7 @@ from rabinovich import (
     TimeGrid,
     Trajectory,
     convergence_report,
+    parse_config,
     read_trajectory_csv,
     render_report,
     run_controlled,
@@ -151,6 +153,45 @@ def test_block_writer_matches_reference_on_gated_run(params, s0):
     back = read_trajectory_csv(io.StringIO(text))
     assert np.array_equal(back.states, traj.states)
     assert np.array_equal(back.r, traj.r, equal_nan=True)
+
+
+@pytest.fixture(scope="module")
+def long_gated_run():
+    # 20001 rows, the gate open on 41% of them, and one value in exponent
+    # notation
+    cfg = parse_config("t_end = 200\ndt = 0.01\nmode = euler\nK = -0.3\nepsilon = 5\n")
+    return run_controlled(cfg.params, cfg.s0, cfg.grid, cfg.controller)
+
+
+def test_long_gated_csv_keeps_its_bytes(long_gated_run):
+    # sha256 prefix of this file as the per-row "%.17g" writer wrote it
+    text = _dump(long_gated_run)
+    assert long_gated_run.n_samples == 20001
+    assert 0.4 < long_gated_run.active.mean() < 0.42
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "d8099540abb858a0"
+
+
+def _write_peak(traj, path) -> int:
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(traj, str(path))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writer_memory_is_bounded_by_its_block(tmp_path, long_gated_run):
+    # the writer holds one block at a time: its peak neither exceeds 768 KiB
+    # nor grows with the row count
+    short = Trajectory(
+        t=long_gated_run.t[:5001], states=long_gated_run.states[:5001],
+        u=long_gated_run.u[:5001], active=long_gated_run.active[:5001],
+        r=long_gated_run.r[:5001],
+    )
+    short_peak = _write_peak(short, tmp_path / "short.csv")
+    long_peak = _write_peak(long_gated_run, tmp_path / "long.csv")
+    assert long_peak <= 768 * 1024
+    assert long_peak <= short_peak + 32 * 1024
 
 
 edge_doubles = st.sampled_from([
