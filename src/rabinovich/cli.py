@@ -201,10 +201,21 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # one of them does not exist yet
+        return os.path.abspath(a) == os.path.abspath(b)
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     out_csv = args.out_csv or cfg.out_csv
     out_report = args.out_report or cfg.out_report
+    if _same_file(out_csv, out_report):
+        raise ConfigError(
+            f"out_csv ({out_csv!r}) and out_report ({out_report!r}) name the same file"
+        )
     controller = None if args.uncontrolled else cfg.controller
     eqs = equilibria(cfg.params)
     if controller is None:

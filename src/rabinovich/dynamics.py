@@ -27,7 +27,6 @@ __all__ = [
     "State",
     "EquilibriumSet",
     "field_components",
-    "vector_field",
     "jacobian",
     "equilibria",
     "residual_norm",
@@ -101,7 +100,7 @@ def field_components(a: float, b: float, d: float, h: float,
     """Time derivative (dx/dt, dy/dt, dz/dt) as plain scalars.
 
     This is the single definition of the right-hand side; every other
-    entry point (State-level wrapper, integrator closures) routes through
+    entry point (the stepping core, ``residual_norm``) routes through
     it so that the term ordering, and therefore the floating-point result,
     is identical everywhere.
     """
@@ -110,12 +109,6 @@ def field_components(a: float, b: float, d: float, h: float,
         h * x - b * y - x * z,
         -d * z + x * y,
     )
-
-
-def vector_field(p: Params, s: State) -> State:
-    """Derivative of the flow at ``s``, returned as a State."""
-    dx, dy, dz = field_components(p.a, p.b, p.d, p.h, s.x, s.y, s.z)
-    return State(dx, dy, dz)
 
 
 def jacobian(p: Params, s: State) -> np.ndarray:

@@ -1,15 +1,19 @@
 """CSV and report output.
 
-All floats are written with 17 significant digits so a written trajectory
-reads back bit-for-bit.  Line endings are "\n" on every platform.
+All floats are written as ``format(x, ".17g")`` writes them, with 17
+significant digits, so a written trajectory reads back bit-for-bit.  Line
+endings are "\n" on every platform.
 
-Trajectory files are written and read in blocks of ``_BLOCK_ROWS`` rows,
-so memory stays bounded by the block, not the file.  A block is written
-as one string of "%"-formatted rows.  A block is read by numpy's C text
-reader; a block it refuses, or may read otherwise, goes through the row
-reader (``csv`` and Python's ``float``), which gives the same arrays on every
-block both accept.  Read errors name the row (its line in the file) and the
-column.
+Trajectory files are written and read in blocks of rows, so memory stays
+bounded by the block, not the file.  A block of ``_WRITE_ROWS`` rows is
+formatted by a numpy kernel that gives the bytes of ``format(x, ".17g")``
+from exact integer arithmetic (see "17 significant digits in numpy" below);
+values it leaves out, those in exponent notation, nan and inf, go through
+``format`` one at a time.  A block of ``_BLOCK_ROWS`` rows is read by numpy's
+C text reader; a block it refuses, or may read otherwise, goes through the
+row reader (``csv`` and Python's ``float``), which gives the same arrays on
+every block both accept.  Read errors name the row (its line in the file)
+and the column.
 """
 
 from __future__ import annotations
@@ -46,14 +50,188 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# Rows per block when a trajectory is written or read.  Blocks of 128 to
-# 1024 rows run equally fast; larger ones only raise peak memory (about 5 MB
-# more at 4096 rows on a 20001-row file).
+# Rows per block when a trajectory is read; read errors map a sample to its
+# row through it.  Blocks of 128 to 1024 rows read equally fast; larger ones
+# only raise peak memory.
 _BLOCK_ROWS = 256
 
-# One trajectory row; "%.17g" gives the digits of format(x, ".17g").  An
-# absent r (NaN) is written "nan" here and blanked per block.
-_ROW = "%.17g,%.17g,%.17g,%.17g,%.17g,%d,%.17g\n"
+# Rows per block when a trajectory is written.  The kernel makes about 60
+# numpy calls a block and holds about 0.8 kB a row, so smaller blocks pay
+# more call overhead and larger ones only raise peak memory (about 0.4 MB at
+# 512 rows).
+_WRITE_ROWS = 512
+
+# --- 17 significant digits in numpy -----------------------------------------
+#
+# In the fixed notation of "%.17g" (decimal exponent E of |x| in [-4, 16]),
+# the text of x is its sign, then the 17-digit mantissa m = round(|x| *
+# 10**(16-E)) with the point after digit E (or "0." and -E-1 zeros before
+# it when E < 0), less the trailing zeros after the point.  m is exact:
+# 10**(16-E) <= 1e20 is a double, so Dekker's error-free product gives
+# s + e == |x| * 10**(16-E) exactly, with s the rounded product and e its
+# rounding error (|e| <= 8).  s >= 1e16 > 2**53 is an even integer, so
+# m = s + rint(e), and rint's ties to even are format()'s.  An E that log10
+# got one off (s + e below 1e16, or s not below 1e17), exponent notation,
+# nan and inf go through format(x, ".17g") instead.
+
+_POW10 = np.array([float(10 ** k) for k in range(21)])  # exact: 5**20 < 2**53
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _split(a):
+    """Veltkamp's split of a into a high part of 26 bits and the rest."""
+    c = a * _VELTKAMP
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+
+# Each number takes four little-endian words (32 bytes) of a block's buffer,
+# and the buffer less its NUL bytes is the block's text:
+#   byte 0        the sign
+#   bytes 1-5     "0." and the zeros after it, when E < 0
+#   bytes 7-23    the 17 digits; those after the point move up one byte,
+#                 and the point takes byte 8+E
+#   bytes 29-31   the separator ("," or "\n"); u is followed by ",", the
+#                 active flag and ","
+# Digits 1-16 come from a table of four-digit groups.  A layout code
+# (E+4)*18 + L, where L is one past the last digit kept, picks the masks of
+# the integer digits and the kept fraction digits, and the constant bytes.
+_WORD = np.dtype("<u8")
+_GROUPS = np.arange(10000)
+_GROUP_TEXT = (
+    (_GROUPS[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8).view("<u4").ravel()
+)
+# _KEPT[j, g]: L when g, the value of digit group j (digits 4j+1 to 4j+4),
+# is the last nonzero group; 1 (the leading digit only) when g = 0.
+_KEPT = np.where(
+    _GROUPS > 0,
+    4 * np.arange(4)[:, None] + 1
+    + np.select([_GROUPS % 10 > 0, _GROUPS % 100 > 0, _GROUPS % 1000 > 0], [4, 3, 2], 1),
+    1,
+).astype(np.uint8)
+_GROUP_OFFSETS = 10000 * np.arange(4)
+
+
+def _layout_tables():
+    """The integer-digit mask, the fraction-digit mask and the constant
+    bytes of each layout code, four words each.  The integer mask keeps the
+    separator bytes."""
+    E = np.arange(-4, 17)[:, None, None]
+    L = np.arange(18)[None, :, None]
+    byte = np.arange(32)
+    digit = byte - 7
+    integer = np.where((digit >= 0) & (digit <= E) | (byte >= 29), 0xFF, 0)
+    fraction = np.where((digit > E) & (digit < L) & (digit >= 0), 0xFF, 0)
+    head = np.select([byte == 1, byte == 2], [ord("0"), ord(".")], ord("0"))
+    const = (
+        np.where((E >= 0) & (L > E + 1) & (byte == 8 + E), ord("."), 0)
+        + np.where((E < 0) & (byte >= 1) & (byte <= 1 - E), head, 0)
+    )
+    return [
+        np.ascontiguousarray(np.broadcast_to(table, (21, 18, 32)), np.uint8)
+        .view(_WORD).reshape(21 * 18, 4)
+        for table in (integer, fraction, const)
+    ]
+
+
+_INTEGER_MASK, _FRACTION_MASK, _CONST_BYTES = _layout_tables()
+# The last word of each column: "," at byte 29, and for u also at byte 31
+# (the active flag goes between), "\n" for r.
+_SEPARATORS = np.array([44, 44, 44, 44, 44 << 16 | 44, 10], _WORD) << 40
+_ACTIVE_BYTE = np.array([ord("0"), ord("1")], _WORD) << 48
+
+
+def _scales(ax):
+    """16 - E for each ax in [1e-4, 1e17), as floats; log10 may put E one
+    off next to a power of ten, which _mantissas detects."""
+    k = np.log10(ax)
+    np.floor(k, out=k)
+    return np.subtract(16.0, k, out=k)
+
+
+def _mantissas(v):
+    """The scale k = 16-E, the mantissa m and whether m is exact, for each
+    |v|; ±0 gets k = 16 and m = 10**16, as 1.0 does."""
+    ax = np.abs(v)
+    fixed = (ax >= 1e-4) & (ax < 1e17)
+    ax = np.where(fixed, ax, 1.0)  # no log10(0), no nan cast to int
+    k = np.where(fixed, _scales(ax), 16.0)
+    np.minimum(k, 20.0, out=k)
+    np.maximum(k, 0.0, out=k)
+    k = k.astype(np.intp)
+    s = ax * _POW10.take(k)
+    high, low = _split(ax)
+    p_high, p_low = _POW10_HIGH.take(k), _POW10_LOW.take(k)
+    e = low * p_low - (((s - high * p_high) - low * p_high) - high * p_low)
+    exact = fixed & (s < 1e17) & (s - 1e16 + e >= 0)
+    m = s.astype(np.int64)
+    m += np.rint(e).astype(np.int64)
+    return k, m, exact
+
+
+def _number_words(v):
+    """(done, words): whether each number of a block is formatted here
+    (exact, or ±0), and its words laid out as its text and its column's
+    separators."""
+    k, m, done = _mantissas(v)
+    zero = v == 0.0
+    done |= zero
+    lead = m // 10 ** 16
+    m -= lead * 10 ** 16
+    lead -= zero  # ±0 was scaled as 1.0: "1" and 16 zeros
+    high = m // 10 ** 8
+    m -= high * 10 ** 8
+    groups = np.empty((4, len(m)), np.intp)
+    np.floor_divide(high, 10 ** 4, out=groups[0])
+    np.subtract(high, groups[0] * 10 ** 4, out=groups[1])
+    np.floor_divide(m, 10 ** 4, out=groups[2])
+    np.subtract(m, groups[2] * 10 ** 4, out=groups[3])
+    words = np.empty((len(m), 4), _WORD)
+    words[:, 0] = lead.astype(_WORD) + ord("0") << 56
+    words.view("<u4")[:, 2:6] = _GROUP_TEXT.take(groups).T
+    words.reshape(-1, 6, 4)[:, :, 3] = _SEPARATORS
+    groups += _GROUP_OFFSETS[:, None]
+    kept = _KEPT.take(groups)
+    code = (20 - k) * 18 + np.maximum(np.maximum(kept[0], kept[1]), np.maximum(kept[2], kept[3]))
+    del groups, kept, lead, high, m
+    _lay_out(words, code, v)
+    return done, words
+
+
+def _lay_out(words, code, v) -> None:
+    """Lays out each number's words by its code: the integer digits stay,
+    the kept fraction digits move up a byte, and the sign and the constant
+    bytes (point, "0." and zeros) come in."""
+    fraction = _FRACTION_MASK.take(code, axis=0, mode="clip")
+    fraction &= words
+    spare = _INTEGER_MASK.take(code, axis=0, mode="clip")
+    words &= spare
+    words |= _CONST_BYTES.take(code, axis=0, out=spare, mode="clip")
+    words |= np.left_shift(fraction, 8, out=spare)
+    flat, moved = words.reshape(-1), np.right_shift(fraction, 56, out=fraction).reshape(-1)
+    flat[1:] |= moved[:-1]
+    words[:, 0] |= np.signbit(v).astype(_WORD) * ord("-")
+
+
+def _csv_rows(t, states, u, active, r) -> bytes:
+    """The rows of one block, each number as format(x, ".17g") writes it."""
+    rows = len(t)
+    v = np.empty((rows, 6))
+    v[:, 0], v[:, 1:4], v[:, 4], v[:, 5] = t, states, u, r
+    v = v.reshape(-1)
+    done, words = _number_words(v)
+    words.reshape(rows, 6, 4)[:, 4, 3] |= _ACTIVE_BYTE.take(active.astype(np.intp))
+    text = words.view(np.uint8).reshape(-1, 32)
+    absent = np.isnan(r)
+    text.reshape(rows, 6, 32)[absent, 5, :29] = 0
+    done.reshape(rows, 6)[:, 5] |= absent
+    rest = np.flatnonzero(~done)
+    if len(rest):
+        numbers = [format(x, ".17g") for x in v[rest].tolist()]
+        text[rest, :29] = np.array(numbers, "S29").view(np.uint8).reshape(-1, 29)
+    return words.tobytes().translate(None, b"\0")
 
 
 def write_trajectory_csv(traj: Trajectory, dest: Union[str, TextIO]) -> None:
@@ -64,19 +242,20 @@ def write_trajectory_csv(traj: Trajectory, dest: Union[str, TextIO]) -> None:
     run).
     """
     if isinstance(dest, str):
-        with open(dest, "w", newline="") as fh:
-            write_trajectory_csv(traj, fh)
+        with open(dest, "wb") as fh:
+            _write_rows(traj, fh.write)
         return
-    dest.write(",".join(TRAJECTORY_HEADER) + "\n")
+    _write_rows(traj, lambda data: dest.write(data.decode("ascii")))
+
+
+def _write_rows(traj: Trajectory, write) -> None:
+    write(",".join(TRAJECTORY_HEADER).encode() + b"\n")
     active = np.asarray(traj.active, dtype=bool)
-    for lo in range(0, traj.n_samples, _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        x, y, z = traj.states[block].T.tolist()
-        rows = zip(
-            traj.t[block].tolist(), x, y, z, traj.u[block].tolist(),
-            active[block].tolist(), traj.r[block].tolist(),
-        )
-        dest.write("".join(map(_ROW.__mod__, rows)).replace(",nan\n", ",\n"))
+    for lo in range(0, traj.n_samples, _WRITE_ROWS):
+        block = slice(lo, lo + _WRITE_ROWS)
+        write(_csv_rows(
+            traj.t[block], traj.states[block], traj.u[block], active[block], traj.r[block],
+        ))
 
 
 def _checked_rows(reader, offset: int):

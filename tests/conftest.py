@@ -21,6 +21,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+# The suite's settings with many more examples, for a longer search:
+# pytest --hypothesis-profile=thorough (the option overrides the line above).
+settings.register_profile(
+    "thorough", parent=settings.get_profile("suite"), max_examples=2000
+)
 
 
 @pytest.fixture(scope="session")

@@ -175,6 +175,40 @@ def test_simulate_uncontrolled_flag(capsys, tmp_path, monkeypatch):
     assert not traj.active.any()
 
 
+@pytest.mark.parametrize("csv_path, report_path", [
+    ("same.txt", "same.txt"), ("same.txt", "./same.txt"), ("sub/../same.txt", "same.txt"),
+])
+def test_simulate_same_output_file_exits_one_before_running(
+        capsys, tmp_path, monkeypatch, csv_path, report_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    code, out, err = run_cli(
+        capsys, "simulate", "--out-csv", csv_path, "--out-report", report_path,
+    )
+    assert code == 1
+    assert err == (
+        f"error: out_csv ({csv_path!r}) and out_report ({report_path!r}) name the same file\n"
+    )
+    assert out == ""
+    assert not (tmp_path / "same.txt").exists()
+
+
+def test_simulate_same_output_file_from_config_exits_one(capsys, tmp_path, monkeypatch):
+    # an existing file, and paths from the config
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "kept.txt").write_text("kept\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"out_csv = kept.txt\nout_report = {tmp_path / 'kept.txt'}\n")
+    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 1
+    assert "out_csv ('kept.txt') and out_report (" in err and "name the same file" in err
+    assert (tmp_path / "kept.txt").read_text() == "kept\n"
+    # an override that parts them runs
+    code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out-report", "r.txt")
+    assert code == 0
+    assert (tmp_path / "kept.txt").read_text().startswith("t,x,y,z,u,active,r\n")
+
+
 def test_simulate_bad_config_exits_one(capsys, tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("a = 4\nwhat = 7\n")

@@ -4,6 +4,7 @@ import io
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 from itertools import islice
 
 import numpy as np
@@ -30,7 +31,8 @@ from rabinovich import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from rabinovich.io import _BLOCK_ROWS
+from rabinovich import io as rio
+from rabinovich.io import _BLOCK_ROWS, _WRITE_ROWS
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -142,10 +144,10 @@ def _reference_csv(traj) -> str:
 def test_block_writer_matches_reference_on_gated_run(params, s0):
     # 2 * block + 1 rows: two full blocks and a one-row tail
     dt = 0.01
-    g = TimeGrid(0.0, 2 * _BLOCK_ROWS * dt, dt)
+    g = TimeGrid(0.0, 2 * _WRITE_ROWS * dt, dt)
     cfg = ControllerConfig(K=-0.3, epsilon=5.0, t_on=0.0, mode=PredictionMode.EULER)
     traj = run_controlled(params, s0, g, cfg)
-    assert traj.n_samples == 2 * _BLOCK_ROWS + 1
+    assert traj.n_samples == 2 * _WRITE_ROWS + 1
     assert 0 < traj.active.sum() < traj.n_samples
     assert np.isnan(traj.r).any() and (traj.u != 0.0).any()
     text = _dump(traj)
@@ -228,6 +230,104 @@ def test_block_writer_matches_reference_on_nonfinite_values():
     text = _dump(traj)
     assert text == _reference_csv(traj)
     assert text.splitlines()[3] == "1,nan,nan,nan,-inf,1,"
+
+
+def _decade_edges():
+    """Powers of ten from 1e-5 to 1e17 and their neighbours up to 4 ulps
+    away; the ones just below round into the next decade where they can."""
+    out = []
+    for j in range(-5, 18):
+        x = float(f"1e{j}")
+        out.append(x)
+        up = down = x
+        for _ in range(4):
+            up, down = math.nextafter(up, math.inf), math.nextafter(down, 0.0)
+            out += [up, down]
+    return out
+
+
+def _ties():
+    """Doubles whose 17-digit mantissa lies exactly halfway between two
+    integers: odd multiples of 2**-(k+1) in the decade 10**(16-k)."""
+    out = []
+    for E in range(-4, 16):
+        k = 16 - E
+        scale = 2 ** (k + 1)
+        lo = math.ceil(Fraction(10) ** E * scale)
+        hi = min(math.ceil(Fraction(10) ** (E + 1) * scale), 2**53)  # exclusive
+        for odd in (lo | 1, lo + 2 | 1, (lo + hi) // 2 | 1, hi - 2 | 1):
+            x = odd / scale
+            assert (Fraction(x) * 10 ** k).denominator == 2
+            out.append(x)
+    return out
+
+
+TARGETED = np.array(
+    _decade_edges() + _ties()
+    + [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+       math.nan, -math.nan, math.inf, -math.inf, 1e-4, 9.9999999999999991e-05]
+    + [0.01 * k for k in (1, 3, 7, 10, 29, 100, 4999, 10001, 19999, 20000)]
+)
+assert np.signbit(TARGETED).any() and np.isnan(TARGETED).any()
+
+raw_double = st.integers(0, 2**64 - 1).map(
+    lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
+)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(_WRITE_ROWS + 1, 2 * _WRITE_ROWS + 7),
+    share=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
+    picked=st.lists(st.one_of(raw_double, st.sampled_from(TARGETED.tolist())), max_size=24),
+)
+def test_writer_matches_format_on_raw_and_targeted_doubles(seed, rows, share, picked):
+    # raw 64-bit patterns over more than one block, a share of them replaced
+    # by targeted values, and a few drawn values in front
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 2**64, size=(rows, 5), dtype=np.uint64).view(np.float64)
+    targeted = rng.random((rows, 5)) < share
+    values[targeted] = rng.choice(TARGETED, targeted.sum())
+    values.flat[:len(picked)] = picked
+    active = rng.random(rows) < 0.5
+    traj = Trajectory(
+        t=(rng.integers(0, 10**6) + np.arange(rows)) * 0.01,
+        states=values[:, :3], u=np.where(active, values[:, 3], 0.0),
+        active=active, r=values[:, 4],
+    )
+    assert _dump(traj) == _reference_csv(traj)
+
+
+@settings(max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.6, 1.0]))
+def test_writer_matches_format_when_log10_is_one_off(seed, share):
+    # the kernel takes E from log10, which may be one off next to a power of
+    # ten; give it such errors at random and the bytes must stay format()'s
+    rng = np.random.default_rng(seed)
+    exact_scales = rio._scales
+
+    def one_off(ax):
+        k = exact_scales(ax)
+        return k + rng.integers(-1, 2, size=len(k))
+
+    rows = _WRITE_ROWS + 3
+    values = rng.integers(0, 2**64, size=(rows, 5), dtype=np.uint64).view(np.float64)
+    targeted = rng.random((rows, 5)) < share
+    values[targeted] = rng.choice(TARGETED, targeted.sum())
+    traj = Trajectory(
+        t=np.arange(rows) * 0.01, states=values[:, :3], u=np.zeros(rows),
+        active=np.ones(rows, dtype=bool), r=values[:, 4],
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rio, "_scales", one_off)
+        text = _dump(traj)
+    assert text == _reference_csv(traj)
+
+
+def test_writer_gives_the_same_bytes_to_a_path(tmp_path, long_gated_run):
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(long_gated_run, str(path))
+    assert path.read_bytes() == _dump(long_gated_run).encode()
 
 
 # --- read errors ------------------------------------------------------------------
