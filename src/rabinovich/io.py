@@ -19,6 +19,7 @@ and the column.
 from __future__ import annotations
 
 import csv
+import functools
 from io import StringIO
 from itertools import chain, islice
 from typing import Optional, TextIO, Union
@@ -74,7 +75,6 @@ _WRITE_ROWS = 512
 # got one off (s + e below 1e16, or s not below 1e17), exponent notation,
 # nan and inf go through format(x, ".17g") instead.
 
-_POW10 = np.array([float(10 ** k) for k in range(21)])  # exact: 5**20 < 2**53
 _VELTKAMP = 134217729.0  # 2**27 + 1
 
 
@@ -85,7 +85,11 @@ def _split(a):
     return high, a - high
 
 
-_POW10_HIGH, _POW10_LOW = _split(_POW10)
+# 10**k for k = 0..20 (exact: 5**20 < 2**53) and its two parts.  Module
+# constants are made without numpy arithmetic (see _tables).
+_POW10, _POW10_HIGH, _POW10_LOW = np.array([
+    (p, *_split(p)) for p in (float(10 ** k) for k in range(21))
+]).T
 
 # Each number takes four little-endian words (32 bytes) of a block's buffer,
 # and the buffer less its NUL bytes is the block's text:
@@ -93,54 +97,55 @@ _POW10_HIGH, _POW10_LOW = _split(_POW10)
 #   bytes 1-5     "0." and the zeros after it, when E < 0
 #   bytes 7-23    the 17 digits; those after the point move up one byte,
 #                 and the point takes byte 8+E
-#   bytes 29-31   the separator ("," or "\n"); u is followed by ",", the
-#                 active flag and ","
+#   bytes 29-31   the separator; u is followed by ",", the active flag and ","
 # Digits 1-16 come from a table of four-digit groups.  A layout code
 # (E+4)*18 + L, where L is one past the last digit kept, picks the masks of
 # the integer digits and the kept fraction digits, and the constant bytes.
 _WORD = np.dtype("<u8")
-_GROUPS = np.arange(10000)
-_GROUP_TEXT = (
-    (_GROUPS[:, None] // [1000, 100, 10, 1] % 10 + ord("0")).astype(np.uint8).view("<u4").ravel()
-)
-# _KEPT[j, g]: L when g, the value of digit group j (digits 4j+1 to 4j+4),
-# is the last nonzero group; 1 (the leading digit only) when g = 0.
-_KEPT = np.where(
-    _GROUPS > 0,
-    4 * np.arange(4)[:, None] + 1
-    + np.select([_GROUPS % 10 > 0, _GROUPS % 100 > 0, _GROUPS % 1000 > 0], [4, 3, 2], 1),
-    1,
-).astype(np.uint8)
-_GROUP_OFFSETS = 10000 * np.arange(4)
-
-
-def _layout_tables():
-    """The integer-digit mask, the fraction-digit mask and the constant
-    bytes of each layout code, four words each.  The integer mask keeps the
-    separator bytes."""
-    E = np.arange(-4, 17)[:, None, None]
-    L = np.arange(18)[None, :, None]
-    byte = np.arange(32)
-    digit = byte - 7
-    integer = np.where((digit >= 0) & (digit <= E) | (byte >= 29), 0xFF, 0)
-    fraction = np.where((digit > E) & (digit < L) & (digit >= 0), 0xFF, 0)
-    head = np.select([byte == 1, byte == 2], [ord("0"), ord(".")], ord("0"))
-    const = (
-        np.where((E >= 0) & (L > E + 1) & (byte == 8 + E), ord("."), 0)
-        + np.where((E < 0) & (byte >= 1) & (byte <= 1 - E), head, 0)
-    )
-    return [
-        np.ascontiguousarray(np.broadcast_to(table, (21, 18, 32)), np.uint8)
-        .view(_WORD).reshape(21 * 18, 4)
-        for table in (integer, fraction, const)
-    ]
-
-
-_INTEGER_MASK, _FRACTION_MASK, _CONST_BYTES = _layout_tables()
 # The last word of each column: "," at byte 29, and for u also at byte 31
 # (the active flag goes between), "\n" for r.
-_SEPARATORS = np.array([44, 44, 44, 44, 44 << 16 | 44, 10], _WORD) << 40
-_ACTIVE_BYTE = np.array([ord("0"), ord("1")], _WORD) << 48
+_SEPARATORS = np.array([c << 40 for c in (44, 44, 44, 44, 44 << 16 | 44, 10)], _WORD)
+_ACTIVE_BYTE = np.array([ord("0") << 48, ord("1") << 48], _WORD)
+_GROUP_OFFSETS = np.array([[0], [10000], [20000], [30000]])  # rows of kept
+
+
+def _layout_row(E, L) -> bytes:
+    """The integer-digit mask (which keeps the separator bytes too), the
+    fraction-digit mask and the constant bytes of one layout code."""
+    n_int = max(E + 1, 0)
+    n_frac = max(L - n_int, 0)
+    integer = bytes(7) + b"\xff" * n_int + bytes(22 - n_int) + b"\xff" * 3
+    fraction = bytes(7 + n_int) + b"\xff" * n_frac + bytes(25 - n_int - n_frac)
+    if E < 0:
+        const = b"\0" + b"0." + b"0" * (-E - 1) + bytes(30 + E)
+    else:
+        const = bytes(8 + E) + (b"." if L > E + 1 else b"\0") + bytes(23 - E)
+    return integer + fraction + const
+
+
+@functools.lru_cache(maxsize=None)
+def _tables():
+    """(group_text, kept, integer, fraction, const), built on first use, so
+    a process that writes no trajectory pays neither their time nor the
+    memory of the numpy code they page in.
+
+    group_text[g] is the four ASCII digits of g as one word; kept[j, g] is L
+    when g, the value of digit group j (digits 4j+1 to 4j+4), is the last
+    nonzero group, and 1 (the leading digit only) when g = 0.  The other
+    three hold a row of four words per layout code.
+    """
+    groups = np.arange(10000, dtype=np.uint16)
+    group_text = np.empty((10000, 4), np.uint8)
+    for j, unit in enumerate((1000, 100, 10, 1)):
+        group_text[:, j] = groups // unit % 10 + ord("0")
+    kept = (
+        (groups % 1000 > 0).astype(np.uint8) + (groups % 100 > 0) + (groups % 10 > 0) + 2
+        + np.arange(0, 16, 4, dtype=np.uint8)[:, None]
+    )
+    kept[:, 0] = 1
+    layout = b"".join(_layout_row(E, L) for E in range(-4, 17) for L in range(18))
+    masks = np.frombuffer(layout, _WORD).reshape(21 * 18, 3, 4)
+    return (group_text.view("<u4").ravel(), kept, *masks.transpose(1, 0, 2))
 
 
 def _scales(ax):
@@ -190,25 +195,26 @@ def _number_words(v):
     np.subtract(m, groups[2] * 10 ** 4, out=groups[3])
     words = np.empty((len(m), 4), _WORD)
     words[:, 0] = lead.astype(_WORD) + ord("0") << 56
-    words.view("<u4")[:, 2:6] = _GROUP_TEXT.take(groups).T
+    group_text, kept_table, *masks = _tables()
+    words.view("<u4")[:, 2:6] = group_text.take(groups).T
     words.reshape(-1, 6, 4)[:, :, 3] = _SEPARATORS
-    groups += _GROUP_OFFSETS[:, None]
-    kept = _KEPT.take(groups)
+    groups += _GROUP_OFFSETS
+    kept = kept_table.take(groups)
     code = (20 - k) * 18 + np.maximum(np.maximum(kept[0], kept[1]), np.maximum(kept[2], kept[3]))
     del groups, kept, lead, high, m
-    _lay_out(words, code, v)
+    _lay_out(words, code, v, *masks)
     return done, words
 
 
-def _lay_out(words, code, v) -> None:
+def _lay_out(words, code, v, integer_mask, fraction_mask, const_bytes) -> None:
     """Lays out each number's words by its code: the integer digits stay,
     the kept fraction digits move up a byte, and the sign and the constant
     bytes (point, "0." and zeros) come in."""
-    fraction = _FRACTION_MASK.take(code, axis=0, mode="clip")
+    fraction = fraction_mask.take(code, axis=0, mode="clip")
     fraction &= words
-    spare = _INTEGER_MASK.take(code, axis=0, mode="clip")
+    spare = integer_mask.take(code, axis=0, mode="clip")
     words &= spare
-    words |= _CONST_BYTES.take(code, axis=0, out=spare, mode="clip")
+    words |= const_bytes.take(code, axis=0, out=spare, mode="clip")
     words |= np.left_shift(fraction, 8, out=spare)
     flat, moved = words.reshape(-1), np.right_shift(fraction, 56, out=fraction).reshape(-1)
     flat[1:] |= moved[:-1]
