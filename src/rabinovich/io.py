@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import functools
 from io import StringIO
-from itertools import chain, islice
+from itertools import chain, islice, product
 from typing import Optional, TextIO, Union
 
 import numpy as np
@@ -86,7 +86,7 @@ def _split(a):
 
 
 # 10**k for k = 0..20 (exact: 5**20 < 2**53) and its two parts.  Module
-# constants are made without numpy arithmetic (see _tables).
+# constants are made without numpy arithmetic, as the tables are.
 _POW10, _POW10_HIGH, _POW10_LOW = np.array([
     (p, *_split(p)) for p in (float(10 ** k) for k in range(21))
 ]).T
@@ -106,6 +106,7 @@ _WORD = np.dtype("<u8")
 # (the active flag goes between), "\n" for r.
 _SEPARATORS = np.array([c << 40 for c in (44, 44, 44, 44, 44 << 16 | 44, 10)], _WORD)
 _ACTIVE_BYTE = np.array([ord("0") << 48, ord("1") << 48], _WORD)
+_LEAD_DIGIT = np.array([(ord("0") + d) << 56 for d in range(10)], _WORD)  # at byte 7
 _GROUP_OFFSETS = np.array([[0], [10000], [20000], [30000]])  # rows of kept
 
 
@@ -126,26 +127,28 @@ def _layout_row(E, L) -> bytes:
 @functools.lru_cache(maxsize=None)
 def _tables():
     """(group_text, kept, integer, fraction, const), built on first use, so
-    a process that writes no trajectory pays neither their time nor the
-    memory of the numpy code they page in.
+    a process that writes no trajectory pays neither their time nor their
+    memory.  They are built from bytes: numpy arithmetic here would page in
+    numpy code the kernel never runs.
 
     group_text[g] is the four ASCII digits of g as one word; kept[j, g] is L
     when g, the value of digit group j (digits 4j+1 to 4j+4), is the last
     nonzero group, and 1 (the leading digit only) when g = 0.  The other
     three hold a row of four words per layout code.
     """
-    groups = np.arange(10000, dtype=np.uint16)
-    group_text = np.empty((10000, 4), np.uint8)
-    for j, unit in enumerate((1000, 100, 10, 1)):
-        group_text[:, j] = groups // unit % 10 + ord("0")
-    kept = (
-        (groups % 1000 > 0).astype(np.uint8) + (groups % 100 > 0) + (groups % 10 > 0) + 2
-        + np.arange(0, 16, 4, dtype=np.uint8)[:, None]
+    text = bytes(chain.from_iterable(product(b"0123456789", repeat=4)))
+    # last[g]: where the last nonzero digit of g's four is, 0 for g = 0; of
+    # g = 10q + d with k digits, it is k if d else that of q.
+    last = b"\0"
+    for k in range(1, 5):
+        last = b"".join(bytes([q]) + bytes([k]) * 9 for q in last)
+    kept = b"".join(
+        last.translate(bytes([1, 4 * j + 2, 4 * j + 3, 4 * j + 4, 4 * j + 5]) + bytes(251))
+        for j in range(4)
     )
-    kept[:, 0] = 1
     layout = b"".join(_layout_row(E, L) for E in range(-4, 17) for L in range(18))
-    masks = np.frombuffer(layout, _WORD).reshape(21 * 18, 3, 4)
-    return (group_text.view("<u4").ravel(), kept, *masks.transpose(1, 0, 2))
+    masks = np.frombuffer(layout, _WORD).reshape(21 * 18, 3, 4).transpose(1, 0, 2)
+    return (np.frombuffer(text, "<u4"), np.frombuffer(kept, np.uint8).reshape(4, 10000), *masks)
 
 
 def _scales(ax):
@@ -194,14 +197,14 @@ def _number_words(v):
     np.floor_divide(m, 10 ** 4, out=groups[2])
     np.subtract(m, groups[2] * 10 ** 4, out=groups[3])
     words = np.empty((len(m), 4), _WORD)
-    words[:, 0] = lead.astype(_WORD) + ord("0") << 56
+    words[:, 0] = _LEAD_DIGIT.take(lead, mode="clip")  # any lead where not done
     group_text, kept_table, *masks = _tables()
     words.view("<u4")[:, 2:6] = group_text.take(groups).T
     words.reshape(-1, 6, 4)[:, :, 3] = _SEPARATORS
     groups += _GROUP_OFFSETS
     kept = kept_table.take(groups)
     code = (20 - k) * 18 + np.maximum(np.maximum(kept[0], kept[1]), np.maximum(kept[2], kept[3]))
-    del groups, kept, lead, high, m
+    del groups, kept, lead, high, m  # before the layout's temporaries
     _lay_out(words, code, v, *masks)
     return done, words
 
