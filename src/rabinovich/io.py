@@ -124,7 +124,7 @@ def _layout_row(E, L) -> bytes:
     return integer + fraction + const
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _tables():
     """(group_text, kept, integer, fraction, const), built on first use, so
     a process that writes no trajectory pays neither their time nor their

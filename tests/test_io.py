@@ -234,7 +234,8 @@ def test_block_writer_matches_reference_on_nonfinite_values():
 
 def _decade_edges():
     """Powers of ten from 1e-5 to 1e17 and their neighbours up to 4 ulps
-    away; the ones just below round into the next decade where they can."""
+    away.  17 digits tell every double apart, so none rounds up into the
+    next decade; the ones just below a power come nearest."""
     out = []
     for j in range(-5, 18):
         x = float(f"1e{j}")
@@ -268,8 +269,6 @@ TARGETED = np.array(
        math.nan, -math.nan, math.inf, -math.inf, 1e-4, 9.9999999999999991e-05]
     + [0.01 * k for k in (1, 3, 7, 10, 29, 100, 4999, 10001, 19999, 20000)]
 )
-assert np.signbit(TARGETED).any() and np.isnan(TARGETED).any()
-
 raw_double = st.integers(0, 2**64 - 1).map(
     lambda bits: float(np.array(bits, dtype=np.uint64).view(np.float64))
 )
