@@ -9,7 +9,7 @@ bounded by the block, not the file.  A block of ``_WRITE_ROWS`` rows is
 formatted by a numpy kernel that gives the bytes of ``format(x, ".17g")``
 from exact integer arithmetic (see "17 significant digits in numpy" below);
 values it leaves out, those in exponent notation, nan and inf, go through
-``format`` one at a time.  A block of ``_BLOCK_ROWS`` rows is read by numpy's
+one ``"%.17g"`` string format per block.  A block of ``_BLOCK_ROWS`` rows is read by numpy's
 C text reader; a block it refuses, or may read otherwise, goes through the
 row reader (``csv`` and Python's ``float``), which gives the same arrays on
 every block both accept.  Read errors name the row (its line in the file)
@@ -73,7 +73,7 @@ _WRITE_ROWS = 512
 # rounding error (|e| <= 8).  s >= 1e16 > 2**53 is an even integer, so
 # m = s + rint(e), and rint's ties to even are format()'s.  An E that log10
 # got one off (s + e below 1e16, or s not below 1e17), exponent notation,
-# nan and inf go through format(x, ".17g") instead.
+# nan and inf go through "%.17g" instead, which gives format()'s digits.
 
 _VELTKAMP = 134217729.0  # 2**27 + 1
 
@@ -92,7 +92,8 @@ _POW10, _POW10_HIGH, _POW10_LOW = np.array([
 ]).T
 
 # Each number takes four little-endian words (32 bytes) of a block's buffer,
-# and the buffer less its NUL bytes is the block's text:
+# and the buffer less its NUL and space bytes is the block's text (a number
+# left to "%.17g" is padded with spaces):
 #   byte 0        the sign
 #   bytes 1-5     "0." and the zeros after it, when E < 0
 #   bytes 7-23    the 17 digits; those after the point move up one byte,
@@ -238,9 +239,9 @@ def _csv_rows(t, states, u, active, r) -> bytes:
     done.reshape(rows, 6)[:, 5] |= absent
     rest = np.flatnonzero(~done)
     if len(rest):
-        numbers = [format(x, ".17g") for x in v[rest].tolist()]
-        text[rest, :29] = np.array(numbers, "S29").view(np.uint8).reshape(-1, 29)
-    return words.tobytes().translate(None, b"\0")
+        numbers = ("%-29.17g" * len(rest)) % tuple(v[rest].tolist())
+        text[rest, :29] = np.frombuffer(numbers.encode(), np.uint8).reshape(-1, 29)
+    return words.tobytes().translate(None, b" \0")
 
 
 def write_trajectory_csv(traj: Trajectory, dest: Union[str, TextIO]) -> None:
