@@ -9,10 +9,10 @@ bounded by the block, not the file.  A block of ``_WRITE_ROWS`` rows is
 formatted by a numpy kernel that gives the bytes of ``format(x, ".17g")``
 from exact integer arithmetic (see "17 significant digits in numpy" below);
 values it leaves out, those in exponent notation, nan and inf, go through
-one ``"%.17g"`` string format per block.  A block of ``_BLOCK_ROWS`` rows is read by numpy's
-C text reader; a block it refuses, or may read otherwise, goes through the
-row reader (``csv`` and Python's ``float``), which gives the same arrays on
-every block both accept.  Read errors name the row (its line in the file)
+one ``"%.17g"`` string format per block.  A block of ``_BLOCK_ROWS`` rows is
+read by numpy's C text reader; a block it refuses, or may read otherwise,
+goes through the row reader (``csv`` and Python's ``float``), which gives
+the same arrays on every block both accept.  Read errors name the row (its line in the file)
 and the column.
 """
 
