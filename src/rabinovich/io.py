@@ -12,8 +12,8 @@ values it leaves out, those in exponent notation, nan and inf, go through
 one ``"%.17g"`` string format per block.  A block of ``_BLOCK_ROWS`` rows is
 read by numpy's C text reader; a block it refuses, or may read otherwise,
 goes through the row reader (``csv`` and Python's ``float``), which gives
-the same arrays on every block both accept.  Read errors name the row (its line in the file)
-and the column.
+the same arrays on every block both accept.  Read errors name the row (its
+line in the file) and the column.
 """
 
 from __future__ import annotations
