@@ -10,10 +10,11 @@ formatted by a numpy kernel that gives the bytes of ``format(x, ".17g")``
 from exact integer arithmetic (see "17 significant digits in numpy" below);
 values it leaves out, those in exponent notation, nan and inf, go through
 one ``"%.17g"`` string format per block.  A block of ``_BLOCK_ROWS`` rows is
-read by numpy's C text reader; a block it refuses, or may read otherwise,
-goes through the row reader (``csv`` and Python's ``float``), which gives
-the same arrays on every block both accept.  Read errors name the row (its
-line in the file) and the column.
+read by numpy's C text reader, and only the writer's format is read: LF
+line ends, the exact header, no blank lines, no quotes, and numbers as
+that reader reads them.  In a block it refuses, a read error names the
+first bad row (its line in the file) and, where one field is at fault, the
+column.
 """
 
 from __future__ import annotations
@@ -51,9 +52,8 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-# Rows per block when a trajectory is read; read errors map a sample to its
-# row through it.  Blocks of 128 to 1024 rows read equally fast; larger ones
-# only raise peak memory.
+# Rows per block when a trajectory is read.  Blocks of 128 to 1024 rows read
+# equally fast; larger ones only raise peak memory.
 _BLOCK_ROWS = 256
 
 # Rows per block when a trajectory is written.  The kernel makes about 60
@@ -268,50 +268,6 @@ def _write_rows(traj: Trajectory, write) -> None:
         ))
 
 
-def _checked_rows(reader, offset: int):
-    """The non-blank data rows, each checked for its field count and active
-    flag and extended by its line number in the file (``offset`` lines
-    precede the reader's first)."""
-    width = len(TRAJECTORY_HEADER)
-    for row in reader:
-        if not row:
-            continue
-        line = offset + reader.line_num
-        if len(row) != width:
-            raise ValueError(f"row {line}: expected {width} fields, got {len(row)}")
-        if row[5] not in ("0", "1"):
-            raise ValueError(f"row {line}: active must be 0 or 1, got {row[5]!r}")
-        row.append(line)
-        yield row
-
-
-def _floats(column, name: str, lines) -> np.ndarray:
-    try:
-        return np.fromiter(map(float, column), dtype=float, count=len(column))
-    except ValueError:
-        for text, line in zip(column, lines):
-            try:
-                float(text)
-            except ValueError:
-                raise ValueError(
-                    f"row {line}: {name} is not a number: {text!r}"
-                ) from None
-        raise
-
-
-def _converted(rows) -> tuple:
-    """The columns (t, states, u, active, r) of checked rows, converted one
-    column at a time with Python's ``float``."""
-    t, x, y, z, u, active, r, lines = zip(*rows)
-    return (
-        _floats(t, "t", lines),
-        np.column_stack((_floats(x, "x", lines), _floats(y, "y", lines), _floats(z, "z", lines))),
-        _floats(u, "u", lines),
-        np.fromiter(map("1".__eq__, active), dtype=bool, count=len(active)),
-        _floats([text or "nan" for text in r], "r", lines),
-    )
-
-
 # A row as numpy's C reader converts it.  ``active`` stays text: two
 # characters tell "1" from "10", "1.0", "+1" or " 1", which read as 1.
 _ROW_DTYPE = np.dtype([
@@ -327,16 +283,15 @@ def _loaded(text: str) -> np.ndarray:
 
 
 def _parsed(lines) -> Optional[tuple]:
-    """The columns of a block of lines read by numpy's C reader, or None if
-    that reader may read them otherwise than ``csv`` and ``float``: quotes,
-    CR, NUL, blank lines, a field it refuses, an active not "0" or "1".
-
-    numpy converts with CPython's own string-to-double, so each number it
-    accepts has the bits ``float`` gives; spellings only ``float`` accepts,
-    such as ``1_0`` or non-ASCII digits, it refuses.
+    """The columns of a block of lines as numpy's C reader reads them, or
+    None if it refuses one.  It would skip a blank line, read "...,0,0,1\\r\\n"
+    as a row and "1\\0" as an active of 1, so blank lines, CR and NUL are
+    refused before it, and so is a last line with no "\\n".  Quotes need no
+    check: with quoting off a quote stays in its field, and no number or
+    active flag holds one.
     """
     text = "".join(lines)
-    if "\n" in lines or '"' in text or "\r" in text or "\0" in text:
+    if "\n" in lines or "\r" in text or "\0" in text or not text.endswith("\n"):
         return None
     try:
         block = _loaded(text)
@@ -354,41 +309,52 @@ def _parsed(lines) -> Optional[tuple]:
     return block["t"], block["states"], block["u"], ones, block["r"]
 
 
-def read_trajectory_csv(source: Union[str, TextIO]) -> Trajectory:
-    """Inverse of write_trajectory_csv; rejects files with a wrong header.
+def _locate(lines, first_row: int) -> None:
+    """Raises for the first of a refused block's lines that _parsed refuses
+    alone (a block is refused only for such a line), naming its row and,
+    where one field is at fault, its column."""
+    width = len(TRAJECTORY_HEADER)
+    for row, line in enumerate(lines, first_row):
+        if _parsed([line]) is not None:
+            continue
+        fields = line.removesuffix("\n").split(",")
+        if len(fields) != width:
+            raise ValueError(f"row {row}: expected {width} fields, got {len(fields)}")
+        if fields[5] not in ("0", "1"):
+            raise ValueError(f"row {row}: active must be 0 or 1, got {fields[5]!r}")
+        for k, name in enumerate(TRAJECTORY_HEADER):
+            alone = ["0"] * width
+            alone[k] = fields[k]
+            if _parsed([",".join(alone) + "\n"]) is None:
+                raise ValueError(f"row {row}: {name} is not a number: {fields[k]!r}")
+        raise ValueError(f"row {row}: not a line of the trajectory format: {line!r}")
 
-    Errors in the data name the row by its line number and the column.
+
+def read_trajectory_csv(source: Union[str, TextIO]) -> Trajectory:
+    """Inverse of write_trajectory_csv: reads the format it writes and no
+    other.  That is the exact header and one row a line, each line ended by
+    "\\n": no CR, no blank lines, no quotes, and numbers as numpy's C reader
+    reads them (not 1_0 or non-ASCII digits, which float reads).  A stream
+    must not translate line ends.
+
+    An error names the first bad row in file order (its line in the file)
+    and, where one field is at fault, its column.  The sample checks of
+    Trajectory run once every row has been read.
     """
     if isinstance(source, str):
-        with open(source, "r", newline="") as fh:
+        with open(source, "r", newline="\n") as fh:
             return read_trajectory_csv(fh)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValueError("empty trajectory file") from None
-    if tuple(header) != TRAJECTORY_HEADER:
-        raise ValueError(
-            f"bad trajectory header: expected {','.join(TRAJECTORY_HEADER)}, "
-            f"got {','.join(header)}"
-        )
-    done = reader.line_num  # lines read so far
-    blocks, rows = [], []   # rows: the line number of each block's samples
+    header = source.readline()
+    if not header:
+        raise ValueError("empty trajectory file")
+    expected = ",".join(TRAJECTORY_HEADER)
+    if header != expected + "\n":
+        raise ValueError(f"bad trajectory header: expected {expected}, got {header!r}")
+    blocks = []
     while lines := list(islice(source, _BLOCK_ROWS)):
         block = _parsed(lines)
-        if block is not None:
-            rows.append(range(done + 1, done + 1 + len(lines)))
-            done += len(lines)
-        else:
-            # The row reader takes the block's rows from its first line on;
-            # blank lines and quoted line breaks take it past ``lines``.
-            reader = csv.reader(chain(lines, source))
-            checked = list(islice(_checked_rows(reader, done), _BLOCK_ROWS))
-            done += reader.line_num
-            if not checked:
-                break
-            block = _converted(checked)
-            rows.append([row[-1] for row in checked])
+        if block is None:
+            _locate(lines, 2 + len(blocks) * _BLOCK_ROWS)
         blocks.append(block)
     if not blocks:
         raise ValueError("a trajectory needs at least two samples")
@@ -396,8 +362,7 @@ def read_trajectory_csv(source: Union[str, TextIO]) -> Trajectory:
     try:
         return Trajectory(t=t, states=states, u=u, active=active, r=r)
     except _SampleError as exc:
-        k = exc.index
-        raise ValueError(f"row {rows[k // _BLOCK_ROWS][k % _BLOCK_ROWS]}: {exc}") from None
+        raise ValueError(f"row {exc.index + 2}: {exc}") from None
 
 
 def write_sweep_csv(report: SweepReport, dest: Union[str, TextIO]) -> None:

@@ -582,6 +582,22 @@ def test_core_converges_to_scipy_solution(params, s0):
     assert errors[-1] < 1e-10
 
 
+def test_always_on_literal_control_settles_at_the_controlled_fixed_point(params, s0):
+    # An oracle from the equations alone: with u = K(-(d+1)z + xy) on at every
+    # sample, the z-equation reads (1+K)xy - (d + K(d+1))z, so the controlled
+    # flow's fixed points are the open-loop ones of d_K = (d + K(d+1))/(1+K).
+    # Measured: the last state lies 3.4e-15 from the positive-x point.
+    K = 1.0
+    cfg = ControllerConfig(K=K, epsilon=1e9, t_on=0.0, mode=PredictionMode.DERIVATIVE)
+    traj = run_controlled(params, s0, TimeGrid(0.0, 200.0, 0.01), cfg)
+    d_K = (params.d + K * (params.d + 1.0)) / (1.0 + K)
+    fixed = equilibria(Params(params.a, params.b, d_K, params.h)).points
+    points = np.array([(pt.x, pt.y, pt.z) for pt in fixed])
+    tail = traj.states[traj.t >= 180.0]
+    distances = np.linalg.norm(tail[:, None, :] - points[None, :, :], axis=2)
+    assert distances.min(axis=1).max() <= 1e-6
+
+
 # --- sweep cells sharing the free-flow prefix -------------------------------------------
 
 BOTH_MODES = [PredictionMode.DERIVATIVE, PredictionMode.EULER]
