@@ -223,7 +223,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     else:
         traj = run_controlled(cfg.params, cfg.s0, cfg.grid, controller)
     report = convergence_report(
-        traj, eqs, tail=cfg.tail, capture_radius=cfg.capture_radius, cfg=controller
+        traj, eqs, cfg.grid, tail=cfg.tail, capture_radius=cfg.capture_radius, cfg=controller
     )
     write_trajectory_csv(traj, out_csv)
     write_report(report, out_report)
@@ -274,7 +274,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         if isinstance(traj, IntegrationError):
             raise traj
         report = convergence_report(
-            traj, eqs, tail=base.tail, capture_radius=base.capture_radius, cfg=cfg
+            traj, eqs, base.grid, tail=base.tail, capture_radius=base.capture_radius, cfg=cfg
         )
         csv_path = os.path.join(args.out_dir, f"{name}_trajectory.csv")
         report_path = os.path.join(args.out_dir, f"{name}_report.txt")

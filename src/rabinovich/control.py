@@ -282,17 +282,15 @@ def activation_gate(delayed, t: float, s, cfg: ControllerConfig) -> tuple[bool, 
     return active, r
 
 
-def gate_samples(
-    states: np.ndarray, lag: int, t0: float, dt: float, cfg: ControllerConfig, start: int = 0
-):
+def gate_samples(states: np.ndarray, lag: int, t: np.ndarray, cfg: ControllerConfig):
     """``activation_gate`` at every sample ``k = lag, lag+1, ...`` of the
-    ``(n, 3)`` array ``states``, whose first row is grid sample ``start``, on
-    the grid ``t0 + (start + k)*dt``, as arrays ``(active, r)`` of length
-    ``n - lag``.
+    ``(n, 3)`` array ``states``, as arrays ``(active, r)`` of length
+    ``n - lag``.  ``t`` holds the times of the samples gated, those of
+    ``states[lag:]``, taken from the run's ``TimeGrid.times()``.
 
     Each element is rounded through the same IEEE operations in the same
     order as the scalar gate (``dx*dx + dy*dy + dz*dz``, the square root,
-    ``t0 + k*dt``, both comparisons), so it is equal to it bit for bit.
+    both comparisons), so it is equal to it bit for bit.
     """
     m = len(states) - lag
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as in Python
@@ -302,9 +300,6 @@ def gate_samples(
         r += sq[:, 2]
     del sq
     np.sqrt(r, out=r)
-    t = np.arange(start + lag, start + lag + m, dtype=float)
-    t *= dt
-    t += t0
     active = t > cfg.t_on
     active &= r < cfg.epsilon
     return active, r

@@ -7,7 +7,8 @@ field (open-loop field plus the control term on the z-equation, evaluated
 at every RK4 substage); an inactive step integrates the pure open-loop
 field.  Every recorded sample carries the control input u in force at that
 sample (zero when inactive), the gate flag, and the recurrence distance r
-(absent, with the gate inactive, while the delay window fills).
+(absent, with the gate inactive, while the delay window fills).  The gate
+and the trajectory read their sample times from ``TimeGrid.times()``.
 
 So until its gate first opens, a controlled run is the free flow bit for
 bit: it steps the open-loop field, and the gate only reads the state.  Runs
@@ -114,40 +115,23 @@ class Trajectory:
     def n_samples(self) -> int:
         return len(self.t)
 
-    @property
-    def span(self) -> float:
-        return float(self.t[-1] - self.t[0])
 
-
-def _divergence(k, t0, dt, stages, state) -> DivergenceError:
+def _divergence(k, grid, t, stages, state) -> DivergenceError:
     """The error a failed step k raises, found after the fact: the first
     stage with a non-finite derivative, else the non-finite or too large state.
 
     A non-finite derivative always makes the stepped state non-finite, so the
     loop needs only its one magnitude test to know that something failed.
     """
-    t_prev = t0 + (k - 1) * dt
+    t_prev, dt = t[k - 1], grid.dt
     stage_times = (t_prev, t_prev + 0.5 * dt, t_prev + 0.5 * dt, t_prev + dt)
     for t_stage, derivative in zip(stage_times, stages):
         if not all(math.isfinite(v) for v in derivative):
             return DivergenceError(k, t_prev, f"non-finite derivative at t={t_stage!r}")
-    t_k = t0 + k * dt if k else t0
+    t_k = t[k] if k else grid.t0
     if not all(math.isfinite(v) for v in state):
         return DivergenceError(k, t_k, "non-finite state component")
     return DivergenceError(k, t_k, f"state magnitude exceeded {DIVERGENCE_LIMIT:g}")
-
-
-def _first_after(t_on: float, t0: float, dt: float, n: int) -> int:
-    """The first sample ``k <= n`` whose time ``t0 + k*dt`` exceeds ``t_on``,
-    else ``n + 1``.  The quotient is bounded before it is rounded, so a huge
-    ``t_on`` cannot overflow ``int``; the grid times rise with ``k``, so the
-    loops only mend its rounding."""
-    k = int(min(max((t_on - t0) / dt, 0.0), n + 1.0))
-    while k and t0 + (k - 1) * dt > t_on:
-        k -= 1
-    while k <= n and not t0 + k * dt > t_on:
-        k += 1
-    return k
 
 
 def _run(
@@ -158,11 +142,12 @@ def _run(
 
     The state is kept as three Python floats and every sample is written
     straight into the preallocated output arrays; the gate reads the delayed
-    state back from them.  Each arithmetic operation is the one
-    ``integrator.rk4_step`` makes on each array component, in the same order,
-    so both give bit-identical results.  A step from an open sample takes
-    the u recorded there as its first-stage control term: the same call on
-    the same state, so the same bits, made once.
+    state back from them, and its time from ``grid.times()``, which the run
+    returns.  Each arithmetic operation is the one ``integrator.rk4_step``
+    makes on each array component, in the same order, so both give
+    bit-identical results.  A step from an open sample takes the u recorded
+    there as its first-stage control term: the same call on the same state,
+    so the same bits, made once.
 
     Until the gate first opens the run is the free flow bit for bit, so no
     gate is called per sample until then.  ``free`` may hold the leading rows
@@ -184,14 +169,15 @@ def _run(
     # the field, the control law and the gate is used (and can be wrapped).
     field, u_of, gate = field_components, control_term, activation_gate
     a, b, d, h = p.a, p.b, p.d, p.h
-    t0, dt, n = grid.t0, grid.dt, grid.n_steps
+    dt, n = grid.dt, grid.n_steps
     half, sixth, limit = 0.5 * dt, dt / 6.0, DIVERGENCE_LIMIT
 
+    t = grid.times()
     states = np.empty((n + 1, 3))
     us = np.zeros(n + 1)
     actives = np.zeros(n + 1, dtype=bool)
     rs = np.full(n + 1, np.nan)
-    state_out, r_out = memoryview(states.reshape(-1)), memoryview(rs)
+    t_at, state_out, r_out = memoryview(t), memoryview(states.reshape(-1)), memoryview(rs)
 
     x, y, z = s0.x, s0.y, s0.z
     active = False
@@ -201,7 +187,7 @@ def _run(
         x, y, z = states[k - 1].tolist()
     shut = cfg is not None  # the gate has not opened yet
     if shut:
-        opening = max(lag, _first_after(cfg.t_on, t0, dt, n))  # the first that can open
+        opening = max(lag, int(np.searchsorted(t, cfg.t_on, "right")))  # the first that can open
         base = max(opening, k)  # where the doubling counts from: this run's own steps
         gated = lag  # the first sample whose r is not yet recorded
     stop = k if shut else n + 1  # the end of the stretch being stepped
@@ -237,14 +223,14 @@ def _run(
                 continue
             i = j - 3 * lag
             delayed = (state_out[i], state_out[i + 1], state_out[i + 2])
-            active, r_out[k] = gate(delayed, t0 + k * dt, (x, y, z), cfg)
+            active, r_out[k] = gate(delayed, t_at[k], (x, y, z), cfg)
             if active:
                 actives[k] = True
                 us[k] = u = u_of(p, cfg, x, y, z)
         else:
             k = stop
         if shut and k > gated:  # gate the free samples stepped since the last pass
-            opens, r = gate_samples(states[gated - lag:k], lag, t0, dt, cfg, gated - lag)
+            opens, r = gate_samples(states[gated - lag:k], lag, t[gated:k], cfg)
             first = int(opens.argmax())
             shut = not opens[first]
             end = k if shut else gated + first + 1
@@ -261,13 +247,13 @@ def _run(
             # Built here, not kept in a local: a kept error would hold this
             # frame, and its arrays, in a cycle through its traceback.
             raise _divergence(
-                k, t0, dt,
+                k, grid, t_at,
                 ((k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z))
                 if k else (),
                 (x, y, z),
             )
         if k > n:
-            return Trajectory(t=grid.times(), states=states, u=us, active=actives, r=rs)
+            return Trajectory(t=t, states=states, u=us, active=actives, r=rs)
         stop = min(n + 1, max(base + 1, 2 * k - base))
 
 
@@ -358,6 +344,7 @@ def check_report_settings(tail: float, capture_radius: float, span: float) -> No
 def convergence_report(
     traj: Trajectory,
     eqs: EquilibriumSet,
+    grid: TimeGrid,
     tail: float = DEFAULT_TAIL,
     capture_radius: float = DEFAULT_CAPTURE_RADIUS,
     cfg: Optional[ControllerConfig] = None,
@@ -368,9 +355,11 @@ def convergence_report(
     window (the last ``tail`` time units); the run counts as stabilized iff
     the maximum distance to the target over that window is within
     ``capture_radius``.  Control effort is the trapezoid-rule integral of
-    |u| over the whole run.
+    |u| over the whole run.  ``dt`` and ``t_end`` are echoed from ``grid``.
     """
-    check_report_settings(tail, capture_radius, traj.span)
+    if traj.n_samples != grid.n_steps + 1:
+        raise ValueError(f"grid has {grid.n_steps + 1} samples, the trajectory {traj.n_samples}")
+    check_report_settings(tail, capture_radius, grid.t_end - grid.t0)
 
     # t strictly increases, so both windows are slices, not masked copies.
     cut = traj.t[-1] - tail
@@ -408,8 +397,8 @@ def convergence_report(
         control_effort=effort,
         max_abs_u_post_activation=max_abs_u,
         controller=cfg,
-        dt=float(traj.t[1] - traj.t[0]),
-        t_end=float(traj.t[-1]),
+        dt=grid.dt,
+        t_end=grid.t_end,
         capture_radius=capture_radius,
         tail=tail,
     )
@@ -481,7 +470,7 @@ def sweep(
             report, error = None, str(result)
         else:
             report = convergence_report(
-                result, eqs, tail=tail, capture_radius=capture_radius, cfg=cfg
+                result, eqs, grid, tail=tail, capture_radius=capture_radius, cfg=cfg
             )
             error = None
         del result

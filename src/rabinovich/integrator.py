@@ -5,7 +5,8 @@ Only fixed-step RK4 is provided: the simulation protocols this package
 reproduces use a constant step, and a fixed grid keeps runs bit-for-bit
 reproducible.  Grid times are always computed as ``t0 + k*dt`` (one
 multiplication per step, never accumulated addition) so the time axis
-carries no compounding rounding error.
+carries no compounding rounding error; a run takes its sample times from
+``TimeGrid.times()`` alone.
 
 Runs are stepped by ``harness._run``.  ``rk4_step`` and ``check_state`` are
 the generic numpy reference that the core is tested against: the same

@@ -175,6 +175,19 @@ def test_simulate_uncontrolled_flag(capsys, tmp_path, monkeypatch):
     assert not traj.active.any()
 
 
+@pytest.mark.parametrize("t0, t_end", [(1.0, 201.0), (0.3, 200.3)])
+def test_simulate_report_echoes_the_configured_grid(capsys, tmp_path, monkeypatch, t0, t_end):
+    # the samples' own spacing is not dt here: t[1] - t[0] is 0.10000000000000009
+    # at t0 = 1 and 0.10000000000000003 at t0 = 0.3
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(f"t0 = {t0!r}\nt_end = {t_end!r}\n")
+    code, out, _ = run_cli(capsys, "simulate", "--config", "run.cfg")
+    assert code == 0
+    assert "\ndt = 0.10000000000000001\n" in out
+    assert f"\nt_end = {t_end:.17g}\n" in out
+    assert (tmp_path / "report.txt").read_text() == out
+
+
 @pytest.mark.parametrize("csv_path, report_path", [
     ("same.txt", "same.txt"), ("same.txt", "./same.txt"), ("sub/../same.txt", "same.txt"),
 ])

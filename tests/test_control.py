@@ -385,6 +385,8 @@ def gate_states(rng, lag):
 def test_gate_samples_equals_scalar_gate_bit_for_bit(rng, lag):
     states = gate_states(rng, lag)
     t0, dt = 0.25, 0.1
+    t = TimeGrid(t0, t0 + (len(states) - 1) * dt, dt).times()  # the times gate_samples reads
+    assert len(t) == len(states)
     _, r = scalar_gate_samples(states, lag, t0, dt, ControllerConfig(K=-0.6))
     if lag < len(states) - 1:
         assert np.isinf(r).any() and (r == 0.0).any()
@@ -402,7 +404,7 @@ def test_gate_samples_equals_scalar_gate_bit_for_bit(rng, lag):
         expected_active, expected_r = scalar_gate_samples(states, lag, t0, dt, cfg)
         # also over windows whose first row is a later grid sample
         for start in [s for s in (0, 1, 17) if s + lag < len(states)]:
-            active, got_r = gate_samples(states[start:], lag, t0, dt, cfg, start)
+            active, got_r = gate_samples(states[start:], lag, t[start + lag:], cfg)
             assert active.dtype == bool and got_r.dtype == np.float64
             assert np.array_equal(active, expected_active[start:])
             # the bits of r, sign bit included

@@ -39,6 +39,7 @@ short_grid = TimeGrid(0.0, 5.0, 0.1)
 
 
 def constant_trajectory(point: State, t_end=30.0, dt=0.1, u=0.0, active=False):
+    """A trajectory parked at ``point``, and its grid."""
     g = TimeGrid(0.0, t_end, dt)
     n = g.n_steps + 1
     return Trajectory(
@@ -47,7 +48,7 @@ def constant_trajectory(point: State, t_end=30.0, dt=0.1, u=0.0, active=False):
         u=np.full(n, u),
         active=np.full(n, active, dtype=bool),
         r=np.full(n, np.nan),
-    )
+    ), g
 
 
 # --- Trajectory invariants ------------------------------------------------------
@@ -118,9 +119,9 @@ def test_trajectory_checks_allocate_no_float_temporaries(params, s0, controller)
     assert peak / run.n_samples < 2.0
 
 
-def test_trajectory_basic_accessors(free_run):
+def test_trajectory_basic_accessors(free_run, grid):
     assert free_run.n_samples == 2001
-    assert free_run.span == pytest.approx(200.0)
+    assert np.array_equal(free_run.t, grid.times())
 
 
 # --- uncontrolled runs ------------------------------------------------------------
@@ -226,7 +227,7 @@ def test_tight_gate_never_opens(params, s0, grid, controller, eqs):
     traj = run_controlled(params, s0, grid, controller)
     assert not traj.active.any()
     assert np.all(traj.u == 0.0)
-    rep = convergence_report(traj, eqs, cfg=controller)
+    rep = convergence_report(traj, eqs, grid, cfg=controller)
     assert rep.control_effort == 0.0
     assert rep.max_abs_u_post_activation == 0.0
 
@@ -260,8 +261,8 @@ def test_tau_must_fit_grid(params, s0):
 # --- convergence reports --------------------------------------------------------------
 
 def test_report_constant_at_equilibrium(params, eqs):
-    traj = constant_trajectory(eqs.points[1])
-    rep = convergence_report(traj, eqs, tail=20.0, capture_radius=0.5)
+    traj, g = constant_trajectory(eqs.points[1])
+    rep = convergence_report(traj, eqs, g, tail=20.0, capture_radius=0.5)
     assert rep.stabilized
     assert rep.target_label == "positive-x"
     assert rep.target == eqs.points[1]
@@ -271,22 +272,23 @@ def test_report_constant_at_equilibrium(params, eqs):
 
 
 def test_report_parked_at_origin(params, eqs):
-    rep = convergence_report(constant_trajectory(State(0.0, 0.0, 0.0)), eqs)
+    traj, g = constant_trajectory(State(0.0, 0.0, 0.0))
+    rep = convergence_report(traj, eqs, g)
     assert rep.target_label == "origin"
     assert rep.control_effort == 0.0
     assert rep.stabilized
 
 
-def test_report_chaotic_run_not_stabilized(free_run, eqs):
-    rep = convergence_report(free_run, eqs)
+def test_report_chaotic_run_not_stabilized(free_run, grid, eqs):
+    rep = convergence_report(free_run, eqs, grid)
     assert not rep.stabilized
     assert rep.tail_max_distance > 10.0  # attractor diameter >> capture radius
 
 
 def test_report_effort_is_time_integral(eqs):
     # |u| = 2 held for the whole 30-unit window -> effort 60
-    traj = constant_trajectory(State(0.0, 0.0, 0.0), u=2.0, active=True)
-    rep = convergence_report(traj, eqs)
+    traj, g = constant_trajectory(State(0.0, 0.0, 0.0), u=2.0, active=True)
+    rep = convergence_report(traj, eqs, g)
     assert rep.control_effort == pytest.approx(60.0, rel=1e-12)
 
 
@@ -294,10 +296,10 @@ def test_report_temporaries_stay_below_a_run(controller, eqs):
     # The windows are slices and the trapezoid works in place, so the report
     # allocates |u| and the interval sums and widths, about 24 bytes a sample
     # (33 with masked copies), well under the 49 bytes of the trajectory.
-    traj = constant_trajectory(eqs.points[1], t_end=2000.0, u=2.0, active=True)
+    traj, g = constant_trajectory(eqs.points[1], t_end=2000.0, u=2.0, active=True)
     tracemalloc.start()
     try:
-        convergence_report(traj, eqs, cfg=controller)
+        convergence_report(traj, eqs, g, cfg=controller)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -306,10 +308,10 @@ def test_report_temporaries_stay_below_a_run(controller, eqs):
 
 def test_report_settings_echo(params, s0, grid, controller, eqs):
     traj = run_controlled(params, s0, grid, controller)
-    rep = convergence_report(traj, eqs, tail=20.0, capture_radius=0.5, cfg=controller)
+    rep = convergence_report(traj, eqs, grid, tail=20.0, capture_radius=0.5, cfg=controller)
     assert rep.controller is controller
     assert rep.controller.mode.value == "literal"
-    assert rep.dt == pytest.approx(0.1)
+    assert rep.dt == 0.1
     assert rep.t_end == 200.0
     assert rep.capture_radius == 0.5
     assert rep.tail == 20.0
@@ -322,27 +324,32 @@ def test_report_settings_echo(params, s0, grid, controller, eqs):
     assert "note: gate evaluated once per step, at the step's start\n" in text
 
 
-def test_report_rejects_bad_tail(free_run, eqs):
+def test_report_rejects_bad_tail(free_run, grid, eqs):
     with pytest.raises(ValueError):
-        convergence_report(free_run, eqs, tail=0.0)
+        convergence_report(free_run, eqs, grid, tail=0.0)
     with pytest.raises(ValueError):
-        convergence_report(free_run, eqs, tail=200.0)  # tail >= span
+        convergence_report(free_run, eqs, grid, tail=200.0)  # tail >= span
     with pytest.raises(ValueError):
-        convergence_report(free_run, eqs, capture_radius=0.0)
+        convergence_report(free_run, eqs, grid, capture_radius=0.0)
 
 
 @pytest.mark.parametrize("kwargs", [
     {"tail": math.nan}, {"tail": math.inf},
     {"capture_radius": math.nan}, {"capture_radius": math.inf},
 ])
-def test_report_rejects_nonfinite_settings(free_run, eqs, kwargs):
+def test_report_rejects_nonfinite_settings(free_run, grid, eqs, kwargs):
     (name,) = kwargs
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
-        convergence_report(free_run, eqs, **kwargs)
+        convergence_report(free_run, eqs, grid, **kwargs)
 
 
-def test_uncontrolled_report_has_no_controller_echo(free_run, eqs):
-    rep = convergence_report(free_run, eqs)
+def test_report_rejects_another_runs_grid(free_run, eqs):
+    with pytest.raises(ValueError, match="grid has 51 samples, the trajectory 2001"):
+        convergence_report(free_run, eqs, short_grid, tail=1.0)
+
+
+def test_uncontrolled_report_has_no_controller_echo(free_run, grid, eqs):
+    rep = convergence_report(free_run, eqs, grid)
     assert rep.controller is None
     assert rep.max_abs_u_post_activation == 0.0
     text = render_report(rep)
@@ -359,7 +366,7 @@ def test_sweep_single_zero_gain_cell_matches_uncontrolled(params, s0, grid, free
     assert len(rep.cells) == 1
     cell = rep.cells[0]
     assert cell.error is None
-    free_rep = convergence_report(free_run, eqs)
+    free_rep = convergence_report(free_run, eqs, grid)
     assert cell.report.target_label == free_rep.target_label
     assert cell.report.tail_max_distance == pytest.approx(free_rep.tail_max_distance)
     assert cell.report.control_effort == 0.0
@@ -672,7 +679,7 @@ def test_sweep_cells_match_independent_runs(params, s0, eqs, name):
             errors.append(str(exc))
             continue
         assert cell.error is None
-        assert cell.report == convergence_report(traj, eqs, tail=10.0, cfg=cfg)
+        assert cell.report == convergence_report(traj, eqs, SWEEP_GRID, tail=10.0, cfg=cfg)
         opened = np.flatnonzero(traj.active)
         firsts.append(int(opened[0]) if len(opened) else None)
         errors.append(None)
@@ -688,7 +695,7 @@ def test_sweep_cells_match_reference_run(params, s0, eqs, name):
         if isinstance(ref, tuple):
             assert (cell.report, cell.error) == (None, ref[2])
         else:
-            assert cell.report == convergence_report(ref, eqs, tail=10.0, cfg=cfg)
+            assert cell.report == convergence_report(ref, eqs, SWEEP_GRID, tail=10.0, cfg=cfg)
 
 
 @pytest.mark.parametrize("name, steps, gates", [

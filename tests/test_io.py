@@ -10,7 +10,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rabinovich import (
@@ -36,6 +36,12 @@ from rabinovich import io as rio
 from rabinovich.io import _BLOCK_ROWS, _WRITE_ROWS
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
+
+
+def examples(n):
+    """``n`` examples under the suite's profile, as many times more as the
+    loaded profile raises its ``max_examples`` (20 times under thorough)."""
+    return n * settings.default.max_examples // settings.get_profile("suite").max_examples
 
 
 def tiny_trajectory():
@@ -91,8 +97,8 @@ def test_reserialization_is_idempotent(params, s0, grid, controller):
 def test_report_survives_round_trip(params, s0, grid, controller, eqs):
     traj = run_controlled(params, s0, grid, controller)
     back = read_trajectory_csv(io.StringIO(_dump(traj)))
-    a = convergence_report(traj, eqs, cfg=controller)
-    b = convergence_report(back, eqs, cfg=controller)
+    a = convergence_report(traj, eqs, grid, cfg=controller)
+    b = convergence_report(back, eqs, grid, cfg=controller)
     assert a.target_label == b.target_label
     assert a.tail_max_distance == b.tail_max_distance
     assert a.tail_mean_distance == b.tail_mean_distance
@@ -300,7 +306,7 @@ def test_writer_matches_format_on_raw_and_targeted_doubles(seed, rows, share, pi
     assert _dump(traj) == _reference_csv(traj)
 
 
-@settings(max_examples=30)
+@settings(max_examples=examples(30))
 @given(seed=st.integers(0, 2**32 - 1), share=st.sampled_from([0.0, 0.6, 1.0]))
 def test_writer_matches_format_when_log10_is_one_off(seed, share):
     # the kernel takes E from log10, which may be one off next to a power of
@@ -609,8 +615,11 @@ def _mutate(text, mutations):
     for kind, pick, value in mutations:
         k = ROW_PICKS[pick] % len(rows)
         fields = rows[k].split(",")
+        column = {"number": value % 7 if value % 7 != 5 else 6, "active": 5, "u-inactive": 5}
+        if column.get(kind, 0) >= len(fields):
+            continue  # an earlier width mutation took the column away
         if kind == "number":
-            fields[value % 7 if value % 7 != 5 else 6] = NUMBER_TEXTS[value % len(NUMBER_TEXTS)]
+            fields[column[kind]] = NUMBER_TEXTS[value % len(NUMBER_TEXTS)]
         elif kind == "active":
             fields[5] = ACTIVE_TEXTS[value % len(ACTIVE_TEXTS)]
         elif kind == "width":
@@ -664,12 +673,16 @@ def _only_the_row_reader_reads(text) -> bool:
     )
 
 
-@settings(max_examples=150)
+@settings(max_examples=examples(150))
 @given(
     st.integers(0, len(BASE_FILES) - 1),
     st.lists(mutation, max_size=3),
     st.sampled_from(["keep", "all-crlf", "no-final-newline", "blank-tail"]),
 )
+# a mutation of a column that an earlier width mutation of its row removed
+@example(0, [("width", 0, 1), ("width", 0, 1), ("active", 0, 0)], "keep")
+@example(0, [("width", 0, 1), ("number", 0, 6)], "keep")
+@example(0, [("width", 0, 1), ("width", 0, 1), ("u-inactive", 0, 0)], "keep")
 def test_block_reader_matches_row_reader(tmp_path_factory, base, mutations, ending):
     text = _mutate(BASE_FILES[base], mutations)
     if ending == "all-crlf":
@@ -737,7 +750,7 @@ def test_sweep_csv_file_interface(tmp_path, params, s0):
 
 def test_render_report_controlled(params, s0, grid, controller, eqs):
     traj = run_controlled(params, s0, grid, controller)
-    rep = convergence_report(traj, eqs, cfg=controller)
+    rep = convergence_report(traj, eqs, grid, cfg=controller)
     text = render_report(rep)
     assert "control: literal prediction" in text
     assert "K = -0.59999999999999998" in text
@@ -749,15 +762,15 @@ def test_render_report_controlled(params, s0, grid, controller, eqs):
     assert render_report(rep) == text
 
 
-def test_render_report_uncontrolled(free_run, eqs):
-    rep = convergence_report(free_run, eqs)
+def test_render_report_uncontrolled(free_run, grid, eqs):
+    rep = convergence_report(free_run, eqs, grid)
     text = render_report(rep)
     assert "control: off" in text
     assert "K =" not in text
 
 
-def test_write_report_to_file(tmp_path, free_run, eqs):
-    rep = convergence_report(free_run, eqs)
+def test_write_report_to_file(tmp_path, free_run, grid, eqs):
+    rep = convergence_report(free_run, eqs, grid)
     path = tmp_path / "report.txt"
     write_report(rep, str(path))
     assert path.read_text() == render_report(rep)
