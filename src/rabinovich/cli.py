@@ -201,6 +201,14 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _check_output(option: str, path: str) -> None:
+    """Raises unless the directory path is written into exists; outputs are
+    checked before any run, so that a bad path does not fail only after it."""
+    folder = os.path.dirname(path) or os.curdir
+    if not os.path.isdir(folder):
+        raise ConfigError(f"{option}: directory {folder!r} of {path!r} does not exist")
+
+
 def _same_file(a: str, b: str) -> bool:
     try:
         return os.path.samefile(a, b)
@@ -216,6 +224,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise ConfigError(
             f"out_csv ({out_csv!r}) and out_report ({out_report!r}) name the same file"
         )
+    _check_output("--out-csv" if args.out_csv else "out_csv", out_csv)
+    _check_output("--out-report" if args.out_report else "out_report", out_report)
     controller = None if args.uncontrolled else cfg.controller
     eqs = equilibria(cfg.params)
     if controller is None:
@@ -237,6 +247,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     K_values = _float_list(args.K, "K")
     eps_values = _float_list(args.epsilon, "epsilon")
     modes = _mode_list(args.modes)
+    _check_output("--out", args.out)
     report = sweep(
         cfg.params,
         cfg.s0,
@@ -264,6 +275,8 @@ def _same_bits(a, b) -> bool:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     names = list(REPRODUCE_PRESETS) if args.preset == "all" else [args.preset]
+    if not os.path.isdir(args.out_dir):
+        raise ConfigError(f"--out-dir: directory {args.out_dir!r} does not exist")
     base = default_config()
     cfgs = [replace(base.controller, t_on=REPRODUCE_PRESETS[name]) for name in names]
     eqs = equilibria(base.params)

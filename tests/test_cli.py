@@ -480,6 +480,48 @@ def test_reproduce_missing_directory_exits_one(capsys, tmp_path):
     assert "error" in err
 
 
+@pytest.fixture
+def runs(monkeypatch):
+    """The names of the run functions the CLI called."""
+    called = []
+    for name in ("run_controlled", "run_uncontrolled", "run_each", "sweep"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name, **k: called.append(name))
+    return called
+
+
+def _files(root):
+    return sorted(p.relative_to(root) for p in root.rglob("*"))
+
+
+@pytest.mark.parametrize("args, option, bad", [
+    (["simulate", "--out-csv", "{missing}/a.csv", "--out-report", "{tmp}/r.txt"],
+     "--out-csv", "{missing}/a.csv"),
+    (["simulate", "--out-csv", "{tmp}/a.csv", "--out-report", "{missing}/r.txt"],
+     "--out-report", "{missing}/r.txt"),
+    (["simulate", "--uncontrolled", "--config", "{tmp}/paths.cfg"],
+     "out_csv", "{missing}/a.csv"),
+    (["simulate", "--config", "{tmp}/paths.cfg", "--out-csv", "{tmp}/a.csv"],
+     "out_report", "{missing}/r.txt"),
+    (["sweep", "--K", "-0.6,-0.3", "--epsilon", "0.1", "--out", "{missing}/s.csv"],
+     "--out", "{missing}/s.csv"),
+    (["reproduce", "all", "--out-dir", "{missing}"], "--out-dir", "{missing}"),
+])
+def test_output_in_a_missing_directory_fails_before_any_run(
+    capsys, tmp_path, runs, args, option, bad
+):
+    paths = {"tmp": tmp_path, "missing": tmp_path / "missing"}
+    (tmp_path / "paths.cfg").write_text(
+        f"out_csv = {tmp_path}/missing/a.csv\nout_report = {tmp_path}/missing/r.txt\n"
+    )
+    before = _files(tmp_path)
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in args))
+    assert code == 1
+    assert err.startswith(f"error: {option}: ") and repr(bad.format(**paths)) in err
+    assert out == ""
+    assert runs == []
+    assert _files(tmp_path) == before
+
+
 # --- extreme inputs -------------------------------------------------------------------
 
 EXTREME_DOUBLES = (

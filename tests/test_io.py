@@ -577,7 +577,7 @@ def _base_files():
     """Files from real runs and from arbitrary doubles, two full blocks and
     a partial one each."""
     p, s0 = Params(4.0, 1.0, 1.0, 6.75), State(1.5, -1.25, 3.5)
-    grid = TimeGrid(0.0, 60.0, 0.1)
+    grid = TimeGrid(0.0, round(0.1 * (2 * _BLOCK_ROWS + 89), 1), 0.1)
     runs = [
         run_uncontrolled(p, s0, grid),
         run_controlled(p, s0, grid, ControllerConfig(K=-0.6, epsilon=0.1, t_on=5.0)),
@@ -600,13 +600,25 @@ def _base_files():
 BASE_FILES = _base_files()
 # A row in the first block, at both sides of the first block boundary, in
 # the middle block, and in the last partial block.
-ROW_PICKS = (0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 400, 2 * _BLOCK_ROWS + 5, -1)
+ROW_PICKS = (
+    0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS * 3 // 2,
+    2 * _BLOCK_ROWS + 5, -1,
+)
 NUMBER_TEXTS = (
     "abc", "", " ", "1e", "1_0", "\u0661", "-nan", "nan", "NaN", "+nan", "Infinity",
     "-Infinity", "inf", "-inf", "1e999", " 1.5", "1.5 ", "\xa01", "\ufeff1", "1\x0b",
     "0x1p3", "1d0", '"1.5"', '"1,5"', "1\u20282", "1\x00", "\x1c2",
+    # plain decimals the writer never writes, in and out of the exact kernel's
+    # grammar: at most 18 significant digits and 22 after the point
+    "007.5", "1.", ".5", "-.5", "-0", "1.50", "-", ".", "1..2", "1-2", "--1",
+    "9007199254740993", "1234567890123456789", "12345678901234567890",
+    "1234567890.1234567890", "0.12345678901234567890123", "0.00000000000000000000123",
+    "-0.0000123456789012345678",
 )
-ACTIVE_TEXTS = ("0", "1", "2", "1.0", "+1", " 1", "1 ", "01", "", "10", "1\x00", "\u0661", '"1"')
+ACTIVE_TEXTS = (
+    "0", "1", "2", "1.0", "+1", " 1", "1 ", "01", "", "10", "1\x00", "\u0661", '"1"',
+    "1.", ".1",
+)
 
 
 def _mutate(text, mutations):
@@ -714,6 +726,120 @@ def test_block_reader_matches_row_reader(tmp_path_factory, base, mutations, endi
     path = tmp_path_factory.mktemp("read") / "traj.csv"
     path.write_bytes(text.encode())
     assert _outcome(lambda fh: read_trajectory_csv(str(path)), text) == got
+
+
+def _kernel_file(rows=24):
+    """The header and first rows of a gated run: negative numbers, empty
+    and nonempty r, a block the exact kernel reads."""
+    text = "\n".join(BASE_FILES[3].split("\n")[:rows + 1]) + "\n"
+    body = text.split("\n", 1)[1]
+    assert rio._exact(body, rows) is not None
+    return text
+
+
+@pytest.mark.parametrize("column", range(7))
+def test_each_field_text_reads_as_the_row_reader_reads_it(column):
+    # one text at a time, in one field of a block the exact kernel reads, so
+    # the kernel and then numpy's C reader decide on it
+    header, *rows = _kernel_file().split("\n")[:-1]
+    for text in ACTIVE_TEXTS if column == 5 else NUMBER_TEXTS:
+        fields = rows[3].split(",")
+        fields[column] = text
+        lines = [header] + rows[:3] + [",".join(fields)] + rows[4:]
+        mutated = "\n".join(lines) + "\n"
+        got = _outcome(read_trajectory_csv, mutated)
+        if _only_the_row_reader_reads(mutated):
+            assert _row(got) == 5, text
+        else:
+            assert got == _outcome(_reference_read, mutated.replace("\x1c", "")), text
+
+
+def _with_point(digits: str, f: int) -> str:
+    """digits with a point f places from the right: "1.25", ".005"."""
+    if not f:
+        return digits
+    if len(digits) <= f:
+        return "." + digits.rjust(f, "0")
+    return digits[:-f] + "." + digits[-f:]
+
+
+# The %.17g text of a double with raw sign and mantissa bits, its binary
+# exponent in [-14, 56], which covers the fixed notation [1e-4, 1e17).
+double_text = st.builds(
+    lambda sign, exponent, mantissa: format(
+        float(np.array(sign << 63 | exponent << 52 | mantissa, np.uint64).view(np.float64)),
+        ".17g",
+    ),
+    st.integers(0, 1), st.integers(1023 - 14, 1023 + 56), st.integers(0, 2**52 - 1),
+).filter(lambda text: "e" not in text)
+digit_text = st.builds(
+    _with_point, st.text("0123456789", min_size=1, max_size=18), st.integers(0, 22),
+)
+
+
+@st.composite
+def halfway_text(draw):
+    """A number m / 10**f halfway between two doubles above 2**53, or a few
+    units of m off it: m0 + 1/2 ulp for m0 a double in [2**k, 2**(k+1)),
+    times 5**f (m / 10**f is then the tie m0 / 2**f)."""
+    k, f = draw(st.integers(53, 59)), draw(st.integers(0, 2))
+    ulp = 2 ** (k - 52)
+    hi = min(2 ** (k + 1), 10**18 // 5**f) // ulp
+    if hi <= 2**k // ulp:
+        f, hi = 0, min(2 ** (k + 1), 10**18) // ulp
+    m = draw(st.integers(2**k // ulp, hi - 1)) * ulp + ulp // 2
+    m = m * 5**f + draw(st.sampled_from([0, 0, 0, 1, -1, 2, -2]))
+    return _with_point(str(m), f)
+
+
+@st.composite
+def power_of_two_text(draw):
+    """2**k written exactly, or the %.17g text of a neighbouring double."""
+    k = draw(st.integers(-22, 59))
+    exact = str(2**k) if k >= 0 else _with_point(str(5**-k), -k)
+    side = draw(st.sampled_from([0, 1, -1]))
+    if side:
+        text = format(math.nextafter(2.0**k, side * math.inf), ".17g")
+        if "e" not in text:
+            return text
+    return exact
+
+
+def _numbers_csv(numbers) -> str:
+    """Rows of six numbers each, in t, x, y, z, u and r, active 1."""
+    rows = [numbers[k:k + 6] for k in range(0, len(numbers), 6)]
+    return "".join(",".join(row[:5]) + ",1," + row[5] + "\n" for row in rows)
+
+
+def _kernel_values(text: str, rows: int):
+    block = rio._exact(text, rows)
+    if block is None:
+        return None
+    t, states, u, _, r = block
+    return np.column_stack((t, states, u, r)).reshape(-1)
+
+
+@settings(max_examples=examples(100))
+@given(st.lists(
+    st.one_of(double_text, digit_text, halfway_text(), power_of_two_text()),
+    min_size=1, max_size=48,
+))
+def test_exact_kernel_rounds_as_float_does(texts):
+    # every value the kernel reads is float's, bit for bit; a block it
+    # leaves to numpy's float parser holds a number it leaves alone too
+    numbers = texts + ["0"] * (-len(texts) % 6)
+    expected = np.array([float(text) for text in numbers])
+    got = _kernel_values(_numbers_csv(numbers), len(numbers) // 6)
+    if got is not None:
+        assert got.tobytes() == expected.tobytes()
+        return
+    alone = [_kernel_values(_numbers_csv([text] * 6), 1) for text in texts]
+    assert any(values is None for values in alone)
+    for values, text in zip(alone, texts):
+        if values is not None:
+            assert values.tobytes() == np.full(6, float(text)).tobytes(), text
+        else:  # one division is exact up to 2**53, so only larger m are left
+            assert int(text.lstrip("-").replace(".", "")) > 2**53, text
 
 
 # --- sweep CSV --------------------------------------------------------------------
