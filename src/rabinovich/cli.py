@@ -202,11 +202,14 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
 
 
 def _check_output(option: str, path: str) -> None:
-    """Raises unless the directory path is written into exists; outputs are
-    checked before any run, so that a bad path does not fail only after it."""
+    """Raises unless the directory path is written into exists and path is
+    not a directory; outputs are checked before any run, so that a bad path
+    does not fail only after it."""
     folder = os.path.dirname(path) or os.curdir
     if not os.path.isdir(folder):
         raise ConfigError(f"{option}: directory {folder!r} of {path!r} does not exist")
+    if os.path.isdir(path):
+        raise ConfigError(f"{option}: {path!r} is a directory")
 
 
 def _same_file(a: str, b: str) -> bool:

@@ -505,8 +505,10 @@ def _files(root):
     (["sweep", "--K", "-0.6,-0.3", "--epsilon", "0.1", "--out", "{missing}/s.csv"],
      "--out", "{missing}/s.csv"),
     (["reproduce", "all", "--out-dir", "{missing}"], "--out-dir", "{missing}"),
+    (["simulate", "--out-csv", "{tmp}", "--out-report", "{tmp}/r.txt"], "--out-csv", "{tmp}"),
+    (["sweep", "--K", "-0.6", "--epsilon", "0.1", "--out", "{tmp}"], "--out", "{tmp}"),
 ])
-def test_output_in_a_missing_directory_fails_before_any_run(
+def test_output_that_cannot_be_written_fails_before_any_run(
     capsys, tmp_path, runs, args, option, bad
 ):
     paths = {"tmp": tmp_path, "missing": tmp_path / "missing"}

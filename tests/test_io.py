@@ -33,6 +33,7 @@ from rabinovich import (
     write_trajectory_csv,
 )
 from rabinovich import io as rio
+from rabinovich._decimals import exact
 from rabinovich.io import _BLOCK_ROWS, _WRITE_ROWS
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -733,7 +734,7 @@ def _kernel_file(rows=24):
     and nonempty r, a block the exact kernel reads."""
     text = "\n".join(BASE_FILES[3].split("\n")[:rows + 1]) + "\n"
     body = text.split("\n", 1)[1]
-    assert rio._exact(body, rows) is not None
+    assert exact(body, rows) is not None
     return text
 
 
@@ -812,7 +813,7 @@ def _numbers_csv(numbers) -> str:
 
 
 def _kernel_values(text: str, rows: int):
-    block = rio._exact(text, rows)
+    block = exact(text, rows)
     if block is None:
         return None
     t, states, u, _, r = block
