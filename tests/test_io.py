@@ -491,7 +491,7 @@ def test_read_peak_memory_per_sample_is_bounded(tmp_path, params, s0):
 
 
 @pytest.mark.parametrize("tail", ["", "\n", "\n\n\n", "\n" * (_BLOCK_ROWS + 3)])
-@pytest.mark.parametrize("rows", [0, 1, 2, _BLOCK_ROWS, _BLOCK_ROWS + 1])
+@pytest.mark.parametrize("rows", [0, 1, 2, 256, 257, _BLOCK_ROWS, _BLOCK_ROWS + 1])
 def test_read_of_blank_endings_warns_nothing(rows, tail):
     text = HEADER + "".join(f"{k},1,2,3,0,0,\n" for k in range(rows)) + tail
     with warnings.catch_warnings():
