@@ -1,5 +1,19 @@
 """Plain decimals read exactly in numpy, for the trajectory reader.
 
+A block whose numbers are all plain decimals, [-]digits[.digits], skips
+numpy's float parser, which spends most of a read on correctly rounded
+conversion.  Each number less its point and sign is an integer m, read by
+numpy's integer parser, and its value is m / 10**f, f being the digits
+after the point.  With at most 18 significant digits (m < 10**18 < 2**63)
+and f <= 22 (10**f is a double), m / 10**f rounds correctly in one
+division when m <= 2**53 (Clinger's fast path).  Above that, q =
+fl(fl(m) / 10**f) is within 1.5 ulps of it; the residual m - q * 10**f is
+exact from Dekker's product, as in the writer, and q moves one ulp towards
+m / 10**f when the residual passes half an ulp times 10**f.  A residual
+within 2**-20 of that (ties included), a q that is a power of two (its ulp
+below is half the one above) and any text outside the grammar leave the
+block to numpy's C reader.
+
 ``io`` imports this module on its first read, so a process that reads no
 trajectory does not compile it.
 """
@@ -11,20 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .io import _POW10, _POW10_HIGH, _POW10_LOW, TRAJECTORY_HEADER, _split
-
-# A block whose numbers are all plain decimals, [-]digits[.digits], skips
-# numpy's float parser, which spends most of a read on correctly rounded
-# conversion.  Each number less its point and sign is an integer m, read by
-# numpy's integer parser, and its value is m / 10**f, f being the digits
-# after the point.  With at most 18 significant digits (m < 10**18 < 2**63)
-# and f <= 22 (10**f is a double), m / 10**f rounds correctly in one
-# division when m <= 2**53 (Clinger's fast path).  Above that, q =
-# fl(fl(m) / 10**f) is within 1.5 ulps of it; the residual m - q * 10**f is
-# exact from Dekker's product, as in the writer, and q moves one ulp towards
-# m / 10**f when the residual passes half an ulp times 10**f.  A residual
-# within 2**-20 of that (ties included), a q that is a power of two (its ulp
-# below is half the one above) and any text outside the grammar leave the
-# block to numpy's C reader.
 
 # "\n" becomes the separator ",", and a byte outside the grammar becomes
 # "x", which numpy's integer parser refuses; "." and "-" are deleted as the
@@ -66,11 +66,11 @@ def _quotients(m, f):
 
 
 def _layout(a, rows: int) -> Optional[tuple]:
-    """For the bytes a of rows lines, each ended by its one "\\n": the digits
-    after the point, the sign and whether r is empty, field by field, or
-    None unless each row has 7 fields, each number is [-]digits[.digits]
-    with at most 22 digits after the point, active is one byte and only r is
-    empty."""
+    """For the bytes a of rows lines, each ended by its one "\\n" and made of
+    digits, "-", ".", "," and "\\n" only: the digits after the point, the
+    sign and whether r is empty, field by field, or None unless each row has
+    7 fields, each number is [-]digits[.digits] with at most 22 digits after
+    the point, active is one byte and only r is empty."""
     ends = np.flatnonzero(a < ord("-"))  # the "," or "\n" after each field
     width = len(TRAJECTORY_HEADER)
     if len(ends) != rows * width or (a.take(ends[width - 1::width]) != ord("\n")).any():
