@@ -8,7 +8,6 @@ stdout carries data, stderr carries diagnostics.
 from __future__ import annotations
 
 import argparse
-import functools
 import math
 import os
 import re
@@ -202,9 +201,11 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
 
 
 def _check_output(option: str, path: str) -> None:
-    """Raises unless the directory path is written into exists and path is
-    not a directory; outputs are checked before any run, so that a bad path
-    does not fail only after it."""
+    """Raises unless path is not empty, the directory it is written into
+    exists and it is not a directory; outputs are checked before any run, so
+    that a bad path does not fail only after it."""
+    if not path:
+        raise ConfigError(f"{option}: an output path cannot be empty, got {path!r}")
     folder = os.path.dirname(path) or os.curdir
     if not os.path.isdir(folder):
         raise ConfigError(f"{option}: directory {folder!r} of {path!r} does not exist")
@@ -221,14 +222,14 @@ def _same_file(a: str, b: str) -> bool:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    out_csv = args.out_csv or cfg.out_csv
-    out_report = args.out_report or cfg.out_report
+    out_csv = cfg.out_csv if args.out_csv is None else args.out_csv
+    out_report = cfg.out_report if args.out_report is None else args.out_report
+    _check_output("out_csv" if args.out_csv is None else "--out-csv", out_csv)
+    _check_output("out_report" if args.out_report is None else "--out-report", out_report)
     if _same_file(out_csv, out_report):
         raise ConfigError(
             f"out_csv ({out_csv!r}) and out_report ({out_report!r}) name the same file"
         )
-    _check_output("--out-csv" if args.out_csv else "out_csv", out_csv)
-    _check_output("--out-report" if args.out_report else "out_report", out_report)
     controller = None if args.uncontrolled else cfg.controller
     eqs = equilibria(cfg.params)
     if controller is None:
@@ -312,9 +313,8 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-@functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
+    """The argument parser; built once, at import, as ``_PARSER``."""
     parser = argparse.ArgumentParser(
         prog="rabinovich",
         description=(
@@ -366,10 +366,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _parser()
+
+
 def cli_dispatch(argv: Sequence[str]) -> int:
     """Parse argv (without the program name) and run one subcommand."""
     try:
-        args = _parser().parse_args(_attach_negative_lists(argv))
+        args = _PARSER.parse_args(_attach_negative_lists(argv))
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; fold the latter
         # into the documented config/usage code.

@@ -27,16 +27,6 @@ __all__ = [
     "CONFIG_KEYS",
 ]
 
-_FLOAT_KEYS = (
-    "a", "b", "d", "h",
-    "x0", "y0", "z0",
-    "t0", "t_end", "dt",
-    "K", "epsilon", "t_on", "tau",
-    "capture_radius", "tail",
-)
-_STR_KEYS = ("mode", "out_csv", "out_report")
-CONFIG_KEYS = _FLOAT_KEYS + _STR_KEYS
-
 _DEFAULTS = {
     "a": 4.0,
     "b": 1.0,
@@ -58,6 +48,8 @@ _DEFAULTS = {
     "out_csv": "trajectory.csv",
     "out_report": "report.txt",
 }
+CONFIG_KEYS = tuple(_DEFAULTS)
+_FLOAT_KEYS = tuple(key for key in CONFIG_KEYS if isinstance(_DEFAULTS[key], float))
 
 _MODE_TOKENS = {m.value: m for m in PredictionMode}
 

@@ -507,14 +507,20 @@ def _files(root):
     (["reproduce", "all", "--out-dir", "{missing}"], "--out-dir", "{missing}"),
     (["simulate", "--out-csv", "{tmp}", "--out-report", "{tmp}/r.txt"], "--out-csv", "{tmp}"),
     (["sweep", "--K", "-0.6", "--epsilon", "0.1", "--out", "{tmp}"], "--out", "{tmp}"),
+    (["sweep", "--K", "-0.6,-0.3", "--epsilon", "0.1", "--out", ""], "--out", ""),
+    (["simulate", "--config", "{tmp}/empty.cfg", "--out-report", "{tmp}/r.txt"], "out_csv", ""),
+    (["simulate", "--out-csv", "", "--out-report", "{tmp}/r.txt"], "--out-csv", ""),
+    (["simulate", "--out-csv", "{tmp}/a.csv", "--out-report", ""], "--out-report", ""),
 ])
 def test_output_that_cannot_be_written_fails_before_any_run(
-    capsys, tmp_path, runs, args, option, bad
+    capsys, tmp_path, monkeypatch, runs, args, option, bad
 ):
+    monkeypatch.chdir(tmp_path)  # where an empty option's default path would go
     paths = {"tmp": tmp_path, "missing": tmp_path / "missing"}
     (tmp_path / "paths.cfg").write_text(
         f"out_csv = {tmp_path}/missing/a.csv\nout_report = {tmp_path}/missing/r.txt\n"
     )
+    (tmp_path / "empty.cfg").write_text("out_csv =\n")
     before = _files(tmp_path)
     code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in args))
     assert code == 1

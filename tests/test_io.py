@@ -32,9 +32,8 @@ from rabinovich import (
     write_sweep_csv,
     write_trajectory_csv,
 )
-from rabinovich import io as rio
-from rabinovich._decimals import exact
-from rabinovich.io import _BLOCK_ROWS, _WRITE_ROWS
+from rabinovich import _decimals
+from rabinovich._decimals import _BLOCK_ROWS, exact
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -152,10 +151,10 @@ def _reference_csv(traj) -> str:
 def test_block_writer_matches_reference_on_gated_run(params, s0):
     # 2 * block + 1 rows: two full blocks and a one-row tail
     dt = 0.01
-    g = TimeGrid(0.0, 2 * _WRITE_ROWS * dt, dt)
+    g = TimeGrid(0.0, 2 * _BLOCK_ROWS * dt, dt)
     cfg = ControllerConfig(K=-0.3, epsilon=5.0, t_on=0.0, mode=PredictionMode.EULER)
     traj = run_controlled(params, s0, g, cfg)
-    assert traj.n_samples == 2 * _WRITE_ROWS + 1
+    assert traj.n_samples == 2 * _BLOCK_ROWS + 1
     assert 0 < traj.active.sum() < traj.n_samples
     assert np.isnan(traj.r).any() and (traj.u != 0.0).any()
     text = _dump(traj)
@@ -286,7 +285,7 @@ raw_double = st.integers(0, 2**64 - 1).map(
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    rows=st.integers(_WRITE_ROWS + 1, 2 * _WRITE_ROWS + 7),
+    rows=st.integers(_BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 7),
     share=st.sampled_from([0.0, 0.2, 0.6, 1.0]),
     picked=st.lists(st.one_of(raw_double, st.sampled_from(TARGETED.tolist())), max_size=24),
 )
@@ -313,13 +312,13 @@ def test_writer_matches_format_when_log10_is_one_off(seed, share):
     # the kernel takes E from log10, which may be one off next to a power of
     # ten; give it such errors at random and the bytes must stay format()'s
     rng = np.random.default_rng(seed)
-    exact_scales = rio._scales
+    exact_scales = _decimals._scales
 
     def one_off(ax):
         k = exact_scales(ax)
         return k + rng.integers(-1, 2, size=len(k))
 
-    rows = _WRITE_ROWS + 3
+    rows = _BLOCK_ROWS + 3
     values = rng.integers(0, 2**64, size=(rows, 5), dtype=np.uint64).view(np.float64)
     targeted = rng.random((rows, 5)) < share
     values[targeted] = rng.choice(TARGETED, targeted.sum())
@@ -328,7 +327,7 @@ def test_writer_matches_format_when_log10_is_one_off(seed, share):
         active=np.ones(rows, dtype=bool), r=values[:, 4],
     )
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(rio, "_scales", one_off)
+        patch.setattr(_decimals, "_scales", one_off)
         text = _dump(traj)
     assert text == _reference_csv(traj)
 
