@@ -3,7 +3,7 @@
 The controller feeds back an amplified difference between a predicted
 state and the current state, applied to the z-equation only:
 
-    u = K * (z_pred - z)
+    u = K * (z_pred - z)  =  g * (c*z + x*y)   (``control_coefficients``)
 
 Two prediction conventions are supported:
 
@@ -47,6 +47,7 @@ __all__ = [
     "ControllerConfig",
     "GainInterval",
     "StabilityVerdict",
+    "control_coefficients",
     "control_term",
     "admissible_gain_interval",
     "closed_loop_scalar_coeff",
@@ -113,12 +114,19 @@ def delay_steps(cfg: ControllerConfig, dt: float) -> int:
     return n
 
 
-def control_term(p: Params, cfg: ControllerConfig, x: float, y: float, z: float) -> float:
-    """Scalar control input u at (x, y, z); shared by the recorded signal and
-    the controlled vector field so both see identical floating-point values."""
+def control_coefficients(p: Params, cfg: ControllerConfig) -> tuple[float, float]:
+    """The law as ``(g, c)`` with u = g * (c*z + x*y): ``(K, -(d+1))`` in DERIVATIVE
+    mode, ``(K*tau, -d)`` in EULER mode, as Python groups the module docstring's forms."""
     if cfg.mode is PredictionMode.DERIVATIVE:
-        return cfg.K * (-(p.d + 1.0) * z + x * y)
-    return cfg.K * cfg.tau * (-p.d * z + x * y)
+        return cfg.K, -(p.d + 1.0)
+    return cfg.K * cfg.tau, -p.d
+
+
+def control_term(p: Params, cfg: ControllerConfig, x: float, y: float, z: float) -> float:
+    """Scalar control input u at (x, y, z); ``harness._run`` writes this
+    expression inline on the same coefficients, so it gives the same bits."""
+    g, c = control_coefficients(p, cfg)
+    return g * (c * z + x * y)
 
 
 @dataclass(frozen=True)

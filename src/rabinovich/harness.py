@@ -1,25 +1,24 @@
 """Simulation harness: controlled/uncontrolled runs, convergence metrics, sweeps.
 
 Gating semantics: from one delay tau into the run on, the activation gate
-is evaluated once per step, at the step's start, from the current state and
-the state tau earlier.  An active step integrates the controlled vector
-field (open-loop field plus the control term on the z-equation, evaluated
-at every RK4 substage); an inactive step integrates the pure open-loop
-field.  Every recorded sample carries the control input u in force at that
-sample (zero when inactive), the gate flag, and the recurrence distance r
-(absent, with the gate inactive, while the delay window fills).  The gate
-and the trajectory read their sample times from ``TimeGrid.times()``.
+(``control.activation_gate``) is evaluated once per step, at the step's
+start, from the current state and the state tau earlier.  An active step
+integrates the controlled vector field (open-loop field plus the control term
+of ``control.control_coefficients`` on the z-equation, at every RK4 substage);
+an inactive step integrates the pure open-loop field.  ``_run`` writes both
+the gate and the term inline.  Every recorded sample carries the control
+input u in force at that sample (zero when inactive), the gate flag, and the
+recurrence distance r (absent, with the gate inactive, while the delay window
+fills).  The gate and the trajectory read their sample times from
+``TimeGrid.times()``.
 
 So until its gate first opens, a controlled run is the free flow bit for
 bit: it steps the open-loop field, and the gate only reads the state.  Runs
 from one start on one grid share that prefix, and ``run_each`` steps it only
 once for a sequence of controllers (the cells of a sweep, the presets of
-``reproduce``).  Until its gate first opens, a run calls no gate per sample:
-it gates the shared prefix, and then the free flow it steps in stretches of
-doubling length, one numpy pass (``control.gate_samples``) each.  The gate
-is elementwise IEEE arithmetic, each operation rounded once, so the array
-form gives the same bits as the per-sample gate.  At the first open gate
-the stretch's later samples are dropped and the gate runs per sample.
+``reproduce``).  Until then a run gates the free flow in stretches, one
+numpy pass (``control.gate_samples``) each, and from its first open gate on
+per sample; ``Trajectory.work`` counts what it did.
 
 Convergence is a measured quantity, never an assumption: a run is declared
 stabilized only if the whole tail window stays within the capture radius
@@ -37,9 +36,8 @@ import numpy as np
 from .control import (
     ControllerConfig,
     PredictionMode,
-    activation_gate,
     admissible_gain_interval,
-    control_term,
+    control_coefficients,
     delay_steps,
     gate_samples,
 )
@@ -78,6 +76,18 @@ class _SampleError(ValueError):
         self.index = index
 
 
+@dataclass(frozen=True)
+class RunWork:
+    """What ``_run`` did (``Trajectory.work``; None if read from a file), summed at
+    stretch ends: RK4 steps integrated, samples gated one at a time, free steps
+    past the first open gate integrated and dropped (among ``steps``), gate passes."""
+
+    steps: int
+    gated: int
+    dropped: int
+    passes: int
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time-ordered samples (t, state, u, active, r); r is NaN while absent."""
@@ -87,6 +97,7 @@ class Trajectory:
     u: np.ndarray
     active: np.ndarray
     r: np.ndarray
+    work: Optional[RunWork] = None
 
     def __post_init__(self):
         n = len(self.t)
@@ -145,29 +156,29 @@ def _run(
     state back from them, and its time from ``grid.times()``, which the run
     returns.  Each arithmetic operation is the one ``integrator.rk4_step``
     makes on each array component, in the same order, so both give
-    bit-identical results.  A step from an open sample takes the u recorded
-    there as its first-stage control term: the same call on the same state,
-    so the same bits, made once.
+    bit-identical results.  A step calls only ``field_components``, a name of
+    this module so it can be wrapped: the control term g * (c*z + x*y), on
+    ``control_coefficients`` read once a run, and the per-sample gate are
+    inline, in the operations and order of ``control_term`` and
+    ``activation_gate``, so they give those functions' bits.  A step from an
+    open sample takes the u recorded there as its first-stage control term.
 
     Until the gate first opens the run is the free flow bit for bit, so no
-    gate is called per sample until then.  ``free`` may hold the leading rows
-    of the free flow of the same ``p``, ``s0`` and ``grid``; they are copied,
-    not stepped.  The free flow then goes on in stretches stepped with no
-    gate call, each gated in one ``gate_samples`` pass, whose elementwise
-    IEEE arithmetic equals the per-sample gate bit for bit.  The first
-    stretch ends one sample past the later of the last sample that cannot
-    open (before the delay window fills or at ``t <= t_on``) and the last row
-    of ``free``, and each later one is as long as all the samples this run
-    stepped from there on, so the lengths double from 1.  At the first open
-    sample the stretch's later samples are dropped, and the run steps on from
-    there with the gate evaluated per sample: the free steps dropped are
+    gate runs per sample until then.  ``free`` may hold the leading rows of
+    the free flow of the same ``p``, ``s0`` and ``grid``; they are copied,
+    not stepped.  The free flow then goes on in stretches, each gated in one
+    ``gate_samples`` pass, equal to the per-sample gate bit for bit.  The
+    first stretch ends one sample past the later of the last sample that
+    cannot open (before the delay window fills or at ``t <= t_on``) and the
+    last row of ``free``, and each later one is as long as all the samples
+    this run stepped from there on, so the lengths double from 1.  At the
+    first open sample the stretch's later samples are dropped, and the run
+    steps on from there with the gate per sample: the free steps dropped are
     fewer than the free steps this run stepped and gated before them.  A free
     step that diverges inside a stretch raises only if no gate opens before it.
     """
     lag = delay_steps(cfg, grid.dt) if cfg is not None else 0
-    # Looked up here, as names of this module, so that one definition each of
-    # the field, the control law and the gate is used (and can be wrapped).
-    field, u_of, gate = field_components, control_term, activation_gate
+    field, sqrt = field_components, math.sqrt
     a, b, d, h = p.a, p.b, p.d, p.h
     dt, n = grid.dt, grid.n_steps
     half, sixth, limit = 0.5 * dt, dt / 6.0, DIVERGENCE_LIMIT
@@ -187,13 +198,17 @@ def _run(
         x, y, z = states[k - 1].tolist()
     shut = cfg is not None  # the gate has not opened yet
     if shut:
-        opening = max(lag, int(np.searchsorted(t, cfg.t_on, "right")))  # the first that can open
+        g, c = control_coefficients(p, cfg)  # u = g * (c*z + x*y)
+        t_on, epsilon = cfg.t_on, cfg.epsilon
+        opening = max(lag, int(np.searchsorted(t, t_on, "right")))  # the first that can open
         base = max(opening, k)  # where the doubling counts from: this run's own steps
         gated = lag  # the first sample whose r is not yet recorded
     stop = k if shut else n + 1  # the end of the stretch being stepped
     gate_from = n + 1  # the first sample gated one by one
+    steps, dropped, passes = -1 if k == 0 else 0, 0, 0  # sample 0 is s0, not a step
 
     while True:
+        begin = k
         for k in range(k, stop):
             j = 3 * k
             if k:
@@ -203,15 +218,15 @@ def _run(
                 sx, sy, sz = x + half * k1x, y + half * k1y, z + half * k1z
                 k2x, k2y, k2z = field(a, b, d, h, sx, sy, sz)
                 if active:
-                    k2z = k2z + u_of(p, cfg, sx, sy, sz)
+                    k2z = k2z + g * (c * sz + sx * sy)
                 sx, sy, sz = x + half * k2x, y + half * k2y, z + half * k2z
                 k3x, k3y, k3z = field(a, b, d, h, sx, sy, sz)
                 if active:
-                    k3z = k3z + u_of(p, cfg, sx, sy, sz)
+                    k3z = k3z + g * (c * sz + sx * sy)
                 sx, sy, sz = x + dt * k3x, y + dt * k3y, z + dt * k3z
                 k4x, k4y, k4z = field(a, b, d, h, sx, sy, sz)
                 if active:
-                    k4z = k4z + u_of(p, cfg, sx, sy, sz)
+                    k4z = k4z + g * (c * sz + sx * sy)
                 x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
                 y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
                 z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
@@ -221,15 +236,19 @@ def _run(
             state_out[j], state_out[j + 1], state_out[j + 2] = x, y, z
             if k < gate_from:
                 continue
-            i = j - 3 * lag
-            delayed = (state_out[i], state_out[i + 1], state_out[i + 2])
-            active, r_out[k] = gate(delayed, t_at[k], (x, y, z), cfg)
+            i = j - 3 * lag  # the gate, as control.activation_gate computes it
+            dx, dy, dz = x - state_out[i], y - state_out[i + 1], z - state_out[i + 2]
+            r_out[k] = r = sqrt(dx * dx + dy * dy + dz * dz)
+            active = t_at[k] > t_on and r < epsilon
             if active:
                 actives[k] = True
-                us[k] = u = u_of(p, cfg, x, y, z)
+                us[k] = u = g * (c * z + x * y)
         else:
             k = stop
+        stepped = min(k + 1, stop)  # past the last sample stepped, a failed one too
+        steps += stepped - begin
         if shut and k > gated:  # gate the free samples stepped since the last pass
+            passes += 1
             opens, r = gate_samples(states[gated - lag:k], lag, t[gated:k], cfg)
             first = int(opens.argmax())
             shut = not opens[first]
@@ -238,10 +257,11 @@ def _run(
             gated = end
             del opens, r
             if not shut:  # drop the later free samples; step on, controlled
+                dropped = stepped - max(end, begin)  # none if ``free`` holds them
                 k, stop, gate_from = end, n + 1, end
                 x, y, z = states[k - 1].tolist()
                 actives[k - 1] = active = True
-                us[k - 1] = u = u_of(p, cfg, x, y, z)
+                us[k - 1] = u = g * (c * z + x * y)
                 continue
         if k < stop:
             # Built here, not kept in a local: a kept error would hold this
@@ -253,7 +273,8 @@ def _run(
                 (x, y, z),
             )
         if k > n:
-            return Trajectory(t=t, states=states, u=us, active=actives, r=rs)
+            work = RunWork(steps, n + 1 - gate_from, dropped, passes)
+            return Trajectory(t=t, states=states, u=us, active=actives, r=rs, work=work)
         stop = min(n + 1, max(base + 1, 2 * k - base))
 
 

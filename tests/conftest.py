@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -67,16 +69,25 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture()
 def core_calls(monkeypatch):
-    """Counts of the field evaluations and per-sample gate calls of the
-    stepping core (``harness._run``)."""
-    calls = {"field": 0, "gate": 0}
+    """A function giving the field evaluations of the stepping core
+    (``harness._run``), counted from outside by wrapping, and each count of
+    the ``RunWork`` its runs reported, summed over the runs returned."""
+    calls, works = [0], []
+    field, run = harness.field_components, harness._run
 
-    def counted(key, fn):
-        def wrapper(*args):
-            calls[key] += 1
-            return fn(*args)
-        return wrapper
+    def counted_field(*args):
+        calls[0] += 1
+        return field(*args)
 
-    monkeypatch.setattr(harness, "field_components", counted("field", harness.field_components))
-    monkeypatch.setattr(harness, "activation_gate", counted("gate", harness.activation_gate))
-    return calls
+    def recorded_run(*args):
+        traj = run(*args)
+        works.append(traj.work)
+        return traj
+
+    def totals():
+        summed = {f.name: sum(getattr(w, f.name) for w in works) for f in fields(harness.RunWork)}
+        return dict(field=calls[0], **summed)
+
+    monkeypatch.setattr(harness, "field_components", counted_field)
+    monkeypatch.setattr(harness, "_run", recorded_run)
+    return totals

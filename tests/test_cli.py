@@ -416,7 +416,9 @@ def test_reproduce_all_steps_one_run(capsys, tmp_path, core_calls):
     assert code == 0
     # the gate never opens, so both presets gate the free run in array passes only
     assert default_config().grid.n_steps == 2000
-    assert core_calls == {"field": 4 * 2000, "gate": 0}
+    got = core_calls()
+    assert (got["steps"], got["gated"]) == (2000, 0)
+    assert got["field"] == 4 * got["steps"]
 
 
 @pytest.mark.parametrize("epsilon, same_run", [

@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rabinovich import (
@@ -18,6 +18,7 @@ from rabinovich import (
     closed_loop_check,
     closed_loop_jacobian,
     closed_loop_scalar_coeff,
+    control_coefficients,
     control_term,
     delay_steps,
     eigen3,
@@ -115,6 +116,33 @@ def test_euler_mode_is_gain_times_tau_zdot(x, y, z, K, tau):
     cfg = ControllerConfig(K=K, mode=PredictionMode.EULER, tau=tau)
     dz = field_components(p.a, p.b, p.d, p.h, x, y, z)[2]
     assert control_term(p, cfg, x, y, z) == pytest.approx(K * tau * dz, rel=1e-12, abs=1e-12)
+
+
+def same_double(a, b):
+    """Equal bits, the sign of a zero included; any NaN equals any NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@example(x=0.0, y=0.0, z=0.0, K=1e200, tau=1e200, d=1.0)  # K*tau = inf, times 0: NaN
+@example(x=1.0, y=2.0, z=0.5, K=-1e200, tau=1e200, d=1.0)  # -inf
+@given(
+    x=coords, y=coords, z=coords,
+    K=st.one_of(st.sampled_from([0.0, -0.0]), gains, st.floats(-1e300, 1e300)),
+    tau=st.one_of(st.floats(min_value=0.01, max_value=10.0), st.floats(1e100, 1e300)),
+    d=st.floats(min_value=0.05, max_value=10.0),
+)
+def test_control_term_is_the_written_law_in_coefficient_form(x, y, z, K, tau, d):
+    # u = g * (c*z + x*y) as harness._run writes it inline, bit for bit the
+    # law as written: K*(-(d+1)*z + x*y), and K*tau*(-d*z + x*y)
+    p = Params(4.0, 1.0, d, 6.75)
+    for mode, law in ((PredictionMode.DERIVATIVE, K * (-(d + 1.0) * z + x * y)),
+                      (PredictionMode.EULER, K * tau * (-d * z + x * y))):
+        cfg = ControllerConfig(K=K, mode=mode, tau=tau)
+        g, c = control_coefficients(p, cfg)
+        assert same_double(control_term(p, cfg, x, y, z), law)
+        assert same_double(g * (c * z + x * y), law)
 
 
 # --- gain admissibility --------------------------------------------------------

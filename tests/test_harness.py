@@ -508,6 +508,13 @@ DIFFERENTIAL_CASES = {
     ),
     "lag-one-gate-open": ControllerConfig(K=-0.6, epsilon=0.5, t_on=5.0, tau=0.1),
     "zero-gain-gate-open": ControllerConfig(K=0.0, epsilon=1e9, t_on=0.0),
+    # the one mode whose coefficient g = K*tau is not K
+    "euler-half-tau-gate-open": ControllerConfig(
+        K=-0.3, epsilon=5.0, t_on=5.0, mode=PredictionMode.EULER, tau=0.5
+    ),
+    "euler-negative-zero-gain-gate-open": ControllerConfig(
+        K=-0.0, epsilon=5.0, t_on=5.0, mode=PredictionMode.EULER
+    ),
 }
 
 
@@ -519,11 +526,7 @@ def test_core_matches_rk4_step_reference(params, s0, name):
     ref = reference_run(params, s0, g, cfg)
     if name.endswith("gate-open"):
         assert core.active.mean() > 0.3
-    assert np.array_equal(core.t, ref.t)
-    assert np.array_equal(core.states, ref.states)
-    assert np.array_equal(core.u, ref.u)
-    assert np.array_equal(core.active, ref.active)
-    assert np.array_equal(core.r, ref.r, equal_nan=True)
+    assert_same_outcome(core, ref)  # bytes, so the sign of a zero u too
 
 
 @pytest.mark.parametrize("cfg, reason", [
@@ -540,6 +543,23 @@ def test_core_divergence_matches_reference(params, s0, cfg, reason):
     assert isinstance(core, tuple)
     assert reason in core[2]
     assert core == ref
+
+
+@given(
+    mode=st.sampled_from(PredictionMode),
+    K=st.one_of(st.sampled_from([0.0, -0.0, -0.9, 1e200]), st.floats(-1.5, 2.0)),
+    lag=st.integers(1, 20),
+    epsilon=st.one_of(st.sampled_from([1e-9, 1e9]), st.floats(0.05, 20.0)),
+    t_on=st.floats(0.0, 25.0),
+)
+def test_core_matches_reference_on_drawn_controllers(params, s0, mode, K, lag, epsilon, t_on):
+    # 200 steps with the delay a whole number of them: gates that open early,
+    # late or never, laws that settle or diverge, both outcomes compared
+    g = TimeGrid(0.0, 20.0, 0.1)
+    cfg = ControllerConfig(K=K, epsilon=epsilon, t_on=t_on, mode=mode, tau=lag * g.dt)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = outcome(reference_run, params, s0, g, cfg)
+    assert_same_outcome(outcome(_run, params, s0, g, cfg), ref)
 
 
 def test_core_initial_state_beyond_limit_matches_reference(params):
@@ -724,18 +744,21 @@ def test_sweep_steps_only_what_no_earlier_cell_stepped(params, s0, core_calls, n
     # A cell steps the free flow from the end of the longest prefix before
     # it, so it drops fewer free steps past its first open gate than it
     # stepped itself.
-    assert core_calls == {"field": 4 * steps, "gate": gates}
+    got = core_calls()
+    assert (got["steps"], got["gated"]) == (steps, gates)
+    assert got["field"] == 4 * got["steps"]
 
 
 def stretch_end(opening, k):
     """The end of the free stretch of ``_run`` that holds sample ``k``, given
-    the first sample ``opening`` at which the gate can open: the first stretch
-    ends just past ``opening``, and each later one is as long as all the
-    samples gated from ``opening`` on before it."""
-    end = opening + 1
+    the first sample ``opening`` at which the gate can open, and the number
+    of stretches up to it: the first stretch ends just past ``opening``, and
+    each later one is as long as all the samples gated from ``opening`` on
+    before it."""
+    end, stretches = opening + 1, 1
     while end <= k:
-        end = 2 * end - opening
-    return end
+        end, stretches = 2 * end - opening, stretches + 1
+    return end, stretches
 
 
 # first open gates at samples 401 (none dropped), 421 (11), 98 (16) and 636 (20)
@@ -749,8 +772,10 @@ def test_free_stretch_steps_past_the_first_open_gate_less_than_it_gated(
     opening = next(k for k in range(n + 1) if k * dt > t_on)  # past the lag (10) here
     assert active[first] and first >= opening
     # the free steps past the first open gate that its stretch drops, exactly
-    dropped = min(stretch_end(opening, first), n + 1) - 1 - first
-    assert core_calls == {"field": 4 * (n + dropped), "gate": n - first}
+    end, passes = stretch_end(opening, first)
+    dropped = min(end, n + 1) - 1 - first
+    assert core_calls() == {"field": 4 * (n + dropped), "steps": n + dropped,
+                            "gated": n - first, "dropped": dropped, "passes": passes}
     # fewer than the shut samples gated from ``opening`` on, when any were
     assert dropped <= max(0, first - opening - 1)
 
@@ -814,26 +839,27 @@ def test_run_each_matches_independent_runs(params, s0, order):
 
 def test_open_sample_computes_its_control_term_once(params, s0, monkeypatch):
     # A step from an open sample takes the u recorded there as its first-stage
-    # control term: one call for that u and three for the later stages.
-    calls, u_of = [], harness.control_term
+    # control term.  The law is written inline in the run, on coefficients
+    # read once a run, so that reuse shows only as the same bits where the
+    # gate opens inside a shared free-flow prefix.
+    reads, coefficients = [], harness.control_coefficients
 
     def counted(*args):
-        calls.append(None)
-        return u_of(*args)
+        reads.append(None)
+        return coefficients(*args)
 
-    monkeypatch.setattr(harness, "control_term", counted)
+    monkeypatch.setattr(harness, "control_coefficients", counted)
     grid = TimeGrid(0.0, 60.0, 0.01)
     cfg = ControllerConfig(K=-0.3, epsilon=5.0, mode=PredictionMode.EULER)
     never = ControllerConfig(K=-0.6, epsilon=0.05)
     alone = run_controlled(params, s0, grid, cfg)
     opened = int(alone.active.sum())
     assert 0 < opened < alone.n_samples - 1 and not alone.active[-1]
-    assert len(calls) == 4 * opened
-    # the same count where the gate opens inside a shared free-flow prefix
-    calls.clear()
+    assert len(reads) == 1
+    reads.clear()
     shut, shared = run_each(params, s0, grid, [never, cfg])
     assert not shut.active.any()
-    assert len(calls) == 4 * opened
+    assert len(reads) == 2
     assert shared.u.tobytes() == alone.u.tobytes()
     assert shared.states.tobytes() == alone.states.tobytes()
 
@@ -860,6 +886,7 @@ def opening_past(offset, p, s0, grid, tau=1.0):
 DIVERGING_GRID = TimeGrid(0.0, 10.0, 0.25)  # the free flow diverges at step 6
 # the free flow diverges at step 24, and with lag 1 its r drops below 1.3 first at 18
 OPEN_THEN_DIVERGING_GRID = TimeGrid(0.0, 28.0, 0.28)
+OPEN_THEN_LASTING = ControllerConfig(K=-0.2, epsilon=1.3, t_on=0.0, tau=0.28)
 
 # name -> (grid, controller, the first open sample, None, or ("diverges", step))
 STRETCH_CASES = {
@@ -896,6 +923,10 @@ STRETCH_CASES = {
         ControllerConfig(K=-0.3, epsilon=1.3, t_on=0.0, tau=0.28),
         ("diverges", 92),  # the controlled run, stepped from sample 18
     ),
+    # the same free flow, and a gain whose controlled run lasts to the end
+    "free-step-fails-after-gate-opens": lambda p, s0: (
+        OPEN_THEN_DIVERGING_GRID, OPEN_THEN_LASTING, 18,
+    ),
 }
 
 
@@ -918,6 +949,17 @@ def test_free_stretch_edge_cases_diverge_where_named(params, s0):
     free = _run(params, s0, TimeGrid(0.0, 23 * 0.28, 0.28), None).states
     r = np.linalg.norm(free[1:] - free[:-1], axis=1)  # at samples 1, 2, ...
     assert r[17] < 1.3 <= r[:17].min()
+
+
+def test_free_step_that_fails_past_the_first_open_gate_is_dropped_work(params, s0, core_calls):
+    # The gate first opens at 18; the free stretch [17, 33) fails at step 24.
+    # Steps 19 to 24, the failed one too, were integrated and are dropped.
+    traj = run_controlled(params, s0, OPEN_THEN_DIVERGING_GRID, OPEN_THEN_LASTING)
+    n = OPEN_THEN_DIVERGING_GRID.n_steps
+    assert int(traj.active.argmax()) == 18
+    # stretches end at 2, 3, 5, 9, 17 and 33: six passes
+    assert core_calls() == {"field": 4 * (n + 6), "steps": n + 6, "gated": n - 18,
+                            "dropped": 6, "passes": 6}
 
 
 def test_divergence_in_a_free_stretch_leaves_no_cycle(params, s0):

@@ -92,6 +92,8 @@ def test_reserialization_is_idempotent(params, s0, grid, controller):
     second = io.StringIO()
     write_trajectory_csv(back, second)
     assert second.getvalue() == first.getvalue()
+    # the run's work counts are in no file, so the read trajectory has none
+    assert traj.work is not None and back.work is None
 
 
 def test_report_survives_round_trip(params, s0, grid, controller, eqs):
