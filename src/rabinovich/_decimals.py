@@ -330,11 +330,7 @@ def exact(text: str, rows: int) -> Optional[tuple]:
     values *= _SIGNS.take(negative)
     values = values.reshape(rows, _WIDTH)
     values[absent, _WIDTH - 1] = np.nan
-    # copies, so that the reader can free a column's blocks once it is joined
-    return (
-        values[:, 0].copy(), values[:, 1:4].copy(), values[:, 4].copy(),
-        active == 1, values[:, 6].copy(),
-    )
+    return values[:, 0], values[:, 1:4], values[:, 4], active == 1, values[:, 6]
 
 
 def _loaded(text: str) -> np.ndarray:

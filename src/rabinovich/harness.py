@@ -160,7 +160,8 @@ def _run(
     this module so it can be wrapped: the control term g * (c*z + x*y), on
     ``control_coefficients`` read once a run, and the per-sample gate are
     inline, in the operations and order of ``control_term`` and
-    ``activation_gate``, so they give those functions' bits.  A step from an
+    ``activation_gate`` (less the gate's time test, which always holds
+    there), so they give those functions' bits.  A step from an
     open sample takes the u recorded there as its first-stage control term.
 
     Until the gate first opens the run is the free flow bit for bit, so no
@@ -239,7 +240,10 @@ def _run(
             i = j - 3 * lag  # the gate, as control.activation_gate computes it
             dx, dy, dz = x - state_out[i], y - state_out[i + 1], z - state_out[i + 2]
             r_out[k] = r = sqrt(dx * dx + dy * dy + dz * dz)
-            active = t_at[k] > t_on and r < epsilon
+            # less its t > t_on, which holds here: samples are gated one by
+            # one only past the first open sample, whose time is past t_on,
+            # and the grid's times never decrease
+            active = r < epsilon
             if active:
                 actives[k] = True
                 us[k] = u = g * (c * z + x * y)

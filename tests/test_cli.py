@@ -573,7 +573,10 @@ def test_extreme_config_values_exit_cleanly(tmp_path_factory, values, mode, unco
     work = tmp_path_factory.getbasetemp() / "extreme-config"
     work.mkdir(exist_ok=True)
     cfg = work / "run.cfg"
-    cfg.write_text("".join(f"{k} = {v!r}\n" for k, v in values.items()) + f"mode = {mode}\n")
+    cfg.write_text(
+        "".join(f"{k} = {v!r}\n" for k, v in values.items()) + f"mode = {mode}\n",
+        encoding="utf-8",
+    )
     simulate = ["simulate", "--config", str(cfg), "--out-csv", str(work / "t.csv"),
                 "--out-report", str(work / "r.txt")]
     runs = [

@@ -491,6 +491,99 @@ def test_read_peak_memory_per_sample_is_bounded(tmp_path, params, s0):
     assert peak / traj.n_samples <= 1.05 * 130.4
 
 
+def test_read_holds_its_output_and_one_block(tmp_path, params, s0):
+    # The read fills arrays allocated once from a count of the rows, so its
+    # tracemalloc peak is the output plus what one block takes, however
+    # many blocks the file has.
+    cfg = ControllerConfig(K=-0.3, epsilon=5.0, mode=PredictionMode.EULER)
+    traj = run_controlled(params, s0, TimeGrid(0.0, 1000.0, 0.01), cfg)
+    path = tmp_path / "longer.csv"
+    write_trajectory_csv(traj, str(path))
+    del traj
+    tracemalloc.start()
+    try:
+        back = read_trajectory_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert back.n_samples == 100001
+    output = sum(a.nbytes for a in (back.t, back.states, back.u, back.active, back.r))
+    assert peak <= output + 2**20
+
+
+class _Unseekable(io.StringIO):
+    """A text stream that can only be read forward, as a pipe is."""
+
+    def seekable(self):
+        return False
+
+    def seek(self, *args):
+        raise io.UnsupportedOperation("seek")
+
+    def tell(self):
+        raise io.UnsupportedOperation("tell")
+
+
+def test_unseekable_stream_reads_as_the_path_does(tmp_path, long_gated_run):
+    path = tmp_path / "long.csv"
+    write_trajectory_csv(long_gated_run, str(path))
+    text = path.read_text(encoding="utf-8")
+    from_path = _outcome(lambda _: read_trajectory_csv(str(path)), text)
+    assert from_path[0] is not ValueError
+    assert _outcome(lambda stream: read_trajectory_csv(_Unseekable(stream.read())), text) == from_path
+
+
+class _Changing(io.StringIO):
+    """A text stream whose text becomes ``later`` once it is rewound after
+    the reader has counted its rows."""
+
+    def __init__(self, text, later):
+        super().__init__(text)
+        self.later = later
+
+    def seek(self, *args):
+        if self.later is not None:
+            super().seek(0)
+            self.truncate()
+            self.write(self.later)
+            self.later = None
+        return super().seek(*args)
+
+
+@pytest.mark.parametrize("counted, read, row", [
+    (3, 4, 5),  # one row more than counted: the first row past the count
+    (3, 2, 4),  # one row fewer: the first row missing
+    (_BLOCK_ROWS, _BLOCK_ROWS + 1, _BLOCK_ROWS + 2),
+    (_BLOCK_ROWS + 1, _BLOCK_ROWS, _BLOCK_ROWS + 2),
+    (2, 0, 2),
+    (0, 2, 2),
+])
+def test_rows_that_change_after_the_count_name_a_row(counted, read, row):
+    def text(rows):
+        return HEADER + "".join(f"{k},1,2,3,0,0,\n" for k in range(rows))
+
+    stream = _Changing(text(counted), text(read))
+    message = rf"^row {row}: the file changed while it was read \({counted} data rows counted before\)$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            read_trajectory_csv(stream)
+
+
+@pytest.mark.parametrize("rows", [_BLOCK_ROWS, 2 * _BLOCK_ROWS])
+def test_last_line_with_no_lf_at_a_block_boundary_names_its_row(tmp_path, rows):
+    # The count takes the last line for no row, so it is the first row past
+    # the count, and it is named for what it is.
+    last = "1e9,1,2,3,0,0,0.5"
+    text = HEADER + "".join(f"{k},1,2,3,0,0,\n" for k in range(rows)) + last
+    path = tmp_path / "no-lf.csv"
+    path.write_bytes(text.encode())
+    message = rf"^row {rows + 2}: not a line of the trajectory format: '{last}'$"
+    for source in (io.StringIO(text), str(path), _Unseekable(text)):
+        with pytest.raises(ValueError, match=message):
+            read_trajectory_csv(source)
+
+
 @pytest.mark.parametrize("tail", ["", "\n", "\n\n\n", "\n" * (_BLOCK_ROWS + 3)])
 @pytest.mark.parametrize("rows", [0, 1, 2, 256, 257, _BLOCK_ROWS, _BLOCK_ROWS + 1])
 def test_read_of_blank_endings_warns_nothing(rows, tail):
