@@ -8,20 +8,19 @@ read, is the ``_decimals`` module's (17 significant digits, which read back
 bit for bit), imported on the first trajectory write or read.  A write holds
 one block.  A read counts the rows first and reads each block into its
 slice of output arrays allocated once, so it holds its output and one
-block: a tracemalloc peak of 10.26 MiB for the 9.35 MiB of 200001 rows,
-and 1.54 MiB for the 0.93 MiB of 20001 rows.  Only the writer's format is
-read: LF line ends, the exact header, no blank lines, no quotes, and
-numbers as numpy's C text reader reads them.  A read error names the first
-bad row (its line in the file) and, where one field is at fault, the
-column.
+block.  Only the writer's format is read: LF line ends, the exact header,
+no blank lines, no quotes, and numbers as numpy's C text reader reads
+them.  A read error names the first bad row (its line in the file) and,
+where one field is at fault, the column.
 """
 
 from __future__ import annotations
 
 import csv
 from functools import partial
-from io import StringIO
 from itertools import islice
+from shutil import copyfileobj
+from tempfile import TemporaryFile
 from typing import TextIO, Union
 
 import numpy as np
@@ -41,6 +40,7 @@ __all__ = [
 ]
 
 TRAJECTORY_HEADER = ("t", "x", "y", "z", "u", "active", "r")
+_SHORTEST_ROW = "0,0,0,0,0,0,\n"  # one digit a number, r empty
 SWEEP_HEADER = (
     "K", "epsilon", "mode", "stabilized", "target",
     "tail_max_distance", "control_effort", "max_abs_u",
@@ -100,17 +100,6 @@ def _locate(lines, first_row: int) -> None:
         raise ValueError(f"row {row}: not a line of the trajectory format: {line!r}")
 
 
-def _line_ends(fh) -> int:
-    """The "\\n" bytes of a binary file, counted in one pass through one
-    reused buffer."""
-    buffer = bytearray(1 << 16)
-    view = np.frombuffer(buffer, np.uint8)
-    count = 0
-    while size := fh.readinto(buffer):
-        count += int(np.count_nonzero(view[:size] == ord("\n")))
-    return count
-
-
 def read_trajectory_csv(source: Union[str, TextIO]) -> Trajectory:
     """Inverse of write_trajectory_csv: reads the format it writes and no
     other.  That is the exact header and one row a line, each line ended by
@@ -118,25 +107,35 @@ def read_trajectory_csv(source: Union[str, TextIO]) -> Trajectory:
     reads them (not 1_0 or non-ASCII digits, which float reads).  A stream
     must not translate line ends.
 
-    The rows are counted first, in one pass that a text stream is rewound
-    after (a stream that cannot seek is read into memory once), so that each
-    block is read straight into its slice of the output.  An error names the
-    first bad row in file order (its line in the file) and, where one field
-    is at fault, its column.  A file whose row count changes between the
-    count and the read fails at the first row that only one of the two has.
-    The sample checks of Trajectory run once every row has been read.
+    The rows are counted first, in one pass that the stream is rewound after
+    (a stream that cannot seek, a pipe say, is first copied to a temporary
+    file), so that each block is read straight into its slice of the output.
+    An error names the first bad row in file order (its line in the file)
+    and, where one field is at fault, its column.  A file whose row count
+    changes between the count and the read fails at the first row that only
+    one of the two has.  The sample checks of Trajectory run once every row
+    has been read.
     """
     if isinstance(source, str):
-        with open(source, "rb") as fh:
-            rows = _line_ends(fh) - 1  # less the header's
         with open(source, "r", encoding="utf-8", newline="\n") as fh:
-            return _read_rows(fh, rows)
+            return read_trajectory_csv(fh)
     if not source.seekable():
-        source = StringIO(source.read())
+        # surrogatepass keeps any str, a lone surrogate too, to be refused
+        # with its row as it is in a stream that can seek
+        with TemporaryFile("w+", encoding="utf-8", errors="surrogatepass", newline="\n") as copy:
+            copyfileobj(source, copy)
+            copy.seek(0)
+            return read_trajectory_csv(copy)
     start = source.tell()
-    rows = sum(chunk.count("\n") for chunk in iter(partial(source.read, 1 << 16), "")) - 1
+    lines = characters = 0
+    for chunk in iter(partial(source.read, 1 << 16), ""):
+        lines += chunk.count("\n")
+        characters += len(chunk)
     source.seek(start)
-    return _read_rows(source, rows)
+    # No row the reader takes is shorter than _SHORTEST_ROW, so this caps
+    # only a count that blank or junk lines inflate, whose first bad row
+    # then fails before the cap is reached.
+    return _read_rows(source, min(lines - 1, characters // len(_SHORTEST_ROW)))
 
 
 def _read_rows(source: TextIO, rows: int) -> Trajectory:

@@ -2,9 +2,12 @@ import csv
 import hashlib
 import io
 import math
+import os
 import re
+import threading
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import islice
 
@@ -491,24 +494,74 @@ def test_read_peak_memory_per_sample_is_bounded(tmp_path, params, s0):
     assert peak / traj.n_samples <= 1.05 * 130.4
 
 
-def test_read_holds_its_output_and_one_block(tmp_path, params, s0):
+@contextmanager
+def _pipe_path(data):
+    """A path to the read end of a pipe that a thread fills with data: a
+    path that cannot seek, as a named pipe or a shell's process
+    substitution gives."""
+    if not os.path.isdir("/dev/fd"):
+        pytest.skip("no /dev/fd on this platform")
+    read_end, write_end = os.pipe()
+
+    def feed():
+        try:
+            with open(write_end, "wb") as fh:
+                fh.write(data)
+        except BrokenPipeError:  # the reader stopped early
+            pass
+
+    feeder = threading.Thread(target=feed)
+    feeder.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+        feeder.join()
+
+
+@pytest.mark.parametrize("through", ["path", "pipe"])
+def test_read_holds_its_output_and_one_block(tmp_path, params, s0, through):
     # The read fills arrays allocated once from a count of the rows, so its
     # tracemalloc peak is the output plus what one block takes, however
-    # many blocks the file has.
+    # many blocks the file has.  A pipe is copied to a temporary file to be
+    # counted, which holds no more.
     cfg = ControllerConfig(K=-0.3, epsilon=5.0, mode=PredictionMode.EULER)
     traj = run_controlled(params, s0, TimeGrid(0.0, 1000.0, 0.01), cfg)
     path = tmp_path / "longer.csv"
     write_trajectory_csv(traj, str(path))
     del traj
+    data = path.read_bytes() if through == "pipe" else None
     tracemalloc.start()
     try:
-        back = read_trajectory_csv(str(path))
+        if through == "pipe":
+            with _pipe_path(data) as fd_path:
+                back = read_trajectory_csv(fd_path)
+        else:
+            back = read_trajectory_csv(str(path))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert back.n_samples == 100001
     output = sum(a.nbytes for a in (back.t, back.states, back.u, back.active, back.r))
     assert peak <= output + 2**20
+
+
+def test_blank_lines_fail_without_arrays_for_them(tmp_path):
+    # No row the reader takes is shorter than 13 characters, so the count
+    # of a million blank lines is capped at 1/13 of the characters, and the
+    # first blank line fails as it does in a short file.
+    lines = 10**6
+    path = tmp_path / "blank.csv"
+    path.write_bytes((HEADER + "0,1,2,3,0,0,\n" + "\n" * lines).encode())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^row 3: expected 7 fields, got 1$"):
+            read_trajectory_csv(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    per_row = 8 + 24 + 8 + 1 + 8  # the bytes of t, states, u, active and r
+    assert peak < lines * per_row / 8
 
 
 class _Unseekable(io.StringIO):
@@ -525,12 +578,27 @@ class _Unseekable(io.StringIO):
 
 
 def test_unseekable_stream_reads_as_the_path_does(tmp_path, long_gated_run):
+    # A stream that cannot seek, and a path to a pipe, are copied to a
+    # temporary file to be counted, and then read as a file is.
     path = tmp_path / "long.csv"
     write_trajectory_csv(long_gated_run, str(path))
     text = path.read_text(encoding="utf-8")
-    from_path = _outcome(lambda _: read_trajectory_csv(str(path)), text)
-    assert from_path[0] is not ValueError
-    assert _outcome(lambda stream: read_trajectory_csv(_Unseekable(stream.read())), text) == from_path
+
+    def through_a_pipe(stream):
+        with _pipe_path(stream.read().encode()) as fd_path:
+            return read_trajectory_csv(fd_path)
+
+    def unseekable(stream):
+        return read_trajectory_csv(_Unseekable(stream.read()))
+
+    bad = text.replace("\n", "\n1e9,1,2,3,0,0,\n", 1)  # row 3's time does not increase
+    surrogate = text.replace("\n", "\n\udcff,1,2,3,0,0,\n", 1)  # as surrogateescape reads a bad byte
+    for each, fails in ((text, False), (bad, True), (surrogate, True), (text[:-1], True)):
+        from_file = _outcome(read_trajectory_csv, each)
+        assert (from_file[0] is ValueError) == fails
+        assert _outcome(unseekable, each) == from_file
+        if each is not surrogate:  # a path is read as strict UTF-8
+            assert _outcome(through_a_pipe, each) == from_file
 
 
 class _Changing(io.StringIO):
