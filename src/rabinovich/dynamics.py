@@ -11,8 +11,9 @@ with strictly positive constants a, b, d, h.  The flow is symmetric under
 mirror image.
 
 Evaluation order inside :func:`field_components` is fixed so that repeated
-calls (and mirrored inputs) produce bit-identical floating-point results;
-the simulation harness and the regression tests rely on this.
+calls (and mirrored inputs) produce bit-identical floating-point results.
+The stepping loop ``harness._run`` holds an inline copy of it, in the same
+operations and order; the differential tests keep the two equal bit for bit.
 """
 
 from __future__ import annotations
@@ -99,10 +100,10 @@ def field_components(a: float, b: float, d: float, h: float,
                      x: float, y: float, z: float) -> tuple[float, float, float]:
     """Time derivative (dx/dt, dy/dt, dz/dt) as plain scalars.
 
-    This is the single definition of the right-hand side; every other
-    entry point (the stepping core, ``residual_norm``) routes through
-    it so that the term ordering, and therefore the floating-point result,
-    is identical everywhere.
+    This is the reference definition of the right-hand side, which
+    ``residual_norm`` calls.  ``harness._run`` writes it inline at each RK4
+    stage, in the same term order, and the differential tests against an
+    ``rk4_step`` run on this function keep the two equal bit for bit.
     """
     return (
         -a * x + h * y + y * z,

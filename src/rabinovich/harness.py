@@ -41,7 +41,7 @@ from .control import (
     delay_steps,
     gate_samples,
 )
-from .dynamics import EquilibriumSet, Params, State, equilibria, field_components
+from .dynamics import EquilibriumSet, Params, State, equilibria
 from .integrator import DIVERGENCE_LIMIT, DivergenceError, IntegrationError, TimeGrid
 
 __all__ = [
@@ -156,13 +156,14 @@ def _run(
     state back from them, and its time from ``grid.times()``, which the run
     returns.  Each arithmetic operation is the one ``integrator.rk4_step``
     makes on each array component, in the same order, so both give
-    bit-identical results.  A step calls only ``field_components``, a name of
-    this module so it can be wrapped: the control term g * (c*z + x*y), on
-    ``control_coefficients`` read once a run, and the per-sample gate are
-    inline, in the operations and order of ``control_term`` and
-    ``activation_gate`` (less the gate's time test, which always holds
-    there), so they give those functions' bits.  A step from an
-    open sample takes the u recorded there as its first-stage control term.
+    bit-identical results.  A step calls nothing: the vector field (on ``-a``
+    and ``-d`` negated once a run), the control term g * (c*z + x*y) (on
+    ``control_coefficients`` read once a run) and the per-sample gate are
+    inline, in the operations and order of ``field_components``,
+    ``control_term`` and ``activation_gate`` (less the gate's time test,
+    which always holds there), so they give those functions' bits.  A step
+    from an open sample takes the u recorded there as its first-stage
+    control term.
 
     Until the gate first opens the run is the free flow bit for bit, so no
     gate runs per sample until then.  ``free`` may hold the leading rows of
@@ -179,8 +180,8 @@ def _run(
     step that diverges inside a stretch raises only if no gate opens before it.
     """
     lag = delay_steps(cfg, grid.dt) if cfg is not None else 0
-    field, sqrt = field_components, math.sqrt
-    a, b, d, h = p.a, p.b, p.d, p.h
+    sqrt = math.sqrt
+    na, b, nd, h = -p.a, p.b, -p.d, p.h  # -a * x is (-a) * x
     dt, n = grid.dt, grid.n_steps
     half, sixth, limit = 0.5 * dt, dt / 6.0, DIVERGENCE_LIMIT
 
@@ -213,19 +214,19 @@ def _run(
         for k in range(k, stop):
             j = 3 * k
             if k:
-                k1x, k1y, k1z = field(a, b, d, h, x, y, z)
+                k1x, k1y, k1z = na * x + h * y + y * z, h * x - b * y - x * z, nd * z + x * y
                 if active:  # the u recorded at the step's start
                     k1z = k1z + u
                 sx, sy, sz = x + half * k1x, y + half * k1y, z + half * k1z
-                k2x, k2y, k2z = field(a, b, d, h, sx, sy, sz)
+                k2x, k2y, k2z = na * sx + h * sy + sy * sz, h * sx - b * sy - sx * sz, nd * sz + sx * sy
                 if active:
                     k2z = k2z + g * (c * sz + sx * sy)
                 sx, sy, sz = x + half * k2x, y + half * k2y, z + half * k2z
-                k3x, k3y, k3z = field(a, b, d, h, sx, sy, sz)
+                k3x, k3y, k3z = na * sx + h * sy + sy * sz, h * sx - b * sy - sx * sz, nd * sz + sx * sy
                 if active:
                     k3z = k3z + g * (c * sz + sx * sy)
                 sx, sy, sz = x + dt * k3x, y + dt * k3y, z + dt * k3z
-                k4x, k4y, k4z = field(a, b, d, h, sx, sy, sz)
+                k4x, k4y, k4z = na * sx + h * sy + sy * sz, h * sx - b * sy - sx * sz, nd * sz + sx * sy
                 if active:
                     k4z = k4z + g * (c * sz + sx * sy)
                 x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)

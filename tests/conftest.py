@@ -1,3 +1,6 @@
+import inspect
+import re
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -67,17 +70,29 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
+# A line of ``harness._run`` where an RK4 stage evaluates the vector field.
+FIELD_LINE = re.compile(r"\s*k([1-4])x, k\1y, k\1z = ")
+
+
 @pytest.fixture()
 def core_calls(monkeypatch):
     """A function giving the field evaluations of the stepping core
-    (``harness._run``), counted from outside by wrapping, and each count of
-    the ``RunWork`` its runs reported, summed over the runs returned."""
+    (``harness._run``), counted from outside by a line tracer on its four
+    stage lines, and each count of the ``RunWork`` its runs reported, summed
+    over the runs returned."""
     calls, works = [0], []
-    field, run = harness.field_components, harness._run
+    run = harness._run
+    source, first = inspect.getsourcelines(run)
+    stages = {first + i for i, line in enumerate(source) if FIELD_LINE.match(line)}
+    assert len(stages) == 4
 
-    def counted_field(*args):
-        calls[0] += 1
-        return field(*args)
+    def count_lines(frame, event, arg):
+        if event == "line" and frame.f_lineno in stages:
+            calls[0] += 1
+        return count_lines
+
+    def trace(frame, event, arg):
+        return count_lines if frame.f_code is run.__code__ else None
 
     def recorded_run(*args):
         traj = run(*args)
@@ -88,6 +103,10 @@ def core_calls(monkeypatch):
         summed = {f.name: sum(getattr(w, f.name) for w in works) for f in fields(harness.RunWork)}
         return dict(field=calls[0], **summed)
 
-    monkeypatch.setattr(harness, "field_components", counted_field)
     monkeypatch.setattr(harness, "_run", recorded_run)
-    return totals
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        yield totals
+    finally:
+        sys.settrace(previous)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rabinovich import (
@@ -545,21 +545,47 @@ def test_core_divergence_matches_reference(params, s0, cfg, reason):
     assert core == ref
 
 
-@given(
+# 200 steps with the delay a whole number of them: gates that open early,
+# late or never, laws that settle or diverge, both outcomes compared
+DRAWN_GRID = TimeGrid(0.0, 20.0, 0.1)
+drawn_controllers = st.builds(
+    lambda mode, K, lag, epsilon, t_on: ControllerConfig(
+        K=K, epsilon=epsilon, t_on=t_on, mode=mode, tau=lag * DRAWN_GRID.dt
+    ),
     mode=st.sampled_from(PredictionMode),
     K=st.one_of(st.sampled_from([0.0, -0.0, -0.9, 1e200]), st.floats(-1.5, 2.0)),
     lag=st.integers(1, 20),
     epsilon=st.one_of(st.sampled_from([1e-9, 1e9]), st.floats(0.05, 20.0)),
     t_on=st.floats(0.0, 25.0),
 )
-def test_core_matches_reference_on_drawn_controllers(params, s0, mode, K, lag, epsilon, t_on):
-    # 200 steps with the delay a whole number of them: gates that open early,
-    # late or never, laws that settle or diverge, both outcomes compared
-    g = TimeGrid(0.0, 20.0, 0.1)
-    cfg = ControllerConfig(K=K, epsilon=epsilon, t_on=t_on, mode=mode, tau=lag * g.dt)
+
+
+@given(cfg=drawn_controllers)
+def test_core_matches_reference_on_drawn_controllers(params, s0, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
-        ref = outcome(reference_run, params, s0, g, cfg)
-    assert_same_outcome(outcome(_run, params, s0, g, cfg), ref)
+        ref = outcome(reference_run, params, s0, DRAWN_GRID, cfg)
+    assert_same_outcome(outcome(_run, params, s0, DRAWN_GRID, cfg), ref)
+
+
+@st.composite
+def distinct_params(draw):
+    """Params whose a, b, d and h all differ, with h^2 > a*b (three
+    equilibria) or h^2 <= a*b (the origin alone)."""
+    a, b, d = draw(st.lists(st.floats(0.25, 8.0), min_size=3, max_size=3, unique=True))
+    three = draw(st.booleans())
+    h = math.sqrt(a * b) * draw(st.floats(1.05, 3.0) if three else st.floats(0.2, 0.95))
+    assume(h not in (a, b, d) and (h * h > a * b) == three)
+    return Params(a, b, d, h)
+
+
+@given(p=distinct_params(), s0=st.builds(State, coords, coords, coords),
+       cfg=st.one_of(st.none(), drawn_controllers))
+def test_core_matches_reference_on_drawn_params(p, s0, cfg):
+    # Every other run in the suite has b = d = 1, so a coefficient swapped
+    # for another in the inline field would change no bit there.
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = outcome(reference_run, p, s0, DRAWN_GRID, cfg)
+    assert_same_outcome(outcome(_run, p, s0, DRAWN_GRID, cfg), ref)
 
 
 def test_core_initial_state_beyond_limit_matches_reference(params):
