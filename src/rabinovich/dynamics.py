@@ -11,9 +11,9 @@ with strictly positive constants a, b, d, h.  The flow is symmetric under
 mirror image.
 
 Evaluation order inside :func:`field_components` is fixed so that repeated
-calls (and mirrored inputs) produce bit-identical floating-point results.
-The stepping loop ``harness._run`` holds an inline copy of it, in the same
-operations and order; the differential tests keep the two equal bit for bit.
+calls (and mirrored inputs) produce bit-identical floating-point results;
+the stepping loop ``harness._run`` holds an inline copy, in the same
+operations and order, that the differential tests keep equal bit for bit.
 """
 
 from __future__ import annotations

@@ -160,10 +160,9 @@ def _run(
     and ``-d`` negated once a run), the control term g * (c*z + x*y) (on
     ``control_coefficients`` read once a run) and the per-sample gate are
     inline, in the operations and order of ``field_components``,
-    ``control_term`` and ``activation_gate`` (less the gate's time test,
-    which always holds there), so they give those functions' bits.  A step
-    from an open sample takes the u recorded there as its first-stage
-    control term.
+    ``control_term`` and ``activation_gate`` (less the gate's time test, which
+    always holds there), so they give those functions' bits.  A step from an
+    open sample takes the u recorded there as its first-stage control term.
 
     Until the gate first opens the run is the free flow bit for bit, so no
     gate runs per sample until then.  ``free`` may hold the leading rows of
