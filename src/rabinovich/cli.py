@@ -22,7 +22,6 @@ from .control import (
     admissible_gain_interval,
     closed_loop_check,
     closed_loop_jacobian,
-    closed_loop_scalar_coeff,
     eigen3,
 )
 from .dynamics import equilibria, jacobian, residual_norm
@@ -167,7 +166,6 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
         verdict = closed_loop_check(-d, K)
     except ValueError as exc:
         raise ConfigError(f"--K: {exc}") from None
-    coeff = closed_loop_scalar_coeff(d, K)
     inside = interval.contains(K)
     out = sys.stdout
     print(f"gain K = {_echo(K)} at d = {_echo(d)}", file=out)
@@ -176,7 +174,10 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
         f" -> K inside: {'yes' if inside else 'no'}",
         file=out,
     )
-    print(f"closed-loop coefficient -d - K(d+1) = {format(coeff, '+.6g')}", file=out)
+    print(
+        f"closed-loop coefficient -d - K(d+1) = {format(verdict.closed_loop_matrix, '+.6g')}",
+        file=out,
+    )
     print(
         f"discrete check (spectral radius < 1): "
         f"{'PASS' if verdict.discrete_ok else 'FAIL'}"

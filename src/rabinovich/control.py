@@ -48,13 +48,11 @@ __all__ = [
     "GainInterval",
     "StabilityVerdict",
     "control_coefficients",
-    "control_term",
     "admissible_gain_interval",
     "closed_loop_scalar_coeff",
     "eigen3",
     "closed_loop_check",
     "closed_loop_jacobian",
-    "activation_gate",
     "gate_samples",
     "delay_steps",
 ]
@@ -120,13 +118,6 @@ def control_coefficients(p: Params, cfg: ControllerConfig) -> tuple[float, float
     if cfg.mode is PredictionMode.DERIVATIVE:
         return cfg.K, -(p.d + 1.0)
     return cfg.K * cfg.tau, -p.d
-
-
-def control_term(p: Params, cfg: ControllerConfig, x: float, y: float, z: float) -> float:
-    """Scalar control input u at (x, y, z); ``harness._run`` writes this
-    expression inline on the same coefficients, so it gives the same bits."""
-    g, c = control_coefficients(p, cfg)
-    return g * (c * z + x * y)
 
 
 @dataclass(frozen=True)
@@ -272,33 +263,18 @@ def closed_loop_jacobian(p: Params, K: float, at: State) -> np.ndarray:
     return J
 
 
-def activation_gate(delayed, t: float, s, cfg: ControllerConfig) -> tuple[bool, float]:
-    """Decide whether control applies at time ``t``.
-
-    ``delayed`` is the state (x, y, z) at t - tau and ``s`` the state at t.
-    r is the Euclidean norm of s(t) - s(t - tau) over the full state vector;
-    the gate is active iff t > t_on (the time gate) AND r < epsilon (the
-    recurrence gate).
-    """
-    x, y, z = s
-    px, py, pz = delayed
-    dx = x - px
-    dy = y - py
-    dz = z - pz
-    r = math.sqrt(dx * dx + dy * dy + dz * dz)
-    active = (t > cfg.t_on) and (r < cfg.epsilon)
-    return active, r
-
-
 def gate_samples(states: np.ndarray, lag: int, t: np.ndarray, cfg: ControllerConfig):
-    """``activation_gate`` at every sample ``k = lag, lag+1, ...`` of the
+    """The activation gate at every sample ``k = lag, lag+1, ...`` of the
     ``(n, 3)`` array ``states``, as arrays ``(active, r)`` of length
     ``n - lag``.  ``t`` holds the times of the samples gated, those of
     ``states[lag:]``, taken from the run's ``TimeGrid.times()``.
 
-    Each element is rounded through the same IEEE operations in the same
-    order as the scalar gate (``dx*dx + dy*dy + dz*dz``, the square root,
-    both comparisons), so it is equal to it bit for bit.
+    r is the Euclidean norm of s(t) - s(t - tau) over the full state vector,
+    and a sample is active iff t > t_on (the time gate) AND r < epsilon (the
+    recurrence gate).  Each r is rounded through ``dx*dx + dy*dy + dz*dz``
+    and the square root, in that order, as ``harness._run`` writes the gate
+    per sample, so both equal the scalar gate of ``tests/reference.py`` bit
+    for bit.
     """
     m = len(states) - lag
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as in Python

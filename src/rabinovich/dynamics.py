@@ -100,10 +100,11 @@ def field_components(a: float, b: float, d: float, h: float,
                      x: float, y: float, z: float) -> tuple[float, float, float]:
     """Time derivative (dx/dt, dy/dt, dz/dt) as plain scalars.
 
-    This is the reference definition of the right-hand side, which
+    This is the one definition of the right-hand side, which
     ``residual_norm`` calls.  ``harness._run`` writes it inline at each RK4
-    stage, in the same term order, and the differential tests against an
-    ``rk4_step`` run on this function keep the two equal bit for bit.
+    stage, in the same term order, and the differential tests against the
+    numpy RK4 of ``tests/reference.py`` run on this function keep the two
+    equal bit for bit.
     """
     return (
         -a * x + h * y + y * z,

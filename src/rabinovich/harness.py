@@ -1,8 +1,8 @@
 """Simulation harness: controlled/uncontrolled runs, convergence metrics, sweeps.
 
 Gating semantics: from one delay tau into the run on, the activation gate
-(``control.activation_gate``) is evaluated once per step, at the step's
-start, from the current state and the state tau earlier.  An active step
+(``control.gate_samples``) is evaluated once per step, at the step's start,
+from the current state and the state tau earlier.  An active step
 integrates the controlled vector field (open-loop field plus the control term
 of ``control.control_coefficients`` on the z-equation, at every RK4 substage);
 an inactive step integrates the pure open-loop field.  ``_run`` writes both
@@ -154,15 +154,16 @@ def _run(
     The state is kept as three Python floats and every sample is written
     straight into the preallocated output arrays; the gate reads the delayed
     state back from them, and its time from ``grid.times()``, which the run
-    returns.  Each arithmetic operation is the one ``integrator.rk4_step``
-    makes on each array component, in the same order, so both give
-    bit-identical results.  A step calls nothing: the vector field (on ``-a``
-    and ``-d`` negated once a run), the control term g * (c*z + x*y) (on
-    ``control_coefficients`` read once a run) and the per-sample gate are
-    inline, in the operations and order of ``field_components``,
-    ``control_term`` and ``activation_gate`` (less the gate's time test, which
-    always holds there), so they give those functions' bits.  A step from an
-    open sample takes the u recorded there as its first-stage control term.
+    returns.  Each arithmetic operation is the one the numpy RK4 step of
+    ``tests/reference.py`` makes on each array component, in the same order,
+    so both give bit-identical results.  A step calls nothing: the vector
+    field (on ``-a`` and ``-d`` negated once a run), the control term
+    g * (c*z + x*y) (on ``control_coefficients`` read once a run) and the
+    per-sample gate are inline, in the operations and order of
+    ``field_components`` and ``gate_samples`` (less the gate's time test,
+    which always holds there), so they give those functions' bits.  A step
+    from an open sample takes the u recorded there as its first-stage control
+    term.
 
     Until the gate first opens the run is the free flow bit for bit, so no
     gate runs per sample until then.  ``free`` may hold the leading rows of
@@ -237,7 +238,7 @@ def _run(
             state_out[j], state_out[j + 1], state_out[j + 2] = x, y, z
             if k < gate_from:
                 continue
-            i = j - 3 * lag  # the gate, as control.activation_gate computes it
+            i = j - 3 * lag  # the gate, as control.gate_samples computes it
             dx, dy, dz = x - state_out[i], y - state_out[i + 1], z - state_out[i + 2]
             r_out[k] = r = sqrt(dx * dx + dy * dy + dz * dz)
             # less its t > t_on, which holds here: samples are gated one by

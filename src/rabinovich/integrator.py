@@ -1,5 +1,5 @@
 """Fixed-step classical fourth-order Runge-Kutta: the time grid, the
-divergence guard and its errors, and the generic reference step.
+divergence limit and its errors.
 
 Only fixed-step RK4 is provided: the simulation protocols this package
 reproduces use a constant step, and a fixed grid keeps runs bit-for-bit
@@ -8,16 +8,16 @@ multiplication per step, never accumulated addition) so the time axis
 carries no compounding rounding error; a run takes its sample times from
 ``TimeGrid.times()`` alone.
 
-Runs are stepped by ``harness._run``.  ``rk4_step`` and ``check_state`` are
-the generic numpy reference that the core is tested against: the same
-arithmetic on arrays, with the field given as a callable ``f(t, y)``.
+Runs are stepped by ``harness._run`` alone.  The tests compare it against a
+generic numpy RK4 step, with the field given as a callable ``f(t, y)``, that
+they keep in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -26,8 +26,6 @@ __all__ = [
     "IntegrationError",
     "DivergenceError",
     "DIVERGENCE_LIMIT",
-    "rk4_step",
-    "check_state",
 ]
 
 # Abort threshold for any state component.  The attractors this package
@@ -110,39 +108,3 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.dt * np.arange(self.n_steps + 1, dtype=float)
-
-
-def check_state(y: np.ndarray, step_index: int, t: float) -> None:
-    """Divergence guard: reject non-finite or astronomically large states."""
-    if not np.isfinite(y).all():
-        raise DivergenceError(step_index, t, "non-finite state component")
-    if np.abs(y).max() > DIVERGENCE_LIMIT:
-        raise DivergenceError(
-            step_index, t, f"state magnitude exceeded {DIVERGENCE_LIMIT:g}"
-        )
-
-
-def _eval(f: Callable, t: float, y: np.ndarray) -> np.ndarray:
-    k = np.asarray(f(t, y), dtype=float)
-    if not np.isfinite(k).all():
-        raise IntegrationError(f"non-finite derivative at t={t!r}")
-    return k
-
-
-def rk4_step(f: Callable, t: float, state, dt: float) -> np.ndarray:
-    """One classical RK4 update with the (1, 2, 2, 1)/6 weighting.
-
-    Pure function of its inputs; identical inputs give bit-identical
-    output.  Raises IntegrationError if the field returns a non-finite
-    derivative at any stage.
-    """
-    if dt <= 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    y = np.asarray(state, dtype=float)
-    half = 0.5 * dt
-    k1 = _eval(f, t, y)
-    k2 = _eval(f, t + half, y + half * k1)
-    k3 = _eval(f, t + half, y + half * k2)
-    k4 = _eval(f, t + dt, y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-

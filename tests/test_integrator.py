@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rabinovich import DIVERGENCE_LIMIT, IntegrationError, TimeGrid, rk4_step
+from rabinovich import DIVERGENCE_LIMIT, IntegrationError, TimeGrid
 from rabinovich.integrator import MAX_STEPS, whole_steps
+from reference import rk4_step
 
 
 class TestTimeGrid:

@@ -11,9 +11,11 @@ def test_public_names_resolve():
     for name in rabinovich.__all__:
         assert hasattr(rabinovich, name), name
     assert len(set(rabinovich.__all__)) == len(rabinovich.__all__)
-    assert "check_state" in rabinovich.__all__
-    for removed in ("integrate", "FieldFn", "ReportSettings", "vector_field"):
-        assert not hasattr(rabinovich, removed), removed
+    removed = ("integrate", "FieldFn", "ReportSettings", "vector_field",
+               "rk4_step", "check_state", "activation_gate", "control_term")
+    for module in (rabinovich, rabinovich.integrator, rabinovich.control):
+        for name in removed:
+            assert not hasattr(module, name), (module.__name__, name)
 
 
 # Runs the CLI command after command in a fresh interpreter and records, after
