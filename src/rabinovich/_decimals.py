@@ -355,15 +355,12 @@ def _parsed(lines) -> Optional[tuple]:
     block = exact(text, len(lines))
     if block is not None:
         return block
+    # An empty r, the last field of its line, is NaN.  Any other text holds
+    # no ",\n" and is left as it is.
     try:
-        block = _loaded(text)
+        block = _loaded(text.replace(",\n", ",nan\n"))
     except ValueError:
-        # Once more with each empty r, the last field of its line, as NaN;
-        # looking for one first would cost more than this retry.
-        try:
-            block = _loaded(text.replace(",\n", ",nan\n"))
-        except ValueError:
-            return None
+        return None
     active = block["active"]
     ones = active == "1"
     if not (ones | (active == "0")).all():

@@ -282,6 +282,8 @@ def _same_bits(a, b) -> bool:
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     names = list(REPRODUCE_PRESETS) if args.preset == "all" else [args.preset]
     if not os.path.isdir(args.out_dir):
+        if os.path.exists(args.out_dir):
+            raise ConfigError(f"--out-dir: {args.out_dir!r} is not a directory")
         raise ConfigError(f"--out-dir: directory {args.out_dir!r} does not exist")
     base = default_config()
     cfgs = [replace(base.controller, t_on=REPRODUCE_PRESETS[name]) for name in names]

@@ -51,8 +51,6 @@ _DEFAULTS = {
 CONFIG_KEYS = tuple(_DEFAULTS)
 _FLOAT_KEYS = tuple(key for key in CONFIG_KEYS if isinstance(_DEFAULTS[key], float))
 
-_MODE_TOKENS = {m.value: m for m in PredictionMode}
-
 
 class ConfigError(ValueError):
     """Configuration rejected; message names the line and/or the field."""
@@ -112,11 +110,11 @@ def parse_config(text: str) -> RunConfig:
     values = dict(_DEFAULTS)
     values.update(raw)
 
-    mode_token = values["mode"]
-    if mode_token not in _MODE_TOKENS:
-        raise ConfigError(
-            f"mode: expected one of {sorted(_MODE_TOKENS)}, got {mode_token!r}"
-        )
+    try:
+        mode = PredictionMode(values["mode"])
+    except ValueError:
+        valid = sorted(m.value for m in PredictionMode)
+        raise ConfigError(f"mode: expected one of {valid}, got {values['mode']!r}") from None
 
     try:
         params = Params(values["a"], values["b"], values["d"], values["h"])
@@ -126,7 +124,7 @@ def parse_config(text: str) -> RunConfig:
             K=values["K"],
             epsilon=values["epsilon"],
             t_on=values["t_on"],
-            mode=_MODE_TOKENS[mode_token],
+            mode=mode,
             tau=values["tau"],
         )
         lag = delay_steps(controller, grid.dt)

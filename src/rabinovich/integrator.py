@@ -1,7 +1,6 @@
-"""Fixed-step classical fourth-order Runge-Kutta: the time grid, the
-divergence limit and its errors.
+"""The fixed time grid of the RK4 runs, the divergence limit and its errors.
 
-Only fixed-step RK4 is provided: the simulation protocols this package
+Runs take fixed RK4 steps only: the simulation protocols this package
 reproduces use a constant step, and a fixed grid keeps runs bit-for-bit
 reproducible.  Grid times are always computed as ``t0 + k*dt`` (one
 multiplication per step, never accumulated addition) so the time axis

@@ -1,22 +1,24 @@
 """Trajectory, sweep and report files.
 
 Every file is UTF-8 text with "\n" line endings, whatever the platform and
-locale; the sweep CSV and the reports write each float as ``format(x,
-".17g")`` does.  A trajectory file is the header and one row a sample.  It
-is written and read in blocks of rows; the text of a block, written or
-read, is the ``_decimals`` module's (17 significant digits, which read back
-bit for bit), imported on the first trajectory write or read.  A write holds
-one block.  A read counts the rows first and reads each block into its
-slice of output arrays allocated once, so it holds its output and one
-block.  Only the writer's format is read: LF line ends, the exact header,
-no blank lines, no quotes, and numbers as numpy's C text reader reads
-them.  A read error names the first bad row (its line in the file) and,
-where one field is at fault, the column.
+locale, written through one sink: a path is opened "wb", and a text stream
+is handed the decoded text; a failed write names its file.  The sweep CSV
+and the reports write each float as ``format(x, ".17g")`` does.  A
+trajectory file is the header and one row a sample.  It is written and
+read in blocks of rows; the text of a block, written or read, is the
+``_decimals`` module's (17 significant digits, which read back bit for
+bit), imported on the first trajectory write or read.  A write holds one
+block.  A read counts the rows first and reads each block into its slice
+of output arrays allocated once, so it holds its output and one block.
+Only the writer's format is read: LF line ends, the exact header, no blank
+lines, no quotes, and numbers as numpy's C text reader reads them.  A read
+error names the first bad row (its line in the file) and, where one field
+is at fault, the column.
 """
 
 from __future__ import annotations
 
-import csv
+from contextlib import contextmanager
 from functools import partial
 from itertools import islice
 from shutil import copyfileobj
@@ -51,6 +53,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+@contextmanager
+def _sink(dest: Union[str, TextIO]):
+    """Yields a writer of UTF-8 bytes: into the file at path dest, or as
+    text to the stream dest.  An OSError with no file names dest."""
+    if not isinstance(dest, str):
+        yield lambda data: dest.write(data.decode())
+        return
+    try:
+        with open(dest, "wb") as fh:
+            yield fh.write
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = dest
+        raise
+
+
 def write_trajectory_csv(traj: Trajectory, dest: Union[str, TextIO]) -> None:
     """Write one sample per row: t,x,y,z,u,active,r.
 
@@ -58,23 +76,16 @@ def write_trajectory_csv(traj: Trajectory, dest: Union[str, TextIO]) -> None:
     not yet available (the first tau of the run, and all of an uncontrolled
     run).
     """
-    if isinstance(dest, str):
-        with open(dest, "wb") as fh:
-            _write_rows(traj, fh.write)
-        return
-    _write_rows(traj, lambda data: dest.write(data.decode("ascii")))
-
-
-def _write_rows(traj: Trajectory, write) -> None:
     from ._decimals import _BLOCK_ROWS, _csv_rows  # compiled on first use only
 
-    write(",".join(TRAJECTORY_HEADER).encode() + b"\n")
     active = np.asarray(traj.active, dtype=bool)
-    for lo in range(0, traj.n_samples, _BLOCK_ROWS):
-        block = slice(lo, lo + _BLOCK_ROWS)
-        write(_csv_rows(
-            traj.t[block], traj.states[block], traj.u[block], active[block], traj.r[block],
-        ))
+    with _sink(dest) as write:
+        write(",".join(TRAJECTORY_HEADER).encode() + b"\n")
+        for lo in range(0, traj.n_samples, _BLOCK_ROWS):
+            block = slice(lo, lo + _BLOCK_ROWS)
+            write(_csv_rows(
+                traj.t[block], traj.states[block], traj.u[block], active[block], traj.r[block],
+            ))
 
 
 def _locate(lines, first_row: int) -> None:
@@ -166,8 +177,6 @@ def _read_rows(source: TextIO, rows: int) -> Trajectory:
         del lines, block  # before the next block is read
     if lo < rows:
         raise _changed(2 + lo, rows)
-    if not rows:
-        raise ValueError("a trajectory needs at least two samples")
     try:
         return Trajectory(t=t, states=states, u=u, active=active, r=r)
     except _SampleError as exc:
@@ -184,33 +193,22 @@ def write_sweep_csv(report: SweepReport, dest: Union[str, TextIO]) -> None:
     """One row per (K, epsilon, mode) cell, in the order the sweep ran.
 
     Cells whose simulation diverged carry the grid coordinates and empty
-    outcome fields.
+    outcome fields.  No field needs quoting: each is a number, the mode, the
+    target label or empty.
     """
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            write_sweep_csv(report, fh)
-        return
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(SWEEP_HEADER)
+    rows = [SWEEP_HEADER]
     for cell in report.cells:
-        if cell.report is None:
-            writer.writerow(
-                (_fmt(cell.K), _fmt(cell.epsilon), cell.mode, "", "", "", "", "")
-            )
-            continue
         rep = cell.report
-        writer.writerow(
-            (
-                _fmt(cell.K),
-                _fmt(cell.epsilon),
-                cell.mode,
-                "1" if rep.stabilized else "0",
-                rep.target_label,
-                _fmt(rep.tail_max_distance),
-                _fmt(rep.control_effort),
-                _fmt(rep.max_abs_u_post_activation),
-            )
+        outcome = ("", "", "", "", "") if rep is None else (
+            "1" if rep.stabilized else "0",
+            rep.target_label,
+            _fmt(rep.tail_max_distance),
+            _fmt(rep.control_effort),
+            _fmt(rep.max_abs_u_post_activation),
         )
+        rows.append((_fmt(cell.K), _fmt(cell.epsilon), cell.mode, *outcome))
+    with _sink(dest) as write:
+        write("".join(",".join(row) + "\n" for row in rows).encode())
 
 
 def _fmt_point(point) -> str:
@@ -249,8 +247,5 @@ def render_report(report: ConvergenceReport) -> str:
 
 
 def write_report(report: ConvergenceReport, dest: Union[str, TextIO]) -> None:
-    if isinstance(dest, str):
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write(render_report(report))
-        return
-    dest.write(render_report(report))
+    with _sink(dest) as write:
+        write(render_report(report).encode())

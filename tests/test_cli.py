@@ -1,5 +1,6 @@
 import contextlib
 import io
+import os
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -376,6 +377,16 @@ def test_sweep_rejects_bad_gain_list(capsys, tmp_path):
     assert "comma-separated" in err
 
 
+@pytest.mark.parametrize("option", ["--K", "--epsilon", "--modes"])
+def test_sweep_rejects_a_list_of_no_items(capsys, tmp_path, option):
+    argv = {"--K": "-0.6", "--epsilon": "0.1", "--modes": "literal", option: ","}
+    code, _, err = run_cli(capsys, "sweep", *(f"{k}={v}" for k, v in argv.items()),
+                           "--out", str(tmp_path / "s.csv"))
+    assert code == 1
+    assert err == f"error: {option.lstrip('-')}: empty list\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
 def test_sweep_rejects_unknown_mode(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sweep", "--K=-0.6", "--epsilon", "0.1",
                            "--modes", "rk4", "--out", str(tmp_path / "s.csv"))
@@ -479,7 +490,30 @@ def test_reproduce_missing_directory_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "reproduce", "fig4",
                            "--out-dir", str(tmp_path / "missing"))
     assert code == 1
-    assert "error" in err
+    assert err == f"error: --out-dir: directory {str(tmp_path / 'missing')!r} does not exist\n"
+
+
+def test_reproduce_out_dir_that_is_a_file_exits_one(capsys, tmp_path):
+    path = tmp_path / "file"
+    path.write_text("kept\n")
+    code, out, err = run_cli(capsys, "reproduce", "all", "--out-dir", str(path))
+    assert code == 1
+    assert err == f"error: --out-dir: {str(path)!r} is not a directory\n"
+    assert out == "" and path.read_text() == "kept\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("args", [
+    ["simulate", "--config", "{cfg}", "--out-csv", "/dev/full", "--out-report", "{tmp}/r.txt"],
+    ["simulate", "--config", "{cfg}", "--out-csv", "{tmp}/a.csv", "--out-report", "/dev/full"],
+    ["sweep", "--config", "{cfg}", "--K=-0.6,-0.3", "--epsilon", "0.1", "--out", "/dev/full"],
+])
+def test_failed_write_names_its_file(capsys, tmp_path, args):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("t_end = 10\ntail = 5\nt_on = 2\n")
+    code, _, err = run_cli(capsys, *(a.format(cfg=cfg, tmp=tmp_path) for a in args))
+    assert code == 1
+    assert err == "error: /dev/full: No space left on device\n"
 
 
 @pytest.fixture

@@ -72,6 +72,20 @@ def test_trajectory_rejects_control_while_inactive():
         )
 
 
+@pytest.mark.parametrize("arrays, message", [
+    ({"u": np.zeros(2)}, "equal length"),
+    ({"t": np.array([0.0]), "states": np.zeros((1, 3)), "u": np.zeros(1),
+      "active": np.zeros(1, dtype=bool), "r": np.full(1, np.nan)}, "at least two samples"),
+    ({"states": np.zeros((3, 2))}, r"states must have shape \(3, 3\), got \(3, 2\)"),
+    ({"states": np.zeros(3)}, r"states must have shape \(3, 3\), got \(3,\)"),
+])
+def test_trajectory_rejects_arrays_of_the_wrong_shape(arrays, message):
+    three = {"t": np.array([0.0, 0.1, 0.2]), "states": np.zeros((3, 3)), "u": np.zeros(3),
+             "active": np.zeros(3, dtype=bool), "r": np.full(3, np.nan)}
+    with pytest.raises(ValueError, match=message):
+        Trajectory(**{**three, **arrays})
+
+
 def trajectory_with(t=(0.0, 0.1, 0.2), u=(0.0, 0.0, 0.0), active=(False, False, False)):
     n = len(t)
     return Trajectory(
@@ -411,6 +425,8 @@ def test_sweep_rejects_empty_lists(params, s0, grid, controller):
         sweep(params, s0, grid, [], [0.1], controller)
     with pytest.raises(ValueError):
         sweep(params, s0, grid, [-0.6], [], controller)
+    with pytest.raises(ValueError, match="modes must be nonempty"):
+        sweep(params, s0, grid, [-0.6], [0.1], controller, modes=[])
 
 
 def test_sweep_accepts_numpy_arrays(params, s0):

@@ -425,6 +425,25 @@ def test_read_rejects_header_only_file():
         read_trajectory_csv(io.StringIO(HEADER))
 
 
+def test_read_rejects_header_and_one_row():
+    with pytest.raises(ValueError, match="^a trajectory needs at least two samples$"):
+        read_trajectory_csv(io.StringIO(HEADER + "0,1,2,3,0,0,\n"))
+
+
+def test_refused_block_with_empty_r_is_loaded_once(monkeypatch):
+    # exponent notation sends the block past the exact kernel; its first rows
+    # have an empty r
+    calls = []
+    loaded = _decimals._loaded
+    monkeypatch.setattr(_decimals, "_loaded", lambda text: calls.append(text) or loaded(text))
+    text = "0,1e0,2,3,0,0,\n0.1,1,2,3,0,0,\n0.2,1,2,3,0.5,1,0.25\n"
+    t, states, u, active, r = _decimals._parsed(io.StringIO(text).readlines())
+    assert len(calls) == 1
+    assert states[0].tolist() == [1.0, 2.0, 3.0]
+    assert active.tolist() == [False, False, True]
+    assert np.array_equal(r, [math.nan, math.nan, 0.25], equal_nan=True)
+
+
 def test_read_rejects_wrong_header():
     with pytest.raises(ValueError, match="header"):
         read_trajectory_csv(io.StringIO("time,x,y,z,u,active,r\n0,0,0,0,0,0,\n"))
@@ -1024,6 +1043,34 @@ def test_sweep_csv_layout(params, s0):
     failed_row = lines[2].split(",")
     assert failed_row[0] == "20"
     assert failed_row[3:] == ["", "", "", "", ""]
+
+
+def test_sweep_csv_bytes_are_csv_writers(tmp_path, params, s0):
+    # cells that complete and a cell that diverges; the reference is csv.writer's
+    g = TimeGrid(0.0, 30.0, 0.1)
+    base = ControllerConfig(K=-0.6, epsilon=0.5, t_on=10.0)
+    rep = sweep(params, s0, g, [0.0, 20.0], [1e9], base,
+                modes=[PredictionMode.DERIVATIVE, PredictionMode.EULER], tail=10.0)
+    assert {cell.report is None for cell in rep.cells} == {False, True}
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(("K", "epsilon", "mode", "stabilized", "target",
+                     "tail_max_distance", "control_effort", "max_abs_u"))
+    for cell in rep.cells:
+        outcome = ("",) * 5 if cell.report is None else (
+            int(cell.report.stabilized), cell.report.target_label,
+            *(format(x, ".17g") for x in (cell.report.tail_max_distance,
+                                          cell.report.control_effort,
+                                          cell.report.max_abs_u_post_activation)),
+        )
+        writer.writerow((format(cell.K, ".17g"), format(cell.epsilon, ".17g"), cell.mode,
+                         *outcome))
+    path = tmp_path / "sweep.csv"
+    write_sweep_csv(rep, str(path))
+    assert path.read_bytes() == expected.getvalue().encode()
+    buf = io.StringIO()
+    write_sweep_csv(rep, buf)
+    assert buf.getvalue() == expected.getvalue()
 
 
 def test_sweep_csv_file_interface(tmp_path, params, s0):

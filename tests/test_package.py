@@ -19,13 +19,14 @@ def test_public_names_resolve():
 
 
 # Runs the CLI command after command in a fresh interpreter and records, after
-# each, whether the module of a trajectory row's text has been imported.
+# each, whether the module of a trajectory row's text has been imported, and
+# after the import whether csv has been.
 LOADS = """
 import json, sys
 import rabinovich
 from rabinovich.cli import cli_dispatch
 
-loaded = {"import": "rabinovich._decimals" in sys.modules}
+loaded = {"import": "rabinovich._decimals" in sys.modules, "csv": "csv" in sys.modules}
 for name, argv in [
     ("sweep", ["sweep", "--config", "short.cfg", "--K=-0.6,-0.3", "--epsilon", "0.1,5"]),
     ("gain-check", ["gain-check"]),
@@ -46,6 +47,6 @@ def test_row_text_module_is_not_loaded_until_a_trajectory_is_written(tmp_path):
     subprocess.run([sys.executable, "-c", LOADS], cwd=tmp_path, env=env, check=True,
                    capture_output=True)
     assert json.loads((tmp_path / "loaded.json").read_text()) == {
-        "import": False, "sweep": False, "gain-check": False, "equilibria": False,
+        "import": False, "csv": False, "sweep": False, "gain-check": False, "equilibria": False,
         "simulate": True,
     }
