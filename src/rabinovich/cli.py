@@ -209,6 +209,8 @@ def _check_output(option: str, path: str) -> None:
         raise ConfigError(f"{option}: an output path cannot be empty, got {path!r}")
     folder = os.path.dirname(path) or os.curdir
     if not os.path.isdir(folder):
+        if os.path.exists(folder):
+            raise ConfigError(f"{option}: {folder!r} of {path!r} is not a directory")
         raise ConfigError(f"{option}: directory {folder!r} of {path!r} does not exist")
     if os.path.isdir(path):
         raise ConfigError(f"{option}: {path!r} is a directory")

@@ -16,9 +16,10 @@ So until its gate first opens, a controlled run is the free flow bit for
 bit: it steps the open-loop field, and the gate only reads the state.  Runs
 from one start on one grid share that prefix, and ``run_each`` steps it only
 once for a sequence of controllers (the cells of a sweep, the presets of
-``reproduce``).  Until then a run gates the free flow in stretches, one
-numpy pass (``control.gate_samples``) each, and from its first open gate on
-per sample; ``Trajectory.work`` counts what it did.
+``reproduce``), with its r, which a run of the same lag reuses.  Past it a
+run gates the free flow in stretches, one numpy pass (``control.gate_samples``)
+each, and from its first open gate on per sample; ``Trajectory.work`` counts
+what it did.
 
 Convergence is a measured quantity, never an assumption: a run is declared
 stabilized only if the whole tail window stays within the capture radius
@@ -147,7 +148,7 @@ def _divergence(k, grid, t, stages, state) -> DivergenceError:
 
 def _run(
     p: Params, s0: State, grid: TimeGrid, cfg: Optional[ControllerConfig],
-    free: Optional[np.ndarray] = None,
+    free: Optional[np.ndarray] = None, free_r: Optional[np.ndarray] = None,
 ) -> Trajectory:
     """The one RK4 stepping loop; ``cfg=None`` integrates the free flow.
 
@@ -168,8 +169,10 @@ def _run(
     Until the gate first opens the run is the free flow bit for bit, so no
     gate runs per sample until then.  ``free`` may hold the leading rows of
     the free flow of the same ``p``, ``s0`` and ``grid``; they are copied,
-    not stepped.  The free flow then goes on in stretches, each gated in one
-    ``gate_samples`` pass, equal to the per-sample gate bit for bit.  The
+    not stepped, and ``free_r``, their r at this run's lag, if given, is
+    copied and gated with ``t > t_on`` and ``r < epsilon``.  The free flow then
+    goes on in stretches, each gated in one ``gate_samples`` pass, equal to
+    the per-sample gate bit for bit.  The
     first stretch ends one sample past the later of the last sample that
     cannot open (before the delay window fills or at ``t <= t_on``) and the
     last row of ``free``, and each later one is as long as all the samples
@@ -191,6 +194,7 @@ def _run(
     actives = np.zeros(n + 1, dtype=bool)
     rs = np.full(n + 1, np.nan)
     t_at, state_out, r_out = memoryview(t), memoryview(states.reshape(-1)), memoryview(rs)
+    u_out, active_out = memoryview(us), memoryview(actives)
 
     x, y, z = s0.x, s0.y, s0.z
     active = False
@@ -246,15 +250,20 @@ def _run(
             # and the grid's times never decrease
             active = r < epsilon
             if active:
-                actives[k] = True
-                us[k] = u = g * (c * z + x * y)
+                active_out[k] = True
+                u_out[k] = u = g * (c * z + x * y)
         else:
             k = stop
         stepped = min(k + 1, stop)  # past the last sample stepped, a failed one too
         steps += stepped - begin
         if shut and k > gated:  # gate the free samples stepped since the last pass
             passes += 1
-            opens, r = gate_samples(states[gated - lag:k], lag, t[gated:k], cfg)
+            if free_r is not None and k == len(free_r):  # the prefix, whose r is given
+                r = free_r[gated:]
+                opens = t[gated:k] > t_on
+                opens &= r < epsilon
+            else:
+                opens, r = gate_samples(states[gated - lag:k], lag, t[gated:k], cfg)
             first = int(opens.argmax())
             shut = not opens[first]
             end = k if shut else gated + first + 1
@@ -309,11 +318,14 @@ def run_each(
     A finished run is the free flow up to its first open gate, which no
     controller setting enters; each later run reads the longest such prefix
     instead of stepping it again, and steps from its own first open gate.
+    The prefix keeps its r and lag beside its states; r depends on nothing
+    else, so a run with the same lag copies it instead of computing it.
     """
-    free = None  # the longest free-flow prefix a finished run has produced
+    free = free_r = free_lag = None  # the longest free-flow prefix a finished run has produced
     for cfg in cfgs:
+        lag = None if cfg is None else delay_steps(cfg, grid.dt)
         try:
-            result = _run(p, s0, grid, cfg, free)
+            result = _run(p, s0, grid, cfg, free, free_r if lag == free_lag else None)
         except IntegrationError as exc:
             # Yielded as a value, without its traceback: this frame holds it
             # while suspended, and the traceback's frames would close a cycle
@@ -325,7 +337,7 @@ def run_each(
             first = int(result.active.argmax())
             end = first + 1 if result.active[first] else result.n_samples
             if free is None or end > len(free):
-                free = result.states[:end]
+                free, free_r, free_lag = result.states[:end], result.r[:end], lag
         yield result
         del result  # the next run then shares memory with the prefix only
 
@@ -353,7 +365,7 @@ class ConvergenceReport:
 def _trapezoid(values: np.ndarray, t: np.ndarray) -> float:
     sums = values[1:] + values[:-1]
     sums *= t[1:] - t[:-1]
-    return float(np.sum(sums) * 0.5)
+    return float(np.add.reduce(sums) * 0.5)
 
 
 def check_report_settings(tail: float, capture_radius: float, span: float) -> None:
@@ -390,21 +402,15 @@ def convergence_report(
     # t strictly increases, so both windows are slices, not masked copies.
     cut = traj.t[-1] - tail
     tail_states = traj.states[np.searchsorted(traj.t, cut, "left"):]
-    mean_state = tail_states.mean(axis=0)
+    mean_state = np.add.reduce(tail_states) / len(tail_states)  # the bits of .mean(axis=0)
 
-    best_idx = 0
-    best_dist = math.inf
-    for i, point in enumerate(eqs.points):
-        dist = float(np.linalg.norm(mean_state - point.as_array()))
-        if dist < best_dist:
-            best_idx = i
-            best_dist = dist
+    gaps = np.array([(q.x, q.y, q.z) for q in eqs.points]) - mean_state
+    best_idx = int(np.sqrt(np.add.reduce(gaps * gaps, axis=1)).argmin())  # the first of equal distances
     target = eqs.points[best_idx]
-    target_arr = target.as_array()
 
-    dists = np.sqrt(((tail_states - target_arr) ** 2).sum(axis=1))
+    dists = np.sqrt(np.add.reduce((tail_states - target.as_array()) ** 2, axis=1))
     tail_max = float(dists.max())
-    tail_mean = float(dists.mean())
+    tail_mean = float(np.add.reduce(dists) / len(dists))
 
     abs_u = np.abs(traj.u)
     effort = _trapezoid(abs_u, traj.t)

@@ -39,8 +39,8 @@ DIVERGENCE_LIMIT = 1e6
 # first stretch of free flow, which reaches past t_on, adds 32 bytes a row
 # to the arrays without t); a controlled run and its convergence report 74
 # (the report's temporaries add 24), so about 0.74 GB here; a sweep, which
-# also keeps a free-flow prefix of states (24 bytes a sample) and gates it
-# in one pass (32 bytes a sample of temporaries), 98, so about 0.98 GB.
+# also keeps a free-flow prefix of states and r (32 bytes a sample), 105
+# (a later cell's arrays and report on top of it), so about 1.05 GB.
 MAX_STEPS = 10**7
 
 

@@ -9,7 +9,8 @@ that the tests can compare the shipped code against them bit for bit:
 * ``rk4_step`` and ``check_state``: a generic numpy RK4 step with the field
   given as a callable ``f(t, y)``, and the divergence guard on its state;
 * ``activation_gate``: the gate at one sample;
-* ``control_term``: the control input u at one state.
+* ``control_term``: the control input u at one state;
+* ``nearest_equilibrium``: the report's target, one point at a time.
 
 Tests import it as ``from reference import ...``; pytest puts ``tests/`` on
 ``sys.path``.
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from rabinovich.control import ControllerConfig, control_coefficients
-from rabinovich.dynamics import Params
+from rabinovich.dynamics import EquilibriumSet, Params
 from rabinovich.integrator import DIVERGENCE_LIMIT, DivergenceError, IntegrationError
 
 
@@ -82,3 +83,16 @@ def activation_gate(delayed, t: float, s, cfg: ControllerConfig) -> tuple[bool, 
     r = math.sqrt(dx * dx + dy * dy + dz * dz)
     active = (t > cfg.t_on) and (r < cfg.epsilon)
     return active, r
+
+
+def nearest_equilibrium(mean_state: np.ndarray, eqs: EquilibriumSet) -> int:
+    """Index of the point of ``eqs`` nearest ``mean_state``; of equally near
+    points, the first."""
+    best_idx = 0
+    best_dist = math.inf
+    for i, point in enumerate(eqs.points):
+        dist = float(np.linalg.norm(mean_state - point.as_array()))
+        if dist < best_dist:
+            best_idx = i
+            best_dist = dist
+    return best_idx

@@ -566,6 +566,25 @@ def test_output_that_cannot_be_written_fails_before_any_run(
     assert _files(tmp_path) == before
 
 
+@pytest.mark.parametrize("args, option, bad", [
+    (["simulate", "--out-csv", "{file}/a.csv", "--out-report", "{tmp}/r.txt"],
+     "--out-csv", "{file}/a.csv"),
+    (["simulate", "--out-csv", "{tmp}/a.csv", "--out-report", "{file}/r.txt"],
+     "--out-report", "{file}/r.txt"),
+    (["sweep", "--K", "-0.6,-0.3", "--epsilon", "0.1", "--out", "{file}/s.csv"],
+     "--out", "{file}/s.csv"),
+])
+def test_output_whose_folder_is_a_file_exits_one(capsys, tmp_path, runs, args, option, bad):
+    path = tmp_path / "file"
+    path.write_text("kept\n")
+    paths = {"tmp": tmp_path, "file": path}
+    code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in args))
+    assert code == 1
+    assert err == f"error: {option}: {str(path)!r} of {bad.format(**paths)!r} is not a directory\n"
+    assert out == "" and runs == []
+    assert path.read_text() == "kept\n" and _files(tmp_path) == [path.relative_to(tmp_path)]
+
+
 # --- extreme inputs -------------------------------------------------------------------
 
 EXTREME_DOUBLES = (

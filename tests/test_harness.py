@@ -28,8 +28,8 @@ from rabinovich import (
     sweep,
 )
 from rabinovich import harness
-from rabinovich.harness import _run
-from reference import activation_gate, check_state, control_term, rk4_step
+from rabinovich.harness import DEFAULT_TAIL, _run
+from reference import activation_gate, check_state, control_term, nearest_equilibrium, rk4_step
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 short_grid = TimeGrid(0.0, 5.0, 0.1)
@@ -288,6 +288,17 @@ def test_report_parked_at_origin(params, eqs):
     assert rep.target_label == "origin"
     assert rep.control_effort == 0.0
     assert rep.stabilized
+
+
+def test_report_tie_goes_to_the_first_point(eqs):
+    # A mean on the plane x = y = 0 is exactly as far from both off-origin
+    # points, and here nearer to them than to the origin.
+    traj, g = constant_trajectory(State(0.0, 0.0, eqs.points[1].z))
+    rep = convergence_report(traj, eqs, g)
+    assert rep.target_label == "positive-x"
+    mean_state = traj.states.mean(axis=0)
+    far = [np.linalg.norm(mean_state - point.as_array()) for point in eqs.points]
+    assert far[1] == far[2] < far[0]
 
 
 def test_report_chaotic_run_not_stabilized(free_run, grid, eqs):
@@ -561,14 +572,16 @@ def test_core_divergence_matches_reference(params, s0, cfg, reason):
 # 200 steps with the delay a whole number of them: gates that open early,
 # late or never, laws that settle or diverge, both outcomes compared
 DRAWN_GRID = TimeGrid(0.0, 20.0, 0.1)
+drawn_gains = st.one_of(st.sampled_from([0.0, -0.0, -0.9, 1e200]), st.floats(-1.5, 2.0))
+drawn_thresholds = st.one_of(st.sampled_from([1e-9, 1e9]), st.floats(0.05, 20.0))
 drawn_controllers = st.builds(
     lambda mode, K, lag, epsilon, t_on: ControllerConfig(
         K=K, epsilon=epsilon, t_on=t_on, mode=mode, tau=lag * DRAWN_GRID.dt
     ),
     mode=st.sampled_from(PredictionMode),
-    K=st.one_of(st.sampled_from([0.0, -0.0, -0.9, 1e200]), st.floats(-1.5, 2.0)),
+    K=drawn_gains,
     lag=st.integers(1, 20),
-    epsilon=st.one_of(st.sampled_from([1e-9, 1e9]), st.floats(0.05, 20.0)),
+    epsilon=drawn_thresholds,
     t_on=st.floats(0.0, 25.0),
 )
 
@@ -599,6 +612,23 @@ def test_core_matches_reference_on_drawn_params(p, s0, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
         ref = outcome(reference_run, p, s0, DRAWN_GRID, cfg)
     assert_same_outcome(outcome(_run, p, s0, DRAWN_GRID, cfg), ref)
+
+
+@given(p=distinct_params(), first=st.builds(State, coords, coords, coords),
+       second=st.builds(State, coords, coords, coords))
+def test_report_target_matches_reference_loop(p, first, second):
+    # a tail alternating between two states, so its mean is neither of them
+    g = TimeGrid(0.0, 30.0, 0.1)
+    n = g.n_steps + 1
+    traj = Trajectory(t=g.times(), states=np.resize([first.as_array(), second.as_array()], (n, 3)),
+                      u=np.zeros(n), active=np.zeros(n, dtype=bool), r=np.full(n, np.nan))
+    eqs = equilibria(p)
+    rep = convergence_report(traj, eqs, g)
+    tail = traj.states[traj.t >= traj.t[-1] - DEFAULT_TAIL]
+    best = nearest_equilibrium(tail.mean(axis=0), eqs)
+    assert (rep.target_label, rep.target) == (eqs.labels[best], eqs.points[best])
+    dists = np.sqrt(((tail - eqs.points[best].as_array()) ** 2).sum(axis=1))
+    assert rep.tail_mean_distance == float(dists.mean())
 
 
 def test_core_initial_state_beyond_limit_matches_reference(params):
@@ -874,6 +904,59 @@ def test_run_each_matches_independent_runs(params, s0, order):
         if isinstance(got, DivergenceError):
             got = (got.step_index, got.time, str(got))
         assert_same_outcome(got, outcome(run_controlled, params, s0, SWEEP_GRID, cfg))
+
+
+def test_run_each_gates_the_shared_prefix_on_its_r(params, s0, monkeypatch):
+    # One lag (tau = 1): the first cell never opens, so it steps and gates
+    # the whole free flow; the later cells copy its r and make no gate pass,
+    # and the never-open one allocates its arrays (49 bytes a sample) and
+    # two bools a sample to compare (81 bytes with a pass over the prefix).
+    passes, gate = [], harness.gate_samples
+
+    def counted(*args):
+        passes.append(None)
+        return gate(*args)
+
+    monkeypatch.setattr(harness, "gate_samples", counted)
+    grid = TimeGrid(0.0, 2000.0, 0.01)
+    cfgs = [
+        ControllerConfig(K=-0.6, epsilon=1e-9),
+        ControllerConfig(K=-0.3, epsilon=1e-9, mode=PredictionMode.EULER),
+        ControllerConfig(K=-0.3, epsilon=1e9, t_on=1999.5),
+        ControllerConfig(K=-0.6, epsilon=1e9, t_on=1995.0, mode=PredictionMode.EULER),
+    ]
+    results = run_each(params, s0, grid, cfgs)
+    first = next(results)
+    assert not first.active.any() and passes
+    passes.clear()
+    tracemalloc.start()
+    try:
+        shut = next(results)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    late = list(results)
+    assert not shut.active.any()
+    assert peak / shut.n_samples <= 55.0
+    assert passes == []
+    assert [int(traj.active.argmax()) for traj in late] == [199951, 199501]
+    assert np.array_equal(shut.r, first.r, equal_nan=True)
+
+
+lags = st.sampled_from([0.1, 0.5, 1.0])
+drawn_cell_lists = st.lists(st.one_of(st.none(), st.builds(
+    ControllerConfig, K=drawn_gains, epsilon=drawn_thresholds,
+    t_on=st.floats(0.0, 25.0), mode=st.sampled_from(PredictionMode), tau=lags,
+)), min_size=1, max_size=6)
+
+
+@given(cfgs=drawn_cell_lists)
+def test_run_each_matches_independent_runs_on_drawn_lists(params, s0, cfgs):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for cfg, got in zip(cfgs, run_each(params, s0, DRAWN_GRID, cfgs)):
+            if isinstance(got, DivergenceError):
+                got = (got.step_index, got.time, str(got))
+            assert_same_outcome(got, outcome(core_run, params, s0, DRAWN_GRID, cfg))
 
 
 def test_open_sample_computes_its_control_term_once(params, s0, monkeypatch):
