@@ -153,9 +153,9 @@ def _run(
     """The one RK4 stepping loop; ``cfg=None`` integrates the free flow.
 
     The state is kept as three Python floats and every sample is written
-    straight into the preallocated output arrays; the gate reads the delayed
-    state back from them, and its time from ``grid.times()``, which the run
-    returns.  Each arithmetic operation is the one the numpy RK4 step of
+    straight into the preallocated output arrays, through a memoryview a state
+    column; the gate reads the delayed state back from them, and its time from
+    ``grid.times()``, which the run returns.  Each arithmetic operation is the one the numpy RK4 step of
     ``tests/reference.py`` makes on each array component, in the same order,
     so both give bit-identical results.  A step calls nothing: the vector
     field (on ``-a`` and ``-d`` negated once a run), the control term
@@ -193,7 +193,8 @@ def _run(
     us = np.zeros(n + 1)
     actives = np.zeros(n + 1, dtype=bool)
     rs = np.full(n + 1, np.nan)
-    t_at, state_out, r_out = memoryview(t), memoryview(states.reshape(-1)), memoryview(rs)
+    t_at, r_out = memoryview(t), memoryview(rs)
+    x_out, y_out, z_out = (memoryview(column) for column in states.T)
     u_out, active_out = memoryview(us), memoryview(actives)
 
     x, y, z = s0.x, s0.y, s0.z
@@ -216,7 +217,6 @@ def _run(
     while True:
         begin = k
         for k in range(k, stop):
-            j = 3 * k
             if k:
                 k1x, k1y, k1z = na * x + h * y + y * z, h * x - b * y - x * z, nd * z + x * y
                 if active:  # the u recorded at the step's start
@@ -239,11 +239,11 @@ def _run(
             # Fails on NaN as well as on magnitude.
             if not (abs(x) <= limit and abs(y) <= limit and abs(z) <= limit):
                 break  # step k diverged
-            state_out[j], state_out[j + 1], state_out[j + 2] = x, y, z
+            x_out[k], y_out[k], z_out[k] = x, y, z
             if k < gate_from:
                 continue
-            i = j - 3 * lag  # the gate, as control.gate_samples computes it
-            dx, dy, dz = x - state_out[i], y - state_out[i + 1], z - state_out[i + 2]
+            i = k - lag  # the gate, as control.gate_samples computes it
+            dx, dy, dz = x - x_out[i], y - y_out[i], z - z_out[i]
             r_out[k] = r = sqrt(dx * dx + dy * dy + dz * dz)
             # less its t > t_on, which holds here: samples are gated one by
             # one only past the first open sample, whose time is past t_on,
