@@ -153,34 +153,34 @@ def _run(
     """The one RK4 stepping loop; ``cfg=None`` integrates the free flow.
 
     The state is kept as three Python floats and every sample is written
-    straight into the preallocated output arrays, through a memoryview a state
-    column; the gate reads the delayed state back from them, and its time from
-    ``grid.times()``, which the run returns.  Each arithmetic operation is the one the numpy RK4 step of
-    ``tests/reference.py`` makes on each array component, in the same order,
-    so both give bit-identical results.  A step calls nothing: the vector
-    field (on ``-a`` and ``-d`` negated once a run), the control term
-    g * (c*z + x*y) (on ``control_coefficients`` read once a run) and the
-    per-sample gate are inline, in the operations and order of
-    ``field_components`` and ``gate_samples`` (less the gate's time test,
-    which always holds there), so they give those functions' bits.  A step
-    from an open sample takes the u recorded there as its first-stage control
-    term.
+    straight into the preallocated output arrays (one memoryview a column of
+    states); the gate reads the delayed state back from them, and its time
+    from ``grid.times()``, which the run returns.  Each arithmetic operation
+    is the one the numpy RK4 step of ``tests/reference.py`` makes on each
+    array component, in the same order, so both give bit-identical results.
+    A step calls nothing: the vector field (on ``-a`` and ``-d`` negated once
+    a run), the control term g * (c*z + x*y) (on ``control_coefficients``
+    read once a run) and the per-sample gate are inline, in the operations
+    and order of ``field_components`` and ``gate_samples`` (less the gate's
+    time test, which always holds there), so they give those functions' bits.
+    A step from an open sample takes the u recorded there as its first-stage
+    control term.
 
     Until the gate first opens the run is the free flow bit for bit, so no
     gate runs per sample until then.  ``free`` may hold the leading rows of
     the free flow of the same ``p``, ``s0`` and ``grid``; they are copied,
     not stepped, and ``free_r``, their r at this run's lag, if given, is
-    copied and gated with ``t > t_on`` and ``r < epsilon``.  The free flow then
-    goes on in stretches, each gated in one ``gate_samples`` pass, equal to
-    the per-sample gate bit for bit.  The
-    first stretch ends one sample past the later of the last sample that
-    cannot open (before the delay window fills or at ``t <= t_on``) and the
-    last row of ``free``, and each later one is as long as all the samples
-    this run stepped from there on, so the lengths double from 1.  At the
-    first open sample the stretch's later samples are dropped, and the run
-    steps on from there with the gate per sample: the free steps dropped are
-    fewer than the free steps this run stepped and gated before them.  A free
-    step that diverges inside a stretch raises only if no gate opens before it.
+    copied and gated with ``t > t_on`` and ``r < epsilon``.  The free flow
+    then goes on in stretches, each gated in one ``gate_samples`` pass, equal
+    to the per-sample gate bit for bit.  The first stretch ends one sample
+    past the later of the last sample that cannot open (before the delay
+    window fills or at ``t <= t_on``) and the last row of ``free``, and each
+    later one is as long as all the samples this run stepped from there on,
+    so the lengths double from 1.  At the first open sample the stretch's
+    later samples are dropped, and the run steps on from there with the gate
+    per sample: the free steps dropped are fewer than the free steps this run
+    stepped and gated before them.  A free step that diverges inside a
+    stretch raises only if no gate opens before it.
     """
     lag = delay_steps(cfg, grid.dt) if cfg is not None else 0
     sqrt = math.sqrt
