@@ -13,7 +13,7 @@ import os
 import re
 import shutil
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from .config import ConfigError, RunConfig, default_config, parse_config
@@ -25,7 +25,14 @@ from .control import (
     eigen3,
 )
 from .dynamics import equilibria, jacobian, residual_norm
-from .harness import convergence_report, run_controlled, run_each, run_uncontrolled, sweep
+from .harness import (
+    RunWork,
+    convergence_report,
+    run_controlled,
+    run_each,
+    run_uncontrolled,
+    sweep,
+)
 from .integrator import IntegrationError
 from .io import render_report, write_report, write_sweep_csv, write_trajectory_csv
 
@@ -275,12 +282,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _same_bits(a, b) -> bool:
-    """Equal bytes in every array; not values, as 0.0 == -0.0 but the CSV writes 0 and -0."""
-    arrays = [f.name for f in fields(a) if f.name != "work"]  # work counts how each was made
-    return all(getattr(a, n).tobytes() == getattr(b, n).tobytes() for n in arrays)
-
-
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     names = list(REPRODUCE_PRESETS) if args.preset == "all" else [args.preset]
     if not os.path.isdir(args.out_dir):
@@ -290,9 +291,9 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     base = default_config()
     cfgs = [replace(base.controller, t_on=REPRODUCE_PRESETS[name]) for name in names]
     eqs = equilibria(base.params)
-    last = None  # the previous preset's trajectory and CSV path
+    free_csv = None  # the CSV of the last preset whose gate never opened
     # The presets differ only in t_on: at the default epsilon the gate never
-    # opens, so fig5 steps nothing and its CSV is a copy of fig4's.
+    # opens, so run_each hands fig5 fig4's run, and its CSV is a copy of fig4's.
     for name, cfg, traj in zip(names, cfgs, run_each(base.params, base.s0, base.grid, cfgs)):
         if isinstance(traj, IntegrationError):
             raise traj
@@ -301,12 +302,13 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         )
         csv_path = os.path.join(args.out_dir, f"{name}_trajectory.csv")
         report_path = os.path.join(args.out_dir, f"{name}_report.txt")
-        if last is not None and _same_bits(traj, last[0]):
-            shutil.copyfile(last[1], csv_path)
+        if traj.work == RunWork(0, 0, 0, 0):  # that preset's run again
+            shutil.copyfile(free_csv, csv_path)
         else:
             write_trajectory_csv(traj, csv_path)
+            if not traj.active.any():
+                free_csv = csv_path
         write_report(report, report_path)
-        last = traj, csv_path
         print(f"{name}: wrote {csv_path} and {report_path}", file=sys.stderr)
         print(
             f"{name}: target = {report.target_label},"

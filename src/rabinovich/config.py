@@ -17,7 +17,7 @@ from typing import Optional
 from .control import ControllerConfig, PredictionMode, delay_steps
 from .dynamics import Params, State
 from .harness import DEFAULT_CAPTURE_RADIUS, DEFAULT_TAIL, check_report_settings
-from .integrator import TimeGrid
+from .integrator import DIVERGENCE_LIMIT, TimeGrid
 
 __all__ = [
     "RunConfig",
@@ -81,9 +81,10 @@ def parse_config(text: str) -> RunConfig:
 
     Raises ConfigError with a line number for syntax problems (missing '=',
     unknown or duplicate keys, unparseable or non-finite numbers) and with
-    the field name for domain violations (non-positive parameters, uneven
-    grids, a tau that is not a whole number of steps, a tail or a tau at
-    least as long as the run, a t_on at or past the start of its last step).
+    the field name for domain violations (non-positive parameters, an
+    initial state beyond the divergence limit, uneven grids, a tau that is
+    not a whole number of steps, a tail or a tau at least as long as the run,
+    a t_on at or past the start of its last step).
     """
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -119,6 +120,11 @@ def parse_config(text: str) -> RunConfig:
     try:
         params = Params(values["a"], values["b"], values["d"], values["h"])
         s0 = State(values["x0"], values["y0"], values["z0"])
+        for key in ("x0", "y0", "z0"):  # else every run would fail at step 0
+            if not abs(values[key]) <= DIVERGENCE_LIMIT:
+                raise ValueError(
+                    f"{key} must be at most {DIVERGENCE_LIMIT:g} in magnitude, got {values[key]!r}"
+                )
         grid = TimeGrid(values["t0"], values["t_end"], values["dt"])
         controller = ControllerConfig(
             K=values["K"],

@@ -16,10 +16,14 @@ So until its gate first opens, a controlled run is the free flow bit for
 bit: it steps the open-loop field, and the gate only reads the state.  Runs
 from one start on one grid share that prefix, and ``run_each`` steps it only
 once for a sequence of controllers (the cells of a sweep, the presets of
-``reproduce``), with its r, which a run of the same lag reuses.  Past it a
-run gates the free flow in stretches, one numpy pass (``control.gate_samples``)
-each, and from its first open gate on per sample; ``Trajectory.work`` counts
-what it did.
+``reproduce``), with its r, which a run of the same lag reuses.  A run whose
+gate never opens is that prefix whole, and a later controller of its lag
+that its r would not open either is handed the same arrays without a run.
+Past the prefix a run gates the free flow in stretches, one numpy pass
+(``control.gate_samples``) each, and from its first open gate on per sample.
+No step tests its state for divergence: the stepped rows are checked in one
+numpy pass at each stretch end and at fixed checkpoints.
+``Trajectory.work`` counts what a run did.
 
 Convergence is a measured quantity, never an assumption: a run is declared
 stabilized only if the whole tail window stays within the capture radius
@@ -64,6 +68,10 @@ __all__ = [
 DEFAULT_CAPTURE_RADIUS = 0.5
 DEFAULT_TAIL = 20.0
 
+# A run that is not gating the free flow in stretches checks its states for
+# divergence at every multiple of this many samples.
+_CHECK_ROWS = 512
+
 R_NORM_NOTE = "euclidean norm over the full state vector"
 GATE_NOTE = "gate evaluated once per step, at the step's start"
 
@@ -79,9 +87,10 @@ class _SampleError(ValueError):
 
 @dataclass(frozen=True)
 class RunWork:
-    """What ``_run`` did (``Trajectory.work``; None if read from a file), summed at
-    stretch ends: RK4 steps integrated, samples gated one at a time, free steps
-    past the first open gate integrated and dropped (among ``steps``), gate passes."""
+    """What ``_run`` did (``Trajectory.work``; None if read from a file, all zero
+    for a run that ``run_each`` handed on), summed at checks: RK4 steps
+    integrated, samples gated one at a time, free steps past the first open
+    gate integrated and dropped (among ``steps``), gate passes."""
 
     steps: int
     gated: int
@@ -132,8 +141,8 @@ def _divergence(k, grid, t, stages, state) -> DivergenceError:
     """The error a failed step k raises, found after the fact: the first
     stage with a non-finite derivative, else the non-finite or too large state.
 
-    A non-finite derivative always makes the stepped state non-finite, so the
-    loop needs only its one magnitude test to know that something failed.
+    A non-finite derivative always makes the stepped state non-finite, so a
+    magnitude test of the stepped states finds every failed step.
     """
     t_prev, dt = t[k - 1], grid.dt
     stage_times = (t_prev, t_prev + 0.5 * dt, t_prev + 0.5 * dt, t_prev + dt)
@@ -179,8 +188,19 @@ def _run(
     so the lengths double from 1.  At the first open sample the stretch's
     later samples are dropped, and the run steps on from there with the gate
     per sample: the free steps dropped are fewer than the free steps this run
-    stepped and gated before them.  A free step that diverges inside a
-    stretch raises only if no gate opens before it.
+    stepped and gated before them.
+
+    No step tests its state.  The rows stepped since the last check are
+    checked in one numpy pass, for NaN or a component beyond
+    ``DIVERGENCE_LIMIT``, at the end of each free stretch and, once the run
+    gates per sample or in a free run, at every multiple of ``_CHECK_ROWS``
+    samples; so a run steps past a failed step at most to its stretch's end
+    or its next checkpoint, and ``RunWork`` counts those steps.  The first
+    failing row k is taken as if the run had stopped there: the free samples
+    before it are gated, and if a gate opened among them the failed free step
+    is dropped with the rest.  Else the run goes back to row k - 1 (its
+    state, gate and u) and steps k again, alone, in the same loop, for the
+    stages that the error names.
     """
     lag = delay_steps(cfg, grid.dt) if cfg is not None else 0
     sqrt = math.sqrt
@@ -210,8 +230,9 @@ def _run(
         opening = max(lag, int(np.searchsorted(t, t_on, "right")))  # the first that can open
         base = max(opening, k)  # where the doubling counts from: this run's own steps
         gated = lag  # the first sample whose r is not yet recorded
-    stop = k if shut else n + 1  # the end of the stretch being stepped
+    stop = k  # the end of the rows being stepped; the first block is empty
     gate_from = n + 1  # the first sample gated one by one
+    failed = False  # a failed step is stepped again alone, for its error
     steps, dropped, passes = -1 if k == 0 else 0, 0, 0  # sample 0 is s0, not a step
 
     while True:
@@ -236,9 +257,6 @@ def _run(
                 x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
                 y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
                 z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
-            # Fails on NaN as well as on magnitude.
-            if not (abs(x) <= limit and abs(y) <= limit and abs(z) <= limit):
-                break  # step k diverged
             x_out[k], y_out[k], z_out[k] = x, y, z
             if k < gate_from:
                 continue
@@ -252,10 +270,20 @@ def _run(
             if active:
                 active_out[k] = True
                 u_out[k] = u = g * (c * z + x * y)
-        else:
-            k = stop
-        stepped = min(k + 1, stop)  # past the last sample stepped, a failed one too
-        steps += stepped - begin
+        if failed:
+            # Built here, not kept in a local: a kept error would hold this
+            # frame, and its arrays, in a cycle through its traceback.
+            raise _divergence(
+                k, grid, t_at,
+                ((k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z))
+                if k else (),
+                (x, y, z),
+            )
+        steps += stop - begin
+        k = stop
+        block = states[begin:k]
+        if not (-limit <= block.min(initial=0.0) and block.max(initial=0.0) <= limit):
+            k = begin + int((np.abs(block) <= limit).all(axis=1).argmin())  # fails on NaN too
         if shut and k > gated:  # gate the free samples stepped since the last pass
             passes += 1
             if free_r is not None and k == len(free_r):  # the prefix, whose r is given
@@ -271,25 +299,25 @@ def _run(
             gated = end
             del opens, r
             if not shut:  # drop the later free samples; step on, controlled
-                dropped = stepped - max(end, begin)  # none if ``free`` holds them
-                k, stop, gate_from = end, n + 1, end
+                dropped = stop - max(end, begin)  # none if ``free`` holds them
+                k = stop = gate_from = end
                 x, y, z = states[k - 1].tolist()
                 actives[k - 1] = active = True
                 us[k - 1] = u = g * (c * z + x * y)
                 continue
-        if k < stop:
-            # Built here, not kept in a local: a kept error would hold this
-            # frame, and its arrays, in a cycle through its traceback.
-            raise _divergence(
-                k, grid, t_at,
-                ((k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z))
-                if k else (),
-                (x, y, z),
-            )
+        if k < stop:  # row k failed: step it again from row k - 1
+            i = max(k - 1, 0)
+            x, y, z = states[i].tolist()
+            active, u = active_out[i], u_out[i]
+            stop, failed = k + 1, True
+            continue
         if k > n:
             work = RunWork(steps, n + 1 - gate_from, dropped, passes)
             return Trajectory(t=t, states=states, u=us, active=actives, r=rs, work=work)
-        stop = min(n + 1, max(base + 1, 2 * k - base))
+        if shut:  # the next free stretch
+            stop = min(n + 1, max(base + 1, 2 * k - base))
+        else:  # the next checkpoint
+            stop = min(n + 1, (k // _CHECK_ROWS + 1) * _CHECK_ROWS)
 
 
 def run_uncontrolled(p: Params, s0: State, grid: TimeGrid) -> Trajectory:
@@ -320,10 +348,23 @@ def run_each(
     instead of stepping it again, and steps from its own first open gate.
     The prefix keeps its r and lag beside its states; r depends on nothing
     else, so a run with the same lag copies it instead of computing it.
+
+    A run whose gate never opened is the whole free flow with u all zero.  A
+    later controller of its lag whose gate that run's r would not open
+    either (``t > t_on`` and ``r < epsilon`` at no sample) is the same run:
+    it gets that run's arrays again, read-only, with a zero ``RunWork``, and
+    no run is made.  So a result with no work equals, array for array, every
+    earlier result of its lag whose gate never opened.
     """
     free = free_r = free_lag = None  # the longest free-flow prefix a finished run has produced
+    shared = None  # a finished run whose gate never opened, read-only
     for cfg in cfgs:
         lag = None if cfg is None else delay_steps(cfg, grid.dt)
+        if shared is not None and lag == free_lag:
+            after_t_on = shared.r[np.searchsorted(shared.t, cfg.t_on, "right"):]
+            if not (after_t_on < cfg.epsilon).any():
+                yield shared
+                continue
         try:
             result = _run(p, s0, grid, cfg, free, free_r if lag == free_lag else None)
         except IntegrationError as exc:
@@ -335,11 +376,18 @@ def run_each(
             # The run is the free flow up to and including its first active
             # sample, and all through if the gate never opened.
             first = int(result.active.argmax())
-            end = first + 1 if result.active[first] else result.n_samples
-            if free is None or end > len(free):
+            opened = bool(result.active[first])
+            end = first + 1 if opened else result.n_samples
+            never = shared is None and cfg is not None and not opened
+            if free is None or end > len(free) or never:
                 free, free_r, free_lag = result.states[:end], result.r[:end], lag
+            if never:
+                views = [a.view() for a in (result.t, result.states, result.u, result.active, result.r)]
+                for view in views:
+                    view.flags.writeable = False
+                shared = Trajectory(*views, work=RunWork(0, 0, 0, 0))
         yield result
-        del result  # the next run then shares memory with the prefix only
+        del result  # the next run then shares memory with the prefix (and a run handed on) only
 
 
 @dataclass(frozen=True)
@@ -479,8 +527,10 @@ def sweep(
     against the admissible gain interval for the system's d.
 
     The cells are the controllers of one ``run_each``, so they step the
-    shared free-flow prefix only once; the outputs equal those of running
-    every cell on its own.
+    shared free-flow prefix only once, and a cell that it hands an earlier
+    never-open cell's run takes that cell's report with its own controller:
+    the report reads only t, the states and u, which is all zero.  The
+    outputs equal those of running every cell on its own.
     """
     if len(K_values) == 0 or len(eps_values) == 0:
         raise ValueError("K_values and eps_values must be nonempty")
@@ -496,15 +546,20 @@ def sweep(
     ]
     results = run_each(p, s0, grid, cfgs)
     cells = []
+    free_report = None  # the report of the last cell whose gate never opened
     for cfg in cfgs:
         result = next(results)  # not zip(), whose reused tuple keeps it alive a run longer
+        error = None
         if isinstance(result, IntegrationError):
             report, error = None, str(result)
+        elif result.work == RunWork(0, 0, 0, 0):  # that cell's run again
+            report = replace(free_report, controller=cfg)
         else:
             report = convergence_report(
                 result, eqs, grid, tail=tail, capture_radius=capture_radius, cfg=cfg
             )
-            error = None
+            if not result.active.any():
+                free_report = report
         del result
         cells.append(
             SweepCell(cfg.K, cfg.epsilon, cfg.mode.value, interval.contains(cfg.K), report, error)

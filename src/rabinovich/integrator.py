@@ -15,7 +15,7 @@ they keep in ``tests/reference.py``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -40,7 +40,9 @@ DIVERGENCE_LIMIT = 1e6
 # to the arrays without t); a controlled run and its convergence report 74
 # (the report's temporaries add 24), so about 0.74 GB here; a sweep, which
 # also keeps a free-flow prefix of states and r (32 bytes a sample), 105
-# (a later cell's arrays and report on top of it), so about 1.05 GB.
+# (a later cell's arrays and report on top of it), and 122 once a cell's gate
+# never opened (that whole run, 49, is kept to hand on to later cells of its
+# lag), so about 1.22 GB.
 MAX_STEPS = 10**7
 
 
@@ -77,6 +79,8 @@ class TimeGrid:
     t0: float
     t_end: float
     dt: float
+    # Worked out once, when the grid is checked; not part of its value.
+    n_steps: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("t0", "t_end", "dt"):
@@ -97,10 +101,7 @@ class TimeGrid:
             raise ValueError(
                 f"grid does not divide evenly: (t_end - t0)/dt = {quotient!r} is not an integer"
             )
-
-    @property
-    def n_steps(self) -> int:
-        return whole_steps(self.t_end - self.t0, self.dt)[1]
+        object.__setattr__(self, "n_steps", n)
 
     def time_at(self, k: int) -> float:
         return self.t0 + k * self.dt

@@ -5,13 +5,12 @@ import sys
 import tracemalloc
 from dataclasses import replace
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rabinovich import Trajectory, cli, read_trajectory_csv
-from rabinovich.cli import _same_bits, cli_dispatch
+from rabinovich import cli, read_trajectory_csv
+from rabinovich.cli import cli_dispatch
 from rabinovich.config import _FLOAT_KEYS, default_config
 
 
@@ -249,6 +248,19 @@ def test_simulate_nonfinite_setting_exits_one(capsys, tmp_path, line, field):
     assert not (tmp_path / "t.csv").exists()
 
 
+def test_simulate_initial_state_beyond_the_limit_exits_one(capsys, tmp_path):
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("x0 = 1e7\n")
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(cfg),
+        "--out-csv", str(tmp_path / "t.csv"), "--out-report", str(tmp_path / "r.txt"),
+    )
+    # not exit 2 with "integration aborted at step 0"
+    assert (code, out) == (1, "")
+    assert err == "error: x0 must be at most 1e+06 in magnitude, got 10000000.0\n"
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_simulate_oversized_grid_exits_one_without_allocating(capsys, tmp_path):
     cfg = tmp_path / "tiny_dt.cfg"
     cfg.write_text("dt = 1e-9\n")
@@ -469,16 +481,26 @@ def test_reproduce_divergence_exits_two(capsys, tmp_path, monkeypatch):
     assert out == "" and list(tmp_path.iterdir()) == []
 
 
-def test_same_bits_tells_signed_zeros_apart():
-    def traj(u0):
-        return Trajectory(
-            t=np.array([0.0, 0.1]), states=np.zeros((2, 3)), u=np.array([u0, 1.0]),
-            active=np.array([False, True]), r=np.full(2, np.nan),
-        )
+@pytest.mark.parametrize("epsilon, written", [
+    (0.1, ["fig4"]),          # fig5's gate never opens either: fig4's run, handed on
+    (0.5, ["fig4", "fig5"]),  # both open, at t = 132.4: the same bytes, from two runs
+])
+def test_reproduce_copies_only_a_run_handed_on(capsys, tmp_path, monkeypatch, epsilon, written):
+    base = default_config()
+    monkeypatch.setattr(cli, "default_config", lambda: replace(
+        base, controller=replace(base.controller, epsilon=epsilon)))
+    paths, write = [], cli.write_trajectory_csv
 
-    assert _same_bits(traj(0.0), traj(0.0))
-    assert traj(0.0).u[0] == traj(-0.0).u[0]
-    assert not _same_bits(traj(0.0), traj(-0.0))
+    def recorded(traj, path):
+        paths.append(os.path.basename(path))
+        write(traj, path)
+
+    monkeypatch.setattr(cli, "write_trajectory_csv", recorded)
+    code, _, _ = run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))
+    assert code == 0
+    assert paths == [f"{name}_trajectory.csv" for name in written]
+    fig4 = (tmp_path / "fig4_trajectory.csv").read_bytes()
+    assert (tmp_path / "fig5_trajectory.csv").read_bytes() == fig4
 
 
 def test_reproduce_rejects_unknown_preset(capsys, tmp_path):

@@ -69,6 +69,17 @@ def test_negative_d_names_the_field():
         parse_config("d = -1\n")
 
 
+@pytest.mark.parametrize("key, value", [("x0", "1e7"), ("y0", "-1000000.0000000001"), ("z0", "1e300")])
+def test_initial_state_beyond_the_divergence_limit_names_the_field(key, value):
+    with pytest.raises(ConfigError, match=f"^{key} must be at most 1e\\+06 in magnitude, got "):
+        parse_config(f"{key} = {value}\n")
+
+
+def test_initial_state_at_the_divergence_limit_is_accepted():
+    cfg = parse_config("x0 = 1e6\ny0 = -1e6\n")
+    assert (cfg.s0.x, cfg.s0.y) == (1e6, -1e6)
+
+
 def test_tau_grid_mismatch_rejected():
     with pytest.raises(ConfigError, match="tau"):
         parse_config("dt = 0.3\ntau = 1\nt_end = 30\n")

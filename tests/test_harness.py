@@ -944,7 +944,15 @@ def test_run_each_gates_the_shared_prefix_on_its_r(params, s0, monkeypatch):
 
 
 lags = st.sampled_from([0.1, 0.5, 1.0])
-drawn_cell_lists = st.lists(st.one_of(st.none(), st.builds(
+# controllers of one lag whose gate never opens on DRAWN_GRID: epsilon below
+# every r, or t_on at or past its last time, so run_each hands them on
+never_opening = st.one_of(
+    st.builds(ControllerConfig, K=drawn_gains, epsilon=st.just(1e-9), t_on=st.floats(0.0, 25.0),
+              mode=st.sampled_from(PredictionMode), tau=st.just(1.0)),
+    st.builds(ControllerConfig, K=drawn_gains, epsilon=drawn_thresholds,
+              t_on=st.floats(20.0, 25.0), mode=st.sampled_from(PredictionMode), tau=st.just(1.0)),
+)
+drawn_cell_lists = st.lists(st.one_of(st.none(), never_opening, st.builds(
     ControllerConfig, K=drawn_gains, epsilon=drawn_thresholds,
     t_on=st.floats(0.0, 25.0), mode=st.sampled_from(PredictionMode), tau=lags,
 )), min_size=1, max_size=6)
@@ -957,6 +965,61 @@ def test_run_each_matches_independent_runs_on_drawn_lists(params, s0, cfgs):
             if isinstance(got, DivergenceError):
                 got = (got.step_index, got.time, str(got))
             assert_same_outcome(got, outcome(core_run, params, s0, DRAWN_GRID, cfg))
+
+
+ARRAYS = ("t", "states", "u", "active", "r")
+
+
+def test_run_each_hands_a_never_open_run_on_read_only(params, s0):
+    never = ControllerConfig(K=-0.6, epsilon=0.05)  # lag 10
+    cfgs = [
+        never,
+        ControllerConfig(K=-0.3, epsilon=0.05, t_on=60.0, mode=PredictionMode.EULER),
+        ControllerConfig(K=-0.3, epsilon=1.0, t_on=40.0),  # its gate opens on the same r
+        ControllerConfig(K=-0.3, epsilon=0.05, tau=0.5),   # another lag
+        never,
+    ]
+    first, handed, opens, other, again = run_each(params, s0, SWEEP_GRID, cfgs)
+    assert handed is again and handed.work == harness.RunWork(0, 0, 0, 0)
+    for name in ARRAYS:
+        array = getattr(handed, name)
+        assert not array.flags.writeable, name
+        assert np.shares_memory(array, getattr(first, name)), name
+        assert getattr(first, name).flags.writeable, name
+    with pytest.raises(ValueError, match="read-only"):
+        handed.states[0, 0] = 0.0
+    assert opens.active.any() and opens.work.steps > 0
+    assert other.work.passes == 1 and not np.shares_memory(other.states, first.states)
+    for cfg, got in zip(cfgs, (first, handed, opens, other, again)):
+        assert_same_outcome(got, run_controlled(params, s0, SWEEP_GRID, cfg))
+
+
+@pytest.mark.parametrize("name", ["gate-never-opens", "gate-opens-late", "diverges-after-branching"])
+def test_sweep_runs_only_the_cells_that_step(params, s0, eqs, monkeypatch, name):
+    runs, run = [], harness._run
+
+    def counted(*args):
+        runs.append(args[3])
+        return run(*args)
+
+    monkeypatch.setattr(harness, "_run", counted)
+    rep, cfgs = sweep_case(params, s0, name)
+    monkeypatch.undo()
+    expected, never = [], None  # the cells that step, and the first never-open one
+    for cell, cfg in zip(rep.cells, cfgs):
+        try:
+            traj = run_controlled(params, s0, SWEEP_GRID, cfg)
+        except IntegrationError:
+            expected.append(cfg)
+            continue
+        report = convergence_report(traj, eqs, SWEEP_GRID, tail=10.0, cfg=cfg)
+        assert repr(cell.report) == repr(report)
+        if traj.active.any() or never is None:
+            expected.append(cfg)
+        if not traj.active.any():
+            never = never or cfg
+    assert runs == expected
+    assert never is not None and len(runs) < len(cfgs)
 
 
 def test_open_sample_computes_its_control_term_once(params, s0, monkeypatch):
@@ -1075,13 +1138,14 @@ def test_free_stretch_edge_cases_diverge_where_named(params, s0):
 
 def test_free_step_that_fails_past_the_first_open_gate_is_dropped_work(params, s0, core_calls):
     # The gate first opens at 18; the free stretch [17, 33) fails at step 24.
-    # Steps 19 to 24, the failed one too, were integrated and are dropped.
+    # The stretch is checked for divergence at its end, so steps 19 to 32,
+    # the failed one and those past it too, were integrated and are dropped.
     traj = run_controlled(params, s0, OPEN_THEN_DIVERGING_GRID, OPEN_THEN_LASTING)
     n = OPEN_THEN_DIVERGING_GRID.n_steps
     assert int(traj.active.argmax()) == 18
     # stretches end at 2, 3, 5, 9, 17 and 33: six passes
-    assert core_calls() == {"field": 4 * (n + 6), "steps": n + 6, "gated": n - 18,
-                            "dropped": 6, "passes": 6}
+    assert core_calls() == {"field": 4 * (n + 14), "steps": n + 14, "gated": n - 18,
+                            "dropped": 14, "passes": 6}
 
 
 def test_divergence_in_a_free_stretch_leaves_no_cycle(params, s0):
@@ -1103,3 +1167,86 @@ def test_divergence_in_a_free_stretch_leaves_no_cycle(params, s0):
     assert error.startswith("integration aborted at step 6 ")
     assert [c.error for c in rep.cells] == [error, error]
     assert freed == 0
+
+
+# --- divergence found at a check of the stepped rows, not in the step --------------------
+
+def free_grid(dt):
+    return TimeGrid(0.0, 600 * dt, dt)
+
+
+FAR_START = State(2e6, 0.0, 0.0)
+# The run checks the rows it stepped at each stretch end, and at every
+# multiple of harness._CHECK_ROWS (512) samples once it is not gating the
+# free flow in stretches: rows 511 and 512 end one checked block and begin
+# the next.  name -> (start, None for the s0 fixture; grid; controller; the
+# failing row)
+DIVERGENCE_CASES = {
+    "free-last-row-of-a-block": (None, free_grid(0.21517), None, 511),
+    "free-first-row-of-a-block": (None, free_grid(0.22584), None, 512),
+    # the gate opens at sample 51 (t > 5) and stays open: the per-sample phase
+    "per-sample-last-row-of-a-block": (
+        None, TimeGrid(0.0, 60.0, 0.1), ControllerConfig(K=-0.52196, epsilon=1e9, t_on=5.0), 511,
+    ),
+    "per-sample-first-row-of-a-block": (
+        None, TimeGrid(0.0, 60.0, 0.1), ControllerConfig(K=-0.5219, epsilon=1e9, t_on=5.0), 512,
+    ),
+    "free-initial-state": (FAR_START, short_grid, None, 0),
+    "controlled-initial-state": (FAR_START, short_grid, ControllerConfig(K=-0.3, t_on=0.0), 0),
+    # the free stretch [17, 33) fails at 24 after the gate opens at 18; the
+    # controlled run from 18 fails at 92
+    "shut-stretch-gate-opens-before-the-failing-row": (
+        None, OPEN_THEN_DIVERGING_GRID,
+        ControllerConfig(K=-0.3, epsilon=1.3, t_on=0.0, tau=0.28), 92,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIVERGENCE_CASES))
+def test_divergence_found_at_a_check_matches_reference_run(params, s0, name):
+    start, grid, cfg, row = DIVERGENCE_CASES[name]
+    start = start or s0
+    assert harness._CHECK_ROWS == 512  # so that the rows named are the edges of blocks
+    got = outcome(_run, params, start, grid, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = outcome(reference_run, params, start, grid, cfg)
+    assert isinstance(ref, tuple) and ref[0] == row
+    assert got == ref
+
+
+@pytest.mark.parametrize("dt, row", [(0.21517, 511), (0.22584, 512)])
+def test_free_run_steps_past_a_divergence_to_its_next_check_only(params, s0, core_calls, dt,
+                                                                  row):
+    grid = free_grid(dt)
+    with pytest.raises(DivergenceError):
+        _run(params, s0, grid, None)
+    # every row up to the check that finds the failed one, and that step again
+    end = min(grid.n_steps + 1, (row // 512 + 1) * 512)
+    assert core_calls()["field"] == 4 * end
+
+
+@st.composite
+def drawn_runs_over_the_checks(draw):
+    """600 steps of dt in [0.15, 0.3], over the first checks, and the free
+    flow or a controller: runs that last, that diverge before or after a
+    gate opens, in a stretch or in a checked block."""
+    dt = draw(st.floats(0.15, 0.3))
+    cfg = draw(st.one_of(st.none(), st.builds(
+        lambda mode, K, lag, epsilon, t_on: ControllerConfig(
+            K=K, epsilon=epsilon, t_on=t_on, mode=mode, tau=lag * dt
+        ),
+        mode=st.sampled_from(PredictionMode),
+        K=drawn_gains,
+        lag=st.integers(1, 20),
+        epsilon=drawn_thresholds,
+        t_on=st.floats(0.0, 100.0),
+    )))
+    return free_grid(dt), cfg
+
+
+@given(run=drawn_runs_over_the_checks())
+def test_core_matches_reference_on_drawn_steps(params, s0, run):
+    grid, cfg = run
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = outcome(reference_run, params, s0, grid, cfg)
+    assert_same_outcome(outcome(_run, params, s0, grid, cfg), ref)

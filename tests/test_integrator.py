@@ -1,11 +1,12 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rabinovich import DIVERGENCE_LIMIT, IntegrationError, TimeGrid
+from rabinovich import DIVERGENCE_LIMIT, IntegrationError, TimeGrid, integrator
 from rabinovich.integrator import MAX_STEPS, whole_steps
 from reference import rk4_step
 
@@ -47,6 +48,20 @@ class TestTimeGrid:
         # a span/dt quotient that overflows to inf is a step count too
         with pytest.raises(ValueError, match=r"dt = 1e-300 gives inf steps"):
             TimeGrid(0.0, 1e300, 1e-300)
+
+    def test_step_count_is_worked_out_once_and_is_not_part_of_the_value(self, monkeypatch):
+        calls, whole = [], integrator.whole_steps
+        monkeypatch.setattr(integrator, "whole_steps", lambda *a: calls.append(a) or whole(*a))
+        g = TimeGrid(0.0, 1.0, 0.25)
+        assert (g.n_steps, g.n_steps, len(g.times())) == (4, 4, 5)
+        assert calls == [(1.0, 0.25)]
+        # equality, hash and repr are those of (t0, t_end, dt) alone, as before
+        assert repr(g) == "TimeGrid(t0=0.0, t_end=1.0, dt=0.25)"
+        assert g == TimeGrid(0, 1, 0.25) and g != TimeGrid(0.0, 1.0, 0.125)
+        assert hash(g) == hash((0.0, 1.0, 0.25)) == hash(TimeGrid(0, 1, 0.25))
+        assert replace(g, t_end=2.0).n_steps == 8
+        with pytest.raises(FrozenInstanceError):
+            g.n_steps = 5
 
     @pytest.mark.parametrize("length, dt, expected", [
         (0.3, 0.1, (2.9999999999999996, 3)),       # within 1e-9 of a whole number
