@@ -25,14 +25,7 @@ from .control import (
     eigen3,
 )
 from .dynamics import equilibria, jacobian, residual_norm
-from .harness import (
-    RunWork,
-    convergence_report,
-    run_controlled,
-    run_each,
-    run_uncontrolled,
-    sweep,
-)
+from .harness import RunWork, convergence_report, run_controlled, run_each, run_uncontrolled, sweep
 from .integrator import IntegrationError
 from .io import render_report, write_report, write_sweep_csv, write_trajectory_csv
 
@@ -291,23 +284,24 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     base = default_config()
     cfgs = [replace(base.controller, t_on=REPRODUCE_PRESETS[name]) for name in names]
     eqs = equilibria(base.params)
-    free_csv = None  # the CSV of the last preset whose gate never opened
+    free = None  # the CSV and report of the last preset whose gate never opened
     # The presets differ only in t_on: at the default epsilon the gate never
-    # opens, so run_each hands fig5 fig4's run, and its CSV is a copy of fig4's.
+    # opens, so run_each hands fig5 fig4's run, whose CSV and report it reuses.
     for name, cfg, traj in zip(names, cfgs, run_each(base.params, base.s0, base.grid, cfgs)):
         if isinstance(traj, IntegrationError):
             raise traj
-        report = convergence_report(
-            traj, eqs, base.grid, tail=base.tail, capture_radius=base.capture_radius, cfg=cfg
-        )
         csv_path = os.path.join(args.out_dir, f"{name}_trajectory.csv")
         report_path = os.path.join(args.out_dir, f"{name}_report.txt")
         if traj.work == RunWork(0, 0, 0, 0):  # that preset's run again
-            shutil.copyfile(free_csv, csv_path)
+            report = replace(free[1], controller=cfg)
+            shutil.copyfile(free[0], csv_path)
         else:
+            report = convergence_report(
+                traj, eqs, base.grid, tail=base.tail, capture_radius=base.capture_radius, cfg=cfg
+            )
             write_trajectory_csv(traj, csv_path)
             if not traj.active.any():
-                free_csv = csv_path
+                free = csv_path, report
         write_report(report, report_path)
         print(f"{name}: wrote {csv_path} and {report_path}", file=sys.stderr)
         print(

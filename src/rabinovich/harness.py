@@ -218,9 +218,13 @@ def _run(
     u_out, active_out = memoryview(us), memoryview(actives)
 
     x, y, z = s0.x, s0.y, s0.z
+    if not (abs(x) <= limit and abs(y) <= limit and abs(z) <= limit):
+        raise _divergence(0, grid, t_at, (), (x, y, z))
     active = False
-    k = 0 if free is None else len(free)  # the next sample to step
-    if k:
+    k = 1 if free is None else len(free)  # the next sample to step
+    if free is None:
+        states[0] = x, y, z
+    else:
         states[:k] = free
         x, y, z = states[k - 1].tolist()
     shut = cfg is not None  # the gate has not opened yet
@@ -233,30 +237,29 @@ def _run(
     stop = k  # the end of the rows being stepped; the first block is empty
     gate_from = n + 1  # the first sample gated one by one
     failed = False  # a failed step is stepped again alone, for its error
-    steps, dropped, passes = -1 if k == 0 else 0, 0, 0  # sample 0 is s0, not a step
+    steps, dropped, passes = 0, 0, 0
 
     while True:
         begin = k
         for k in range(k, stop):
-            if k:
-                k1x, k1y, k1z = na * x + h * y + y * z, h * x - b * y - x * z, nd * z + x * y
-                if active:  # the u recorded at the step's start
-                    k1z = k1z + u
-                sx, sy, sz = x + half * k1x, y + half * k1y, z + half * k1z
-                k2x, k2y, k2z = na * sx + h * sy + sy * sz, h * sx - b * sy - sx * sz, nd * sz + sx * sy
-                if active:
-                    k2z = k2z + g * (c * sz + sx * sy)
-                sx, sy, sz = x + half * k2x, y + half * k2y, z + half * k2z
-                k3x, k3y, k3z = na * sx + h * sy + sy * sz, h * sx - b * sy - sx * sz, nd * sz + sx * sy
-                if active:
-                    k3z = k3z + g * (c * sz + sx * sy)
-                sx, sy, sz = x + dt * k3x, y + dt * k3y, z + dt * k3z
-                k4x, k4y, k4z = na * sx + h * sy + sy * sz, h * sx - b * sy - sx * sz, nd * sz + sx * sy
-                if active:
-                    k4z = k4z + g * (c * sz + sx * sy)
-                x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-                y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
-                z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
+            k1x, k1y, k1z = na * x + h * y + y * z, h * x - b * y - x * z, nd * z + x * y
+            if active:  # the u recorded at the step's start
+                k1z = k1z + u
+            sx, sy, sz = x + half * k1x, y + half * k1y, z + half * k1z
+            k2x, k2y, k2z = na * sx + h * sy + sy * sz, h * sx - b * sy - sx * sz, nd * sz + sx * sy
+            if active:
+                k2z = k2z + g * (c * sz + sx * sy)
+            sx, sy, sz = x + half * k2x, y + half * k2y, z + half * k2z
+            k3x, k3y, k3z = na * sx + h * sy + sy * sz, h * sx - b * sy - sx * sz, nd * sz + sx * sy
+            if active:
+                k3z = k3z + g * (c * sz + sx * sy)
+            sx, sy, sz = x + dt * k3x, y + dt * k3y, z + dt * k3z
+            k4x, k4y, k4z = na * sx + h * sy + sy * sz, h * sx - b * sy - sx * sz, nd * sz + sx * sy
+            if active:
+                k4z = k4z + g * (c * sz + sx * sy)
+            x = x + sixth * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
+            z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
             x_out[k], y_out[k], z_out[k] = x, y, z
             if k < gate_from:
                 continue
@@ -275,14 +278,13 @@ def _run(
             # frame, and its arrays, in a cycle through its traceback.
             raise _divergence(
                 k, grid, t_at,
-                ((k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z))
-                if k else (),
+                ((k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z)),
                 (x, y, z),
             )
         steps += stop - begin
         k = stop
         block = states[begin:k]
-        if not (-limit <= block.min(initial=0.0) and block.max(initial=0.0) <= limit):
+        if begin < k and not (-limit <= block.min() and block.max() <= limit):
             k = begin + int((np.abs(block) <= limit).all(axis=1).argmin())  # fails on NaN too
         if shut and k > gated:  # gate the free samples stepped since the last pass
             passes += 1
@@ -306,9 +308,8 @@ def _run(
                 us[k - 1] = u = g * (c * z + x * y)
                 continue
         if k < stop:  # row k failed: step it again from row k - 1
-            i = max(k - 1, 0)
-            x, y, z = states[i].tolist()
-            active, u = active_out[i], u_out[i]
+            x, y, z = states[k - 1].tolist()
+            active, u = active_out[k - 1], u_out[k - 1]
             stop, failed = k + 1, True
             continue
         if k > n:

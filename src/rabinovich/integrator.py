@@ -34,10 +34,10 @@ DIVERGENCE_LIMIT = 1e6
 
 # Largest step count of a grid: a run preallocates about 49 bytes a sample
 # (t, state, u, active, r), so its arrays stay below about 0.5 GB.  Measured
-# tracemalloc peaks: a controlled run alone, with its gate never open, 52
-# bytes a sample at t_on = 40 of 200 and 73 at t_on = 199 (the pass over its
-# first stretch of free flow, which reaches past t_on, adds 32 bytes a row
-# to the arrays without t); a controlled run and its convergence report 74
+# tracemalloc peaks: a controlled run alone, with its gate never open, 62
+# bytes a sample at t_on = 40 of 200 and 81 at t_on = 199 (the gate pass over
+# a stretch of free flow adds 32 bytes a row of it, and the first stretch
+# reaches past t_on); a controlled run and its convergence report 74
 # (the report's temporaries add 24), so about 0.74 GB here; a sweep, which
 # also keeps a free-flow prefix of states and r (32 bytes a sample), 105
 # (a later cell's arrays and report on top of it), and 122 once a cell's gate

@@ -1005,7 +1005,9 @@ def test_sweep_runs_only_the_cells_that_step(params, s0, eqs, monkeypatch, name)
     monkeypatch.setattr(harness, "_run", counted)
     rep, cfgs = sweep_case(params, s0, name)
     monkeypatch.undo()
-    expected, never = [], None  # the cells that step, and the first never-open one
+    # the cells that run: each whose gate opens or that diverges, and the
+    # first whose gate never opens
+    expected, never = [], None
     for cell, cfg in zip(rep.cells, cfgs):
         try:
             traj = run_controlled(params, s0, SWEEP_GRID, cfg)
@@ -1193,13 +1195,9 @@ DIVERGENCE_CASES = {
     ),
     "free-initial-state": (FAR_START, short_grid, None, 0),
     "controlled-initial-state": (FAR_START, short_grid, ControllerConfig(K=-0.3, t_on=0.0), 0),
-    # the free stretch [17, 33) fails at 24 after the gate opens at 18; the
-    # controlled run from 18 fails at 92
-    "shut-stretch-gate-opens-before-the-failing-row": (
-        None, OPEN_THEN_DIVERGING_GRID,
-        ControllerConfig(K=-0.3, epsilon=1.3, t_on=0.0, tau=0.28), 92,
-    ),
 }
+# A failing row in a shut stretch after a gate opened before it is the
+# "diverges-in-a-stretch-after-gate-opens" case of STRETCH_CASES.
 
 
 @pytest.mark.parametrize("name", sorted(DIVERGENCE_CASES))
