@@ -190,17 +190,17 @@ def _run(
     per sample: the free steps dropped are fewer than the free steps this run
     stepped and gated before them.
 
-    No step tests its state.  The rows stepped since the last check are
-    checked in one numpy pass, for NaN or a component beyond
-    ``DIVERGENCE_LIMIT``, at the end of each free stretch and, once the run
-    gates per sample or in a free run, at every multiple of ``_CHECK_ROWS``
-    samples; so a run steps past a failed step at most to its stretch's end
-    or its next checkpoint, and ``RunWork`` counts those steps.  The first
-    failing row k is taken as if the run had stopped there: the free samples
-    before it are gated, and if a gate opened among them the failed free step
-    is dropped with the rest.  Else the run goes back to row k - 1 (its
-    state, gate and u) and steps k again, alone, in the same loop, for the
-    stages that the error names.
+    No step tests its state; the initial one is tested before the loop.  The
+    rows stepped since the last check are checked in one numpy pass, for NaN
+    or a component beyond ``DIVERGENCE_LIMIT``, at the end of each free
+    stretch and, once the run gates per sample or in a free run, at every
+    multiple of ``_CHECK_ROWS`` samples; so a run steps past a failed step at
+    most to its stretch's end or its next checkpoint, and ``RunWork`` counts
+    those steps.  The first failing row k is taken as if the run had stopped
+    there: the free samples before it are gated, and if a gate opened among
+    them the failed free step is dropped with the rest.  Else the run goes
+    back to row k - 1 (its state, gate and u) and steps k again, alone, in
+    the same loop, for the stages that the error names.
     """
     lag = delay_steps(cfg, grid.dt) if cfg is not None else 0
     sqrt = math.sqrt

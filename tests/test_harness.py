@@ -465,10 +465,8 @@ def test_sweep_is_deterministic(params, s0):
 
 # --- the scalar stepping core against an rk4_step-driven reference ---------------------
 
-def reference_run(p, s0, grid, cfg=None):
-    """Generic RK4 run: ``rk4_step`` on numpy arrays, the gate worked out from
-    the state history, a non-finite stage derivative turned into a
-    ``DivergenceError`` for its step, and ``check_state`` on every state."""
+def reference_fields(p, cfg):
+    """The open-loop and the controlled vector field, as ``rk4_step`` takes them."""
     a, b, d, h = p.a, p.b, p.d, p.h
 
     def f_open(t, s):
@@ -480,6 +478,14 @@ def reference_run(p, s0, grid, cfg=None):
         dx, dy, dz = field_components(a, b, d, h, x, y, z)
         return np.array((dx, dy, dz + control_term(p, cfg, x, y, z)))
 
+    return f_open, f_ctl
+
+
+def reference_run(p, s0, grid, cfg=None):
+    """Generic RK4 run: ``rk4_step`` on numpy arrays, the gate worked out from
+    the state history, a non-finite stage derivative turned into a
+    ``DivergenceError`` for its step, and ``check_state`` on every state."""
+    f_open, f_ctl = reference_fields(p, cfg)
     lag = delay_steps(cfg, grid.dt) if cfg is not None else None
     n = grid.n_steps
     ts, states = np.empty(n + 1), np.empty((n + 1, 3))
@@ -1210,6 +1216,29 @@ def test_divergence_found_at_a_check_matches_reference_run(params, s0, name):
         ref = outcome(reference_run, params, start, grid, cfg)
     assert isinstance(ref, tuple) and ref[0] == row
     assert got == ref
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(DIVERGENCE_CASES)
+                                  if DIVERGENCE_CASES[name][3]] + ["non-finite-derivative"])
+def test_failed_step_is_stepped_again_from_the_row_before(params, s0, monkeypatch, name):
+    # The error names the stages of the failed step, so the run steps it
+    # again from the state, gate and u of the row before, which it checked.
+    start, grid, cfg, row = DIVERGENCE_CASES.get(name) or (
+        None, TimeGrid(0.0, 100.0, 0.1), ControllerConfig(K=1e200, epsilon=1e9, t_on=0.0), 11)
+    start = start or s0
+    seen, divergence = [], harness._divergence
+    monkeypatch.setattr(harness, "_divergence", lambda *args: seen.append(args) or divergence(*args))
+    with pytest.raises(DivergenceError, match=f"at step {row} "):
+        _run(params, start, grid, cfg)
+    (_, _, _, stages, state), = seen
+    before = _run(params, start, TimeGrid(grid.t0, grid.time_at(row - 1), grid.dt), cfg)
+    f_open, f_ctl = reference_fields(params, cfg)
+    f = f_ctl if before.active[-1] else f_open
+    t_prev, y_prev = grid.time_at(row - 1), before.states[-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array(stages[0]).tobytes() == f(t_prev, y_prev).tobytes()
+        if name != "non-finite-derivative":  # else rk4_step raises
+            assert np.array(state).tobytes() == rk4_step(f, t_prev, y_prev, grid.dt).tobytes()
 
 
 @pytest.mark.parametrize("dt, row", [(0.21517, 511), (0.22584, 512)])
