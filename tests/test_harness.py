@@ -1201,9 +1201,13 @@ DIVERGENCE_CASES = {
     ),
     "free-initial-state": (FAR_START, short_grid, None, 0),
     "controlled-initial-state": (FAR_START, short_grid, ControllerConfig(K=-0.3, t_on=0.0), 0),
+    # the free stretch [17, 33) fails at row 24, after the gate opens at 18:
+    # that row is dropped, and the controlled run from 18 fails at 92
+    "shut-stretch-gate-opens-before-the-failing-row": (
+        None, OPEN_THEN_DIVERGING_GRID,
+        ControllerConfig(K=-0.3, epsilon=1.3, t_on=0.0, tau=0.28), 92,
+    ),
 }
-# A failing row in a shut stretch after a gate opened before it is the
-# "diverges-in-a-stretch-after-gate-opens" case of STRETCH_CASES.
 
 
 @pytest.mark.parametrize("name", sorted(DIVERGENCE_CASES))
