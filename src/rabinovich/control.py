@@ -19,15 +19,17 @@ Two prediction conventions are supported:
     vanish at every fixed point.  It is provided as a clearly labeled
     alternative; nothing in the default protocols uses it.
 
-Two stability readings are computed side by side and never conflated:
+``closed_loop_check`` judges the scalar closed-loop coefficient
+-d - K(d+1) of the linearized z-equation two ways, never conflated:
 
-* discrete-style: spectral radius of the closed-loop matrix A + K(A - I)
-  below one (the magnitude test |-d - K(d+1)| < 1 in the scalar case);
-* continuous-time: all eigenvalue real parts negative.
+* discrete-style: the magnitude test |-d - K(d+1)| < 1;
+* continuous-time: the coefficient negative.
 
 For the default gain K = -0.6 at d = 1 the closed-loop coefficient is
 +0.2: the discrete-style test passes while the continuous-time test
 fails.  The gain-check report surfaces this disagreement explicitly.
+``closed_loop_jacobian`` is the full linearization of the controlled flow
+in either mode, whose eigenvalues judge each fixed point.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -56,10 +57,6 @@ __all__ = [
     "gate_samples",
     "delay_steps",
 ]
-
-# |det(A - I)| at or below this scaled tolerance is treated as singular,
-# i.e. no admissible gain exists.
-SINGULAR_DET_TOL = 1e-12
 
 
 class PredictionMode(enum.Enum):
@@ -176,90 +173,58 @@ def eigen3(M) -> tuple[complex, ...]:
     return tuple(complex(v) for v in vals[order])
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class StabilityVerdict:
-    """Both stability readings of a closed-loop matrix, side by side.
+    """Both stability readings of a scalar closed-loop coefficient m.
 
-    ``discrete_ok`` is the spectral-radius test (rho < 1); ``continuous_ok``
-    is the eigenvalue-real-part test (max Re < 0).  ``gain_exists`` reports
-    whether det(A - I) is nonzero, the solvability condition for the gain.
+    ``discrete_ok`` is the magnitude test (|m| < 1); ``continuous_ok`` is
+    the sign test (m < 0).
     """
 
-    closed_loop_matrix: Union[float, np.ndarray]
-    eigenvalues: tuple[complex, ...]
+    closed_loop_matrix: float
     spectral_radius: float
     discrete_ok: bool
     max_real_part: float
     continuous_ok: bool
-    gain_exists: bool
 
 
 def closed_loop_check(A, K: float) -> StabilityVerdict:
-    """Form the closed-loop matrix M = A + K(A - I) and judge it both ways.
+    """Form the closed-loop coefficient m = A + K(A - 1) of the scalar ``A``
+    (the linearized controlled coordinate) and judge it both ways.  A gain so
+    large that m overflows is rejected with a ValueError."""
+    if np.ndim(A) != 0:
+        raise ValueError(f"A must be a scalar, got shape {np.shape(A)}")
+    a, k = float(A), float(K)
+    if not math.isfinite(a):
+        raise ValueError(f"A must be finite, got {a!r}")
+    m = a + k * (a - 1.0)
+    if not math.isfinite(m):
+        raise ValueError(f"K = {k!r} is too large: the coefficient A + K(A - 1) overflows")
+    return StabilityVerdict(m, abs(m), abs(m) < 1.0, m, m < 0.0)
 
-    ``A`` may be a scalar (the linearized controlled coordinate) or a 3x3
-    matrix; the gain ``K`` is a scalar, taken as K times the identity against
-    a matrix.  A gain so large that M overflows is rejected with a ValueError.
+
+def closed_loop_jacobian(
+    p: Params,
+    K: float,
+    at: State,
+    *,
+    mode: PredictionMode = PredictionMode.DERIVATIVE,
+    tau: float = 1.0,
+) -> np.ndarray:
+    """Full 3x3 linearization of the flow with the control always on.
+
+    The control u = g*(c*z + x*y) of ``control_coefficients`` enters only the
+    z-equation, so the open-loop Jacobian keeps its first two rows and the
+    z-row becomes ((1+g)*y, (1+g)*x, -d + g*c).  K = 0 returns the open-loop
+    Jacobian bit for bit.  A gain so large that the row overflows is rejected
+    with a ValueError.
     """
-    k = float(K)
-    overflow = f"K = {k!r} is too large: the closed-loop matrix A + K(A - I) overflows"
-    if np.isscalar(A) or np.ndim(A) == 0:
-        a = float(A)
-        if not math.isfinite(a):
-            raise ValueError(f"A must be finite, got {a!r}")
-        a_minus_one = a - 1.0
-        m = a + k * a_minus_one
-        if not math.isfinite(m):
-            raise ValueError(overflow)
-        return StabilityVerdict(
-            closed_loop_matrix=m,
-            eigenvalues=(complex(m),),
-            spectral_radius=abs(m),
-            discrete_ok=abs(m) < 1.0,
-            max_real_part=m,
-            continuous_ok=m < 0.0,
-            gain_exists=a_minus_one != 0.0,
-        )
-
-    arr = np.asarray(A, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape != (3, 3):
-        raise ValueError(f"A must be a scalar or a 3x3 matrix, got shape {np.shape(A)}")
-    a_minus_i = arr - np.eye(3)
-    with np.errstate(over="ignore"):
-        m = arr + (k * np.eye(3)) @ a_minus_i
-    if not np.isfinite(m).all():
-        raise ValueError(overflow)
-    try:
-        eigs = eigen3(m)
-        det = float(np.linalg.det(a_minus_i))
-    except np.linalg.LinAlgError as exc:
-        raise RuntimeError(f"eigenvalue solver failed on closed-loop matrix {m!r}") from exc
-    rho = max(abs(e) for e in eigs)
-    max_re = max(e.real for e in eigs)
-    det_scale = max(1.0, float(np.linalg.norm(a_minus_i)) ** 3)
-    return StabilityVerdict(
-        closed_loop_matrix=m,
-        eigenvalues=eigs,
-        spectral_radius=rho,
-        discrete_ok=rho < 1.0,
-        max_real_part=max_re,
-        continuous_ok=max_re < 0.0,
-        gain_exists=abs(det) > SINGULAR_DET_TOL * det_scale,
-    )
-
-
-def closed_loop_jacobian(p: Params, K: float, at: State) -> np.ndarray:
-    """Full 3x3 linearization of the controlled flow (DERIVATIVE mode).
-
-    The control enters only the z-equation, so the open-loop Jacobian keeps
-    its first two rows and the z-row becomes
-    ((1+K)*y, (1+K)*x, -d - K(d+1)).  K = 0 returns the open-loop Jacobian
-    bit-for-bit.
-    """
+    g, c = control_coefficients(p, ControllerConfig(K, mode=mode, tau=tau))
+    row = ((1.0 + g) * at.y, (1.0 + g) * at.x, -p.d + g * c)
+    if not all(map(math.isfinite, row)):
+        raise ValueError(f"K = {float(K)!r} is too large: the controlled jacobian overflows")
     J = jacobian(p, at)
-    J[2, 0] = (1.0 + K) * at.y
-    J[2, 1] = (1.0 + K) * at.x
-    J[2, 2] = closed_loop_scalar_coeff(p.d, K)
+    J[2] = row
     return J
 
 

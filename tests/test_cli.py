@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rabinovich import cli, read_trajectory_csv
+from rabinovich import cli, eigen3, equilibria, jacobian, read_trajectory_csv
 from rabinovich.cli import cli_dispatch
 from rabinovich.config import _FLOAT_KEYS, default_config
 
@@ -111,8 +111,8 @@ def test_inputs_and_bounds_echo_distinct_numbers_distinctly(capsys):
     )
     code, out, _ = run_cli(capsys, "equilibria", "--K", "-0.9999999")
     assert code == 0
-    assert out.count("gain check (K=-0.9999999)") == 3
-    assert out.count("controlled jacobian (K=-0.9999999)") == 3
+    assert out.count("open-loop jacobian: max Re = ") == 3
+    assert out.count("controlled (K=-0.9999999) jacobian: max Re = ") == 3
     # numbers that 6 digits hold print as before
     code, out, _ = run_cli(capsys, "gain-check")
     assert out.startswith("gain K = -0.6 at d = 1\nadmissible interval: (-1, 0) -> K inside: yes\n")
@@ -136,10 +136,57 @@ def test_equilibria_lists_reference_points(capsys):
     assert "origin: (0.0000, 0.0000, 0.0000)" in out
     assert "positive-x: (4.6119, 1.3979, 6.4469)" in out
     assert "negative-x: (-4.6119, -1.3979, 6.4469)" in out
-    # per-point verdicts, open and closed loop
-    assert out.count("open loop") == 3
-    assert out.count("gain check (K=-0.6)") == 3
-    assert out.count("controlled jacobian") == 3
+    # per-point verdicts, open loop and with the default gain
+    assert out.count("open-loop jacobian: max Re = ") == 3
+    assert out.count("controlled (K=-0.6) jacobian: max Re = ") == 3
+    assert out.count("  controlled (K=-0.6) jacobian: max Re = +0.439018 -> unstable (continuous)\n") == 2
+
+
+def _equilibria_max_re(out):
+    """The open-loop and controlled max Re texts of each point, in order."""
+    lines = out.splitlines()
+    return [
+        (lines[i + 1].split("max Re = ")[1], lines[i + 2].split("max Re = ")[1])
+        for i, line in enumerate(lines)
+        if "residual = " in line
+    ]
+
+
+def test_equilibria_zero_gain_prints_the_open_loop_numbers_twice(capsys):
+    code, out, _ = run_cli(capsys, "equilibria", "--K", "0")
+    assert code == 0
+    pairs = _equilibria_max_re(out)
+    assert len(pairs) == 3
+    for open_loop, controlled in pairs:
+        assert open_loop == controlled
+
+
+def test_equilibria_open_loop_number_is_the_jacobians_max_re(capsys):
+    p = default_config().params
+    code, out, _ = run_cli(capsys, "equilibria")
+    assert code == 0
+    pairs = _equilibria_max_re(out)
+    points = equilibria(p).points
+    assert len(pairs) == len(points) == 3
+    for (open_loop, _), point in zip(pairs, points):
+        max_re = max(ev.real for ev in eigen3(jacobian(p, point)))
+        assert open_loop.startswith(format(max_re, "+.6g") + " -> ")
+
+
+def test_equilibria_linearizes_the_euler_law(capsys, tmp_path):
+    # (1+K*tau)(xy - dz) at K = 0.6: unstable until K is about 0.84, while the
+    # literal law's row at the same gain reads -0.202776 -> stable
+    cfg = tmp_path / "euler.cfg"
+    cfg.write_text("mode = euler\nK = 0.6\n")
+    code, out, _ = run_cli(capsys, "equilibria", "--config", str(cfg))
+    assert code == 0
+    assert out.count("controlled (K=0.6) jacobian: max Re = +0.0549647 -> unstable (continuous)") == 2
+    code, out, _ = run_cli(capsys, "equilibria", "--K", "0.6")
+    assert out.count("controlled (K=0.6) jacobian: max Re = -0.202776 -> stable (continuous)") == 2
+    # the euler gain is K*tau: tau = 0.5 halves it
+    cfg.write_text("mode = euler\nK = 0.6\ntau = 0.5\n")
+    code, out, _ = run_cli(capsys, "equilibria", "--config", str(cfg))
+    assert out.count("controlled (K=0.6) jacobian: max Re = +0.114363 -> unstable (continuous)") == 2
 
 
 def test_equilibria_degenerate_parameters(capsys, tmp_path):

@@ -206,21 +206,19 @@ def test_scalar_check_reference_gain():
     assert v.discrete_ok
     assert v.max_real_part == pytest.approx(0.2, abs=1e-15)
     assert not v.continuous_ok  # +0.2 is continuously unstable
-    assert v.gain_exists
 
 
-def test_zero_gain_reduces_to_open_loop(params, s0):
-    A = jacobian(params, s0)
-    v = closed_loop_check(A, 0.0)
-    assert np.array_equal(v.closed_loop_matrix, A)
-    lam = eigen3(A)
-    assert v.eigenvalues == lam
+def test_zero_gain_reduces_to_open_loop(params):
+    v = closed_loop_check(-params.d, 0.0)
+    assert v.closed_loop_matrix == v.max_real_part == -params.d
+    assert v.spectral_radius == params.d
+    assert v.continuous_ok
+    assert v.discrete_ok == (params.d < 1.0)
 
 
-def test_gain_exists_is_det_condition():
-    assert not closed_loop_check(1.0, 0.3).gain_exists      # scalar A=1
-    assert not closed_loop_check(np.eye(3), -0.6).gain_exists
-    assert closed_loop_check(np.diag([2.0, 3.0, 4.0]), -0.6).gain_exists
+def test_check_takes_no_matrix(params, s0):
+    with pytest.raises(ValueError, match="A must be a scalar, got shape \\(3, 3\\)"):
+        closed_loop_check(jacobian(params, s0), 0.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -228,7 +226,7 @@ def test_check_rejects_overflowing_gain(params, s0):
     with pytest.raises(ValueError, match="K = 1e\\+308 is too large"):
         closed_loop_check(-1.0, 1e308)
     with pytest.raises(ValueError, match="K = -1e\\+308 is too large"):
-        closed_loop_check(jacobian(params, s0), -1e308)
+        closed_loop_jacobian(params, -1e308, s0)
 
 
 def test_check_rejects_bad_shapes():
@@ -258,9 +256,11 @@ def test_zz_entry_is_scalar_coeff_everywhere(x, y, z, K):
     assert J[2, 2] == closed_loop_scalar_coeff(p.d, K)
 
 
-def test_closed_loop_jacobian_matches_finite_differences(params, rng):
-    # controlled field (literal mode): z-equation gets u added
-    cfg = ControllerConfig(K=-0.6)
+@pytest.mark.parametrize("tau", [0.5, 1.0])
+@pytest.mark.parametrize("mode", list(PredictionMode), ids=lambda mode: mode.value)
+def test_closed_loop_jacobian_matches_finite_differences(params, rng, mode, tau):
+    # controlled field: z-equation gets u added
+    cfg = ControllerConfig(K=-0.6, mode=mode, tau=tau)
 
     def controlled(s: np.ndarray) -> np.ndarray:
         dx, dy, dz = field_components(params.a, params.b, params.d, params.h, *s)
@@ -268,7 +268,7 @@ def test_closed_loop_jacobian_matches_finite_differences(params, rng):
 
     for _ in range(20):
         s = rng.uniform(-8.0, 8.0, size=3)
-        J = closed_loop_jacobian(params, cfg.K, State(*s))
+        J = closed_loop_jacobian(params, cfg.K, State(*s), mode=mode, tau=tau)
         eps = 1e-6
         for j in range(3):
             step = np.zeros(3)
