@@ -11,9 +11,10 @@ import argparse
 import math
 import os
 import re
-import shutil
 import sys
 from dataclasses import replace
+from functools import partial
+from itertools import combinations
 from typing import Optional, Sequence
 
 from .config import ConfigError, RunConfig, default_config, parse_config
@@ -27,7 +28,7 @@ from .control import (
 from .dynamics import equilibria, jacobian, residual_norm
 from .harness import RunWork, convergence_report, run_controlled, run_each, run_uncontrolled, sweep
 from .integrator import IntegrationError
-from .io import render_report, write_report, write_sweep_csv, write_trajectory_csv
+from .io import _sink, render_report, write_report, write_sweep_csv, write_trajectory_csv
 
 __all__ = ["cli_dispatch", "main", "REPRODUCE_PRESETS"]
 
@@ -208,8 +209,8 @@ def _check_output(option: str, path: str) -> None:
 def _same_file(a: str, b: str) -> bool:
     try:
         return os.path.samefile(a, b)
-    except OSError:  # one of them does not exist yet
-        return os.path.abspath(a) == os.path.abspath(b)
+    except OSError:  # one of them does not exist yet; a symlink may lead to it
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -270,20 +271,30 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
         if os.path.exists(args.out_dir):
             raise ConfigError(f"--out-dir: {args.out_dir!r} is not a directory")
         raise ConfigError(f"--out-dir: directory {args.out_dir!r} does not exist")
+    paths = [
+        (os.path.join(args.out_dir, f"{name}_trajectory.csv"),
+         os.path.join(args.out_dir, f"{name}_report.txt"))
+        for name in names
+    ]
+    # else a later output would be written over an earlier one
+    for a, b in combinations([path for pair in paths for path in pair], 2):
+        if _same_file(a, b):
+            raise ConfigError(f"--out-dir: {a!r} and {b!r} name the same file")
     base = default_config()
     cfgs = [replace(base.controller, t_on=REPRODUCE_PRESETS[name]) for name in names]
     eqs = equilibria(base.params)
     free = None  # the CSV and report of the last preset whose gate never opened
     # The presets differ only in t_on: at the default epsilon the gate never
     # opens, so run_each hands fig5 fig4's run, whose CSV and report it reuses.
-    for name, cfg, traj in zip(names, cfgs, run_each(base.params, base.s0, base.grid, cfgs)):
+    runs = run_each(base.params, base.s0, base.grid, cfgs)
+    for name, cfg, traj, (csv_path, report_path) in zip(names, cfgs, runs, paths):
         if isinstance(traj, IntegrationError):
             raise traj
-        csv_path = os.path.join(args.out_dir, f"{name}_trajectory.csv")
-        report_path = os.path.join(args.out_dir, f"{name}_report.txt")
         if traj.work == RunWork(0, 0, 0, 0):  # that preset's run again
             report = replace(free[1], controller=cfg)
-            shutil.copyfile(free[0], csv_path)
+            with open(free[0], "rb") as src, _sink(csv_path) as write:
+                for chunk in iter(partial(src.read, 1 << 16), b""):
+                    write(chunk)
         else:
             report = convergence_report(
                 traj, eqs, base.grid, tail=base.tail, capture_radius=base.capture_radius, cfg=cfg

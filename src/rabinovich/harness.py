@@ -22,7 +22,8 @@ that its r would not open either is handed the same arrays without a run.
 Past the prefix a run gates the free flow in stretches, one numpy pass
 (``control.gate_samples``) each, and from its first open gate on per sample.
 No step tests its state for divergence: the stepped rows are checked in one
-numpy pass at each stretch end and at fixed checkpoints.
+numpy pass at each stretch end, at fixed checkpoints, and at a per-sample
+gate whose r is too large for two rows within the limit.
 ``Trajectory.work`` counts what a run did.
 
 Convergence is a measured quantity, never an assumption: a run is declared
@@ -194,19 +195,25 @@ def _run(
     rows stepped since the last check are checked in one numpy pass, for NaN
     or a component beyond ``DIVERGENCE_LIMIT``, at the end of each free
     stretch and, once the run gates per sample or in a free run, at every
-    multiple of ``_CHECK_ROWS`` samples; so a run steps past a failed step at
-    most to its stretch's end or its next checkpoint, and ``RunWork`` counts
-    those steps.  The first failing row k is taken as if the run had stopped
-    there: the free samples before it are gated, and if a gate opened among
-    them the failed free step is dropped with the rest.  Else the run goes
-    back to row k - 1 (its state, gate and u) and steps k again, alone, in
-    the same loop, for the stages that the error names.
+    multiple of ``_CHECK_ROWS`` samples, and, when it gates per sample, at
+    once at a shut sample whose r is NaN or at least 4 * ``DIVERGENCE_LIMIT``,
+    which no two rows within the limit give.  So a run steps past a failed
+    step at most to that sample, its stretch's end or its next checkpoint,
+    and ``RunWork`` counts those steps.  The first failing row k is taken as
+    if the run had stopped there: the free samples before it are gated, and
+    if a gate opened among them the failed free step is dropped with the
+    rest.  Else the run goes back to row k - 1 (its state, gate and u) and
+    steps k again, alone, in the same loop, for the stages that the error
+    names.
     """
     lag = delay_steps(cfg, grid.dt) if cfg is not None else 0
     sqrt = math.sqrt
     na, b, nd, h = -p.a, p.b, -p.d, p.h  # -a * x is (-a) * x
     dt, n = grid.dt, grid.n_steps
     half, sixth, limit = 0.5 * dt, dt / 6.0, DIVERGENCE_LIMIT
+    # Two states within the limit are at most sqrt(12) * limit apart, so an r
+    # this large (or NaN) means row k or row k - lag fails the check.
+    far = 4.0 * limit
 
     t = grid.times()
     states = np.empty((n + 1, 3))
@@ -273,6 +280,9 @@ def _run(
             if active:
                 active_out[k] = True
                 u_out[k] = u = g * (c * z + x * y)
+            elif not r < far:  # a row since the last check fails: check now
+                stop = k + 1
+                break
         if failed:
             # Built here, not kept in a local: a kept error would hold this
             # frame, and its arrays, in a cycle through its traceback.

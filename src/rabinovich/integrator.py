@@ -102,6 +102,18 @@ class TimeGrid:
                 f"grid does not divide evenly: (t_end - t0)/dt = {quotient!r} is not an integer"
             )
         object.__setattr__(self, "n_steps", n)
+        # Each computed time t0 + k*dt is within 1.5 ulps (of the grid's
+        # largest magnitude) of its exact value, so a dt of 4 such ulps keeps
+        # the times strictly increasing; a finer dt is checked on the times.
+        if self.dt < 4.0 * math.ulp(max(abs(self.t0), abs(self.t_end))):
+            t = self.times()
+            later = t[1:] > t[:-1]
+            if not later.all():
+                k = int(later.argmin())
+                raise ValueError(
+                    f"dt = {self.dt!r} is too small for times this large:"
+                    f" samples {k} and {k + 1} of the grid both fall at t = {float(t[k])!r}"
+                )
 
     def time_at(self, k: int) -> float:
         return self.t0 + k * self.dt

@@ -1,23 +1,27 @@
 """Trajectory, sweep and report files.
 
 Every file is UTF-8 text with "\n" line endings, whatever the platform and
-locale, written through one sink: a path is opened "wb", and a text stream
-is handed the decoded text; a failed write names its file.  The sweep CSV
-and the reports write each float as ``format(x, ".17g")`` does.  A
-trajectory file is the header and one row a sample.  It is written and
-read in blocks of rows; the text of a block, written or read, is the
-``_decimals`` module's (17 significant digits, which read back bit for
-bit), imported on the first trajectory write or read.  A write holds one
-block.  A read counts the rows first and reads each block into its slice
-of output arrays allocated once, so it holds its output and one block.
-Only the writer's format is read: LF line ends, the exact header, no blank
-lines, no quotes, and numbers as numpy's C text reader reads them.  A read
-error names the first bad row (its line in the file) and, where one field
-is at fault, the column.
+locale, written through one sink.  A path is written over from its start,
+not truncated when it is opened (which costs far more on a file that holds
+data), and then cut where the writing stopped, so no old byte stays past
+the new ones.  A text stream is handed the decoded text.  A failed write
+names its file.  The sweep CSV and the reports write each float as
+``format(x, ".17g")`` does.  A trajectory file is the header and one row a
+sample.  It is written and read in blocks of rows; the text of a block,
+written or read, is the ``_decimals`` module's (17 significant digits,
+which read back bit for bit), imported on the first trajectory write or
+read.  A write holds one block.  A read counts the rows first and reads
+each block into its slice of output arrays allocated once, so it holds its
+output and one block.  Only the writer's format is read: LF line ends, the
+exact header, no blank lines, no quotes, and numbers as numpy's C text
+reader reads them.  A read error names the first bad row (its line in the
+file) and, where one field is at fault, the column.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 from contextlib import contextmanager
 from functools import partial
 from itertools import islice
@@ -53,16 +57,40 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+# No O_TRUNC: a file is cut to its new length after it is written.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 @contextmanager
 def _sink(dest: Union[str, TextIO]):
     """Yields a writer of UTF-8 bytes: into the file at path dest, or as
-    text to the stream dest.  An OSError with no file names dest."""
+    text to the stream dest.  A path is opened as ``open(dest, "wb")`` opens
+    it (created with mode 0o666 less the umask), but not truncated: it is
+    written from offset 0, and a regular file is cut to the bytes written
+    once the writing stops, for whatever reason; a device or a FIFO is never
+    cut.  An OSError with no file names dest."""
     if not isinstance(dest, str):
         yield lambda data: dest.write(data.decode())
         return
     try:
-        with open(dest, "wb") as fh:
-            yield fh.write
+        fd = os.open(dest, _WRITE_FLAGS, 0o666)
+        size = 0  # the bytes written, at offsets 0 to size - 1
+
+        def write(data: bytes) -> None:
+            nonlocal size
+            while data:
+                written = os.write(fd, data)
+                size += written
+                data = data[written:]
+
+        try:
+            yield write
+        finally:
+            try:
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    os.ftruncate(fd, size)
+            finally:
+                os.close(fd)
     except OSError as exc:
         if exc.filename is None:
             exc.filename = dest

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rabinovich import cli, eigen3, equilibria, jacobian, read_trajectory_csv
+from rabinovich import io as rio
 from rabinovich.cli import cli_dispatch
 from rabinovich.config import _FLOAT_KEYS, default_config
 
@@ -327,6 +328,22 @@ def test_simulate_oversized_grid_exits_one_without_allocating(capsys, tmp_path):
     assert peak < 1_000_000
 
 
+def test_simulate_grid_whose_times_collide_exits_one_before_any_run(capsys, tmp_path, runs):
+    # refused when the config is read, naming dt, not after its 4800 steps
+    cfg = tmp_path / "late.cfg"
+    cfg.write_text(
+        "t0 = 1e17\nt_end = 100000000000000048\ndt = 0.01\ntail = 10\nt_on = 100000000000000016\n"
+    )
+    code, out, err = run_cli(
+        capsys, "simulate", "--config", str(cfg),
+        "--out-csv", str(tmp_path / "t.csv"), "--out-report", str(tmp_path / "r.txt"),
+    )
+    assert code == 1
+    assert err.startswith("error: dt = 0.01 is too small for times this large: ")
+    assert out == "" and runs == []
+    assert not (tmp_path / "t.csv").exists()
+
+
 def test_simulate_overflowing_delay_ratio_exits_one(capsys, tmp_path):
     cfg = tmp_path / "tau.cfg"
     cfg.write_text("t_end = 1e-9\ndt = 1e-10\ntau = 1e300\ntail = 1e-10\n")
@@ -569,6 +586,49 @@ def test_reproduce_out_dir_that_is_a_file_exits_one(capsys, tmp_path):
     assert code == 1
     assert err == f"error: --out-dir: {str(path)!r} is not a directory\n"
     assert out == "" and path.read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("link, target", [
+    # fig5's report would be written over fig4's, and the run exit 0
+    ("fig5_report.txt", "fig4_report.txt"),
+    # fig4's CSV would be written, and fig5's copy of it then fail
+    ("fig5_trajectory.csv", "fig4_trajectory.csv"),
+])
+@pytest.mark.parametrize("target_exists", [True, False])
+def test_reproduce_outputs_that_name_the_same_file_fail_before_any_run(
+    capsys, tmp_path, runs, link, target, target_exists
+):
+    if target_exists:
+        (tmp_path / target).write_text("kept\n")
+    (tmp_path / link).symlink_to(target)
+    before = _files(tmp_path)
+    code, out, err = run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))
+    assert code == 1
+    first, second = sorted((str(tmp_path / target), str(tmp_path / link)))
+    assert err == f"error: --out-dir: {first!r} and {second!r} name the same file\n"
+    assert out == "" and runs == []
+    assert _files(tmp_path) == before
+    if target_exists:
+        assert (tmp_path / target).read_text() == "kept\n"
+
+
+def test_reproduce_writes_every_file_through_the_sink(capsys, tmp_path, monkeypatch):
+    # fig5's copy of fig4's CSV too, in bounded chunks
+    writes, real = [], rio._sink
+
+    @contextlib.contextmanager
+    def sink(dest):
+        with real(dest) as write:
+            yield lambda data: writes.append((os.path.basename(dest), len(data))) or write(data)
+
+    monkeypatch.setattr(rio, "_sink", sink)
+    monkeypatch.setattr(cli, "_sink", sink)
+    assert run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))[0] == 0
+    assert len(list(tmp_path.iterdir())) == 4
+    for path in tmp_path.iterdir():
+        assert sum(size for name, size in writes if name == path.name) == path.stat().st_size
+    copied = [size for name, size in writes if name == "fig5_trajectory.csv"]
+    assert len(copied) > 1 and max(copied) <= 1 << 16
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

@@ -85,6 +85,12 @@ def test_tau_grid_mismatch_rejected():
         parse_config("dt = 0.3\ntau = 1\nt_end = 30\n")
 
 
+def test_grid_whose_times_collide_names_dt():
+    text = "t0 = 1e17\nt_end = 100000000000000048\ndt = 0.01\ntail = 10\nt_on = 100000000000000016\n"
+    with pytest.raises(ConfigError, match=r"^dt = 0.01 is too small for times this large"):
+        parse_config(text)
+
+
 def test_tail_must_fit_span():
     with pytest.raises(ConfigError, match="tail"):
         parse_config("t_end = 10\ntail = 10\n")

@@ -1256,6 +1256,24 @@ def test_free_run_steps_past_a_divergence_to_its_next_check_only(params, s0, cor
     assert core_calls()["field"] == 4 * end
 
 
+@pytest.mark.parametrize("K, row", [(-1.4, 551), (-1.35, 579), (-0.95, 550), (-0.55, 639)])
+def test_shut_gate_far_from_its_delayed_state_stops_the_run_at_once(params, s0, core_calls,
+                                                                   K, row):
+    # The gate opens past t_on and shuts again as the state runs off: at the
+    # failing row r is at least 4 * DIVERGENCE_LIMIT, which two rows within
+    # the limit cannot give, so the run checks there and does not step on to
+    # row 1000, the end of its checked block.
+    grid = TimeGrid(0.0, 100.0, 0.1)
+    cfg = ControllerConfig(K=K, epsilon=5.0, t_on=40.0)
+    got = outcome(_run, params, s0, grid, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = outcome(reference_run, params, s0, grid, cfg)
+    assert isinstance(ref, tuple) and ref[0] == row
+    assert got == ref
+    # every row up to the failed one, and that step again
+    assert core_calls()["field"] == 4 * (row + 1)
+
+
 @st.composite
 def drawn_runs_over_the_checks(draw):
     """600 steps of dt in [0.15, 0.3], over the first checks, and the free

@@ -63,6 +63,39 @@ class TestTimeGrid:
         with pytest.raises(FrozenInstanceError):
             g.n_steps = 5
 
+    def test_grid_whose_times_collide_is_refused_naming_dt(self):
+        # t0 + k*dt rounds to the same double for neighbouring k: 1e17 is 16 apart
+        # from the next double, so 0.01 moves no time until k is about 800
+        with pytest.raises(ValueError, match=(
+            r"^dt = 0.01 is too small for times this large: samples 0 and 1 of the grid"
+            r" both fall at t = 1e\+17$"
+        )):
+            TimeGrid(1e17, 100000000000000048.0, 0.01)
+        # a step below 4 ulps whose times still increase is checked and kept
+        g = TimeGrid(1e17, 1e17 + 64.0, 32.0)
+        assert 32.0 < 4 * math.ulp(1e17 + 64.0) and g.n_steps == 2
+        assert np.all(np.diff(g.times()) > 0.0)
+
+    @given(
+        t0=st.floats(-1e300, 1e300, allow_nan=False),
+        ulps=st.floats(4.0, 64.0),
+        n=st.integers(1, 2000),
+    )
+    def test_a_step_of_four_ulps_keeps_times_increasing(self, t0, ulps, n):
+        # the cheap rule TimeGrid trusts: dt >= 4 ulps of the grid's largest
+        # magnitude needs no look at the times
+        dt = ulps * math.ulp(abs(t0))
+        if dt == 0.0:
+            return
+        t_end = t0 + n * dt
+        try:
+            g = TimeGrid(t0, t_end, dt)
+        except ValueError:
+            return  # t_end rounded off the grid
+        if dt >= 4.0 * math.ulp(max(abs(t0), abs(t_end))):
+            t = g.times()
+            assert np.all(t[1:] > t[:-1])
+
     @pytest.mark.parametrize("length, dt, expected", [
         (0.3, 0.1, (2.9999999999999996, 3)),       # within 1e-9 of a whole number
         (1.0, 0.3, (3.3333333333333335, None)),

@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import io
 import math
@@ -36,6 +37,7 @@ from rabinovich import (
     write_trajectory_csv,
 )
 from rabinovich import _decimals
+from rabinovich.cli import cli_dispatch
 from rabinovich._decimals import _BLOCK_ROWS, exact
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -341,6 +343,135 @@ def test_writer_gives_the_same_bytes_to_a_path(tmp_path, long_gated_run):
     path = tmp_path / "traj.csv"
     write_trajectory_csv(long_gated_run, str(path))
     assert path.read_bytes() == _dump(long_gated_run).encode()
+
+
+# --- the sink: a path is written over, then cut -----------------------------------
+
+def _stale(path, size):
+    """Fills path with size bytes that no writer writes."""
+    path.write_bytes(b"#" * size)
+
+
+def _reproduced(tmp_path):
+    assert cli_dispatch(["reproduce", "all", "--out-dir", str(tmp_path)]) == 0
+    return {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+def test_rewrite_of_a_longer_file_leaves_exactly_the_new_bytes_in_the_same_inode(
+    tmp_path, params, s0, controller, free_run, grid, eqs
+):
+    short = TimeGrid(0.0, 30.0, 0.1)
+    for write, value, name in [
+        (write_trajectory_csv, run_controlled(params, s0, short, controller), "traj.csv"),
+        (write_sweep_csv, sweep(params, s0, short, [-0.6, -0.3], [0.1], controller, tail=10.0),
+         "sweep.csv"),
+        (write_report, convergence_report(free_run, eqs, grid), "report.txt"),
+    ]:
+        text = io.StringIO()
+        write(value, text)
+        new = text.getvalue().encode()
+        path = tmp_path / name
+        _stale(path, 3 * len(new) + 7)
+        inode = path.stat().st_ino
+        write(value, str(path))
+        assert path.read_bytes() == new, name
+        assert path.stat().st_ino == inode, name
+
+
+def test_reproduce_rewrites_its_outputs_and_fig5s_copy_exactly(tmp_path, capsys):
+    fresh, again = tmp_path / "fresh", tmp_path / "again"
+    fresh.mkdir(), again.mkdir()
+    first = _reproduced(fresh)
+    for name, data in first.items():
+        _stale(again / name, 2 * len(data) + 7)
+    assert _reproduced(again) == first
+    assert first["fig5_trajectory.csv"] == first["fig4_trajectory.csv"]
+
+
+def test_exception_between_blocks_leaves_only_the_bytes_written_before_it(
+    tmp_path, monkeypatch, long_gated_run
+):
+    rows, blocks = _decimals._csv_rows, []
+
+    def fails_on_the_second_block(*args):
+        if blocks:
+            raise RuntimeError("stopped between blocks")
+        blocks.append(rows(*args))
+        return blocks[-1]
+
+    path = tmp_path / "traj.csv"
+    _stale(path, len(_dump(long_gated_run)))
+    monkeypatch.setattr(_decimals, "_csv_rows", fails_on_the_second_block)
+    with pytest.raises(RuntimeError, match="stopped between blocks"):
+        write_trajectory_csv(long_gated_run, str(path))
+    assert path.read_bytes() == HEADER.encode() + blocks[0]
+
+
+def test_failed_write_is_cut_where_it_stopped_and_names_its_file(tmp_path, monkeypatch,
+                                                                  long_gated_run):
+    # the device fills after 100000 bytes: a short write, then ENOSPC
+    path = tmp_path / "traj.csv"
+    full = _dump(long_gated_run).encode()
+    _stale(path, len(full))
+    room, write = [100_000], os.write
+
+    def filling(fd, data):
+        if fd != descriptor[0]:
+            return write(fd, data)
+        if not room[0]:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        written = write(fd, bytes(data[:room[0]]))
+        room[0] -= written
+        return written
+
+    descriptor, open_ = [None], os.open
+
+    def opening(*args):
+        descriptor[0] = open_(*args)
+        return descriptor[0]
+
+    monkeypatch.setattr(os, "open", opening)
+    monkeypatch.setattr(os, "write", filling)
+    with pytest.raises(OSError) as failed:
+        write_trajectory_csv(long_gated_run, str(path))
+    monkeypatch.undo()
+    assert failed.value.errno == errno.ENOSPC and failed.value.filename == str(path)
+    assert path.read_bytes() == full[:100_000]
+
+
+def test_new_file_gets_the_mode_open_wb_gives(tmp_path, free_run, grid, eqs):
+    rep = convergence_report(free_run, eqs, grid)
+    for umask in (0o022, 0o077, 0o002):
+        old = os.umask(umask)
+        try:
+            write_report(rep, str(tmp_path / f"new-{umask:o}.txt"))
+            with open(tmp_path / f"wb-{umask:o}.txt", "wb"):
+                pass
+        finally:
+            os.umask(old)
+        mode = (tmp_path / f"new-{umask:o}.txt").stat().st_mode & 0o777
+        assert mode == 0o666 & ~umask == (tmp_path / f"wb-{umask:o}.txt").stat().st_mode & 0o777
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_devices_and_fifos_are_written_and_never_cut(tmp_path, monkeypatch, free_run, grid,
+                                                      eqs, long_gated_run):
+    cut, ftruncate = [], os.ftruncate
+    monkeypatch.setattr(os, "ftruncate", lambda fd, size: cut.append(size) or ftruncate(fd, size))
+    write_trajectory_csv(long_gated_run, "/dev/null")
+    write_report(convergence_report(free_run, eqs, grid), "/dev/null")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    write_trajectory_csv(long_gated_run, str(fifo))
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert got == [_dump(long_gated_run).encode()]
+    assert cut == []
+    write_report(convergence_report(free_run, eqs, grid), str(tmp_path / "report.txt"))
+    assert len(cut) == 1  # a regular file is cut
 
 
 # --- read errors ------------------------------------------------------------------
