@@ -3,6 +3,8 @@
 Subcommands: equilibria, simulate, gain-check, sweep, reproduce.
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
 stdout carries data, stderr carries diagnostics.
+An option with a config key only overrides it.  Every path a command writes
+is checked, against the others and the config read, before any run.
 """
 
 from __future__ import annotations
@@ -191,38 +193,41 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_output(option: str, path: str) -> None:
-    """Raises unless path is not empty, the directory it is written into
-    exists and it is not a directory; outputs are checked before any run, so
-    that a bad path does not fail only after it."""
-    if not path:
-        raise ConfigError(f"{option}: an output path cannot be empty, got {path!r}")
-    folder = os.path.dirname(path) or os.curdir
-    if not os.path.isdir(folder):
-        if os.path.exists(folder):
-            raise ConfigError(f"{option}: {folder!r} of {path!r} is not a directory")
-        raise ConfigError(f"{option}: directory {folder!r} of {path!r} does not exist")
-    if os.path.isdir(path):
-        raise ConfigError(f"{option}: {path!r} is a directory")
-
-
-def _same_file(a: str, b: str) -> bool:
-    try:
-        return os.path.samefile(a, b)
-    except OSError:  # one of them does not exist yet; a symlink may lead to it
-        return os.path.realpath(a) == os.path.realpath(b)
+def _check_outputs(outputs: Sequence[tuple], config: Optional[str]) -> None:
+    """Raises, before any run, unless each (option or key, path) output is not
+    empty, its directory exists and it is not a directory, and no two outputs,
+    nor an output and the config read (if a regular file, so not /dev/stdin),
+    name one file: a bad path must neither fail late nor overwrite an input."""
+    for name, path in outputs:
+        if not path:
+            raise ConfigError(f"{name}: an output path cannot be empty, got {path!r}")
+        folder = os.path.dirname(path) or os.curdir
+        if not os.path.isdir(folder):
+            if os.path.exists(folder):
+                raise ConfigError(f"{name}: {folder!r} of {path!r} is not a directory")
+            raise ConfigError(f"{name}: directory {folder!r} of {path!r} does not exist")
+        if os.path.isdir(path):
+            raise ConfigError(f"{name}: {path!r} is a directory")
+    if config is not None and os.path.isfile(config):
+        outputs = [*outputs, ("--config", config)]
+    for (a, path_a), (b, path_b) in combinations(outputs, 2):
+        try:
+            same = os.path.samefile(path_a, path_b)
+        except OSError:  # one of them does not exist yet; a symlink may lead to it
+            same = os.path.realpath(path_a) == os.path.realpath(path_b)
+        if same:
+            raise ConfigError(f"{a} ({path_a!r}) and {b} ({path_b!r}) name the same file")
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     out_csv = cfg.out_csv if args.out_csv is None else args.out_csv
     out_report = cfg.out_report if args.out_report is None else args.out_report
-    _check_output("out_csv" if args.out_csv is None else "--out-csv", out_csv)
-    _check_output("out_report" if args.out_report is None else "--out-report", out_report)
-    if _same_file(out_csv, out_report):
-        raise ConfigError(
-            f"out_csv ({out_csv!r}) and out_report ({out_report!r}) name the same file"
-        )
+    _check_outputs(
+        [("out_csv" if args.out_csv is None else "--out-csv", out_csv),
+         ("out_report" if args.out_report is None else "--out-report", out_report)],
+        args.config,
+    )
     controller = None if args.uncontrolled else cfg.controller
     eqs = equilibria(cfg.params)
     if controller is None:
@@ -243,8 +248,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
     K_values = _float_list(args.K, "K")
     eps_values = _float_list(args.epsilon, "epsilon")
-    modes = _mode_list(args.modes)
-    _check_output("--out", args.out)
+    modes = None if args.modes is None else _mode_list(args.modes)
+    _check_outputs([("--out", args.out)], args.config)
     report = sweep(
         cfg.params,
         cfg.s0,
@@ -267,19 +272,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     names = list(REPRODUCE_PRESETS) if args.preset == "all" else [args.preset]
-    if not os.path.isdir(args.out_dir):
-        if os.path.exists(args.out_dir):
-            raise ConfigError(f"--out-dir: {args.out_dir!r} is not a directory")
-        raise ConfigError(f"--out-dir: directory {args.out_dir!r} does not exist")
     paths = [
         (os.path.join(args.out_dir, f"{name}_trajectory.csv"),
          os.path.join(args.out_dir, f"{name}_report.txt"))
         for name in names
     ]
-    # else a later output would be written over an earlier one
-    for a, b in combinations([path for pair in paths for path in pair], 2):
-        if _same_file(a, b):
-            raise ConfigError(f"--out-dir: {a!r} and {b!r} name the same file")
+    # An empty --out-dir would join to paths in the current directory.
+    _check_outputs([("--out-dir", args.out_dir and path) for pair in paths for path in pair], None)
     base = default_config()
     cfgs = [replace(base.controller, t_on=REPRODUCE_PRESETS[name]) for name in names]
     eqs = equilibria(base.params)
@@ -354,7 +353,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--config", help="base config for the sweep")
     p_sweep.add_argument("--K", required=True, help="comma-separated gains")
     p_sweep.add_argument("--epsilon", required=True, help="comma-separated thresholds")
-    p_sweep.add_argument("--modes", default="literal", help="comma-separated modes")
+    p_sweep.add_argument("--modes", help="comma-separated modes (default: the config's mode)")
     p_sweep.add_argument("--out", default="sweep.csv")
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -352,7 +352,8 @@ def run_each(
     p: Params, s0: State, grid: TimeGrid, cfgs: Iterable[ControllerConfig]
 ) -> Iterator[Union[Trajectory, IntegrationError]]:
     """Yield, in order, each controller's ``run_controlled(p, s0, grid, cfg)``,
-    bit for bit, or the ``IntegrationError`` it raised, without its traceback.
+    bit for bit, with read-only arrays, or the ``IntegrationError`` it raised,
+    without its traceback.
 
     A finished run is the free flow up to its first open gate, which no
     controller setting enters; each later run reads the longest such prefix
@@ -363,9 +364,9 @@ def run_each(
     A run whose gate never opened is the whole free flow with u all zero.  A
     later controller of its lag whose gate that run's r would not open
     either (``t > t_on`` and ``r < epsilon`` at no sample) is the same run:
-    it gets that run's arrays again, read-only, with a zero ``RunWork``, and
-    no run is made.  So a result with no work equals, array for array, every
-    earlier result of its lag whose gate never opened.
+    it gets that run's arrays again, with a zero ``RunWork``, and no run is
+    made.  So a result with no work equals, array for array, every earlier
+    result of its lag whose gate never opened.
     """
     free = free_r = free_lag = None  # the longest free-flow prefix a finished run has produced
     shared = None  # a finished run whose gate never opened, read-only
@@ -392,11 +393,10 @@ def run_each(
             never = shared is None and cfg is not None and not opened
             if free is None or end > len(free) or never:
                 free, free_r, free_lag = result.states[:end], result.r[:end], lag
+            for array in (result.t, result.states, result.u, result.active, result.r):
+                array.flags.writeable = False  # a later run may copy or be handed them
             if never:
-                views = [a.view() for a in (result.t, result.states, result.u, result.active, result.r)]
-                for view in views:
-                    view.flags.writeable = False
-                shared = Trajectory(*views, work=RunWork(0, 0, 0, 0))
+                shared = replace(result, work=RunWork(0, 0, 0, 0))
         yield result
         del result  # the next run then shares memory with the prefix (and a run handed on) only
 

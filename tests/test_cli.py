@@ -248,7 +248,7 @@ def test_simulate_same_output_file_exits_one_before_running(
     )
     assert code == 1
     assert err == (
-        f"error: out_csv ({csv_path!r}) and out_report ({report_path!r}) name the same file\n"
+        f"error: --out-csv ({csv_path!r}) and --out-report ({report_path!r}) name the same file\n"
     )
     assert out == ""
     assert not (tmp_path / "same.txt").exists()
@@ -470,6 +470,18 @@ def test_sweep_rejects_unknown_mode(capsys, tmp_path):
     assert "modes" in err
 
 
+@pytest.mark.parametrize("modes, written", [([], "euler"), (["--modes", "literal"], "literal")])
+def test_sweep_takes_the_mode_from_the_config_unless_given(capsys, tmp_path, modes, written):
+    cfg = tmp_path / "euler.cfg"
+    cfg.write_text("t_end = 30\nt_on = 10\ntail = 10\nmode = euler\n")
+    out_path = tmp_path / "s.csv"
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg), "--K=-0.3", "--epsilon", "5",
+                           *modes, "--out", str(out_path))
+    assert code == 0, err
+    header, row = out_path.read_text().splitlines()
+    assert header.split(",")[2] == "mode" and row.split(",")[2] == written
+
+
 # --- reproduce -----------------------------------------------------------------------
 
 def test_reproduce_fig4(capsys, tmp_path):
@@ -576,7 +588,11 @@ def test_reproduce_missing_directory_exits_one(capsys, tmp_path):
     code, _, err = run_cli(capsys, "reproduce", "fig4",
                            "--out-dir", str(tmp_path / "missing"))
     assert code == 1
-    assert err == f"error: --out-dir: directory {str(tmp_path / 'missing')!r} does not exist\n"
+    missing = str(tmp_path / "missing")
+    assert err == (
+        f"error: --out-dir: directory {missing!r} of"
+        f" {os.path.join(missing, 'fig4_trajectory.csv')!r} does not exist\n"
+    )
 
 
 def test_reproduce_out_dir_that_is_a_file_exits_one(capsys, tmp_path):
@@ -584,7 +600,10 @@ def test_reproduce_out_dir_that_is_a_file_exits_one(capsys, tmp_path):
     path.write_text("kept\n")
     code, out, err = run_cli(capsys, "reproduce", "all", "--out-dir", str(path))
     assert code == 1
-    assert err == f"error: --out-dir: {str(path)!r} is not a directory\n"
+    assert err == (
+        f"error: --out-dir: {str(path)!r} of"
+        f" {str(path / 'fig4_trajectory.csv')!r} is not a directory\n"
+    )
     assert out == "" and path.read_text() == "kept\n"
 
 
@@ -605,7 +624,7 @@ def test_reproduce_outputs_that_name_the_same_file_fail_before_any_run(
     code, out, err = run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))
     assert code == 1
     first, second = sorted((str(tmp_path / target), str(tmp_path / link)))
-    assert err == f"error: --out-dir: {first!r} and {second!r} name the same file\n"
+    assert err == f"error: --out-dir ({first!r}) and --out-dir ({second!r}) name the same file\n"
     assert out == "" and runs == []
     assert _files(tmp_path) == before
     if target_exists:
@@ -676,6 +695,8 @@ def _files(root):
     (["simulate", "--config", "{tmp}/empty.cfg", "--out-report", "{tmp}/r.txt"], "out_csv", ""),
     (["simulate", "--out-csv", "", "--out-report", "{tmp}/r.txt"], "--out-csv", ""),
     (["simulate", "--out-csv", "{tmp}/a.csv", "--out-report", ""], "--out-report", ""),
+    # joined, its paths would name files in the current directory
+    (["reproduce", "all", "--out-dir", ""], "--out-dir", ""),
 ])
 def test_output_that_cannot_be_written_fails_before_any_run(
     capsys, tmp_path, monkeypatch, runs, args, option, bad
@@ -712,6 +733,48 @@ def test_output_whose_folder_is_a_file_exits_one(capsys, tmp_path, runs, args, o
     assert err == f"error: {option}: {str(path)!r} of {bad.format(**paths)!r} is not a directory\n"
     assert out == "" and runs == []
     assert path.read_text() == "kept\n" and _files(tmp_path) == [path.relative_to(tmp_path)]
+
+
+@pytest.mark.parametrize("args, option, own", [
+    (["simulate", "--config", "{cfg}", "--out-csv", "{cfg}", "--out-report", "{tmp}/r.txt"],
+     "--out-csv", "{cfg}"),
+    (["simulate", "--config", "{cfg}", "--out-csv", "{tmp}/a.csv", "--out-report", "{cfg}"],
+     "--out-report", "{cfg}"),
+    (["simulate", "--config", "{cfg}", "--out-report", "{tmp}/r.txt"], "out_csv", "{cfg}"),
+    (["sweep", "--config", "{cfg}", "--K=-0.6", "--epsilon", "0.1", "--out", "{cfg}"],
+     "--out", "{cfg}"),
+    (["sweep", "--config", "{cfg}", "--K=-0.6", "--epsilon", "0.1", "--out", "{link}"],
+     "--out", "{link}"),
+    (["simulate", "--config", "{link}", "--out-csv", "{cfg}", "--out-report", "{tmp}/r.txt"],
+     "--out-csv", "{cfg}"),
+])
+def test_output_that_names_the_config_fails_before_any_run(
+    capsys, tmp_path, runs, args, option, own
+):
+    # else the run would write over the config, and the next run with it fail
+    paths = {"tmp": tmp_path, "cfg": tmp_path / "run.cfg", "link": tmp_path / "link.cfg"}
+    paths["cfg"].write_text(f"t_end = 30\nt_on = 10\ntail = 10\nout_csv = {paths['cfg']}\n")
+    paths["link"].symlink_to(paths["cfg"])
+    before, text = _files(tmp_path), paths["cfg"].read_bytes()
+    argv = [arg.format(**paths) for arg in args]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    config = argv[argv.index("--config") + 1]
+    assert err == (
+        f"error: {option} ({own.format(**paths)!r}) and --config ({config!r}) name the same file\n"
+    )
+    assert out == "" and runs == []
+    assert _files(tmp_path) == before and paths["cfg"].read_bytes() == text
+
+
+@pytest.mark.parametrize("name", ["fig4_report.txt", "fig5_trajectory.csv"])
+def test_reproduce_output_that_is_a_directory_fails_before_any_run(capsys, tmp_path, runs, name):
+    (tmp_path / name).mkdir()
+    code, out, err = run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err == f"error: --out-dir: {str(tmp_path / name)!r} is a directory\n"
+    assert out == "" and runs == []
+    assert _files(tmp_path) == [tmp_path.joinpath(name).relative_to(tmp_path)]
 
 
 # --- extreme inputs -------------------------------------------------------------------

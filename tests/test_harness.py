@@ -950,6 +950,8 @@ def test_run_each_gates_the_shared_prefix_on_its_r(params, s0, monkeypatch):
 
 
 lags = st.sampled_from([0.1, 0.5, 1.0])
+ARRAYS = ("t", "states", "u", "active", "r")
+
 # controllers of one lag whose gate never opens on DRAWN_GRID: epsilon below
 # every r, or t_on at or past its last time, so run_each hands them on
 never_opening = st.one_of(
@@ -970,10 +972,9 @@ def test_run_each_matches_independent_runs_on_drawn_lists(params, s0, cfgs):
         for cfg, got in zip(cfgs, run_each(params, s0, DRAWN_GRID, cfgs)):
             if isinstance(got, DivergenceError):
                 got = (got.step_index, got.time, str(got))
+            else:
+                assert not any(getattr(got, name).flags.writeable for name in ARRAYS)
             assert_same_outcome(got, outcome(core_run, params, s0, DRAWN_GRID, cfg))
-
-
-ARRAYS = ("t", "states", "u", "active", "r")
 
 
 def test_run_each_hands_a_never_open_run_on_read_only(params, s0):
@@ -990,14 +991,36 @@ def test_run_each_hands_a_never_open_run_on_read_only(params, s0):
     for name in ARRAYS:
         array = getattr(handed, name)
         assert not array.flags.writeable, name
-        assert np.shares_memory(array, getattr(first, name)), name
-        assert getattr(first, name).flags.writeable, name
+        assert array is getattr(first, name), name
     with pytest.raises(ValueError, match="read-only"):
         handed.states[0, 0] = 0.0
     assert opens.active.any() and opens.work.steps > 0
     assert other.work.passes == 1 and not np.shares_memory(other.states, first.states)
     for cfg, got in zip(cfgs, (first, handed, opens, other, again)):
         assert_same_outcome(got, run_controlled(params, s0, SWEEP_GRID, cfg))
+
+
+def test_run_each_results_are_read_only(params, s0):
+    # a later run copies its prefix from an earlier result's arrays, so a
+    # caller's write into one must not reach the next
+    cfgs = [
+        ControllerConfig(K=-0.3, epsilon=1.0, t_on=40.0),  # its gate opens
+        ControllerConfig(K=-0.3, epsilon=1.0, t_on=60.0),  # copies the first's prefix
+        ControllerConfig(K=-0.6, epsilon=0.05),            # never opens
+        ControllerConfig(K=-0.6, epsilon=0.05, t_on=50.0),  # handed the one before
+        ControllerConfig(K=-0.3, epsilon=0.05, tau=0.5),   # another lag
+    ]
+    results, seen = run_each(params, s0, SWEEP_GRID, cfgs), []
+    for cfg in cfgs:
+        seen.append(next(results))
+        for name in ARRAYS:
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(seen[-1], name)[:] = 0
+        expected = run_controlled(params, s0, SWEEP_GRID, cfg)
+        assert all(getattr(expected, name).flags.writeable for name in ARRAYS)
+        assert_same_outcome(seen[-1], expected)
+    assert seen[1].work.steps < seen[0].work.steps  # it stepped from its own gate only
+    assert seen[3].work == harness.RunWork(0, 0, 0, 0)
 
 
 @pytest.mark.parametrize("name", ["gate-never-opens", "gate-opens-late", "diverges-after-branching"])
