@@ -28,7 +28,7 @@ from .control import (
     eigen3,
 )
 from .dynamics import equilibria, jacobian, residual_norm
-from .harness import RunWork, convergence_report, run_controlled, run_each, run_uncontrolled, sweep
+from .harness import convergence_report, run_controlled, run_each, run_uncontrolled, sweep
 from .integrator import IntegrationError
 from .io import _sink, render_report, write_report, write_sweep_csv, write_trajectory_csv
 
@@ -282,16 +282,16 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     base = default_config()
     cfgs = [replace(base.controller, t_on=REPRODUCE_PRESETS[name]) for name in names]
     eqs = equilibria(base.params)
-    free = None  # the CSV and report of the last preset whose gate never opened
+    free = None, None, None  # the run, CSV and report of the last preset whose gate never opened
     # The presets differ only in t_on: at the default epsilon the gate never
     # opens, so run_each hands fig5 fig4's run, whose CSV and report it reuses.
     runs = run_each(base.params, base.s0, base.grid, cfgs)
     for name, cfg, traj, (csv_path, report_path) in zip(names, cfgs, runs, paths):
         if isinstance(traj, IntegrationError):
             raise traj
-        if traj.work == RunWork(0, 0, 0, 0):  # that preset's run again
-            report = replace(free[1], controller=cfg)
-            with open(free[0], "rb") as src, _sink(csv_path) as write:
+        if traj is free[0]:  # that preset's run again
+            report = replace(free[2], controller=cfg)
+            with open(free[1], "rb") as src, _sink(csv_path) as write:
                 for chunk in iter(partial(src.read, 1 << 16), b""):
                     write(chunk)
         else:
@@ -300,7 +300,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
             )
             write_trajectory_csv(traj, csv_path)
             if not traj.active.any():
-                free = csv_path, report
+                free = traj, csv_path, report
         write_report(report, report_path)
         print(f"{name}: wrote {csv_path} and {report_path}", file=sys.stderr)
         print(

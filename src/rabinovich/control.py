@@ -237,9 +237,9 @@ def gate_samples(states: np.ndarray, lag: int, t: np.ndarray, cfg: ControllerCon
     r is the Euclidean norm of s(t) - s(t - tau) over the full state vector,
     and a sample is active iff t > t_on (the time gate) AND r < epsilon (the
     recurrence gate).  Each r is rounded through ``dx*dx + dy*dy + dz*dz``
-    and the square root, in that order, as ``harness._run`` writes the gate
+    and the square root, in that order, as ``harness._step`` writes the gate
     per sample, so both equal the scalar gate of ``tests/reference.py`` bit
-    for bit.
+    for bit.  The harness takes a free flow's r from here, block by block.
     """
     m = len(states) - lag
     with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as in Python

@@ -12,7 +12,7 @@ mirror image.
 
 Evaluation order inside :func:`field_components` is fixed so that repeated
 calls (and mirrored inputs) produce bit-identical floating-point results;
-the stepping loop ``harness._run`` holds an inline copy, in the same
+the stepping loop ``harness._step`` holds an inline copy, in the same
 operations and order, that the differential tests keep equal bit for bit.
 """
 
@@ -101,7 +101,7 @@ def field_components(a: float, b: float, d: float, h: float,
     """Time derivative (dx/dt, dy/dt, dz/dt) as plain scalars.
 
     This is the one definition of the right-hand side, which
-    ``residual_norm`` calls.  ``harness._run`` writes it inline at each RK4
+    ``residual_norm`` calls.  ``harness._step`` writes it inline at each RK4
     stage, in the same term order, and the differential tests against the
     numpy RK4 of ``tests/reference.py`` run on this function keep the two
     equal bit for bit.

@@ -5,7 +5,7 @@ Gating semantics: from one delay tau into the run on, the activation gate
 from the current state and the state tau earlier.  An active step
 integrates the controlled vector field (open-loop field plus the control term
 of ``control.control_coefficients`` on the z-equation, at every RK4 substage);
-an inactive step integrates the pure open-loop field.  ``_run`` writes both
+an inactive step integrates the pure open-loop field.  ``_step`` writes both
 the gate and the term inline.  Every recorded sample carries the control
 input u in force at that sample (zero when inactive), the gate flag, and the
 recurrence distance r (absent, with the gate inactive, while the delay window
@@ -13,18 +13,12 @@ fills).  The gate and the trajectory read their sample times from
 ``TimeGrid.times()``.
 
 So until its gate first opens, a controlled run is the free flow bit for
-bit: it steps the open-loop field, and the gate only reads the state.  Runs
-from one start on one grid share that prefix, and ``run_each`` steps it only
-once for a sequence of controllers (the cells of a sweep, the presets of
-``reproduce``), with its r, which a run of the same lag reuses.  A run whose
-gate never opens is that prefix whole, and a later controller of its lag
-that its r would not open either is handed the same arrays without a run.
-Past the prefix a run gates the free flow in stretches, one numpy pass
-(``control.gate_samples``) each, and from its first open gate on per sample.
-No step tests its state for divergence: the stepped rows are checked in one
-numpy pass at each stretch end, at fixed checkpoints, and at a per-sample
-gate whose r is too large for two rows within the limit.
-``Trajectory.work`` counts what a run did.
+bit: it steps the open-loop field, and the gate only reads the state.  A
+``_FreeFlow`` holds that flow, stepped as far as a run has needed, and its r
+at each lag; a run steps on from its first open sample, gated per sample,
+and a run whose gate never opens is the whole flow.  ``run_each`` keeps one
+flow for a sequence of controllers (the cells of a sweep, the presets of
+``reproduce``).  ``Trajectory.work`` counts what a run did.
 
 Convergence is a measured quantity, never an assumption: a run is declared
 stabilized only if the whole tail window stays within the capture radius
@@ -69,8 +63,8 @@ __all__ = [
 DEFAULT_CAPTURE_RADIUS = 0.5
 DEFAULT_TAIL = 20.0
 
-# A run that is not gating the free flow in stretches checks its states for
-# divergence at every multiple of this many samples.
+# The stepped rows are checked for divergence at every multiple of this many
+# samples, and the free flow's r is computed in blocks of as many.
 _CHECK_ROWS = 512
 
 R_NORM_NOTE = "euclidean norm over the full state vector"
@@ -88,10 +82,10 @@ class _SampleError(ValueError):
 
 @dataclass(frozen=True)
 class RunWork:
-    """What ``_run`` did (``Trajectory.work``; None if read from a file, all zero
-    for a run that ``run_each`` handed on), summed at checks: RK4 steps
-    integrated, samples gated one at a time, free steps past the first open
-    gate integrated and dropped (among ``steps``), gate passes."""
+    """What a run did (``Trajectory.work``; None if read from a file), summed
+    at checks: RK4 steps integrated, its own and those the free flow made for
+    it, samples gated one at a time, free-flow rows stepped for it past its
+    first open gate (among ``steps``), and passes over the flow's r."""
 
     steps: int
     gated: int
@@ -138,117 +132,69 @@ class Trajectory:
         return len(self.t)
 
 
-def _divergence(k, grid, t, stages, state) -> DivergenceError:
+def _divergence(k, grid, stages, state) -> DivergenceError:
     """The error a failed step k raises, found after the fact: the first
     stage with a non-finite derivative, else the non-finite or too large state.
 
     A non-finite derivative always makes the stepped state non-finite, so a
     magnitude test of the stepped states finds every failed step.
     """
-    t_prev, dt = t[k - 1], grid.dt
+    t_prev, dt = grid.time_at(k - 1), grid.dt  # the bits of grid.times()
     stage_times = (t_prev, t_prev + 0.5 * dt, t_prev + 0.5 * dt, t_prev + dt)
     for t_stage, derivative in zip(stage_times, stages):
         if not all(math.isfinite(v) for v in derivative):
             return DivergenceError(k, t_prev, f"non-finite derivative at t={t_stage!r}")
-    t_k = t[k] if k else grid.t0
+    t_k = grid.time_at(k) if k else grid.t0
     if not all(math.isfinite(v) for v in state):
         return DivergenceError(k, t_k, "non-finite state component")
     return DivergenceError(k, t_k, f"state magnitude exceeded {DIVERGENCE_LIMIT:g}")
 
 
-def _run(
-    p: Params, s0: State, grid: TimeGrid, cfg: Optional[ControllerConfig],
-    free: Optional[np.ndarray] = None, free_r: Optional[np.ndarray] = None,
-) -> Trajectory:
-    """The one RK4 stepping loop; ``cfg=None`` integrates the free flow.
+def _step(p, grid, cfg, states, gate, k, stop, again=False):
+    """The one RK4 stepping loop: step rows ``[k, stop)`` of ``states`` from
+    row k - 1, and return how many it stepped and the end of the rows that
+    pass the divergence check: ``stop``, or the first failing row.
 
-    The state is kept as three Python floats and every sample is written
-    straight into the preallocated output arrays (one memoryview a column of
-    states); the gate reads the delayed state back from them, and its time
-    from ``grid.times()``, which the run returns.  Each arithmetic operation
-    is the one the numpy RK4 step of ``tests/reference.py`` makes on each
-    array component, in the same order, so both give bit-identical results.
-    A step calls nothing: the vector field (on ``-a`` and ``-d`` negated once
-    a run), the control term g * (c*z + x*y) (on ``control_coefficients``
-    read once a run) and the per-sample gate are inline, in the operations
-    and order of ``field_components`` and ``gate_samples`` (less the gate's
-    time test, which always holds there), so they give those functions' bits.
-    A step from an open sample takes the u recorded there as its first-stage
-    control term.
+    ``cfg=None`` steps the free flow.  Else row k - 1 is at or past the first
+    open sample, and the rows are gated per sample (less ``t > t_on``, which
+    holds there) into the arrays ``gate`` (u, flag, r), row k - 1's u too; a
+    step takes the u of an open sample as its first-stage control term.
 
-    Until the gate first opens the run is the free flow bit for bit, so no
-    gate runs per sample until then.  ``free`` may hold the leading rows of
-    the free flow of the same ``p``, ``s0`` and ``grid``; they are copied,
-    not stepped, and ``free_r``, their r at this run's lag, if given, is
-    copied and gated with ``t > t_on`` and ``r < epsilon``.  The free flow
-    then goes on in stretches, each gated in one ``gate_samples`` pass, equal
-    to the per-sample gate bit for bit.  The first stretch ends one sample
-    past the later of the last sample that cannot open (before the delay
-    window fills or at ``t <= t_on``) and the last row of ``free``, and each
-    later one is as long as all the samples this run stepped from there on,
-    so the lengths double from 1.  At the first open sample the stretch's
-    later samples are dropped, and the run steps on from there with the gate
-    per sample: the free steps dropped are fewer than the free steps this run
-    stepped and gated before them.
+    The state is three Python floats, each row written straight into
+    ``states`` (one memoryview a column), whence the gate reads the delayed
+    state.  Each operation is the one the numpy RK4 step of
+    ``tests/reference.py`` makes on each component, in its order, and the
+    field, the control term g * (c*z + x*y) and the gate are inline, in the
+    operations and order of ``field_components``, ``control_coefficients``
+    and ``gate_samples``: all give the same bits.
 
-    No step tests its state; the initial one is tested before the loop.  The
-    rows stepped since the last check are checked in one numpy pass, for NaN
-    or a component beyond ``DIVERGENCE_LIMIT``, at the end of each free
-    stretch and, once the run gates per sample or in a free run, at every
-    multiple of ``_CHECK_ROWS`` samples, and, when it gates per sample, at
-    once at a shut sample whose r is NaN or at least 4 * ``DIVERGENCE_LIMIT``,
-    which no two rows within the limit give.  So a run steps past a failed
-    step at most to that sample, its stretch's end or its next checkpoint,
-    and ``RunWork`` counts those steps.  The first failing row k is taken as
-    if the run had stopped there: the free samples before it are gated, and
-    if a gate opened among them the failed free step is dropped with the
-    rest.  Else the run goes back to row k - 1 (its state, gate and u) and
-    steps k again, alone, in the same loop, for the stages that the error
-    names.
+    No step tests its state: the rows stepped are checked in one numpy pass,
+    for NaN or a component beyond ``DIVERGENCE_LIMIT``, at each multiple of
+    ``_CHECK_ROWS``, at ``stop``, and at a shut sample whose r is NaN or at
+    least 4 * ``DIVERGENCE_LIMIT``, which no two rows within the limit give.
+    A failing row ends the stepping.  With ``again``, row k is one that
+    failed: it is stepped again alone, and its error, naming the stages, raised.
     """
-    lag = delay_steps(cfg, grid.dt) if cfg is not None else 0
-    sqrt = math.sqrt
     na, b, nd, h = -p.a, p.b, -p.d, p.h  # -a * x is (-a) * x
-    dt, n = grid.dt, grid.n_steps
-    half, sixth, limit = 0.5 * dt, dt / 6.0, DIVERGENCE_LIMIT
+    sqrt, dt, limit = math.sqrt, grid.dt, DIVERGENCE_LIMIT
     # Two states within the limit are at most sqrt(12) * limit apart, so an r
     # this large (or NaN) means row k or row k - lag fails the check.
-    far = 4.0 * limit
-
-    t = grid.times()
-    states = np.empty((n + 1, 3))
-    us = np.zeros(n + 1)
-    actives = np.zeros(n + 1, dtype=bool)
-    rs = np.full(n + 1, np.nan)
-    t_at, r_out = memoryview(t), memoryview(rs)
-    x_out, y_out, z_out = (memoryview(column) for column in states.T)
-    u_out, active_out = memoryview(us), memoryview(actives)
-
-    x, y, z = s0.x, s0.y, s0.z
-    if not (abs(x) <= limit and abs(y) <= limit and abs(z) <= limit):
-        raise _divergence(0, grid, t_at, (), (x, y, z))
-    active = False
-    k = 1 if free is None else len(free)  # the next sample to step
-    if free is None:
-        states[0] = x, y, z
-    else:
-        states[:k] = free
-        x, y, z = states[k - 1].tolist()
-    shut = cfg is not None  # the gate has not opened yet
-    if shut:
+    half, sixth, far = 0.5 * dt, dt / 6.0, 4.0 * limit
+    x_out, y_out, z_out = map(memoryview, states.T)
+    x, y, z = states[k - 1].tolist()
+    free, active = cfg is None, False
+    if not free:
+        lag, epsilon = delay_steps(cfg, dt), cfg.epsilon
         g, c = control_coefficients(p, cfg)  # u = g * (c*z + x*y)
-        t_on, epsilon = cfg.t_on, cfg.epsilon
-        opening = max(lag, int(np.searchsorted(t, t_on, "right")))  # the first that can open
-        base = max(opening, k)  # where the doubling counts from: this run's own steps
-        gated = lag  # the first sample whose r is not yet recorded
-    stop = k  # the end of the rows being stepped; the first block is empty
-    gate_from = n + 1  # the first sample gated one by one
-    failed = False  # a failed step is stepped again alone, for its error
-    steps, dropped, passes = 0, 0, 0
-
-    while True:
-        begin = k
-        for k in range(k, stop):
+        u_out, active_out, r_out = map(memoryview, gate)
+        active = r_out[k - 1] < epsilon
+        if active:
+            active_out[k - 1] = True
+            u_out[k - 1] = u = g * (c * z + x * y)
+    start = k
+    while k < stop:
+        begin, end = k, min(stop, (k // _CHECK_ROWS + 1) * _CHECK_ROWS)
+        for k in range(begin, end):
             k1x, k1y, k1z = na * x + h * y + y * z, h * x - b * y - x * z, nd * z + x * y
             if active:  # the u recorded at the step's start
                 k1z = k1z + u
@@ -268,67 +214,127 @@ def _run(
             y = y + sixth * (k1y + 2.0 * k2y + 2.0 * k3y + k4y)
             z = z + sixth * (k1z + 2.0 * k2z + 2.0 * k3z + k4z)
             x_out[k], y_out[k], z_out[k] = x, y, z
-            if k < gate_from:
+            if free:
                 continue
             i = k - lag  # the gate, as control.gate_samples computes it
             dx, dy, dz = x - x_out[i], y - y_out[i], z - z_out[i]
             r_out[k] = r = sqrt(dx * dx + dy * dy + dz * dz)
-            # less its t > t_on, which holds here: samples are gated one by
-            # one only past the first open sample, whose time is past t_on,
-            # and the grid's times never decrease
             active = r < epsilon
             if active:
                 active_out[k] = True
                 u_out[k] = u = g * (c * z + x * y)
             elif not r < far:  # a row since the last check fails: check now
-                stop = k + 1
+                end = k + 1
                 break
-        if failed:
+        if again:
             # Built here, not kept in a local: a kept error would hold this
             # frame, and its arrays, in a cycle through its traceback.
-            raise _divergence(
-                k, grid, t_at,
-                ((k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z)),
-                (x, y, z),
-            )
-        steps += stop - begin
-        k = stop
-        block = states[begin:k]
-        if begin < k and not (-limit <= block.min() and block.max() <= limit):
-            k = begin + int((np.abs(block) <= limit).all(axis=1).argmin())  # fails on NaN too
-        if shut and k > gated:  # gate the free samples stepped since the last pass
-            passes += 1
-            if free_r is not None and k == len(free_r):  # the prefix, whose r is given
-                r = free_r[gated:]
-                opens = t[gated:k] > t_on
-                opens &= r < epsilon
-            else:
-                opens, r = gate_samples(states[gated - lag:k], lag, t[gated:k], cfg)
-            first = int(opens.argmax())
-            shut = not opens[first]
-            end = k if shut else gated + first + 1
-            rs[gated:end] = r[:end - gated]
-            gated = end
-            del opens, r
-            if not shut:  # drop the later free samples; step on, controlled
-                dropped = stop - max(end, begin)  # none if ``free`` holds them
-                k = stop = gate_from = end
-                x, y, z = states[k - 1].tolist()
-                actives[k - 1] = active = True
-                us[k - 1] = u = g * (c * z + x * y)
-                continue
-        if k < stop:  # row k failed: step it again from row k - 1
-            x, y, z = states[k - 1].tolist()
-            active, u = active_out[k - 1], u_out[k - 1]
-            stop, failed = k + 1, True
-            continue
-        if k > n:
-            work = RunWork(steps, n + 1 - gate_from, dropped, passes)
-            return Trajectory(t=t, states=states, u=us, active=actives, r=rs, work=work)
-        if shut:  # the next free stretch
-            stop = min(n + 1, max(base + 1, 2 * k - base))
-        else:  # the next checkpoint
-            stop = min(n + 1, (k // _CHECK_ROWS + 1) * _CHECK_ROWS)
+            stages = (k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z)
+            raise _divergence(k, grid, stages, (x, y, z))
+        block = states[begin:end]
+        if not (-limit <= block.min() and block.max() <= limit):  # fails on NaN too
+            return end - start, begin + int((np.abs(block) <= limit).all(axis=1).argmin())
+        k = end
+    return k - start, k
+
+
+class _FreeFlow:
+    """The free flow of ``p`` from ``s0`` on ``grid``, stepped as far as runs
+    ask: rows ``[0, end)`` are stepped and checked; if ``stepped`` is past
+    ``end``, row ``end`` failed.  It keeps r and the never-open run by lag."""
+
+    def __init__(self, p: Params, s0: State, grid: TimeGrid):
+        self.p, self.grid, self.t = p, grid, grid.times()
+        self.states = np.empty((len(self.t), 3))
+        self.states[0] = s0.x, s0.y, s0.z
+        self.end = int(np.abs(self.states[0]).max() <= DIVERGENCE_LIMIT)  # fails on NaN too
+        self.stepped, self.passes = 1, 0
+        self._r = {}  # lag -> [r, the first row whose r is not computed]
+        self.shut = {}  # lag -> the run whose gate never opens
+
+    def r(self, lag: int, cfg: ControllerConfig) -> np.ndarray:
+        """r at ``lag`` (``cfg``'s; its gate is dropped) up to ``end``, NaN
+        before ``lag``, computed ``_CHECK_ROWS`` rows at a time, so that no
+        pass makes full-length temporaries."""
+        entry = self._r.get(lag)
+        if entry is None:
+            entry = self._r[lag] = [np.full(len(self.t), np.nan), lag]
+        r, done = entry
+        for i in range(done, self.end, _CHECK_ROWS):
+            j = min(self.end, i + _CHECK_ROWS)
+            r[i:j] = gate_samples(self.states[i - lag:j], lag, self.t[i:j], cfg)[1]
+        entry[1] = max(done, self.end)
+        return r
+
+    def first_open(self, cfg: Optional[ControllerConfig], lag: int) -> Optional[int]:
+        """The first sample with t > t_on and r < epsilon, or None (always
+        for ``cfg=None``) once the flow is stepped to its end or fails.
+
+        The flow is stepped on only as far as it must be, in stretches, each
+        gated in one pass over r.  The first ends one sample past the later
+        of the first sample that can open and the flow's end; each later one
+        is as long as all the samples stepped from there on, so fewer are
+        stepped past the first open sample than were gated before it.
+        """
+        n = self.grid.n_steps
+        opening = n + 1 if cfg is None else max(lag, int(np.searchsorted(self.t, cfg.t_on, "right")))
+        base, scanned = max(opening, self.end), opening
+        while True:
+            if scanned < self.end:  # t > t_on holds from ``opening`` on
+                self.passes += 1
+                opens = self.r(lag, cfg)[scanned:self.end] < cfg.epsilon
+                first = int(opens.argmax())
+                if opens[first]:
+                    return scanned + first
+                scanned = self.end
+            if self.end < self.stepped or self.end > n:
+                return None
+            self.extend(min(n + 1, max(base + 1, 2 * self.end - base)))
+
+    def extend(self, stop: int):
+        """Step the flow on to row ``stop``, or to a row that fails."""
+        steps, self.end = _step(self.p, self.grid, None, self.states, None, self.end, stop)
+        self.stepped += steps
+
+
+def _run(
+    p: Params, s0: State, grid: TimeGrid, cfg: Optional[ControllerConfig],
+    flow: Optional[_FreeFlow] = None,
+) -> Trajectory:
+    """The run of ``cfg`` (``None`` for the free flow) on ``flow``, the free
+    flow of the same ``p``, ``s0`` and ``grid``, or on a flow of its own.
+
+    A run whose gate never opens is the whole flow, with u and active all
+    zero: one object for each lag of a flow.  Else it is the flow up to its
+    first open sample, and ``_step`` steps the rest, on its own flow in the
+    flow's arrays, else in a copy.  A flow that fails first raises the error.
+    """
+    own, flow = flow is None, flow or _FreeFlow(p, s0, grid)
+    stepped, passes = flow.stepped, flow.passes
+    lag = None if cfg is None else delay_steps(cfg, grid.dt)
+    first = flow.first_open(cfg, lag)
+    made, passes = flow.stepped - stepped, flow.passes - passes  # for this run
+    n = grid.n_steps
+    if first is None:
+        if flow.end == 0:
+            raise _divergence(0, grid, (), flow.states[0].tolist())
+        if flow.end <= n:  # step the failed row again, for its error
+            _step(p, grid, None, flow.states, None, flow.end, flow.end + 1, again=True)
+        if lag not in flow.shut:
+            r = np.full(n + 1, np.nan) if cfg is None else flow.r(lag, cfg)
+            u, active = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
+            flow.shut[lag] = Trajectory(flow.t, flow.states, u, active, r, RunWork(made, 0, 0, passes))
+        return flow.shut[lag]
+    states, rs = flow.states, flow.r(lag, cfg)
+    if not own:  # the run writes over the rows past ``first``, which the flow keeps
+        states, rs = states.copy(), rs.copy()
+    gate = us, actives, rs = np.zeros(n + 1), np.zeros(n + 1, dtype=bool), rs
+    steps, end = _step(p, grid, cfg, states, gate, first + 1, n + 1)
+    if end <= n:
+        _step(p, grid, cfg, states, gate, end, end + 1, again=True)
+    dropped = made - max(0, first + 1 - stepped)  # the flow's rows past ``first``
+    work = RunWork(steps + made, n - first, dropped, passes)
+    return Trajectory(t=flow.t, states=states, u=us, active=actives, r=rs, work=work)
 
 
 def run_uncontrolled(p: Params, s0: State, grid: TimeGrid) -> Trajectory:
@@ -355,50 +361,24 @@ def run_each(
     bit for bit, with read-only arrays, or the ``IntegrationError`` it raised,
     without its traceback.
 
-    A finished run is the free flow up to its first open gate, which no
-    controller setting enters; each later run reads the longest such prefix
-    instead of stepping it again, and steps from its own first open gate.
-    The prefix keeps its r and lag beside its states; r depends on nothing
-    else, so a run with the same lag copies it instead of computing it.
-
-    A run whose gate never opened is the whole free flow with u all zero.  A
-    later controller of its lag whose gate that run's r would not open
-    either (``t > t_on`` and ``r < epsilon`` at no sample) is the same run:
-    it gets that run's arrays again, with a zero ``RunWork``, and no run is
-    made.  So a result with no work equals, array for array, every earlier
-    result of its lag whose gate never opened.
+    The runs share one free flow, which each steps only past what an
+    earlier one stepped, and its r at each lag.  The runs of one lag whose
+    gate never opens are one object, whose ``work`` is the first's.
     """
-    free = free_r = free_lag = None  # the longest free-flow prefix a finished run has produced
-    shared = None  # a finished run whose gate never opened, read-only
+    flow = _FreeFlow(p, s0, grid)
     for cfg in cfgs:
-        lag = None if cfg is None else delay_steps(cfg, grid.dt)
-        if shared is not None and lag == free_lag:
-            after_t_on = shared.r[np.searchsorted(shared.t, cfg.t_on, "right"):]
-            if not (after_t_on < cfg.epsilon).any():
-                yield shared
-                continue
         try:
-            result = _run(p, s0, grid, cfg, free, free_r if lag == free_lag else None)
+            result = _run(p, s0, grid, cfg, flow)
         except IntegrationError as exc:
             # Yielded as a value, without its traceback: this frame holds it
             # while suspended, and the traceback's frames would close a cycle
             # that keeps the failed run's arrays until a collection.
             result = exc.with_traceback(None)
         else:
-            # The run is the free flow up to and including its first active
-            # sample, and all through if the gate never opened.
-            first = int(result.active.argmax())
-            opened = bool(result.active[first])
-            end = first + 1 if opened else result.n_samples
-            never = shared is None and cfg is not None and not opened
-            if free is None or end > len(free) or never:
-                free, free_r, free_lag = result.states[:end], result.r[:end], lag
             for array in (result.t, result.states, result.u, result.active, result.r):
                 array.flags.writeable = False  # a later run may copy or be handed them
-            if never:
-                shared = replace(result, work=RunWork(0, 0, 0, 0))
         yield result
-        del result  # the next run then shares memory with the prefix (and a run handed on) only
+        del result
 
 
 @dataclass(frozen=True)
@@ -537,11 +517,10 @@ def sweep(
     the report empty; it never aborts the sweep.  Each cell is flagged
     against the admissible gain interval for the system's d.
 
-    The cells are the controllers of one ``run_each``, so they step the
-    shared free-flow prefix only once, and a cell that it hands an earlier
-    never-open cell's run takes that cell's report with its own controller:
-    the report reads only t, the states and u, which is all zero.  The
-    outputs equal those of running every cell on its own.
+    The cells are the controllers of one ``run_each``, on one free flow.  A
+    cell handed an earlier cell's never-open run takes that cell's report
+    with its own controller: the report reads only t, the states and u,
+    which is all zero.  The outputs equal those of every cell run alone.
     """
     if len(K_values) == 0 or len(eps_values) == 0:
         raise ValueError("K_values and eps_values must be nonempty")
@@ -557,20 +536,20 @@ def sweep(
     ]
     results = run_each(p, s0, grid, cfgs)
     cells = []
-    free_report = None  # the report of the last cell whose gate never opened
+    free_run = free_report = None  # the last cell's run whose gate never opened, and its report
     for cfg in cfgs:
         result = next(results)  # not zip(), whose reused tuple keeps it alive a run longer
         error = None
         if isinstance(result, IntegrationError):
             report, error = None, str(result)
-        elif result.work == RunWork(0, 0, 0, 0):  # that cell's run again
+        elif result is free_run:  # that cell's run again
             report = replace(free_report, controller=cfg)
         else:
             report = convergence_report(
                 result, eqs, grid, tail=tail, capture_radius=capture_radius, cfg=cfg
             )
             if not result.active.any():
-                free_report = report
+                free_run, free_report = result, report
         del result
         cells.append(
             SweepCell(cfg.K, cfg.epsilon, cfg.mode.value, interval.contains(cfg.K), report, error)

@@ -7,7 +7,7 @@ multiplication per step, never accumulated addition) so the time axis
 carries no compounding rounding error; a run takes its sample times from
 ``TimeGrid.times()`` alone.
 
-Runs are stepped by ``harness._run`` alone.  The tests compare it against a
+Runs are stepped by ``harness._step`` alone.  The tests compare it against a
 generic numpy RK4 step, with the field given as a callable ``f(t, y)``, that
 they keep in ``tests/reference.py``.
 """

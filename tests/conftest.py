@@ -70,19 +70,19 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
 
 
-# A line of ``harness._run`` where an RK4 stage evaluates the vector field.
+# A line of ``harness._step`` where an RK4 stage evaluates the vector field.
 FIELD_LINE = re.compile(r"\s*k([1-4])x, k\1y, k\1z = ")
 
 
 @pytest.fixture()
 def core_calls(monkeypatch):
-    """A function giving the field evaluations of the stepping core
-    (``harness._run``), counted from outside by a line tracer on its four
-    stage lines, and each count of the ``RunWork`` its runs reported, summed
-    over the runs returned."""
-    calls, works = [0], []
-    run = harness._run
-    source, first = inspect.getsourcelines(run)
+    """A function giving the field evaluations of the stepping loop
+    (``harness._step``), counted from outside by a line tracer on its four
+    stage lines, and each count of the ``RunWork`` of the runs ``harness._run``
+    returned, summed over the runs, a run returned again counted once."""
+    calls, runs = [0], {}
+    step, run = harness._step, harness._run
+    source, first = inspect.getsourcelines(step)
     stages = {first + i for i, line in enumerate(source) if FIELD_LINE.match(line)}
     assert len(stages) == 4
 
@@ -92,14 +92,15 @@ def core_calls(monkeypatch):
         return count_lines
 
     def trace(frame, event, arg):
-        return count_lines if frame.f_code is run.__code__ else None
+        return count_lines if frame.f_code is step.__code__ else None
 
     def recorded_run(*args):
         traj = run(*args)
-        works.append(traj.work)
+        runs[id(traj)] = traj  # kept, so that no later run reuses its id
         return traj
 
     def totals():
+        works = [traj.work for traj in runs.values()]
         summed = {f.name: sum(getattr(w, f.name) for w in works) for f in fields(harness.RunWork)}
         return dict(field=calls[0], **summed)
 

@@ -1,8 +1,8 @@
-"""Reference forms of the rules that ``harness._run`` writes inline.
+"""Reference forms of the rules that ``harness._step`` writes inline.
 
 The package ships each numerical rule once: the field is
 ``dynamics.field_components``, the gate ``control.gate_samples``, the law
-``control.control_coefficients`` and the stepping ``harness._run``.  The
+``control.control_coefficients`` and the stepping ``harness._step``.  The
 functions here restate them plainly, one call per step, stage or sample, so
 that the tests can compare the shipped code against them bit for bit:
 

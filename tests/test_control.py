@@ -133,7 +133,7 @@ def same_double(a, b):
     d=st.floats(min_value=0.05, max_value=10.0),
 )
 def test_control_term_is_the_written_law_in_coefficient_form(x, y, z, K, tau, d):
-    # u = g * (c*z + x*y) on control_coefficients, as harness._run writes it
+    # u = g * (c*z + x*y) on control_coefficients, as harness._step writes it
     # inline, is bit for bit the law as written: K*(-(d+1)*z + x*y), and
     # K*tau*(-d*z + x*y)
     p = Params(4.0, 1.0, d, 6.75)

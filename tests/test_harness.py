@@ -592,6 +592,17 @@ drawn_controllers = st.builds(
 )
 
 
+@pytest.mark.parametrize("K", [-0.9, 0.0])
+def test_gate_that_first_opens_at_the_last_sample_records_its_u(params, s0, K):
+    # Only samples 199 and 200 lie past t_on, and the gate first opens at
+    # 200, the last: no row is stepped past it, yet its u (-0.0 at K = 0)
+    # is recorded.
+    cfg = ControllerConfig(K=K, epsilon=3.0, t_on=19.875, tau=DRAWN_GRID.dt)
+    got = run_controlled(params, s0, DRAWN_GRID, cfg)
+    assert np.flatnonzero(got.active).tolist() == [DRAWN_GRID.n_steps]
+    assert_same_outcome(got, reference_run(params, s0, DRAWN_GRID, cfg))
+
+
 @given(cfg=drawn_controllers)
 def test_core_matches_reference_on_drawn_controllers(params, s0, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
@@ -803,29 +814,27 @@ def test_sweep_cells_match_reference_run(params, s0, eqs, name):
     pytest.param("gate-opens-at-first-eligible-sample", 1000 + 2 * 990, 2 * 990,
                  id="gate-opens-at-first-eligible-sample-2980"),
     # the first cell can open from sample 201 on and opens at 636, inside its
-    # stretch [457, 713), so it steps 1000 + 76 dropped; the second steps from
-    # the end of that prefix and opens at once, at 637: 364 steps, none
-    # dropped; the third steps from 638 and opens at 648, inside its stretch
-    # [646, 654): 363 + 5 dropped.  Doubling from 201 instead would have
-    # dropped 363 and 352.
-    pytest.param("gate-opens-past-the-prefix", 1076 + 364 + 368, 364 + 363 + 352,
-                 id="gate-opens-past-the-prefix-1808"),
+    # stretch [457, 713), so the flow steps 712 rows, 76 of them past 636,
+    # and the cell 364 more; the second and the third open at 637 and 648,
+    # on rows the flow holds, and step 363 and 352.
+    pytest.param("gate-opens-past-the-prefix", 712 + 364 + 363 + 352, 364 + 363 + 352,
+                 id="gate-opens-past-the-prefix-1791"),
 ])
 def test_sweep_steps_only_what_no_earlier_cell_stepped(params, s0, core_calls, name, steps,
                                                        gates):
     sweep_case(params, s0, name)
     # The gate runs per sample only at the samples stepped after a first open
     # gate; the free flow before it is gated in one array pass a stretch.
-    # A cell steps the free flow from the end of the longest prefix before
-    # it, so it drops fewer free steps past its first open gate than it
-    # stepped itself.
+    # The cells share one free flow, which each steps only past the rows an
+    # earlier one had it step, so it drops fewer free steps past its first
+    # open gate than it stepped itself.
     got = core_calls()
     assert (got["steps"], got["gated"]) == (steps, gates)
     assert got["field"] == 4 * got["steps"]
 
 
 def stretch_end(opening, k):
-    """The end of the free stretch of ``_run`` that holds sample ``k``, given
+    """The end of the free stretch of ``_FreeFlow`` that holds sample ``k``, given
     the first sample ``opening`` at which the gate can open, and the number
     of stretches up to it: the first stretch ends just past ``opening``, and
     each later one is as long as all the samples gated from ``opening`` on
@@ -855,6 +864,38 @@ def test_free_stretch_steps_past_the_first_open_gate_less_than_it_gated(
     assert dropped <= max(0, first - opening - 1)
 
 
+def lone_run_peak(p, s0, grid, cfg):
+    """A lone run and its tracemalloc peak in bytes a sample."""
+    tracemalloc.start()
+    try:
+        traj = run_controlled(p, s0, grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return traj, peak / traj.n_samples
+
+
+def test_lone_never_open_run_peak_does_not_grow_with_t_on(params, s0):
+    # The run's arrays take 49 bytes a sample.  The flow's r is computed a
+    # block of _CHECK_ROWS rows at a time, so the samples before t_on, which
+    # cannot open, add no full-length temporaries (80.9 bytes a sample when
+    # one pass gated them all).
+    cfg = ControllerConfig(K=-0.6, epsilon=0.05, t_on=199.0)
+    traj, peak = lone_run_peak(params, s0, TimeGrid(0.0, 200.0, 0.01), cfg)
+    assert traj.n_samples == 20001 and not traj.active.any()
+    assert peak <= 55.0
+
+
+def test_lone_run_steps_on_in_its_own_flow(params, s0):
+    # Past its first open sample a lone run steps on in the arrays of its
+    # free flow; a copy of them would add 32 bytes a sample.
+    cfg = ControllerConfig(K=-0.3, epsilon=5.0, t_on=1000.0, mode=PredictionMode.EULER)
+    traj, peak = lone_run_peak(params, s0, TimeGrid(0.0, 2000.0, 0.1), cfg)
+    assert int(traj.active.argmax()) > 10000
+    assert all(getattr(traj, name).flags.writeable for name in ARRAYS)
+    assert peak <= 60.0
+
+
 def assert_same_outcome(got, expected):
     if isinstance(expected, tuple):
         assert got == expected
@@ -880,15 +921,25 @@ PREFIX_CASES = dict(
 )
 
 
+def run_on_flow_cut(p, s0, grid, cfg, cut):
+    """The run of ``cfg`` on a free flow first stepped to row ``cut``."""
+    flow = harness._FreeFlow(p, s0, grid)
+    flow.extend(cut)
+    got = outcome(_run, p, s0, grid, cfg, flow)
+    if not isinstance(got, tuple) and got.active.any():  # a copy, not the flow's rows
+        assert not np.shares_memory(got.states, flow.states)
+    return got
+
+
 @pytest.mark.parametrize("name", sorted(PREFIX_CASES))
 def test_run_with_free_prefix_matches_run_without(params, s0, rng, name):
     cfg = PREFIX_CASES[name]
-    free = _run(params, s0, SWEEP_GRID, None).states
-    expected = outcome(_run, params, s0, SWEEP_GRID, cfg)
+    free = run_uncontrolled(params, s0, SWEEP_GRID).states
+    expected = outcome(core_run, params, s0, SWEEP_GRID, cfg)
     cuts = [len(free), 1] + [int(c) for c in rng.integers(1, len(free), size=3)]
     if cfg is not None:
-        # the prefix ends just before the first gated sample, at it, and just
-        # before and at the row where the free flow first opens the gate
+        # the flow ends just before the first gated sample, at it, and just
+        # before, at and past the row where the free flow first opens the gate
         lag = delay_steps(cfg, SWEEP_GRID.dt)
         cuts += [lag, lag + 1]
         t0, dt = SWEEP_GRID.t0, SWEEP_GRID.dt
@@ -898,9 +949,17 @@ def test_run_with_free_prefix_matches_run_without(params, s0, rng, name):
             None,
         )
         if opening is not None:
-            cuts += [opening, opening + 1]
+            cuts += [opening, opening + 1] + [min(len(free), opening + d) for d in (2, 3, 100)]
     for cut in cuts:
-        assert_same_outcome(outcome(_run, params, s0, SWEEP_GRID, cfg, free[:cut]), expected)
+        assert_same_outcome(run_on_flow_cut(params, s0, SWEEP_GRID, cfg, cut), expected)
+
+
+@given(p=distinct_params(), s0=st.builds(State, coords, coords, coords),
+       cfg=st.one_of(st.none(), drawn_controllers), cut=st.integers(1, DRAWN_GRID.n_steps + 1))
+def test_run_on_a_drawn_flow_cut_matches_a_fresh_run(p, s0, cfg, cut):
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = outcome(core_run, p, s0, DRAWN_GRID, cfg)
+        assert_same_outcome(run_on_flow_cut(p, s0, DRAWN_GRID, cfg, cut), expected)
 
 
 @pytest.mark.parametrize("order", ["sorted", "reversed"])
@@ -987,15 +1046,15 @@ def test_run_each_hands_a_never_open_run_on_read_only(params, s0):
         never,
     ]
     first, handed, opens, other, again = run_each(params, s0, SWEEP_GRID, cfgs)
-    assert handed is again and handed.work == harness.RunWork(0, 0, 0, 0)
+    # one run for each lag whose gate never opens, on the one free flow
+    assert first is handed is again and first.work.steps == SWEEP_GRID.n_steps
+    assert other is not first and other.states is first.states and other.work.passes == 1
     for name in ARRAYS:
-        array = getattr(handed, name)
-        assert not array.flags.writeable, name
-        assert array is getattr(first, name), name
+        assert not getattr(handed, name).flags.writeable, name
     with pytest.raises(ValueError, match="read-only"):
         handed.states[0, 0] = 0.0
     assert opens.active.any() and opens.work.steps > 0
-    assert other.work.passes == 1 and not np.shares_memory(other.states, first.states)
+    assert not np.shares_memory(opens.states, first.states)
     for cfg, got in zip(cfgs, (first, handed, opens, other, again)):
         assert_same_outcome(got, run_controlled(params, s0, SWEEP_GRID, cfg))
 
@@ -1020,16 +1079,21 @@ def test_run_each_results_are_read_only(params, s0):
         assert all(getattr(expected, name).flags.writeable for name in ARRAYS)
         assert_same_outcome(seen[-1], expected)
     assert seen[1].work.steps < seen[0].work.steps  # it stepped from its own gate only
-    assert seen[3].work == harness.RunWork(0, 0, 0, 0)
+    assert seen[3] is seen[2]
 
 
 @pytest.mark.parametrize("name", ["gate-never-opens", "gate-opens-late", "diverges-after-branching"])
 def test_sweep_runs_only_the_cells_that_step(params, s0, eqs, monkeypatch, name):
-    runs, run = [], harness._run
+    # the cells whose run is not one an earlier cell was handed
+    runs, results, run = [], [], harness._run
 
     def counted(*args):
         runs.append(args[3])
-        return run(*args)
+        traj = run(*args)
+        if any(traj is earlier for earlier in results):
+            runs.pop()
+        results.append(traj)
+        return traj
 
     monkeypatch.setattr(harness, "_run", counted)
     rep, cfgs = sweep_case(params, s0, name)
@@ -1075,7 +1139,7 @@ def test_open_sample_computes_its_control_term_once(params, s0, monkeypatch):
     reads.clear()
     shut, shared = run_each(params, s0, grid, [never, cfg])
     assert not shut.active.any()
-    assert len(reads) == 2
+    assert len(reads) == 1  # a run whose gate never opens has no control term
     assert shared.u.tobytes() == alone.u.tobytes()
     assert shared.states.tobytes() == alone.states.tobytes()
 
@@ -1257,7 +1321,7 @@ def test_failed_step_is_stepped_again_from_the_row_before(params, s0, monkeypatc
     monkeypatch.setattr(harness, "_divergence", lambda *args: seen.append(args) or divergence(*args))
     with pytest.raises(DivergenceError, match=f"at step {row} "):
         _run(params, start, grid, cfg)
-    (_, _, _, stages, state), = seen
+    (_, _, stages, state), = seen
     before = _run(params, start, TimeGrid(grid.t0, grid.time_at(row - 1), grid.dt), cfg)
     f_open, f_ctl = reference_fields(params, cfg)
     f = f_ctl if before.active[-1] else f_open
