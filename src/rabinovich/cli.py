@@ -23,8 +23,8 @@ from .config import ConfigError, RunConfig, default_config, parse_config
 from .control import (
     PredictionMode,
     admissible_gain_interval,
-    closed_loop_check,
     closed_loop_jacobian,
+    closed_loop_scalar_coeff,
     eigen3,
 )
 from .dynamics import equilibria, jacobian, residual_norm
@@ -155,39 +155,34 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise ConfigError(f"--d: {exc}") from None
     try:
-        verdict = closed_loop_check(-d, K)
+        m = closed_loop_scalar_coeff(d, K)
     except ValueError as exc:
         raise ConfigError(f"--K: {exc}") from None
-    inside = interval.contains(K)
+    discrete_ok, continuous_ok = abs(m) < 1.0, m < 0.0
     out = sys.stdout
     print(f"gain K = {_echo(K)} at d = {_echo(d)}", file=out)
     print(
         f"admissible interval: ({_echo(interval.lo)}, {_echo(interval.hi)})"
-        f" -> K inside: {'yes' if inside else 'no'}",
+        f" -> K inside: {'yes' if interval.contains(K) else 'no'}",
         file=out,
     )
-    print(
-        f"closed-loop coefficient -d - K(d+1) = {format(verdict.closed_loop_matrix, '+.6g')}",
-        file=out,
-    )
+    print(f"closed-loop coefficient -d - K(d+1) = {format(m, '+.6g')}", file=out)
     print(
         f"discrete check (spectral radius < 1): "
-        f"{'PASS' if verdict.discrete_ok else 'FAIL'}"
-        f" (rho = {_fmt(verdict.spectral_radius)})",
+        f"{'PASS' if discrete_ok else 'FAIL'} (rho = {_fmt(abs(m))})",
         file=out,
     )
     print(
         f"continuous check (max Re < 0): "
-        f"{'PASS' if verdict.continuous_ok else 'FAIL'}"
-        f" (max Re = {format(verdict.max_real_part, '+.6g')})",
+        f"{'PASS' if continuous_ok else 'FAIL'} (max Re = {format(m, '+.6g')})",
         file=out,
     )
-    if verdict.discrete_ok != verdict.continuous_ok:
+    if discrete_ok != continuous_ok:
         print(
             "note: the two criteria disagree for this (d, K): the gain "
-            f"{'passes' if verdict.discrete_ok else 'fails'} the discrete-style "
+            f"{'passes' if discrete_ok else 'fails'} the discrete-style "
             "spectral-radius test while the continuous-time linearization is "
-            f"{'unstable' if not verdict.continuous_ok else 'stable'}.",
+            f"{'stable' if continuous_ok else 'unstable'}.",
             file=out,
         )
     return EXIT_OK

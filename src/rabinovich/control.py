@@ -19,17 +19,15 @@ Two prediction conventions are supported:
     vanish at every fixed point.  It is provided as a clearly labeled
     alternative; nothing in the default protocols uses it.
 
-``closed_loop_check`` judges the scalar closed-loop coefficient
--d - K(d+1) of the linearized z-equation two ways, never conflated:
-
-* discrete-style: the magnitude test |-d - K(d+1)| < 1;
-* continuous-time: the coefficient negative.
-
-For the default gain K = -0.6 at d = 1 the closed-loop coefficient is
-+0.2: the discrete-style test passes while the continuous-time test
-fails.  The gain-check report surfaces this disagreement explicitly.
-``closed_loop_jacobian`` is the full linearization of the controlled flow
-in either mode, whose eigenvalues judge each fixed point.
+``closed_loop_scalar_coeff`` is the scalar closed-loop coefficient
+m = -d - K(d+1) of the linearized z-equation, which gain-check judges two
+ways, never conflated: discrete-style, |m| < 1 (``admissible_gain_interval``
+solves it for K), and continuous-time, m < 0.  For the default gain K = -0.6
+at d = 1, m = +0.2: the discrete-style test passes while the continuous-time
+test fails, and the gain-check report says so.  ``closed_loop_jacobian`` is
+the full linearization of the controlled flow in either mode, whose
+eigenvalues judge each fixed point.  The activation gate is written inline
+where the harness steps and scans the flow.
 """
 
 from __future__ import annotations
@@ -47,14 +45,11 @@ __all__ = [
     "PredictionMode",
     "ControllerConfig",
     "GainInterval",
-    "StabilityVerdict",
     "control_coefficients",
     "admissible_gain_interval",
     "closed_loop_scalar_coeff",
     "eigen3",
-    "closed_loop_check",
     "closed_loop_jacobian",
-    "gate_samples",
     "delay_steps",
 ]
 
@@ -149,11 +144,14 @@ def admissible_gain_interval(d: float) -> GainInterval:
 
 
 def closed_loop_scalar_coeff(d: float, K: float) -> float:
-    """Coefficient of the linearized controlled z-equation: -d - K(d+1).
-
-    K = 0 recovers the open-loop decay rate -d.
-    """
-    return -d - K * (d + 1.0)
+    """Coefficient m = -d - K(d+1) of the linearized controlled z-equation,
+    the A + K(A - 1) of its open-loop coefficient A = -d (the same bits:
+    negation is exact).  K = 0 recovers the open-loop decay rate -d.  A gain
+    so large that m overflows is rejected with a ValueError."""
+    m = -d - K * (d + 1.0)
+    if not math.isfinite(m):
+        raise ValueError(f"K = {float(K)!r} is too large: the coefficient A + K(A - 1) overflows")
+    return m
 
 
 def eigen3(M) -> tuple[complex, ...]:
@@ -171,36 +169,6 @@ def eigen3(M) -> tuple[complex, ...]:
     vals = np.linalg.eigvals(arr)
     order = np.lexsort((-vals.imag, -vals.real))
     return tuple(complex(v) for v in vals[order])
-
-
-@dataclass(frozen=True)
-class StabilityVerdict:
-    """Both stability readings of a scalar closed-loop coefficient m.
-
-    ``discrete_ok`` is the magnitude test (|m| < 1); ``continuous_ok`` is
-    the sign test (m < 0).
-    """
-
-    closed_loop_matrix: float
-    spectral_radius: float
-    discrete_ok: bool
-    max_real_part: float
-    continuous_ok: bool
-
-
-def closed_loop_check(A, K: float) -> StabilityVerdict:
-    """Form the closed-loop coefficient m = A + K(A - 1) of the scalar ``A``
-    (the linearized controlled coordinate) and judge it both ways.  A gain so
-    large that m overflows is rejected with a ValueError."""
-    if np.ndim(A) != 0:
-        raise ValueError(f"A must be a scalar, got shape {np.shape(A)}")
-    a, k = float(A), float(K)
-    if not math.isfinite(a):
-        raise ValueError(f"A must be finite, got {a!r}")
-    m = a + k * (a - 1.0)
-    if not math.isfinite(m):
-        raise ValueError(f"K = {k!r} is too large: the coefficient A + K(A - 1) overflows")
-    return StabilityVerdict(m, abs(m), abs(m) < 1.0, m, m < 0.0)
 
 
 def closed_loop_jacobian(
@@ -227,28 +195,3 @@ def closed_loop_jacobian(
     J[2] = row
     return J
 
-
-def gate_samples(states: np.ndarray, lag: int, t: np.ndarray, cfg: ControllerConfig):
-    """The activation gate at every sample ``k = lag, lag+1, ...`` of the
-    ``(n, 3)`` array ``states``, as arrays ``(active, r)`` of length
-    ``n - lag``.  ``t`` holds the times of the samples gated, those of
-    ``states[lag:]``, taken from the run's ``TimeGrid.times()``.
-
-    r is the Euclidean norm of s(t) - s(t - tau) over the full state vector,
-    and a sample is active iff t > t_on (the time gate) AND r < epsilon (the
-    recurrence gate).  Each r is rounded through ``dx*dx + dy*dy + dz*dz``
-    and the square root, in that order, as ``harness._step`` writes the gate
-    per sample, so both equal the scalar gate of ``tests/reference.py`` bit
-    for bit.  The harness takes a free flow's r from here, block by block.
-    """
-    m = len(states) - lag
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow gives inf, as in Python
-        sq = states[lag:] - states[:m]
-        sq *= sq
-        r = sq[:, 0] + sq[:, 1]
-        r += sq[:, 2]
-    del sq
-    np.sqrt(r, out=r)
-    active = t > cfg.t_on
-    active &= r < cfg.epsilon
-    return active, r

@@ -1,16 +1,16 @@
 """Simulation harness: controlled/uncontrolled runs, convergence metrics, sweeps.
 
 Gating semantics: from one delay tau into the run on, the activation gate
-(``control.gate_samples``) is evaluated once per step, at the step's start,
-from the current state and the state tau earlier.  An active step
-integrates the controlled vector field (open-loop field plus the control term
-of ``control.control_coefficients`` on the z-equation, at every RK4 substage);
-an inactive step integrates the pure open-loop field.  ``_step`` writes both
-the gate and the term inline.  Every recorded sample carries the control
-input u in force at that sample (zero when inactive), the gate flag, and the
-recurrence distance r (absent, with the gate inactive, while the delay window
-fills).  The gate and the trajectory read their sample times from
-``TimeGrid.times()``.
+(t > t_on and r < epsilon, with r = ||s(t) - s(t - tau)||) is evaluated once
+per step, at the step's start, from the current state and the state tau
+earlier.  An active step integrates the controlled vector field (open-loop
+field plus the control term of ``control.control_coefficients`` on the
+z-equation, at every RK4 substage); an inactive step integrates the pure
+open-loop field.  ``_step`` writes both the gate and the term inline.  Every
+recorded sample carries the control input u in force at that sample (zero
+when inactive), the gate flag, and the recurrence distance r (absent, with
+the gate inactive, while the delay window fills).  The gate and the
+trajectory read their sample times from ``TimeGrid.times()``.
 
 So until its gate first opens, a controlled run is the free flow bit for
 bit: it steps the open-loop field, and the gate only reads the state.  A
@@ -39,7 +39,6 @@ from .control import (
     admissible_gain_interval,
     control_coefficients,
     delay_steps,
-    gate_samples,
 )
 from .dynamics import EquilibriumSet, Params, State, equilibria
 from .integrator import DIVERGENCE_LIMIT, DivergenceError, IntegrationError, TimeGrid
@@ -165,8 +164,8 @@ def _step(p, grid, cfg, states, gate, k, stop, again=False):
     state.  Each operation is the one the numpy RK4 step of
     ``tests/reference.py`` makes on each component, in its order, and the
     field, the control term g * (c*z + x*y) and the gate are inline, in the
-    operations and order of ``field_components``, ``control_coefficients``
-    and ``gate_samples``: all give the same bits.
+    operations and order of ``field_components`` and ``control_coefficients``,
+    and r as ``_FreeFlow.r`` rounds it: all give the same bits.
 
     No step tests its state: the rows stepped are checked in one numpy pass,
     for NaN or a component beyond ``DIVERGENCE_LIMIT``, at each multiple of
@@ -216,7 +215,7 @@ def _step(p, grid, cfg, states, gate, k, stop, again=False):
             x_out[k], y_out[k], z_out[k] = x, y, z
             if free:
                 continue
-            i = k - lag  # the gate, as control.gate_samples computes it
+            i = k - lag  # the gate, r rounded as _FreeFlow.r rounds it
             dx, dy, dz = x - x_out[i], y - y_out[i], z - z_out[i]
             r_out[k] = r = sqrt(dx * dx + dy * dy + dz * dz)
             active = r < epsilon
@@ -252,17 +251,24 @@ class _FreeFlow:
         self._r = {}  # lag -> [r, the first row whose r is not computed]
         self.shut = {}  # lag -> the run whose gate never opens
 
-    def r(self, lag: int, cfg: ControllerConfig) -> np.ndarray:
-        """r at ``lag`` (``cfg``'s; its gate is dropped) up to ``end``, NaN
-        before ``lag``, computed ``_CHECK_ROWS`` rows at a time, so that no
-        pass makes full-length temporaries."""
+    def r(self, lag: int) -> np.ndarray:
+        """r at ``lag`` up to ``end``, NaN before ``lag``, computed
+        ``_CHECK_ROWS`` rows at a time, so that no pass makes full-length
+        temporaries.  Each r is rounded through ``dx*dx + dy*dy + dz*dz`` and
+        the square root, in that order, as ``_step`` rounds it; the rows read
+        are checked, within ``DIVERGENCE_LIMIT``, so no square overflows."""
         entry = self._r.get(lag)
         if entry is None:
             entry = self._r[lag] = [np.full(len(self.t), np.nan), lag]
         r, done = entry
         for i in range(done, self.end, _CHECK_ROWS):
             j = min(self.end, i + _CHECK_ROWS)
-            r[i:j] = gate_samples(self.states[i - lag:j], lag, self.t[i:j], cfg)[1]
+            sq = self.states[i:j] - self.states[i - lag:j - lag]
+            sq *= sq
+            out = r[i:j]
+            np.add(sq[:, 0], sq[:, 1], out=out)
+            out += sq[:, 2]
+            np.sqrt(out, out=out)
         entry[1] = max(done, self.end)
         return r
 
@@ -282,7 +288,7 @@ class _FreeFlow:
         while True:
             if scanned < self.end:  # t > t_on holds from ``opening`` on
                 self.passes += 1
-                opens = self.r(lag, cfg)[scanned:self.end] < cfg.epsilon
+                opens = self.r(lag)[scanned:self.end] < cfg.epsilon
                 first = int(opens.argmax())
                 if opens[first]:
                     return scanned + first
@@ -321,11 +327,11 @@ def _run(
         if flow.end <= n:  # step the failed row again, for its error
             _step(p, grid, None, flow.states, None, flow.end, flow.end + 1, again=True)
         if lag not in flow.shut:
-            r = np.full(n + 1, np.nan) if cfg is None else flow.r(lag, cfg)
+            r = np.full(n + 1, np.nan) if cfg is None else flow.r(lag)
             u, active = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
             flow.shut[lag] = Trajectory(flow.t, flow.states, u, active, r, RunWork(made, 0, 0, passes))
         return flow.shut[lag]
-    states, rs = flow.states, flow.r(lag, cfg)
+    states, rs = flow.states, flow.r(lag)
     if not own:  # the run writes over the rows past ``first``, which the flow keeps
         states, rs = states.copy(), rs.copy()
     gate = us, actives, rs = np.zeros(n + 1), np.zeros(n + 1, dtype=bool), rs

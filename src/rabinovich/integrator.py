@@ -34,15 +34,14 @@ DIVERGENCE_LIMIT = 1e6
 
 # Largest step count of a grid: a run preallocates about 49 bytes a sample
 # (t, state, u, active, r), so its arrays stay below about 0.5 GB.  Measured
-# tracemalloc peaks: a controlled run alone, with its gate never open, 62
-# bytes a sample at t_on = 40 of 200 and 81 at t_on = 199 (the gate pass over
-# a stretch of free flow adds 32 bytes a row of it, and the first stretch
-# reaches past t_on); a controlled run and its convergence report 74
-# (the report's temporaries add 24), so about 0.74 GB here; a sweep, which
-# also keeps a free-flow prefix of states and r (32 bytes a sample), 105
-# (a later cell's arrays and report on top of it), and 122 once a cell's gate
-# never opened (that whole run, 49, is kept to hand on to later cells of its
-# lag), so about 1.22 GB.
+# tracemalloc peaks: a controlled run alone, with its gate never open, 50
+# bytes a sample at t_on = 40 and at t_on = 199 of 200 (the gate pass adds a
+# bool a sample it scans); a controlled run and its convergence report 74
+# (the report's temporaries add 24), so about 0.74 GB here; a sweep whose
+# cells never open 73, and 115 once cells that open mix with ones that never
+# did (an opening cell's own states, r, u and active, 41, beside the free
+# flow's arrays and the never-open run kept for later cells of its lag), so
+# about 1.15 GB.
 MAX_STEPS = 10**7
 
 

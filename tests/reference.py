@@ -1,10 +1,11 @@
 """Reference forms of the rules that ``harness._step`` writes inline.
 
 The package ships each numerical rule once: the field is
-``dynamics.field_components``, the gate ``control.gate_samples``, the law
-``control.control_coefficients`` and the stepping ``harness._step``.  The
-functions here restate them plainly, one call per step, stage or sample, so
-that the tests can compare the shipped code against them bit for bit:
+``dynamics.field_components``, the law ``control.control_coefficients``, the
+stepping and the per-sample gate ``harness._step``, and the free flow's r
+``harness._FreeFlow.r``.  The functions here restate them plainly, one call
+per step, stage or sample, so that the tests can compare the shipped code
+against them bit for bit:
 
 * ``rk4_step`` and ``check_state``: a generic numpy RK4 step with the field
   given as a callable ``f(t, y)``, and the divergence guard on its state;

@@ -18,7 +18,6 @@ from rabinovich import (
     State,
     TimeGrid,
     admissible_gain_interval,
-    closed_loop_check,
     closed_loop_jacobian,
     closed_loop_scalar_coeff,
     eigen3,
@@ -63,20 +62,19 @@ def test_equilibria_reproduction():
 def test_gain_interval_reproduction():
     interval = admissible_gain_interval(1.0)
     assert (interval.lo, interval.hi) == (-1.0, 0.0)
-    # membership and the spectral-radius check must agree on the scalar
-    # closed loop A = -d for a dense sample of gains
+    # membership and the spectral-radius check |m| < 1 must agree on the
+    # scalar closed-loop coefficient m for a dense sample of gains
     rng = np.random.default_rng(8281)
     for K in rng.uniform(-2.0, 1.0, size=1000):
-        verdict = closed_loop_check(-1.0, float(K))
-        assert verdict.discrete_ok == interval.contains(float(K))
+        discrete_ok = abs(closed_loop_scalar_coeff(1.0, float(K))) < 1.0
+        assert discrete_ok == interval.contains(float(K))
 
 
 def test_linearization_coefficient_and_discrepancy_note(capsys):
     coeff = closed_loop_scalar_coeff(1.0, -0.6)
     assert abs(coeff - 0.2) < 1e-15
-    verdict = closed_loop_check(-1.0, -0.6)
-    assert verdict.discrete_ok          # spectral radius 0.2 < 1
-    assert not verdict.continuous_ok    # max Re = +0.2 > 0
+    assert abs(coeff) < 1.0             # discrete: spectral radius 0.2 < 1
+    assert not coeff < 0.0              # continuous: max Re = +0.2 > 0
     assert cli_dispatch(["gain-check", "--d", "1", "--K", "-0.6"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" in out

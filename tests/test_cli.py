@@ -69,6 +69,97 @@ def test_gain_check_outside_interval(capsys):
     assert "discrete check (spectral radius < 1): FAIL" in out
 
 
+PASSES_UNSTABLE = (
+    "note: the two criteria disagree for this (d, K): the gain passes the discrete-style "
+    "spectral-radius test while the continuous-time linearization is unstable.\n"
+)
+FAILS_STABLE = (
+    "note: the two criteria disagree for this (d, K): the gain fails the discrete-style "
+    "spectral-radius test while the continuous-time linearization is stable.\n"
+)
+DEFAULT_GAIN_CHECK = (
+    "gain K = -0.6 at d = 1\n"
+    "admissible interval: (-1, 0) -> K inside: yes\n"
+    "closed-loop coefficient -d - K(d+1) = +0.2\n"
+    "discrete check (spectral radius < 1): PASS (rho = 0.2)\n"
+    "continuous check (max Re < 0): FAIL (max Re = +0.2)\n" + PASSES_UNSTABLE
+)
+
+
+# stdout byte for byte: (d, K) on both sides of each check, at the interval's
+# endpoints, at a K that six digits print as the interval's bound, and the
+# defaults (whose sha256 prefix CI pins as cbc12bd4b4859309)
+GAIN_CHECK_PINS = [
+    (("--d", "1", "--K", "-0.6"), DEFAULT_GAIN_CHECK),
+    (("--d", "1", "--K", "-0.4"),
+     "gain K = -0.4 at d = 1\n"
+     "admissible interval: (-1, 0) -> K inside: yes\n"
+     "closed-loop coefficient -d - K(d+1) = -0.2\n"
+     "discrete check (spectral radius < 1): PASS (rho = 0.2)\n"
+     "continuous check (max Re < 0): PASS (max Re = -0.2)\n"),
+    (("--d", "1", "--K", "0.5"),
+     "gain K = 0.5 at d = 1\n"
+     "admissible interval: (-1, 0) -> K inside: no\n"
+     "closed-loop coefficient -d - K(d+1) = -2\n"
+     "discrete check (spectral radius < 1): FAIL (rho = 2)\n"
+     "continuous check (max Re < 0): PASS (max Re = -2)\n" + FAILS_STABLE),
+    (("--d", "0.5", "--K", "-0.9"),
+     "gain K = -0.9 at d = 0.5\n"
+     "admissible interval: (-1, 0.3333333333333333) -> K inside: yes\n"
+     "closed-loop coefficient -d - K(d+1) = +0.85\n"
+     "discrete check (spectral radius < 1): PASS (rho = 0.85)\n"
+     "continuous check (max Re < 0): FAIL (max Re = +0.85)\n" + PASSES_UNSTABLE),
+    (("--d", "3", "--K", "-0.2"),
+     "gain K = -0.2 at d = 3\n"
+     "admissible interval: (-1, -0.5) -> K inside: no\n"
+     "closed-loop coefficient -d - K(d+1) = -2.2\n"
+     "discrete check (spectral radius < 1): FAIL (rho = 2.2)\n"
+     "continuous check (max Re < 0): PASS (max Re = -2.2)\n" + FAILS_STABLE),
+    (("--d", "1e7", "--K", "-0.9999999"),
+     "gain K = -0.9999999 at d = 1e+07\n"
+     "admissible interval: (-1, -0.99999980000002) -> K inside: yes\n"
+     "closed-loop coefficient -d - K(d+1) = -9.87202e-08\n"
+     "discrete check (spectral radius < 1): PASS (rho = 9.87202e-08)\n"
+     "continuous check (max Re < 0): PASS (max Re = -9.87202e-08)\n"),
+    (("--d", "1", "--K", "-1"),
+     "gain K = -1 at d = 1\n"
+     "admissible interval: (-1, 0) -> K inside: no\n"
+     "closed-loop coefficient -d - K(d+1) = +1\n"
+     "discrete check (spectral radius < 1): FAIL (rho = 1)\n"
+     "continuous check (max Re < 0): FAIL (max Re = +1)\n"),
+    (("--d", "2", "--K", "0"),
+     "gain K = 0 at d = 2\n"
+     "admissible interval: (-1, -0.3333333333333333) -> K inside: no\n"
+     "closed-loop coefficient -d - K(d+1) = -2\n"
+     "discrete check (spectral radius < 1): FAIL (rho = 2)\n"
+     "continuous check (max Re < 0): PASS (max Re = -2)\n" + FAILS_STABLE),
+    (("--d", "0.25", "--K", "0.3"),
+     "gain K = 0.3 at d = 0.25\n"
+     "admissible interval: (-1, 0.6) -> K inside: yes\n"
+     "closed-loop coefficient -d - K(d+1) = -0.625\n"
+     "discrete check (spectral radius < 1): PASS (rho = 0.625)\n"
+     "continuous check (max Re < 0): PASS (max Re = -0.625)\n"),
+    ((), DEFAULT_GAIN_CHECK),
+]
+
+
+@pytest.mark.parametrize("argv, expected", GAIN_CHECK_PINS, ids=[
+    "d={},K={}".format(*argv[1::2]) if argv else "defaults" for argv, _ in GAIN_CHECK_PINS
+])
+def test_gain_check_output_is_pinned(capsys, argv, expected):
+    assert run_cli(capsys, "gain-check", *argv) == (0, expected, "")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("--K", "1e308"),
+     "error: --K: K = 1e+308 is too large: the coefficient A + K(A - 1) overflows\n"),
+    (("--d", "1e308", "--K", "5"),
+     "error: --d: d = 1e+308 is too large: the interval bound (1-d)/(d+1) rounds to -1\n"),
+], ids=["K-1e308", "d-1e308"])
+def test_gain_check_overflow_errors_are_pinned(capsys, argv, expected):
+    assert run_cli(capsys, "gain-check", *argv) == (1, "", expected)
+
+
 def test_gain_check_rejects_bad_d(capsys):
     code, _, err = run_cli(capsys, "gain-check", "--d", "-1", "--K", "-0.6")
     assert code == 1

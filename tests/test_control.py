@@ -1,5 +1,4 @@
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -14,17 +13,16 @@ from rabinovich import (
     State,
     TimeGrid,
     admissible_gain_interval,
-    closed_loop_check,
     closed_loop_jacobian,
     closed_loop_scalar_coeff,
     control_coefficients,
     delay_steps,
     eigen3,
     field_components,
-    gate_samples,
     jacobian,
     run_controlled,
 )
+from rabinovich.harness import _FreeFlow
 from reference import activation_gate, control_term
 
 coords = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -179,14 +177,13 @@ def test_scalar_coeff_reference_points():
 
 @given(d=st.floats(min_value=0.05, max_value=10.0), K=gains)
 def test_interval_agrees_with_scalar_check(d, K):
-    # K admissible <=> |coefficient| < 1 <=> discrete_ok on scalar A=-d.
+    # K admissible <=> |coefficient| < 1, the discrete-style check.
     # Equivalent in exact arithmetic; skip gains so close to an interval
     # endpoint that the coefficient rounds onto the |coeff| = 1 boundary.
     coeff = closed_loop_scalar_coeff(d, K)
     assume(abs(abs(coeff) - 1.0) > 1e-9)
     inside = admissible_gain_interval(d).contains(K)
-    verdict = closed_loop_check(-d, K)
-    assert inside == verdict.discrete_ok
+    assert inside == (abs(coeff) < 1.0)
 
 
 def test_interval_check_agreement_thousand_samples(rng):
@@ -194,46 +191,32 @@ def test_interval_check_agreement_thousand_samples(rng):
     for _ in range(1000):
         d = float(rng.uniform(0.05, 10.0))
         K = float(rng.uniform(-3.0, 3.0))
-        assert admissible_gain_interval(d).contains(K) == closed_loop_check(-d, K).discrete_ok
+        discrete_ok = abs(closed_loop_scalar_coeff(d, K)) < 1.0
+        assert admissible_gain_interval(d).contains(K) == discrete_ok
 
 
 # --- closed-loop checks ---------------------------------------------------------
 
 def test_scalar_check_reference_gain():
-    v = closed_loop_check(-1.0, -0.6)
-    assert v.closed_loop_matrix == pytest.approx(0.2, abs=1e-15)
-    assert v.spectral_radius == pytest.approx(0.2, abs=1e-15)
-    assert v.discrete_ok
-    assert v.max_real_part == pytest.approx(0.2, abs=1e-15)
-    assert not v.continuous_ok  # +0.2 is continuously unstable
+    m = closed_loop_scalar_coeff(1.0, -0.6)
+    assert m == pytest.approx(0.2, abs=1e-15)
+    assert abs(m) < 1.0  # the discrete-style check passes
+    assert not m < 0.0   # +0.2 is continuously unstable
 
 
 def test_zero_gain_reduces_to_open_loop(params):
-    v = closed_loop_check(-params.d, 0.0)
-    assert v.closed_loop_matrix == v.max_real_part == -params.d
-    assert v.spectral_radius == params.d
-    assert v.continuous_ok
-    assert v.discrete_ok == (params.d < 1.0)
-
-
-def test_check_takes_no_matrix(params, s0):
-    with pytest.raises(ValueError, match="A must be a scalar, got shape \\(3, 3\\)"):
-        closed_loop_check(jacobian(params, s0), 0.0)
+    m = closed_loop_scalar_coeff(params.d, 0.0)
+    assert m == -params.d and abs(m) == params.d
+    assert m < 0.0
+    assert (abs(m) < 1.0) == (params.d < 1.0)
 
 
 @pytest.mark.filterwarnings("error")
 def test_check_rejects_overflowing_gain(params, s0):
     with pytest.raises(ValueError, match="K = 1e\\+308 is too large"):
-        closed_loop_check(-1.0, 1e308)
+        closed_loop_scalar_coeff(1.0, 1e308)
     with pytest.raises(ValueError, match="K = -1e\\+308 is too large"):
         closed_loop_jacobian(params, -1e308, s0)
-
-
-def test_check_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        closed_loop_check(np.eye(2), -0.6)
-    with pytest.raises(ValueError):
-        closed_loop_check(math.nan, -0.6)
 
 
 # --- full closed-loop jacobian ---------------------------------------------------
@@ -380,26 +363,23 @@ def test_gate_monotone_in_epsilon(eps_small, eps_large, x, y, z):
     assert not (small_on and not large_on)
 
 
-def scalar_gate_samples(states, lag, t0, dt, cfg):
-    """activation_gate at each sample from the lag on, as the harness calls it."""
-    pairs = [
-        activation_gate(states[k - lag].tolist(), t0 + k * dt, states[k].tolist(), cfg)
+def scalar_r(states, lag, cfg):
+    """activation_gate's r at each sample from the lag on, as the harness calls it."""
+    return np.array([
+        activation_gate(states[k - lag].tolist(), 0.0, states[k].tolist(), cfg)[1]
         for k in range(lag, len(states))
-    ]
-    return np.array([a for a, _ in pairs], dtype=bool), np.array([r for _, r in pairs])
+    ])
 
 
 def gate_states(rng, lag):
     """64 random states with signed zeros, components at the divergence limit,
-    differences whose squares (or the differences themselves) overflow to
-    inf, and rows equal to the row ``lag`` before them."""
+    and rows equal to the row ``lag`` before them."""
     n = 64
     states = rng.normal(scale=10.0, size=(n, 3))
     states[rng.random((n, 3)) < 0.1] = 0.0
     states[rng.random((n, 3)) < 0.1] = -0.0
-    limit, big = DIVERGENCE_LIMIT, sys.float_info.max
+    limit = DIVERGENCE_LIMIT
     states[20:22] = [(limit, -limit, np.nextafter(limit, 0.0)), (-limit, limit, -0.0)]
-    states[40:43] = [(1e200, -1e200, 0.0), (-1e200, big, 1.0), (big, -big, -big)]
     for k in (lag, 30 + lag):
         if k < n - 1:
             states[k] = states[k - lag]
@@ -408,33 +388,23 @@ def gate_states(rng, lag):
 
 
 @pytest.mark.parametrize("lag", [1, 2, 10, 63])  # 63: one sample, len(states) - 1
-def test_gate_samples_equals_scalar_gate_bit_for_bit(rng, lag):
+def test_gate_samples_equals_scalar_gate_bit_for_bit(params, rng, lag):
+    # The r of every gated sample, as the free flow computes it for the
+    # gate, against the scalar gate; the gate's tie cases are run-level
+    # tests in test_harness.py.
     states = gate_states(rng, lag)
-    t0, dt = 0.25, 0.1
-    t = TimeGrid(t0, t0 + (len(states) - 1) * dt, dt).times()  # the times gate_samples reads
-    assert len(t) == len(states)
-    _, r = scalar_gate_samples(states, lag, t0, dt, ControllerConfig(K=-0.6))
+    expected = scalar_r(states, lag, ControllerConfig(K=-0.6))
     if lag < len(states) - 1:
-        assert np.isinf(r).any() and (r == 0.0).any()
-    ks = np.arange(lag, len(states))
-    positive = np.flatnonzero(np.isfinite(r) & (r > 0.0))
-    cfgs = [
-        ControllerConfig(K=-0.6, epsilon=1e9, t_on=0.0),
-        ControllerConfig(K=-0.6, epsilon=20.0, t_on=3.0),
-        # epsilon equal to an r and t_on equal to a grid time, exactly
-        ControllerConfig(K=-0.6, epsilon=float(r[positive[len(positive) // 2]]),
-                         t_on=t0 + int(ks[len(ks) // 2]) * dt),
-        ControllerConfig(K=-0.6, epsilon=float(r[positive[0]]), t_on=t0 + lag * dt),
-    ]
-    for cfg in cfgs:
-        expected_active, expected_r = scalar_gate_samples(states, lag, t0, dt, cfg)
-        # also over windows whose first row is a later grid sample
-        for start in [s for s in (0, 1, 17) if s + lag < len(states)]:
-            active, got_r = gate_samples(states[start:], lag, t[start + lag:], cfg)
-            assert active.dtype == bool and got_r.dtype == np.float64
-            assert np.array_equal(active, expected_active[start:])
-            # the bits of r, sign bit included
-            assert np.array_equal(got_r.view(np.uint64), expected_r[start:].view(np.uint64))
+        assert (expected == 0.0).any()
+    flow = _FreeFlow(params, State(*states[0]), TimeGrid(0.0, (len(states) - 1) * 0.1, 0.1))
+    flow.states[:] = states
+    # computed as far as the flow is stepped, then on from there
+    for end in sorted({min(lag + 17, len(states)), len(states)}):
+        flow.end = end
+        got = flow.r(lag)
+        assert got.dtype == np.float64 and np.isnan(got[:lag]).all() and np.isnan(got[end:]).all()
+        # the bits of r, sign bit included
+        assert np.array_equal(got[lag:end].view(np.uint64), expected[:end - lag].view(np.uint64))
 
 
 def test_control_input_consistent_with_vector_field(params, s0):

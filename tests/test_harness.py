@@ -603,6 +603,43 @@ def test_gate_that_first_opens_at_the_last_sample_records_its_u(params, s0, K):
     assert_same_outcome(got, reference_run(params, s0, DRAWN_GRID, cfg))
 
 
+@pytest.mark.parametrize("tie", ["epsilon-is-an-r", "t_on-is-a-grid-time"])
+@pytest.mark.parametrize("lag", [1, 10, DRAWN_GRID.n_steps])  # the last: one gated sample
+def test_gate_ties_match_reference(params, s0, lag, tie):
+    # Both gate tests are strict: a sample whose r equals epsilon, or whose
+    # time equals t_on, is shut.  Each tie is set at the first gated sample
+    # k = lag, from the free flow's r there, so the gate opens first at a
+    # later sample, or never, and not at k.
+    tau = lag * DRAWN_GRID.dt
+    free = reference_run(params, s0, DRAWN_GRID, ControllerConfig(0.5, epsilon=1e-300, tau=tau))
+    t_k = DRAWN_GRID.t0 + lag * DRAWN_GRID.dt  # the bits of TimeGrid.times() at k
+    if tie == "epsilon-is-an-r":
+        cfg = ControllerConfig(0.5, epsilon=float(free.r[lag]), t_on=0.0, tau=tau)
+    else:
+        cfg = ControllerConfig(0.5, epsilon=1e9, t_on=t_k, tau=tau)
+    assert free.t[lag] == t_k and free.r[lag] > 0.0
+    got = run_controlled(params, s0, DRAWN_GRID, cfg)
+    assert not got.active[lag] and got.r[lag] == free.r[lag]
+    if tie == "t_on-is-a-grid-time" and lag < DRAWN_GRID.n_steps:
+        assert got.active[lag + 1]
+    assert_same_outcome(got, reference_run(params, s0, DRAWN_GRID, cfg))  # bytes, signs too
+
+
+@pytest.mark.parametrize("lag", [1, 10])
+def test_gate_tie_past_the_first_open_sample_matches_reference(params, s0, lag):
+    # An always-open run's largest r past its first gated sample, at j, as
+    # epsilon: the gate is open on every sample up to j, so the run is the
+    # always-open one up to j, and the per-sample gate shuts at j itself.
+    tau = lag * DRAWN_GRID.dt
+    always_on = ControllerConfig(0.5, epsilon=1e9, t_on=0.0, tau=tau)
+    always = run_controlled(params, s0, DRAWN_GRID, always_on)
+    j = lag + 1 + int(np.argmax(always.r[lag + 1:]))
+    cfg = ControllerConfig(0.5, epsilon=float(always.r[j]), t_on=0.0, tau=tau)
+    got = run_controlled(params, s0, DRAWN_GRID, cfg)
+    assert got.active[lag:j].all() and not got.active[j] and got.r[j] == cfg.epsilon
+    assert_same_outcome(got, reference_run(params, s0, DRAWN_GRID, cfg))
+
+
 @given(cfg=drawn_controllers)
 def test_core_matches_reference_on_drawn_controllers(params, s0, cfg):
     with np.errstate(over="ignore", invalid="ignore"):
@@ -972,17 +1009,21 @@ def test_run_each_matches_independent_runs(params, s0, order):
 
 
 def test_run_each_gates_the_shared_prefix_on_its_r(params, s0, monkeypatch):
-    # One lag (tau = 1): the first cell never opens, so it steps and gates
-    # the whole free flow; the later cells copy its r and make no gate pass,
-    # and the never-open one allocates its arrays (49 bytes a sample) and
-    # two bools a sample to compare (81 bytes with a pass over the prefix).
-    passes, gate = [], harness.gate_samples
+    # One lag (tau = 1): the first cell never opens, so it steps the whole
+    # free flow and computes its r; the later cells read that r and compute
+    # none of it, and the never-open one allocates its arrays (49 bytes a
+    # sample) and a bool a sample to compare.  ``passes`` holds the rows of
+    # r each ``_FreeFlow.r`` call computed, where it computed any.
+    passes, r = [], harness._FreeFlow.r
 
-    def counted(*args):
-        passes.append(None)
-        return gate(*args)
+    def counted(flow, lag):
+        done = flow._r[lag][1] if lag in flow._r else lag
+        result = r(flow, lag)
+        if flow._r[lag][1] > done:
+            passes.append(flow._r[lag][1] - done)
+        return result
 
-    monkeypatch.setattr(harness, "gate_samples", counted)
+    monkeypatch.setattr(harness._FreeFlow, "r", counted)
     grid = TimeGrid(0.0, 2000.0, 0.01)
     cfgs = [
         ControllerConfig(K=-0.6, epsilon=1e-9),
@@ -992,7 +1033,7 @@ def test_run_each_gates_the_shared_prefix_on_its_r(params, s0, monkeypatch):
     ]
     results = run_each(params, s0, grid, cfgs)
     first = next(results)
-    assert not first.active.any() and passes
+    assert not first.active.any() and sum(passes) == first.n_samples - 100
     passes.clear()
     tracemalloc.start()
     try:
