@@ -21,11 +21,11 @@ from typing import Optional, Sequence
 
 from .config import ConfigError, RunConfig, default_config, parse_config
 from .control import (
-    PredictionMode,
     admissible_gain_interval,
     closed_loop_jacobian,
     closed_loop_scalar_coeff,
     eigen3,
+    prediction_mode,
 )
 from .dynamics import equilibria, jacobian, residual_norm
 from .harness import convergence_report, run_controlled, run_each, run_uncontrolled, sweep
@@ -101,16 +101,7 @@ def _float_list(text: str, name: str) -> list:
 
 
 def _mode_list(text: str) -> list:
-    modes = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            modes.append(PredictionMode(tok))
-        except ValueError:
-            valid = ",".join(m.value for m in PredictionMode)
-            raise ConfigError(f"modes: expected one of {valid}, got {tok!r}") from None
+    modes = [prediction_mode(tok.strip(), "modes") for tok in text.split(",") if tok.strip()]
     if not modes:
         raise ConfigError("modes: empty list")
     return modes
@@ -375,9 +366,6 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except IntegrationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .control import ControllerConfig, PredictionMode, delay_steps
+from .control import ControllerConfig, delay_steps, prediction_mode
 from .dynamics import Params, State
 from .harness import DEFAULT_CAPTURE_RADIUS, DEFAULT_TAIL, check_report_settings
 from .integrator import DIVERGENCE_LIMIT, TimeGrid
@@ -112,12 +112,7 @@ def parse_config(text: str) -> RunConfig:
     values.update(raw)
 
     try:
-        mode = PredictionMode(values["mode"])
-    except ValueError:
-        valid = sorted(m.value for m in PredictionMode)
-        raise ConfigError(f"mode: expected one of {valid}, got {values['mode']!r}") from None
-
-    try:
+        mode = prediction_mode(values["mode"])
         params = Params(values["a"], values["b"], values["d"], values["h"])
         s0 = State(values["x0"], values["y0"], values["z0"])
         for key in ("x0", "y0", "z0"):  # else every run would fail at step 0

@@ -38,11 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import Params, State, jacobian
+from .dynamics import Params, State, _finite, jacobian
 from .integrator import whole_steps
 
 __all__ = [
     "PredictionMode",
+    "prediction_mode",
     "ControllerConfig",
     "GainInterval",
     "control_coefficients",
@@ -59,6 +60,15 @@ class PredictionMode(enum.Enum):
 
     DERIVATIVE = "literal"
     EULER = "euler"
+
+
+def prediction_mode(token: str, name: str = "mode") -> PredictionMode:
+    """The mode a config token names; a ValueError naming ``name`` otherwise."""
+    try:
+        return PredictionMode(token)
+    except ValueError:
+        valid = ",".join(m.value for m in PredictionMode)
+        raise ValueError(f"{name}: expected one of {valid}, got {token!r}") from None
 
 
 @dataclass(frozen=True)
@@ -78,15 +88,8 @@ class ControllerConfig:
     tau: float = 1.0
 
     def __post_init__(self):
-        for name in ("K", "epsilon", "t_on", "tau"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau!r}")
+        for name, positive in (("K", False), ("epsilon", True), ("t_on", False), ("tau", True)):
+            object.__setattr__(self, name, _finite(name, getattr(self, name), positive))
         if self.t_on < 0.0:
             raise ValueError(f"t_on must be nonnegative, got {self.t_on!r}")
         if not isinstance(self.mode, PredictionMode):
@@ -132,9 +135,7 @@ def admissible_gain_interval(d: float) -> GainInterval:
     coefficient of the controlled z-equation passes the discrete-style
     magnitude test.  Solving the two-sided inequality gives the open
     interval (-1, (1-d)/(d+1))."""
-    d = float(d)
-    if not (math.isfinite(d) and d > 0.0):
-        raise ValueError(f"d must be a positive finite number, got {d!r}")
+    d = _finite("d", d, positive=True)
     hi = (1.0 - d) / (d + 1.0)
     if hi <= -1.0:
         raise ValueError(
@@ -146,8 +147,9 @@ def admissible_gain_interval(d: float) -> GainInterval:
 def closed_loop_scalar_coeff(d: float, K: float) -> float:
     """Coefficient m = -d - K(d+1) of the linearized controlled z-equation,
     the A + K(A - 1) of its open-loop coefficient A = -d (the same bits:
-    negation is exact).  K = 0 recovers the open-loop decay rate -d.  A gain
-    so large that m overflows is rejected with a ValueError."""
+    negation is exact).  K = 0 recovers the open-loop decay rate -d.  A bad d,
+    or a gain so large that m overflows, is rejected with a ValueError."""
+    d = _finite("d", d, positive=True)
     m = -d - K * (d + 1.0)
     if not math.isfinite(m):
         raise ValueError(f"K = {float(K)!r} is too large: the coefficient A + K(A - 1) overflows")
@@ -185,12 +187,13 @@ def closed_loop_jacobian(
     z-equation, so the open-loop Jacobian keeps its first two rows and the
     z-row becomes ((1+g)*y, (1+g)*x, -d + g*c).  K = 0 returns the open-loop
     Jacobian bit for bit.  A gain so large that the row overflows is rejected
-    with a ValueError.
+    with a ValueError, which in EULER mode names tau too (the gain is K*tau).
     """
     g, c = control_coefficients(p, ControllerConfig(K, mode=mode, tau=tau))
     row = ((1.0 + g) * at.y, (1.0 + g) * at.x, -p.d + g * c)
     if not all(map(math.isfinite, row)):
-        raise ValueError(f"K = {float(K)!r} is too large: the controlled jacobian overflows")
+        tau_too = f" with tau = {float(tau)!r}" if mode is PredictionMode.EULER else ""
+        raise ValueError(f"K = {float(K)!r}{tau_too} is too large: the controlled jacobian overflows")
     J = jacobian(p, at)
     J[2] = row
     return J

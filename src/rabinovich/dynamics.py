@@ -34,6 +34,16 @@ __all__ = [
 ]
 
 
+def _finite(name: str, value, positive: bool = False) -> float:
+    """``float(value)``, the one rule for a float input: it must be finite,
+    and above zero when ``positive`` is set; a ValueError names ``name``."""
+    value = float(value)
+    if not math.isfinite(value) or (positive and value <= 0.0):
+        rule = "a positive finite number" if positive else "finite"
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Params:
     """The four positive coefficients of the flow."""
@@ -45,10 +55,7 @@ class Params:
 
     def __post_init__(self):
         for name in ("a", "b", "d", "h"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise ValueError(f"{name} must be a strictly positive finite number, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(name, getattr(self, name), positive=True))
 
 
 @dataclass(frozen=True)
@@ -61,10 +68,7 @@ class State:
 
     def __post_init__(self):
         for name in ("x", "y", "z"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"state component {name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _finite(f"state component {name}", getattr(self, name)))
 
     def as_array(self) -> np.ndarray:
         return np.array((self.x, self.y, self.z), dtype=float)

@@ -40,7 +40,7 @@ from .control import (
     control_coefficients,
     delay_steps,
 )
-from .dynamics import EquilibriumSet, Params, State, equilibria
+from .dynamics import EquilibriumSet, Params, State, _finite, equilibria
 from .integrator import DIVERGENCE_LIMIT, DivergenceError, IntegrationError, TimeGrid
 
 __all__ = [
@@ -416,12 +416,10 @@ def _trapezoid(values: np.ndarray, t: np.ndarray) -> float:
 def check_report_settings(tail: float, capture_radius: float, span: float) -> None:
     """Require a positive finite tail window shorter than the run span and a
     positive finite capture radius; raises ValueError naming the setting."""
-    if not (math.isfinite(tail) and tail > 0.0):
-        raise ValueError(f"tail must be positive and finite, got {tail!r}")
+    _finite("tail", tail, positive=True)
     if tail >= span:
         raise ValueError(f"tail ({tail!r}) must be shorter than the run span ({span!r})")
-    if not (math.isfinite(capture_radius) and capture_radius > 0.0):
-        raise ValueError(f"capture_radius must be positive and finite, got {capture_radius!r}")
+    _finite("capture_radius", capture_radius, positive=True)
 
 
 def convergence_report(

@@ -20,6 +20,8 @@ from typing import Optional
 
 import numpy as np
 
+from .dynamics import _finite
+
 __all__ = [
     "TimeGrid",
     "IntegrationError",
@@ -82,13 +84,8 @@ class TimeGrid:
     n_steps: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for name in ("t0", "t_end", "dt"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, value)
-        if self.dt <= 0.0:
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        for name, positive in (("t0", False), ("t_end", False), ("dt", True)):
+            object.__setattr__(self, name, _finite(name, getattr(self, name), positive))
         if self.t_end <= self.t0:
             raise ValueError(f"t_end ({self.t_end!r}) must exceed t0 ({self.t0!r})")
         quotient, n = whole_steps(self.t_end - self.t0, self.dt)

@@ -281,6 +281,20 @@ def test_equilibria_linearizes_the_euler_law(capsys, tmp_path):
     assert out.count("controlled (K=0.6) jacobian: max Re = +0.114363 -> unstable (continuous)") == 2
 
 
+@pytest.mark.parametrize("mode, argv, expected", [
+    ("euler", (), "K = -0.6 with tau = 1e+308"),
+    ("euler", ("--K", "10"), "--K: K = 10.0 with tau = 1e+308"),
+    ("literal", ("--K", "1e308"), "--K: K = 1e+308"),
+])
+def test_equilibria_overflow_names_the_gain_of_its_mode(capsys, tmp_path, mode, argv, expected):
+    # in euler mode the gain is K*tau, so a tau this large overflows the row
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text(f"t_end = 1.5e308\ndt = 1e307\ntau = 1e308\nmode = {mode}\nt_on = 0\n"
+                   "tail = 1e307\n")
+    assert run_cli(capsys, "equilibria", "--config", str(cfg), *argv) == (
+        1, "", f"error: {expected} is too large: the controlled jacobian overflows\n")
+
+
 def test_equilibria_degenerate_parameters(capsys, tmp_path):
     cfg = tmp_path / "degenerate.cfg"
     cfg.write_text("h = 1\n")  # h^2 <= ab
@@ -527,7 +541,7 @@ def test_sweep_negative_epsilon_list_names_the_field(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sweep", "--K", "-0.6", "--epsilon", "-0.1,0.5",
                            "--out", str(tmp_path / "s.csv"))
     assert code == 1
-    assert "epsilon must be positive" in err
+    assert err == "error: epsilon must be a positive finite number, got -0.1\n"
 
 
 def test_sweep_option_is_not_taken_for_a_gain_list(capsys, tmp_path):

@@ -123,7 +123,7 @@ def test_capture_radius_must_be_positive():
 def test_bad_mode_token_rejected():
     with pytest.raises(ConfigError) as info:
         parse_config("mode = forward\n")
-    assert str(info.value) == "mode: expected one of ['euler', 'literal'], got 'forward'"
+    assert str(info.value) == "mode: expected one of literal,euler, got 'forward'"
 
 
 def test_nonfinite_value_rejected():

@@ -361,7 +361,7 @@ def test_report_rejects_bad_tail(free_run, grid, eqs):
 ])
 def test_report_rejects_nonfinite_settings(free_run, grid, eqs, kwargs):
     (name,) = kwargs
-    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+    with pytest.raises(ValueError, match=f"{name} must be a positive finite number, got"):
         convergence_report(free_run, eqs, grid, **kwargs)
 
 

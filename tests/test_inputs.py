@@ -1,0 +1,192 @@
+"""Every float input follows one rule, finite or positive and finite, and
+every bad input is refused with an error that names it."""
+
+import contextlib
+import io
+import math
+import struct
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from rabinovich import (
+    ControllerConfig,
+    Params,
+    PredictionMode,
+    State,
+    TimeGrid,
+    admissible_gain_interval,
+    closed_loop_jacobian,
+    closed_loop_scalar_coeff,
+    parse_config,
+    prediction_mode,
+)
+from rabinovich.cli import cli_dispatch
+from rabinovich.harness import check_report_settings
+
+MAX = sys.float_info.max
+
+
+def _refusal(call, *args, **kwargs) -> str:
+    with pytest.raises(ValueError) as info:
+        call(*args, **kwargs)
+    return str(info.value)
+
+
+def _cli_refusal(*argv) -> str:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        assert cli_dispatch(list(argv)) == 1
+    return err.getvalue()
+
+
+BAD_INPUTS = [
+    ("Params-a", lambda: _refusal(Params, 0, 1, 1, 6.75),
+     "a must be a positive finite number, got 0.0"),
+    ("Params-d", lambda: _refusal(Params, 4, 1, math.nan, 6.75),
+     "d must be a positive finite number, got nan"),
+    ("Params-h", lambda: _refusal(Params, 4, 1, 1, -math.inf),
+     "h must be a positive finite number, got -inf"),
+    ("State-y", lambda: _refusal(State, 1, math.inf, 0),
+     "state component y must be finite, got inf"),
+    ("Controller-K", lambda: _refusal(ControllerConfig, K=math.nan),
+     "K must be finite, got nan"),
+    ("Controller-epsilon", lambda: _refusal(ControllerConfig, K=-0.6, epsilon=0),
+     "epsilon must be a positive finite number, got 0.0"),
+    ("Controller-t_on", lambda: _refusal(ControllerConfig, K=-0.6, t_on=math.inf),
+     "t_on must be finite, got inf"),
+    ("Controller-t_on-negative", lambda: _refusal(ControllerConfig, K=-0.6, t_on=-1),
+     "t_on must be nonnegative, got -1.0"),
+    ("Controller-tau", lambda: _refusal(ControllerConfig, K=-0.6, tau=-1),
+     "tau must be a positive finite number, got -1.0"),
+    ("Controller-first-in-field-order",
+     lambda: _refusal(ControllerConfig, K=-0.6, epsilon=-1.0, t_on=-1.0, tau=math.nan),
+     "epsilon must be a positive finite number, got -1.0"),
+    ("Controller-mode", lambda: _refusal(ControllerConfig, K=-0.6, mode="literal"),
+     "mode must be a PredictionMode, got 'literal'"),
+    ("TimeGrid-t0", lambda: _refusal(TimeGrid, math.nan, 1, 0.1),
+     "t0 must be finite, got nan"),
+    ("TimeGrid-t_end", lambda: _refusal(TimeGrid, 0, -math.inf, 0.1),
+     "t_end must be finite, got -inf"),
+    ("TimeGrid-dt", lambda: _refusal(TimeGrid, 0, 1, -0.0),
+     "dt must be a positive finite number, got -0.0"),
+    ("interval-d", lambda: _refusal(admissible_gain_interval, 0),
+     "d must be a positive finite number, got 0.0"),
+    ("interval-d-too-large", lambda: _refusal(admissible_gain_interval, 1e16),
+     "d = 1e+16 is too large: the interval bound (1-d)/(d+1) rounds to -1"),
+    ("scalar-coeff-d-nan", lambda: _refusal(closed_loop_scalar_coeff, math.nan, -0.6),
+     "d must be a positive finite number, got nan"),
+    ("scalar-coeff-d-inf", lambda: _refusal(closed_loop_scalar_coeff, math.inf, -0.6),
+     "d must be a positive finite number, got inf"),
+    ("scalar-coeff-d-zero", lambda: _refusal(closed_loop_scalar_coeff, 0.0, -0.6),
+     "d must be a positive finite number, got 0.0"),
+    ("scalar-coeff-K", lambda: _refusal(closed_loop_scalar_coeff, 1.0, 1e308),
+     "K = 1e+308 is too large: the coefficient A + K(A - 1) overflows"),
+    ("jacobian-literal", lambda: _refusal(closed_loop_jacobian, Params(4, 1, 1, 6.75), 1e308,
+                                          State(1, 1, 1)),
+     "K = 1e+308 is too large: the controlled jacobian overflows"),
+    ("jacobian-euler", lambda: _refusal(closed_loop_jacobian, Params(4, 1, 1, 6.75), -0.6,
+                                        State(10, 10, 10), mode=PredictionMode.EULER,
+                                        tau=1e308),
+     "K = -0.6 with tau = 1e+308 is too large: the controlled jacobian overflows"),
+    ("report-tail", lambda: _refusal(check_report_settings, 0.0, 1.0, 10.0),
+     "tail must be a positive finite number, got 0.0"),
+    ("report-tail-span", lambda: _refusal(check_report_settings, 10.0, 1.0, 10.0),
+     "tail (10.0) must be shorter than the run span (10.0)"),
+    ("report-capture_radius", lambda: _refusal(check_report_settings, 1.0, math.nan, 10.0),
+     "capture_radius must be a positive finite number, got nan"),
+    ("mode-token", lambda: _refusal(prediction_mode, "forward"),
+     "mode: expected one of literal,euler, got 'forward'"),
+    ("config-mode", lambda: _refusal(parse_config, "mode = Euler\n"),
+     "mode: expected one of literal,euler, got 'Euler'"),
+    ("config-float", lambda: _refusal(parse_config, "\ndt = -inf\n"),
+     "line 2: dt must be finite, got '-inf'"),
+    ("sweep-modes", lambda: _cli_refusal("sweep", "--K=-0.6", "--epsilon", "0.1",
+                                         "--modes", "euler, forward"),
+     "error: modes: expected one of literal,euler, got 'forward'\n"),
+]
+
+
+@pytest.mark.parametrize("refusal, expected", [case[1:] for case in BAD_INPUTS],
+                         ids=[case[0] for case in BAD_INPUTS])
+def test_each_bad_input_is_refused_with_its_message(refusal, expected):
+    assert refusal() == expected
+
+
+def _one_step_grid(t0, t_end) -> TimeGrid:
+    # dt = t_end - t0 is exact for two adjacent floats
+    return TimeGrid(t0, t_end, float(t_end) - float(t0))
+
+
+def _finite_or_zero(value) -> float:
+    value = float(value)
+    return value if math.isfinite(value) else 0.0
+
+
+# (name in the error, positive, build: value -> the value as stored).  The other
+# inputs of each build are valid whatever the drawn value, so only its own
+# rule can refuse it, but for t_on's nonnegative rule and a grid end at
+# the far end of the floats, where the other end is not finite.
+FLOAT_FIELDS = {
+    "a": (True, lambda v: Params(v, 1, 1, 6.75).a),
+    "b": (True, lambda v: Params(4, v, 1, 6.75).b),
+    "d": (True, lambda v: Params(4, 1, v, 6.75).d),
+    "h": (True, lambda v: Params(4, 1, 1, v).h),
+    "state component x": (False, lambda v: State(v, 0, 0).x),
+    "state component y": (False, lambda v: State(0, v, 0).y),
+    "state component z": (False, lambda v: State(0, 0, v).z),
+    "K": (False, lambda v: ControllerConfig(K=v).K),
+    "epsilon": (True, lambda v: ControllerConfig(K=-0.6, epsilon=v).epsilon),
+    "t_on": (False, lambda v: ControllerConfig(K=-0.6, t_on=v).t_on),
+    "tau": (True, lambda v: ControllerConfig(K=-0.6, tau=v).tau),
+    "t0": (False, lambda v: _one_step_grid(v, math.nextafter(_finite_or_zero(v), math.inf)).t0),
+    "t_end": (False,
+              lambda v: _one_step_grid(math.nextafter(_finite_or_zero(v), -math.inf), v).t_end),
+    "dt": (True, lambda v: TimeGrid(0, v if 0 < float(v) < math.inf else 1, v).dt),
+    "tail": (True, lambda v: check_report_settings(v, 1.0, math.inf) or float(v)),
+    "capture_radius": (True, lambda v: check_report_settings(1.0, v, 2.0) or float(v)),
+    # m = -d at K = 0, so the coefficient's negation is d as stored
+    "d of the scalar coefficient": (True, lambda v: -closed_loop_scalar_coeff(v, 0.0)),
+}
+
+float_values = st.one_of(
+    st.floats(),
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, MAX, -MAX]),
+    st.integers(-2**64, 2**64),
+    st.booleans(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-1000, 1000).map(np.int64),
+)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+@given(field=st.sampled_from(sorted(FLOAT_FIELDS)), value=float_values)
+@example(field="t_on", value=-0.0)
+@example(field="dt", value=5e-324)
+@example(field="epsilon", value=True)
+@example(field="t0", value=MAX)
+@example(field="t_end", value=-MAX)
+@example(field="t_end", value=-0.0)
+def test_each_float_field_is_refused_exactly_when_its_rule_fails(field, value):
+    positive, build = FLOAT_FIELDS[field]
+    name = "d" if field.startswith("d of") else field
+    f = float(value)
+    if not math.isfinite(f) or (positive and f <= 0.0):
+        rule = "a positive finite number" if positive else "finite"
+        assert _refusal(build, value) == f"{name} must be {rule}, got {f!r}"
+    elif field == "t_on" and f < 0.0:
+        assert _refusal(build, value) == f"t_on must be nonnegative, got {f!r}"
+    elif (field, f) == ("t0", MAX):
+        assert _refusal(build, value) == "t_end must be finite, got inf"
+    elif (field, f) == ("t_end", -MAX):
+        assert _refusal(build, value) == "t0 must be finite, got -inf"
+    else:
+        stored = build(value)
+        assert type(stored) is float and _bits(stored) == _bits(f)
