@@ -128,7 +128,7 @@ def _cmd_equilibria(args: argparse.Namespace) -> int:
         try:
             controlled = closed_loop_jacobian(p, K, point, mode=ctl.mode, tau=ctl.tau)
         except ValueError as exc:
-            raise ConfigError(f"--K: {exc}" if args.K is not None else str(exc)) from None
+            raise ConfigError(f"--K: {exc}") from None  # the config's own K passed
         lines.append(
             f"{label}: ({point.x:.4f}, {point.y:.4f}, {point.z:.4f})"
             f"  residual = {format(residual_norm(p, point), '.3e')}"

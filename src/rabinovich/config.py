@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .control import ControllerConfig, delay_steps, prediction_mode
-from .dynamics import Params, State
+from .control import ControllerConfig, closed_loop_jacobian, delay_steps, prediction_mode
+from .dynamics import Params, State, equilibria
 from .harness import DEFAULT_CAPTURE_RADIUS, DEFAULT_TAIL, check_report_settings
 from .integrator import DIVERGENCE_LIMIT, TimeGrid
 
@@ -83,8 +83,9 @@ def parse_config(text: str) -> RunConfig:
     unknown or duplicate keys, unparseable or non-finite numbers) and with
     the field name for domain violations (non-positive parameters, an
     initial state beyond the divergence limit, uneven grids, a tau that is
-    not a whole number of steps, a tail or a tau at least as long as the run,
-    a t_on at or past the start of its last step).
+    not a whole number of steps, a gain that overflows the controlled jacobian
+    at a fixed point, a tail or a tau at least as long as the run, a t_on at
+    or past the start of its last step).
     """
     raw: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -129,6 +130,8 @@ def parse_config(text: str) -> RunConfig:
             tau=values["tau"],
         )
         lag = delay_steps(controller, grid.dt)
+        point = equilibria(params).points[-1]  # largest |x|, |y|: the row overflows there first
+        closed_loop_jacobian(params, controller.K, point, mode=mode, tau=controller.tau)
         check_report_settings(values["tail"], values["capture_radius"], grid.t_end - grid.t0)
         # Else the controller could never act on a step: a gate can open only
         # at a sample with a full delay window and t > t_on, and an open gate

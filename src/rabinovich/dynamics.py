@@ -36,9 +36,14 @@ __all__ = [
 
 def _finite(name: str, value, positive: bool = False) -> float:
     """``float(value)``, the one rule for a float input: it must be finite,
-    and above zero when ``positive`` is set; a ValueError names ``name``."""
-    value = float(value)
-    if not math.isfinite(value) or (positive and value <= 0.0):
+    and above zero when ``positive`` is set; a ValueError names ``name``.
+    A str or bytes, or a value ``float`` cannot convert, is refused as it is."""
+    if not isinstance(value, (str, bytes, bytearray)):
+        try:
+            value = float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass  # not a float: refused below
+    if not isinstance(value, float) or not math.isfinite(value) or (positive and value <= 0.0):
         rule = "a positive finite number" if positive else "finite"
         raise ValueError(f"{name} must be {rule}, got {value!r}")
     return value

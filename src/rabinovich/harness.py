@@ -131,25 +131,16 @@ class Trajectory:
         return len(self.t)
 
 
-def _divergence(k, grid, stages, state) -> DivergenceError:
-    """The error a failed step k raises, found after the fact: the first
-    stage with a non-finite derivative, else the non-finite or too large state.
-
-    A non-finite derivative always makes the stepped state non-finite, so a
-    magnitude test of the stepped states finds every failed step.
-    """
-    t_prev, dt = grid.time_at(k - 1), grid.dt  # the bits of grid.times()
-    stage_times = (t_prev, t_prev + 0.5 * dt, t_prev + 0.5 * dt, t_prev + dt)
-    for t_stage, derivative in zip(stage_times, stages):
-        if not all(math.isfinite(v) for v in derivative):
-            return DivergenceError(k, t_prev, f"non-finite derivative at t={t_stage!r}")
+def _divergence(k, grid, state) -> DivergenceError:
+    """The error of a run whose row k, ``state``, failed the divergence check;
+    a non-finite stage derivative always leaves a non-finite row."""
     t_k = grid.time_at(k) if k else grid.t0
-    if not all(math.isfinite(v) for v in state):
+    if not np.isfinite(state).all():
         return DivergenceError(k, t_k, "non-finite state component")
     return DivergenceError(k, t_k, f"state magnitude exceeded {DIVERGENCE_LIMIT:g}")
 
 
-def _step(p, grid, cfg, states, gate, k, stop, again=False):
+def _step(p, grid, cfg, states, gate, k, stop):
     """The one RK4 stepping loop: step rows ``[k, stop)`` of ``states`` from
     row k - 1, and return how many it stepped and the end of the rows that
     pass the divergence check: ``stop``, or the first failing row.
@@ -171,8 +162,8 @@ def _step(p, grid, cfg, states, gate, k, stop, again=False):
     for NaN or a component beyond ``DIVERGENCE_LIMIT``, at each multiple of
     ``_CHECK_ROWS``, at ``stop``, and at a shut sample whose r is NaN or at
     least 4 * ``DIVERGENCE_LIMIT``, which no two rows within the limit give.
-    A failing row ends the stepping.  With ``again``, row k is one that
-    failed: it is stepped again alone, and its error, naming the stages, raised.
+    A failing row ends the stepping; ``_divergence`` reads its error from
+    that row, as written here.
     """
     na, b, nd, h = -p.a, p.b, -p.d, p.h  # -a * x is (-a) * x
     sqrt, dt, limit = math.sqrt, grid.dt, DIVERGENCE_LIMIT
@@ -225,11 +216,6 @@ def _step(p, grid, cfg, states, gate, k, stop, again=False):
             elif not r < far:  # a row since the last check fails: check now
                 end = k + 1
                 break
-        if again:
-            # Built here, not kept in a local: a kept error would hold this
-            # frame, and its arrays, in a cycle through its traceback.
-            stages = (k1x, k1y, k1z), (k2x, k2y, k2z), (k3x, k3y, k3z), (k4x, k4y, k4z)
-            raise _divergence(k, grid, stages, (x, y, z))
         block = states[begin:end]
         if not (-limit <= block.min() and block.max() <= limit):  # fails on NaN too
             return end - start, begin + int((np.abs(block) <= limit).all(axis=1).argmin())
@@ -313,7 +299,7 @@ def _run(
     A run whose gate never opens is the whole flow, with u and active all
     zero: one object for each lag of a flow.  Else it is the flow up to its
     first open sample, and ``_step`` steps the rest, on its own flow in the
-    flow's arrays, else in a copy.  A flow that fails first raises the error.
+    flow's arrays, else in a copy.  A failed run raises its failing row's error.
     """
     own, flow = flow is None, flow or _FreeFlow(p, s0, grid)
     stepped, passes = flow.stepped, flow.passes
@@ -322,10 +308,8 @@ def _run(
     made, passes = flow.stepped - stepped, flow.passes - passes  # for this run
     n = grid.n_steps
     if first is None:
-        if flow.end == 0:
-            raise _divergence(0, grid, (), flow.states[0].tolist())
-        if flow.end <= n:  # step the failed row again, for its error
-            _step(p, grid, None, flow.states, None, flow.end, flow.end + 1, again=True)
+        if flow.end <= n:  # row ``end`` failed, row 0 for a start beyond the limit
+            raise _divergence(flow.end, grid, flow.states[flow.end])
         if lag not in flow.shut:
             r = np.full(n + 1, np.nan) if cfg is None else flow.r(lag)
             u, active = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
@@ -337,7 +321,7 @@ def _run(
     gate = us, actives, rs = np.zeros(n + 1), np.zeros(n + 1, dtype=bool), rs
     steps, end = _step(p, grid, cfg, states, gate, first + 1, n + 1)
     if end <= n:
-        _step(p, grid, cfg, states, gate, end, end + 1, again=True)
+        raise _divergence(end, grid, states[end])
     dropped = made - max(0, first + 1 - stepped)  # the flow's rows past ``first``
     work = RunWork(steps + made, n - first, dropped, passes)
     return Trajectory(t=flow.t, states=states, u=us, active=actives, r=rs, work=work)

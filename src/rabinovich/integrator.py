@@ -61,7 +61,7 @@ def whole_steps(length: float, dt: float) -> tuple[float, Optional[int]]:
 
 
 class IntegrationError(RuntimeError):
-    """A step produced a non-finite derivative or state."""
+    """A step's state failed the divergence check."""
 
 
 class DivergenceError(IntegrationError):

@@ -287,10 +287,12 @@ def test_equilibria_linearizes_the_euler_law(capsys, tmp_path):
     ("literal", ("--K", "1e308"), "--K: K = 1e+308"),
 ])
 def test_equilibria_overflow_names_the_gain_of_its_mode(capsys, tmp_path, mode, argv, expected):
-    # in euler mode the gain is K*tau, so a tau this large overflows the row
+    # In euler mode the gain is K*tau, so a tau this large overflows the row.
+    # The config's own K is refused like any other bad key, so with --K it is
+    # 0, which overflows nothing, and the error is the option's.
     cfg = tmp_path / "big.cfg"
     cfg.write_text(f"t_end = 1.5e308\ndt = 1e307\ntau = 1e308\nmode = {mode}\nt_on = 0\n"
-                   "tail = 1e307\n")
+                   f"tail = 1e307\n{'K = 0' if argv else ''}\n")
     assert run_cli(capsys, "equilibria", "--config", str(cfg), *argv) == (
         1, "", f"error: {expected} is too large: the controlled jacobian overflows\n")
 
@@ -500,6 +502,34 @@ def test_simulate_divergence_exits_two(capsys, tmp_path, monkeypatch):
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
     assert code == 2
     assert "aborted at step" in err
+
+
+def test_simulate_non_finite_row_error_is_pinned(capsys, tmp_path, monkeypatch):
+    # a gain of 1e200 overflows the control term inside the first open step;
+    # the error names the row that step leaves non-finite, and its time
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "nonfinite.cfg"
+    cfg.write_text("t_end = 100\ndt = 0.1\nK = 1e200\nepsilon = 1e9\nt_on = 0\n")
+    assert run_cli(capsys, "simulate", "--config", str(cfg)) == (
+        2, "", "error: integration aborted at step 11 (t=1.1): non-finite state component\n")
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate",),
+    ("sweep", "--K=-0.6", "--epsilon", "0.1"),
+    ("equilibria",),
+    ("equilibria", "--K", "0.5"),
+], ids=["simulate", "sweep", "equilibria", "equilibria-K"])
+def test_config_gain_that_overflows_the_jacobian_is_refused_before_any_run(
+        capsys, tmp_path, monkeypatch, argv):
+    # the gate never opens on this protocol, so a run would not notice the gain
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("K = 1e308\n")
+    assert run_cli(capsys, *argv, "--config", str(cfg)) == (
+        1, "", "error: K = 1e+308 is too large: the controlled jacobian overflows\n")
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_simulate_unwritable_output_exits_one(capsys, tmp_path):

@@ -29,6 +29,7 @@ from rabinovich import (
 )
 from rabinovich import harness
 from rabinovich.harness import DEFAULT_TAIL, _run
+import reference
 from reference import activation_gate, check_state, control_term, nearest_equilibrium, rk4_step
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
@@ -483,8 +484,8 @@ def reference_fields(p, cfg):
 
 def reference_run(p, s0, grid, cfg=None):
     """Generic RK4 run: ``rk4_step`` on numpy arrays, the gate worked out from
-    the state history, a non-finite stage derivative turned into a
-    ``DivergenceError`` for its step, and ``check_state`` on every state."""
+    the state history, ``check_state`` on every state, and a non-finite stage
+    derivative turned into the error of its row's non-finite state."""
     f_open, f_ctl = reference_fields(p, cfg)
     lag = delay_steps(cfg, grid.dt) if cfg is not None else None
     n = grid.n_steps
@@ -508,12 +509,11 @@ def reference_run(p, s0, grid, cfg=None):
     check_state(y, 0, grid.t0)
     active = record(0, grid.t0, y)
     for k in range(1, n + 1):
-        t_prev = grid.t0 + (k - 1) * grid.dt
+        t_prev, t_k = grid.t0 + (k - 1) * grid.dt, grid.t0 + k * grid.dt
         try:
             y = rk4_step(f_ctl if active else f_open, t_prev, y, grid.dt)
-        except IntegrationError as exc:
-            raise DivergenceError(k, t_prev, str(exc)) from exc
-        t_k = grid.t0 + k * grid.dt
+        except IntegrationError:  # a non-finite stage leaves a non-finite row
+            raise DivergenceError(k, t_k, "non-finite state component") from None
         check_state(y, k, t_k)
         active = record(k, t_k, y)
     return Trajectory(t=ts, states=states, u=us, active=actives, r=rs)
@@ -559,19 +559,22 @@ def test_core_matches_rk4_step_reference(params, s0, name):
     assert_same_outcome(core, ref)  # bytes, so the sign of a zero u too
 
 
-@pytest.mark.parametrize("cfg, reason", [
+@pytest.mark.parametrize("cfg, cause", [
     # the gate opens at t > 5 and the literal law at K=-0.9 blows the state up
     (ControllerConfig(K=-0.9, epsilon=5.0, t_on=5.0), "state magnitude exceeded"),
     # a gain of 1e200 overflows the control term inside the first open step
     (ControllerConfig(K=1e200, epsilon=1e9, t_on=0.0), "non-finite derivative"),
 ])
-def test_core_divergence_matches_reference(params, s0, cfg, reason):
+def test_core_divergence_matches_reference(params, s0, cfg, cause):
     g = TimeGrid(0.0, 100.0, 0.1)
     core = outcome(core_run, params, s0, g, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         ref = outcome(reference_run, params, s0, g, cfg)
     assert isinstance(core, tuple)
-    assert reason in core[2]
+    # the error names the failing row, which a non-finite derivative leaves non-finite
+    reason = {"state magnitude exceeded": "state magnitude exceeded 1e+06",
+              "non-finite derivative": "non-finite state component"}[cause]
+    assert core[2].endswith(f"): {reason}")
     assert core == ref
 
 
@@ -1352,25 +1355,57 @@ def test_divergence_found_at_a_check_matches_reference_run(params, s0, name):
 
 @pytest.mark.parametrize("name", [name for name in sorted(DIVERGENCE_CASES)
                                   if DIVERGENCE_CASES[name][3]] + ["non-finite-derivative"])
-def test_failed_step_is_stepped_again_from_the_row_before(params, s0, monkeypatch, name):
-    # The error names the stages of the failed step, so the run steps it
-    # again from the state, gate and u of the row before, which it checked.
+def test_error_reads_the_failed_row(params, s0, monkeypatch, name):
+    # The error is read from the failing row alone, which is the one step from
+    # the state, gate and u of the checked row before; no step is taken again.
     start, grid, cfg, row = DIVERGENCE_CASES.get(name) or (
         None, TimeGrid(0.0, 100.0, 0.1), ControllerConfig(K=1e200, epsilon=1e9, t_on=0.0), 11)
     start = start or s0
     seen, divergence = [], harness._divergence
     monkeypatch.setattr(harness, "_divergence", lambda *args: seen.append(args) or divergence(*args))
-    with pytest.raises(DivergenceError, match=f"at step {row} "):
-        _run(params, start, grid, cfg)
-    (_, _, stages, state), = seen
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = outcome(reference_run, params, start, grid, cfg)
+    assert outcome(_run, params, start, grid, cfg) == ref and ref[0] == row
+    (k, _, state), = seen
     before = _run(params, start, TimeGrid(grid.t0, grid.time_at(row - 1), grid.dt), cfg)
     f_open, f_ctl = reference_fields(params, cfg)
-    f = f_ctl if before.active[-1] else f_open
-    t_prev, y_prev = grid.time_at(row - 1), before.states[-1]
+    # the same step without its stage check, which a non-finite derivative fails
+    monkeypatch.setattr(reference, "_eval", lambda f, t, y: np.asarray(f(t, y), dtype=float))
     with np.errstate(over="ignore", invalid="ignore"):
-        assert np.array(stages[0]).tobytes() == f(t_prev, y_prev).tobytes()
-        if name != "non-finite-derivative":  # else rk4_step raises
-            assert np.array(state).tobytes() == rk4_step(f, t_prev, y_prev, grid.dt).tobytes()
+        stepped = rk4_step(f_ctl if before.active[-1] else f_open, grid.time_at(row - 1),
+                           before.states[-1], grid.dt)
+    assert k == row and np.asarray(state).tobytes() == stepped.tobytes()
+
+
+# name -> (start, None for the s0 fixture; grid; controller; the exact error)
+ROW_ERRORS = {
+    # each component of the start at the limit, and a step so long that the
+    # third stage overflows
+    "free-non-finite-row": (State(1e6, 1e6, 1e6), TimeGrid(0.0, 1e21, 1e20), None,
+                            "step 1 (t=1e+20): non-finite state component"),
+    "gated-non-finite-row": (None, TimeGrid(0.0, 100.0, 0.1),
+                             ControllerConfig(K=1e200, epsilon=1e9, t_on=0.0),
+                             "step 11 (t=1.1): non-finite state component"),
+    "free-row-beyond-the-limit": (None, free_grid(0.21517), None,
+                                  "step 511 (t=109.95187): state magnitude exceeded 1e+06"),
+    "gated-row-beyond-the-limit": (None, TimeGrid(0.0, 100.0, 0.1),
+                                   ControllerConfig(K=-1.4, epsilon=5.0, t_on=40.0),
+                                   "step 551 (t=55.1): state magnitude exceeded 1e+06"),
+    "free-start-beyond-the-limit": (FAR_START, short_grid, None,
+                                    "step 0 (t=0.0): state magnitude exceeded 1e+06"),
+    "gated-start-beyond-the-limit": (FAR_START, short_grid, ControllerConfig(K=-0.3, t_on=0.0),
+                                     "step 0 (t=0.0): state magnitude exceeded 1e+06"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROW_ERRORS))
+def test_divergence_error_names_the_failing_row_and_its_time(params, s0, name):
+    start, grid, cfg, expected = ROW_ERRORS[name]
+    with pytest.raises(DivergenceError) as info:
+        core_run(params, start or s0, grid, cfg)
+    assert str(info.value) == f"integration aborted at {expected}"
+    k = info.value.step_index
+    assert info.value.time == (grid.time_at(k) if k else grid.t0)
 
 
 @pytest.mark.parametrize("dt, row", [(0.21517, 511), (0.22584, 512)])
@@ -1379,9 +1414,9 @@ def test_free_run_steps_past_a_divergence_to_its_next_check_only(params, s0, cor
     grid = free_grid(dt)
     with pytest.raises(DivergenceError):
         _run(params, s0, grid, None)
-    # every row up to the check that finds the failed one, and that step again
+    # every row up to the check that finds the failed one, each stepped once
     end = min(grid.n_steps + 1, (row // 512 + 1) * 512)
-    assert core_calls()["field"] == 4 * end
+    assert core_calls()["field"] == 4 * (end - 1)
 
 
 @pytest.mark.parametrize("K, row", [(-1.4, 551), (-1.35, 579), (-0.95, 550), (-0.55, 639)])
@@ -1398,8 +1433,8 @@ def test_shut_gate_far_from_its_delayed_state_stops_the_run_at_once(params, s0, 
         ref = outcome(reference_run, params, s0, grid, cfg)
     assert isinstance(ref, tuple) and ref[0] == row
     assert got == ref
-    # every row up to the failed one, and that step again
-    assert core_calls()["field"] == 4 * (row + 1)
+    # every row up to the failed one, each stepped once
+    assert core_calls()["field"] == 4 * row
 
 
 @st.composite

@@ -6,6 +6,8 @@ import io
 import math
 import struct
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,6 +106,23 @@ BAD_INPUTS = [
      "mode: expected one of literal,euler, got 'Euler'"),
     ("config-float", lambda: _refusal(parse_config, "\ndt = -inf\n"),
      "line 2: dt must be finite, got '-inf'"),
+    ("config-gain-jacobian", lambda: _refusal(parse_config, "K = 1e308\n"),
+     "K = 1e+308 is too large: the controlled jacobian overflows"),
+    # -d + g*c is finite at g = 1e308 in euler mode, and only x* overflows (1+g)*x
+    ("config-gain-jacobian-off-axis", lambda: _refusal(parse_config, "mode = euler\nK = 1e308\n"),
+     "K = 1e+308 with tau = 1.0 is too large: the controlled jacobian overflows"),
+    ("config-gain-jacobian-euler",
+     lambda: _refusal(parse_config, "mode = euler\nt_end = 1e308\ndt = 1e307\ntau = 1e307\n"
+                                    "t_on = 0\ntail = 1e307\nK = 1e2\n"),
+     "K = 100.0 with tau = 1e+307 is too large: the controlled jacobian overflows"),
+    ("Params-int-too-large", lambda: _refusal(Params, 10**400, 1, 1, 6.75),
+     f"a must be a positive finite number, got {10**400!r}"),
+    ("Params-str", lambda: _refusal(Params, "4", 1, 1, 6.75),
+     "a must be a positive finite number, got '4'"),
+    ("State-bytes", lambda: _refusal(State, 0, b"1", 0),
+     "state component y must be finite, got b'1'"),
+    ("Controller-K-None", lambda: _refusal(ControllerConfig, K=None),
+     "K must be finite, got None"),
     ("sweep-modes", lambda: _cli_refusal("sweep", "--K=-0.6", "--epsilon", "0.1",
                                          "--modes", "euler, forward"),
      "error: modes: expected one of literal,euler, got 'forward'\n"),
@@ -116,13 +135,21 @@ def test_each_bad_input_is_refused_with_its_message(refusal, expected):
     assert refusal() == expected
 
 
+def _as_float(value) -> float:
+    """``float(value)``, or NaN for a value the rule refuses as it is."""
+    try:
+        return math.nan if isinstance(value, (str, bytes, bytearray)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
+
+
 def _one_step_grid(t0, t_end) -> TimeGrid:
     # dt = t_end - t0 is exact for two adjacent floats
-    return TimeGrid(t0, t_end, float(t_end) - float(t0))
+    return TimeGrid(t0, t_end, _as_float(t_end) - _as_float(t0))
 
 
 def _finite_or_zero(value) -> float:
-    value = float(value)
+    value = _as_float(value)
     return value if math.isfinite(value) else 0.0
 
 
@@ -145,7 +172,7 @@ FLOAT_FIELDS = {
     "t0": (False, lambda v: _one_step_grid(v, math.nextafter(_finite_or_zero(v), math.inf)).t0),
     "t_end": (False,
               lambda v: _one_step_grid(math.nextafter(_finite_or_zero(v), -math.inf), v).t_end),
-    "dt": (True, lambda v: TimeGrid(0, v if 0 < float(v) < math.inf else 1, v).dt),
+    "dt": (True, lambda v: TimeGrid(0, v if 0 < _as_float(v) < math.inf else 1, v).dt),
     "tail": (True, lambda v: check_report_settings(v, 1.0, math.inf) or float(v)),
     "capture_radius": (True, lambda v: check_report_settings(1.0, v, 2.0) or float(v)),
     # m = -d at K = 0, so the coefficient's negation is d as stored
@@ -190,3 +217,27 @@ def test_each_float_field_is_refused_exactly_when_its_rule_fails(field, value):
     else:
         stored = build(value)
         assert type(stored) is float and _bits(stored) == _bits(f)
+
+
+# Values that float() refuses, or that it would read but the rule refuses as
+# they are: text and bytes of every kind, numbers included.
+not_numbers = st.one_of(
+    st.text(),
+    st.binary(),
+    st.none(),
+    st.complex_numbers(),
+    st.integers(2**1024, 10**1000),
+    st.integers(-10**1000, -2**1024),
+    st.sampled_from(["4", " -0.6 ", "nan", "1e400", b"4", bytearray(b"4"), np.str_("4"),
+                     np.bytes_(b"4"), Decimal("sNaN"), Fraction(10**400), [1.0], {}]),
+)
+
+
+@given(field=st.sampled_from(sorted(FLOAT_FIELDS)), value=not_numbers)
+@example(field="a", value=10**400)
+@example(field="K", value=None)
+def test_each_float_field_refuses_what_is_not_a_number(field, value):
+    positive, build = FLOAT_FIELDS[field]
+    name = "d" if field.startswith("d of") else field
+    rule = "a positive finite number" if positive else "finite"
+    assert _refusal(build, value) == f"{name} must be {rule}, got {value!r}"
