@@ -15,7 +15,6 @@ import os
 import re
 import sys
 from dataclasses import replace
-from functools import partial
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -30,7 +29,7 @@ from .control import (
 from .dynamics import equilibria, jacobian, residual_norm
 from .harness import convergence_report, run_controlled, run_each, run_uncontrolled, sweep
 from .integrator import IntegrationError
-from .io import _sink, render_report, write_report, write_sweep_csv, write_trajectory_csv
+from .io import render_report, write_report, write_sweep_csv, write_trajectory_csv
 
 __all__ = ["cli_dispatch", "main", "REPRODUCE_PRESETS"]
 
@@ -267,26 +266,15 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
     _check_outputs([("--out-dir", args.out_dir and path) for pair in paths for path in pair], None)
     base = default_config()
     cfgs = [replace(base.controller, t_on=REPRODUCE_PRESETS[name]) for name in names]
-    eqs = equilibria(base.params)
-    free = None, None, None  # the run, CSV and report of the last preset whose gate never opened
     # The presets differ only in t_on: at the default epsilon the gate never
-    # opens, so run_each hands fig5 fig4's run, whose CSV and report it reuses.
-    runs = run_each(base.params, base.s0, base.grid, cfgs)
-    for name, cfg, traj, (csv_path, report_path) in zip(names, cfgs, runs, paths):
-        if isinstance(traj, IntegrationError):
+    # opens, so run_each hands fig5 fig4's run, whose CSV goes to both paths.
+    runs = list(run_each(base.params, base.s0, base.grid, cfgs, base.tail, base.capture_radius))
+    for name, (traj, report), (csv_path, report_path) in zip(names, runs, paths):
+        if report is None:
             raise traj
-        if traj is free[0]:  # that preset's run again
-            report = replace(free[2], controller=cfg)
-            with open(free[1], "rb") as src, _sink(csv_path) as write:
-                for chunk in iter(partial(src.read, 1 << 16), b""):
-                    write(chunk)
-        else:
-            report = convergence_report(
-                traj, eqs, base.grid, tail=base.tail, capture_radius=base.capture_radius, cfg=cfg
-            )
-            write_trajectory_csv(traj, csv_path)
-            if not traj.active.any():
-                free = traj, csv_path, report
+        shared = [path for (other, _), (path, _) in zip(runs, paths) if other is traj]
+        if shared[0] == csv_path:  # the first preset of this run
+            write_trajectory_csv(traj, *shared)
         write_report(report, report_path)
         print(f"{name}: wrote {csv_path} and {report_path}", file=sys.stderr)
         print(

@@ -45,7 +45,11 @@ def _finite(name: str, value, positive: bool = False) -> float:
             pass  # not a float: refused below
     if not isinstance(value, float) or not math.isfinite(value) or (positive and value <= 0.0):
         rule = "a positive finite number" if positive else "finite"
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
+        try:
+            shown = repr(value)
+        except ValueError:  # an int of more digits than Python prints
+            shown = f"an int of {value.bit_length()} bits"
+        raise ValueError(f"{name} must be {rule}, got {shown}")
     return value
 
 

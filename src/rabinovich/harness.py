@@ -18,7 +18,8 @@ bit: it steps the open-loop field, and the gate only reads the state.  A
 at each lag; a run steps on from its first open sample, gated per sample,
 and a run whose gate never opens is the whole flow.  ``run_each`` keeps one
 flow for a sequence of controllers (the cells of a sweep, the presets of
-``reproduce``).  ``Trajectory.work`` counts what a run did.
+``reproduce``) and yields each run with its report.  ``Trajectory.work``
+counts what a run did.
 
 Convergence is a measured quantity, never an assumption: a run is declared
 stabilized only if the whole tail window stays within the capture radius
@@ -345,17 +346,22 @@ def run_controlled(
 
 
 def run_each(
-    p: Params, s0: State, grid: TimeGrid, cfgs: Iterable[ControllerConfig]
-) -> Iterator[Union[Trajectory, IntegrationError]]:
+    p: Params, s0: State, grid: TimeGrid, cfgs: Iterable[ControllerConfig],
+    tail: float = DEFAULT_TAIL, capture_radius: float = DEFAULT_CAPTURE_RADIUS,
+) -> Iterator[tuple[Union[Trajectory, IntegrationError], Optional[ConvergenceReport]]]:
     """Yield, in order, each controller's ``run_controlled(p, s0, grid, cfg)``,
-    bit for bit, with read-only arrays, or the ``IntegrationError`` it raised,
-    without its traceback.
+    bit for bit, with read-only arrays, and its ``convergence_report`` with
+    ``tail`` and ``capture_radius``; or the ``IntegrationError`` it raised,
+    without its traceback, and None.
 
     The runs share one free flow, which each steps only past what an
     earlier one stepped, and its r at each lag.  The runs of one lag whose
-    gate never opens are one object, whose ``work`` is the first's.
+    gate never opens are one object, whose ``work`` is the first's.  Such a
+    run handed on takes its report with the new controller: the report
+    reads only t, the states and u, which is all zero.
     """
-    flow = _FreeFlow(p, s0, grid)
+    flow, eqs = _FreeFlow(p, s0, grid), equilibria(p)
+    shut = shut_report = None  # the last run whose gate never opened, and its report
     for cfg in cfgs:
         try:
             result = _run(p, s0, grid, cfg, flow)
@@ -363,11 +369,19 @@ def run_each(
             # Yielded as a value, without its traceback: this frame holds it
             # while suspended, and the traceback's frames would close a cycle
             # that keeps the failed run's arrays until a collection.
-            result = exc.with_traceback(None)
+            result, report = exc.with_traceback(None), None
         else:
             for array in (result.t, result.states, result.u, result.active, result.r):
                 array.flags.writeable = False  # a later run may copy or be handed them
-        yield result
+            if result is shut:
+                report = replace(shut_report, controller=cfg)
+            else:
+                report = convergence_report(
+                    result, eqs, grid, tail=tail, capture_radius=capture_radius, cfg=cfg
+                )
+                if not result.active.any():
+                    shut, shut_report = result, report
+        yield result, report
         del result
 
 
@@ -505,10 +519,8 @@ def sweep(
     the report empty; it never aborts the sweep.  Each cell is flagged
     against the admissible gain interval for the system's d.
 
-    The cells are the controllers of one ``run_each``, on one free flow.  A
-    cell handed an earlier cell's never-open run takes that cell's report
-    with its own controller: the report reads only t, the states and u,
-    which is all zero.  The outputs equal those of every cell run alone.
+    The cells are the controllers of one ``run_each``, on one free flow;
+    the outputs equal those of every cell run alone.
     """
     if len(K_values) == 0 or len(eps_values) == 0:
         raise ValueError("K_values and eps_values must be nonempty")
@@ -516,28 +528,16 @@ def sweep(
     if not mode_list:
         raise ValueError("modes must be nonempty when given")
 
-    eqs = equilibria(p)
     interval = admissible_gain_interval(p.d)
     cfgs = [
         replace(base_cfg, K=float(K), epsilon=float(eps), mode=mode)
         for mode in mode_list for K in K_values for eps in eps_values
     ]
-    results = run_each(p, s0, grid, cfgs)
+    results = run_each(p, s0, grid, cfgs, tail, capture_radius)
     cells = []
-    free_run = free_report = None  # the last cell's run whose gate never opened, and its report
     for cfg in cfgs:
-        result = next(results)  # not zip(), whose reused tuple keeps it alive a run longer
-        error = None
-        if isinstance(result, IntegrationError):
-            report, error = None, str(result)
-        elif result is free_run:  # that cell's run again
-            report = replace(free_report, controller=cfg)
-        else:
-            report = convergence_report(
-                result, eqs, grid, tail=tail, capture_radius=capture_radius, cfg=cfg
-            )
-            if not result.active.any():
-                free_run, free_report = result, report
+        result, report = next(results)  # not zip(), whose reused tuple keeps it alive a run longer
+        error = str(result) if report is None else None
         del result
         cells.append(
             SweepCell(cfg.K, cfg.epsilon, cfg.mode.value, interval.contains(cfg.K), report, error)

@@ -10,21 +10,22 @@ names its file.  The sweep CSV and the reports write each float as
 sample.  It is written and read in blocks of rows; the text of a block,
 written or read, is the ``_decimals`` module's (17 significant digits,
 which read back bit for bit), imported on the first trajectory write or
-read.  A write holds one block.  A read counts the rows first and reads
-each block into its slice of output arrays allocated once, so it holds its
-output and one block.  Only the writer's format is read: LF line ends, the
-exact header, no blank lines, no quotes, and numbers as numpy's C text
-reader reads them.  A read error names the first bad row (its line in the
-file) and, where one field is at fault, the column.
+read.  A write holds one block, formatted once for every destination it is
+written to.  A read counts the rows first and reads each block into its
+slice of output arrays allocated once, so it holds its output and one
+block.  Only the writer's format is read: LF line ends, the exact header,
+no blank lines, no quotes, and numbers as numpy's C text reader reads them.
+A read error names the first bad row (its line in the file) and, where one
+field is at fault, the column.
 """
 
 from __future__ import annotations
 
 import os
 import stat
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from shutil import copyfileobj
 from tempfile import TemporaryFile
 from typing import TextIO, Union
@@ -97,8 +98,9 @@ def _sink(dest: Union[str, TextIO]):
         raise
 
 
-def write_trajectory_csv(traj: Trajectory, dest: Union[str, TextIO]) -> None:
-    """Write one sample per row: t,x,y,z,u,active,r.
+def write_trajectory_csv(traj: Trajectory, dest: Union[str, TextIO], *more: Union[str, TextIO]) -> None:
+    """Write one sample per row: t,x,y,z,u,active,r, to ``dest`` and to each
+    of ``more``: each block is formatted once and written to all in turn.
 
     ``active`` is 0/1; ``r`` is empty on samples where the delayed state is
     not yet available (the first tau of the run, and all of an uncontrolled
@@ -107,13 +109,13 @@ def write_trajectory_csv(traj: Trajectory, dest: Union[str, TextIO]) -> None:
     from ._decimals import _BLOCK_ROWS, _csv_rows  # compiled on first use only
 
     active = np.asarray(traj.active, dtype=bool)
-    with _sink(dest) as write:
-        write(",".join(TRAJECTORY_HEADER).encode() + b"\n")
-        for lo in range(0, traj.n_samples, _BLOCK_ROWS):
-            block = slice(lo, lo + _BLOCK_ROWS)
-            write(_csv_rows(
-                traj.t[block], traj.states[block], traj.u[block], active[block], traj.r[block],
-            ))
+    cuts = [slice(lo, lo + _BLOCK_ROWS) for lo in range(0, traj.n_samples, _BLOCK_ROWS)]
+    blocks = (_csv_rows(traj.t[b], traj.states[b], traj.u[b], active[b], traj.r[b]) for b in cuts)
+    with ExitStack() as stack:
+        writes = [stack.enter_context(_sink(d)) for d in (dest, *more)]
+        for data in chain([",".join(TRAJECTORY_HEADER).encode() + b"\n"], blocks):
+            for write in writes:
+                write(data)
 
 
 def _locate(lines, first_row: int) -> None:

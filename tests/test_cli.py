@@ -1,4 +1,6 @@
+import builtins
 import contextlib
+import hashlib
 import io
 import os
 import sys
@@ -693,25 +695,40 @@ def test_reproduce_divergence_exits_two(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("epsilon, written", [
-    (0.1, ["fig4"]),          # fig5's gate never opens either: fig4's run, handed on
-    (0.5, ["fig4", "fig5"]),  # both open, at t = 132.4: the same bytes, from two runs
+    # fig5's gate never opens either: fig4's run, handed on, written to both paths at once
+    (0.1, [["fig4", "fig5"]]),
+    # both open, at t = 132.4: the same bytes, from two runs, each written alone
+    (0.5, [["fig4"], ["fig5"]]),
 ])
-def test_reproduce_copies_only_a_run_handed_on(capsys, tmp_path, monkeypatch, epsilon, written):
+def test_reproduce_writes_a_shared_run_to_all_its_paths_at_once(
+    capsys, tmp_path, monkeypatch, epsilon, written
+):
     base = default_config()
     monkeypatch.setattr(cli, "default_config", lambda: replace(
         base, controller=replace(base.controller, epsilon=epsilon)))
-    paths, write = [], cli.write_trajectory_csv
+    calls, write = [], cli.write_trajectory_csv
 
-    def recorded(traj, path):
-        paths.append(os.path.basename(path))
-        write(traj, path)
+    def recorded(traj, *paths):
+        calls.append([os.path.basename(path) for path in paths])
+        write(traj, *paths)
 
     monkeypatch.setattr(cli, "write_trajectory_csv", recorded)
     code, _, _ = run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))
     assert code == 0
-    assert paths == [f"{name}_trajectory.csv" for name in written]
+    assert calls == [[f"{name}_trajectory.csv" for name in names] for names in written]
     fig4 = (tmp_path / "fig4_trajectory.csv").read_bytes()
     assert (tmp_path / "fig5_trajectory.csv").read_bytes() == fig4
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+def test_reproduce_writes_fig5_in_full_when_fig4s_csv_is_dev_null(capsys, tmp_path):
+    # fig5's CSV does not depend on what fig4's path reads back as
+    (tmp_path / "fig4_trajectory.csv").symlink_to("/dev/null")
+    code, _, _ = run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))
+    assert code == 0
+    fig5 = (tmp_path / "fig5_trajectory.csv").read_bytes()
+    assert hashlib.sha256(fig5).hexdigest()[:16] == "9b151002c085c517"
+    assert os.path.islink(tmp_path / "fig4_trajectory.csv")
 
 
 def test_reproduce_rejects_unknown_preset(capsys, tmp_path):
@@ -767,22 +784,31 @@ def test_reproduce_outputs_that_name_the_same_file_fail_before_any_run(
 
 
 def test_reproduce_writes_every_file_through_the_sink(capsys, tmp_path, monkeypatch):
-    # fig5's copy of fig4's CSV too, in bounded chunks
-    writes, real = [], rio._sink
+    # and opens no output for reading: fig5's CSV is not a copy of fig4's file
+    writes, real, opened = [], rio._sink, []
 
     @contextlib.contextmanager
     def sink(dest):
         with real(dest) as write:
             yield lambda data: writes.append((os.path.basename(dest), len(data))) or write(data)
 
+    def recording(opener, mode_of):
+        def opening(path, *args, **kwargs):
+            opened.append((os.path.basename(path), mode_of(*args, **kwargs)))
+            return opener(path, *args, **kwargs)
+        return opening
+
     monkeypatch.setattr(rio, "_sink", sink)
-    monkeypatch.setattr(cli, "_sink", sink)
-    assert run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))[0] == 0
-    assert len(list(tmp_path.iterdir())) == 4
+    monkeypatch.setattr(builtins, "open", recording(builtins.open, lambda mode="r", *_, **__: mode))
+    monkeypatch.setattr(os, "open", recording(os.open, lambda flags, *_: flags & os.O_ACCMODE))
+    code = cli_dispatch(["reproduce", "all", "--out-dir", str(tmp_path)])
+    monkeypatch.undo()
+    assert code == 0
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert len(names) == 4
     for path in tmp_path.iterdir():
         assert sum(size for name, size in writes if name == path.name) == path.stat().st_size
-    copied = [size for name, size in writes if name == "fig5_trajectory.csv"]
-    assert len(copied) > 1 and max(copied) <= 1 << 16
+    assert sorted(opened) == [(name, os.O_WRONLY) for name in names]
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

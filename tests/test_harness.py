@@ -1005,7 +1005,7 @@ def test_run_on_a_drawn_flow_cut_matches_a_fresh_run(p, s0, cfg, cut):
 @pytest.mark.parametrize("order", ["sorted", "reversed"])
 def test_run_each_matches_independent_runs(params, s0, order):
     cfgs = [PREFIX_CASES[name] for name in sorted(PREFIX_CASES, reverse=order == "reversed")]
-    for cfg, got in zip(cfgs, run_each(params, s0, SWEEP_GRID, cfgs)):
+    for cfg, (got, _) in zip(cfgs, run_each(params, s0, SWEEP_GRID, cfgs)):
         if isinstance(got, DivergenceError):
             got = (got.step_index, got.time, str(got))
         assert_same_outcome(got, outcome(run_controlled, params, s0, SWEEP_GRID, cfg))
@@ -1035,16 +1035,16 @@ def test_run_each_gates_the_shared_prefix_on_its_r(params, s0, monkeypatch):
         ControllerConfig(K=-0.6, epsilon=1e9, t_on=1995.0, mode=PredictionMode.EULER),
     ]
     results = run_each(params, s0, grid, cfgs)
-    first = next(results)
+    first, _ = next(results)
     assert not first.active.any() and sum(passes) == first.n_samples - 100
     passes.clear()
     tracemalloc.start()
     try:
-        shut = next(results)
+        shut, _ = next(results)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    late = list(results)
+    late = [traj for traj, _ in results]
     assert not shut.active.any()
     assert peak / shut.n_samples <= 55.0
     assert passes == []
@@ -1070,14 +1070,19 @@ drawn_cell_lists = st.lists(st.one_of(st.none(), never_opening, st.builds(
 
 
 @given(cfgs=drawn_cell_lists)
-def test_run_each_matches_independent_runs_on_drawn_lists(params, s0, cfgs):
+def test_run_each_matches_independent_runs_on_drawn_lists(params, s0, eqs, cfgs):
+    # each report, a handed-on run's too, is the one of the run made alone
     with np.errstate(over="ignore", invalid="ignore"):
-        for cfg, got in zip(cfgs, run_each(params, s0, DRAWN_GRID, cfgs)):
+        for cfg, (got, report) in zip(cfgs, run_each(params, s0, DRAWN_GRID, cfgs, tail=5.0)):
+            expected = outcome(core_run, params, s0, DRAWN_GRID, cfg)
             if isinstance(got, DivergenceError):
                 got = (got.step_index, got.time, str(got))
+                assert report is None
             else:
                 assert not any(getattr(got, name).flags.writeable for name in ARRAYS)
-            assert_same_outcome(got, outcome(core_run, params, s0, DRAWN_GRID, cfg))
+                alone = convergence_report(expected, eqs, DRAWN_GRID, tail=5.0, cfg=cfg)
+                assert repr(report) == repr(alone)
+            assert_same_outcome(got, expected)
 
 
 def test_run_each_hands_a_never_open_run_on_read_only(params, s0):
@@ -1089,7 +1094,8 @@ def test_run_each_hands_a_never_open_run_on_read_only(params, s0):
         ControllerConfig(K=-0.3, epsilon=0.05, tau=0.5),   # another lag
         never,
     ]
-    first, handed, opens, other, again = run_each(params, s0, SWEEP_GRID, cfgs)
+    pairs = run_each(params, s0, SWEEP_GRID, cfgs)
+    first, handed, opens, other, again = (traj for traj, _ in pairs)
     # one run for each lag whose gate never opens, on the one free flow
     assert first is handed is again and first.work.steps == SWEEP_GRID.n_steps
     assert other is not first and other.states is first.states and other.work.passes == 1
@@ -1115,7 +1121,7 @@ def test_run_each_results_are_read_only(params, s0):
     ]
     results, seen = run_each(params, s0, SWEEP_GRID, cfgs), []
     for cfg in cfgs:
-        seen.append(next(results))
+        seen.append(next(results)[0])
         for name in ARRAYS:
             with pytest.raises(ValueError, match="read-only"):
                 getattr(seen[-1], name)[:] = 0
@@ -1181,7 +1187,7 @@ def test_open_sample_computes_its_control_term_once(params, s0, monkeypatch):
     assert 0 < opened < alone.n_samples - 1 and not alone.active[-1]
     assert len(reads) == 1
     reads.clear()
-    shut, shared = run_each(params, s0, grid, [never, cfg])
+    (shut, _), (shared, _) = run_each(params, s0, grid, [never, cfg])
     assert not shut.active.any()
     assert len(reads) == 1  # a run whose gate never opens has no control term
     assert shared.u.tobytes() == alone.u.tobytes()

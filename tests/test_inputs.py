@@ -117,6 +117,10 @@ BAD_INPUTS = [
      "K = 100.0 with tau = 1e+307 is too large: the controlled jacobian overflows"),
     ("Params-int-too-large", lambda: _refusal(Params, 10**400, 1, 1, 6.75),
      f"a must be a positive finite number, got {10**400!r}"),
+    ("Params-int-too-long-to-print", lambda: _refusal(Params, 10**5000, 1, 1, 6.75),
+     "a must be a positive finite number, got an int of 16610 bits"),
+    ("State-int-too-long-to-print", lambda: _refusal(State, 0, 0, -10**5000),
+     "state component z must be finite, got an int of 16610 bits"),
     ("Params-str", lambda: _refusal(Params, "4", 1, 1, 6.75),
      "a must be a positive finite number, got '4'"),
     ("State-bytes", lambda: _refusal(State, 0, b"1", 0),

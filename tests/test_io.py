@@ -345,6 +345,32 @@ def test_writer_gives_the_same_bytes_to_a_path(tmp_path, long_gated_run):
     assert path.read_bytes() == _dump(long_gated_run).encode()
 
 
+@pytest.mark.parametrize("second", ["path", "stream"])
+def test_writer_gives_each_of_two_destinations_the_bytes_of_one(tmp_path, long_gated_run, second):
+    # each block is formatted once and written to both
+    first = tmp_path / "first.csv"
+    other = tmp_path / "second.csv" if second == "path" else io.StringIO()
+    _stale(first, 7)
+    write_trajectory_csv(long_gated_run, str(first), str(other) if second == "path" else other)
+    text = _dump(long_gated_run)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "d8099540abb858a0"
+    assert first.read_bytes() == text.encode()
+    if second == "path":
+        assert other.read_bytes() == text.encode()
+    else:
+        assert other.getvalue() == text
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_second_destination_is_named_and_the_first_cut(tmp_path, long_gated_run):
+    path = tmp_path / "traj.csv"
+    _stale(path, len(_dump(long_gated_run)))
+    with pytest.raises(OSError) as failed:
+        write_trajectory_csv(long_gated_run, str(path), "/dev/full")
+    assert failed.value.errno == errno.ENOSPC and failed.value.filename == "/dev/full"
+    assert path.read_bytes() == HEADER.encode()  # the header, then /dev/full failed
+
+
 # --- the sink: a path is written over, then cut -----------------------------------
 
 def _stale(path, size):
