@@ -27,7 +27,7 @@ from .control import (
     prediction_mode,
 )
 from .dynamics import equilibria, jacobian, residual_norm
-from .harness import convergence_report, run_controlled, run_each, run_uncontrolled, sweep
+from .harness import run_each, sweep
 from .integrator import IntegrationError
 from .io import render_report, write_report, write_sweep_csv, write_trajectory_csv
 
@@ -214,14 +214,9 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         args.config,
     )
     controller = None if args.uncontrolled else cfg.controller
-    eqs = equilibria(cfg.params)
-    if controller is None:
-        traj = run_uncontrolled(cfg.params, cfg.s0, cfg.grid)
-    else:
-        traj = run_controlled(cfg.params, cfg.s0, cfg.grid, controller)
-    report = convergence_report(
-        traj, eqs, cfg.grid, tail=cfg.tail, capture_radius=cfg.capture_radius, cfg=controller
-    )
+    (traj, report), = run_each(cfg.params, cfg.s0, cfg.grid, [controller], cfg.tail, cfg.capture_radius)
+    if report is None:
+        raise traj
     write_trajectory_csv(traj, out_csv)
     write_report(report, out_report)
     print(f"wrote {out_csv} and {out_report}", file=sys.stderr)

@@ -16,10 +16,10 @@ So until its gate first opens, a controlled run is the free flow bit for
 bit: it steps the open-loop field, and the gate only reads the state.  A
 ``_FreeFlow`` holds that flow, stepped as far as a run has needed, and its r
 at each lag; a run steps on from its first open sample, gated per sample,
-and a run whose gate never opens is the whole flow.  ``run_each`` keeps one
-flow for a sequence of controllers (the cells of a sweep, the presets of
-``reproduce``) and yields each run with its report.  ``Trajectory.work``
-counts what a run did.
+and a run whose gate never opens is the whole flow.  ``run_each`` yields
+every run of the CLI with its report, on one flow for several controllers
+(a sweep's cells, ``reproduce``'s presets), a lone run on its own.
+``Trajectory.work`` counts what a run did.
 
 Convergence is a measured quantity, never an assumption: a run is declared
 stabilized only if the whole tail window stays within the capture radius
@@ -346,21 +346,24 @@ def run_controlled(
 
 
 def run_each(
-    p: Params, s0: State, grid: TimeGrid, cfgs: Iterable[ControllerConfig],
+    p: Params, s0: State, grid: TimeGrid, cfgs: Iterable[Optional[ControllerConfig]],
     tail: float = DEFAULT_TAIL, capture_radius: float = DEFAULT_CAPTURE_RADIUS,
 ) -> Iterator[tuple[Union[Trajectory, IntegrationError], Optional[ConvergenceReport]]]:
-    """Yield, in order, each controller's ``run_controlled(p, s0, grid, cfg)``,
-    bit for bit, with read-only arrays, and its ``convergence_report`` with
+    """Check the report settings, then yield, in order, each controller's
+    ``run_controlled(p, s0, grid, cfg)`` (``run_uncontrolled`` for None), bit
+    for bit, with read-only arrays, and its ``convergence_report`` with
     ``tail`` and ``capture_radius``; or the ``IntegrationError`` it raised,
     without its traceback, and None.
 
-    The runs share one free flow, which each steps only past what an
-    earlier one stepped, and its r at each lag.  The runs of one lag whose
-    gate never opens are one object, whose ``work`` is the first's.  Such a
-    run handed on takes its report with the new controller: the report
-    reads only t, the states and u, which is all zero.
+    Several runs share one free flow, which each steps only past what an
+    earlier one stepped, and its r at each lag; a lone run steps on in its
+    own flow's arrays, not a copy.  The runs of one lag whose gate never
+    opens are one object, whose ``work`` is the first's; so is the report,
+    but for its controller, as it reads only t, the states and u (all 0).
     """
-    flow, eqs = _FreeFlow(p, s0, grid), equilibria(p)
+    check_report_settings(tail, capture_radius, grid.t_end - grid.t0)
+    cfgs, eqs = list(cfgs), equilibria(p)
+    flow = _FreeFlow(p, s0, grid) if len(cfgs) > 1 else None
     shut = shut_report = None  # the last run whose gate never opened, and its report
     for cfg in cfgs:
         try:

@@ -38,12 +38,12 @@ DIVERGENCE_LIMIT = 1e6
 # (t, state, u, active, r), so its arrays stay below about 0.5 GB.  Measured
 # tracemalloc peaks: a controlled run alone, with its gate never open, 50
 # bytes a sample at t_on = 40 and at t_on = 199 of 200 (the gate pass adds a
-# bool a sample it scans); a controlled run and its convergence report 74
-# (the report's temporaries add 24), so about 0.74 GB here; a sweep whose
-# cells never open 73, and 115 once cells that open mix with ones that never
-# did (an opening cell's own states, r, u and active, 41, beside the free
-# flow's arrays and the never-open run kept for later cells of its lag), so
-# about 1.15 GB.
+# bool a sample it scans); a run and its convergence report, as ``simulate``
+# makes them in a one-controller ``run_each``, 74 (the report's temporaries
+# add 24), so about 0.74 GB here; a sweep whose cells never open 73, and 115
+# once cells that open mix with ones that never did (an opening cell's own
+# states, r, u and active, 41, beside the free flow's arrays and the
+# never-open run kept for later cells of its lag), so about 1.15 GB.
 MAX_STEPS = 10**7
 
 

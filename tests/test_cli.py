@@ -569,6 +569,15 @@ def test_sweep_readme_example_with_negative_gains(capsys, tmp_path, monkeypatch)
     assert [float(line.split(",")[0]) for line in lines[1:4:2]] == [-0.9, -0.6]
 
 
+def test_sweep_takes_a_negative_list_with_no_leading_zero(capsys, tmp_path):
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("t_end = 30\nt_on = 10\ntail = 10\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--K", "-.5,-.3",
+                             "--epsilon", "0.1", "--out", str(tmp_path / "s.csv"))
+    assert code == 0, err
+    assert out == "2 cells, 0 stabilized\n"
+
+
 def test_sweep_negative_epsilon_list_names_the_field(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sweep", "--K", "-0.6", "--epsilon", "-0.1,0.5",
                            "--out", str(tmp_path / "s.csv"))
@@ -829,7 +838,7 @@ def test_failed_write_names_its_file(capsys, tmp_path, args):
 def runs(monkeypatch):
     """The names of the run functions the CLI called."""
     called = []
-    for name in ("run_controlled", "run_uncontrolled", "run_each", "sweep"):
+    for name in ("run_each", "sweep"):
         monkeypatch.setattr(cli, name, lambda *a, name=name, **k: called.append(name))
     return called
 

@@ -306,6 +306,11 @@ def test_report_chaotic_run_not_stabilized(free_run, grid, eqs):
     rep = convergence_report(free_run, eqs, grid)
     assert not rep.stabilized
     assert rep.tail_max_distance > 10.0  # attractor diameter >> capture radius
+    # a capture radius equal to the tail's largest distance holds it
+    far = rep.tail_max_distance
+    assert convergence_report(free_run, eqs, grid, capture_radius=far).stabilized
+    below = math.nextafter(far, 0.0)
+    assert not convergence_report(free_run, eqs, grid, capture_radius=below).stabilized
 
 
 def test_report_effort_is_time_integral(eqs):
@@ -430,6 +435,22 @@ def test_sweep_contains_cell_failures(params, s0, grid):
     assert "step" in by_gain[20.0].error
     assert by_gain[0.0].error is None
     assert by_gain[0.0].report is not None
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"tail": 1e9}, r"^tail \(1000000000.0\) must be shorter than the run span \(10.0\)$"),
+    ({"tail": 5.0, "capture_radius": -5.0},
+     r"^capture_radius must be a positive finite number, got -5.0$"),
+], ids=["tail", "capture_radius"])
+def test_sweep_whose_only_cell_diverges_refuses_bad_report_settings(params, s0, settings,
+                                                                     message):
+    # the settings are checked before the first run, not in its report
+    args = (params, s0, TimeGrid(0.0, 10.0, 0.1), [-1e30], [1e9],
+            ControllerConfig(K=-0.6, epsilon=1e9, t_on=0.0))
+    (cell,) = sweep(*args, tail=5.0).cells
+    assert cell.report is None and "step" in cell.error
+    with pytest.raises(ValueError, match=message):
+        sweep(*args, **settings)
 
 
 def test_sweep_rejects_empty_lists(params, s0, grid, controller):
@@ -904,15 +925,26 @@ def test_free_stretch_steps_past_the_first_open_gate_less_than_it_gated(
     assert dropped <= max(0, first - opening - 1)
 
 
-def lone_run_peak(p, s0, grid, cfg):
-    """A lone run and its tracemalloc peak in bytes a sample."""
+def lone_run_peak(p, s0, grid, cfg, run=run_controlled):
+    """What ``run(p, s0, grid, cfg)`` returns for a lone run, and its
+    tracemalloc peak in bytes a sample."""
     tracemalloc.start()
     try:
-        traj = run_controlled(p, s0, grid, cfg)
+        result = run(p, s0, grid, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return traj, peak / traj.n_samples
+    return result, peak / (grid.n_steps + 1)
+
+
+def run_and_report(p, s0, grid, cfg):
+    traj = run_controlled(p, s0, grid, cfg)
+    return traj, convergence_report(traj, equilibria(p), grid, cfg=cfg)
+
+
+def run_each_alone(p, s0, grid, cfg):
+    (pair,) = run_each(p, s0, grid, [cfg])
+    return pair
 
 
 def test_lone_never_open_run_peak_does_not_grow_with_t_on(params, s0):
@@ -934,6 +966,21 @@ def test_lone_run_steps_on_in_its_own_flow(params, s0):
     assert int(traj.active.argmax()) > 10000
     assert all(getattr(traj, name).flags.writeable for name in ARRAYS)
     assert peak <= 60.0
+
+
+def test_lone_run_each_steps_on_in_its_own_flow(params, s0):
+    # simulate's one-controller run_each peaks no higher than the run and its
+    # report made apart, 73 bytes a sample, but for a few hundred bytes of
+    # its own: its run is not copied off a flow kept for later runs (that
+    # copy added 32 bytes a sample)
+    cfg = ControllerConfig(K=-0.3, epsilon=5.0, t_on=1000.0, mode=PredictionMode.EULER)
+    grid = TimeGrid(0.0, 2000.0, 0.1)
+    (traj, report), apart = lone_run_peak(params, s0, grid, cfg, run_and_report)
+    (got, got_report), alone = lone_run_peak(params, s0, grid, cfg, run_each_alone)
+    assert int(got.active.argmax()) > 10000
+    assert alone <= apart + 1.0 and apart < 80.0
+    assert_same_outcome(got, traj)
+    assert repr(got_report) == repr(report)
 
 
 def assert_same_outcome(got, expected):

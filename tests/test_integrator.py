@@ -29,6 +29,7 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("t0,t_end,dt", [
         (0.0, 1.0, 0.3),      # does not divide evenly
+        (0.0, 1 + 5e-8, 0.1),  # 5e-7 steps off a whole number
         (0.0, 1.0, -0.1),     # negative step
         (0.0, 1.0, 0.0),      # zero step
         (1.0, 1.0, 0.1),      # empty span
@@ -101,6 +102,8 @@ class TestTimeGrid:
         (1.0, 0.3, (3.3333333333333335, None)),
         (0.05, 0.1, (0.5, None)),                  # fewer than one step
         (1e300, 1e-10, (math.inf, None)),          # overflows: bounded before round
+        (1 + 5e-12, 0.1, (10.00000000005, 10)),     # the grid TimeGrid(0, 1 + 5e-12, 0.1)
+        (1 + 5e-8, 0.1, (10.000000499999999, None)),  # 5e-7 off: TimeGrid refuses it
     ])
     def test_whole_steps(self, length, dt, expected):
         assert whole_steps(length, dt) == expected

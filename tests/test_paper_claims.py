@@ -1,5 +1,8 @@
-"""The paper's claims, checked against an oracle that does not use the
-package's control code.
+"""The paper's claims, checked against oracles that do not use the
+package's control code or its integrator.
+
+Chaos: the free flow from the reference start has a positive largest
+Lyapunov exponent, found here by Benettin's tangent-map method.
 
 The threshold: with the euler-mode law always on, the z-equation of the
 Rabinovich flow becomes (1 + K*tau) * (x*y - d*z), so the fixed points are the
@@ -75,3 +78,42 @@ def test_package_jacobian_agrees_in_sign_on_either_side(K, expected):
     assert math.copysign(1.0, theirs) == math.copysign(1.0, ours) == math.copysign(1.0, expected)
     assert theirs == pytest.approx(expected, abs=5e-5)
     assert ours == pytest.approx(theirs, abs=1e-12)
+
+
+def field_and_tangent(p, w):
+    """The free field at the state w[:3] and the Jacobian there applied to
+    the tangent w[3:]."""
+    x, y, z, vx, vy, vz = w
+    return (
+        -p.a * x + p.h * y + y * z,
+        p.h * x - p.b * y - x * z,
+        x * y - p.d * z,
+        -p.a * vx + (p.h + z) * vy + y * vz,
+        (p.h - z) * vx - p.b * vy - x * vz,
+        y * vx + x * vy - p.d * vz,
+    )
+
+
+def largest_lyapunov_exponent(p, start, transient, span, dt):
+    """Benettin's method: RK4 on the state and its tangent, in Python floats;
+    the tangent is renormalized every step, and the exponent is the mean log
+    growth a unit of time over ``span``, after ``transient`` time units."""
+    w, total = (*start, 1.0, 0.0, 0.0), 0.0
+    skip, steps = round(transient / dt), round((transient + span) / dt)
+    for k in range(steps):
+        k1 = field_and_tangent(p, w)
+        k2 = field_and_tangent(p, [a + 0.5 * dt * b for a, b in zip(w, k1)])
+        k3 = field_and_tangent(p, [a + 0.5 * dt * b for a, b in zip(w, k2)])
+        k4 = field_and_tangent(p, [a + dt * b for a, b in zip(w, k3)])
+        w = [a + dt / 6.0 * (b + 2.0 * c + 2.0 * d + e)
+             for a, b, c, d, e in zip(w, k1, k2, k3, k4)]
+        norm = math.sqrt(w[3] * w[3] + w[4] * w[4] + w[5] * w[5])
+        w[3:] = (w[3] / norm, w[4] / norm, w[5] / norm)
+        if k >= skip:
+            total += math.log(norm)
+    return total / span
+
+
+def test_free_flow_is_chaotic_by_its_largest_lyapunov_exponent():
+    lam = largest_lyapunov_exponent(PARAMS, (1.5, -1.25, 3.5), 50.0, 500.0, 0.01)
+    assert 0.40 < lam < 0.55
