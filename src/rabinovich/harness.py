@@ -37,7 +37,6 @@ import numpy as np
 from .control import (
     ControllerConfig,
     PredictionMode,
-    admissible_gain_interval,
     control_coefficients,
     delay_steps,
 )
@@ -487,7 +486,6 @@ class SweepCell:
     K: float
     epsilon: float
     mode: str
-    in_admissible_interval: bool
     report: Optional[ConvergenceReport]
     error: Optional[str]
 
@@ -519,8 +517,7 @@ def sweep(
 
     Cells run sequentially in a fixed order, so repeated sweeps are
     reproducible.  A cell whose run diverges records the error and leaves
-    the report empty; it never aborts the sweep.  Each cell is flagged
-    against the admissible gain interval for the system's d.
+    the report empty; it never aborts the sweep.
 
     The cells are the controllers of one ``run_each``, on one free flow;
     the outputs equal those of every cell run alone.
@@ -531,7 +528,6 @@ def sweep(
     if not mode_list:
         raise ValueError("modes must be nonempty when given")
 
-    interval = admissible_gain_interval(p.d)
     cfgs = [
         replace(base_cfg, K=float(K), epsilon=float(eps), mode=mode)
         for mode in mode_list for K in K_values for eps in eps_values
@@ -542,7 +538,5 @@ def sweep(
         result, report = next(results)  # not zip(), whose reused tuple keeps it alive a run longer
         error = str(result) if report is None else None
         del result
-        cells.append(
-            SweepCell(cfg.K, cfg.epsilon, cfg.mode.value, interval.contains(cfg.K), report, error)
-        )
+        cells.append(SweepCell(cfg.K, cfg.epsilon, cfg.mode.value, report, error))
     return SweepReport(cells=tuple(cells))

@@ -1,10 +1,10 @@
 """Acceptance gate: one test per contract criterion, at the stated tolerances.
 
-Each test is deliberately self-contained (oracle values inline) so a single
-``pytest -v tests/test_acceptance.py`` emits one pass/fail line per criterion.
+Each test is deliberately self-contained (oracle values inline, the output
+pins in ``tests/pins.py``) so a single ``pytest -v tests/test_acceptance.py``
+emits one pass/fail line per criterion.
 """
 
-import hashlib
 import math
 import time
 
@@ -32,6 +32,7 @@ from rabinovich import (
     write_trajectory_csv,
 )
 from rabinovich.cli import cli_dispatch
+from pins import PINS, command, digest
 from reference import control_term
 
 REFERENCE = Params(a=4.0, b=1.0, d=1.0, h=6.75)
@@ -155,32 +156,14 @@ def test_determinism_regression(tmp_path):
     assert a == b
 
 
-# sha256 prefixes of the reference outputs; any change to the numerics or to
-# the output formats moves them.
-OUTPUT_PINS = {
-    "fig4_trajectory.csv": "9b151002c085c517",
-    "fig5_trajectory.csv": "9b151002c085c517",
-    "fig4_report.txt": "973cd22ee1406c49",
-    "fig5_report.txt": "118b7cad984915a6",
-}
-ACCEPTANCE_SWEEP_PIN = "1fb2ebabedd06794"
-
-
-def _sha256(path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def test_output_bit_identity_pins(tmp_path, capsys):
-    assert cli_dispatch(["reproduce", "all", "--out-dir", str(tmp_path)]) == 0
-    for name, pin in OUTPUT_PINS.items():
-        assert _sha256(tmp_path / name).startswith(pin), name
-    out = tmp_path / "sweep.csv"
-    assert cli_dispatch([
-        "sweep", "--K=-0.9,-0.6,-0.3,-0.1", "--epsilon", "0.1,0.5",
-        "--modes", "literal,euler", "--out", str(out),
-    ]) == 0
-    assert _sha256(out).startswith(ACCEPTANCE_SWEEP_PIN)
-    capsys.readouterr()
+@pytest.mark.parametrize("name", PINS)
+def test_output_bit_identity_pins(name, tmp_path, monkeypatch, capsys):
+    # any change to the numerics or to an output format moves a pin
+    monkeypatch.chdir(tmp_path)
+    assert cli_dispatch(command(name)) == 0
+    printed = capsys.readouterr().out
+    output = printed.encode() if name.endswith(".stdout") else (tmp_path / name).read_bytes()
+    assert digest(output) == PINS[name].sha256
 
 
 def test_invariant_suite(tmp_path):

@@ -1,6 +1,5 @@
 import builtins
 import contextlib
-import hashlib
 import io
 import os
 import sys
@@ -15,6 +14,7 @@ from rabinovich import cli, eigen3, equilibria, jacobian, read_trajectory_csv
 from rabinovich import io as rio
 from rabinovich.cli import cli_dispatch
 from rabinovich.config import _FLOAT_KEYS, default_config
+from pins import PINS, digest
 
 
 def run_cli(capsys, *argv):
@@ -90,7 +90,7 @@ DEFAULT_GAIN_CHECK = (
 
 # stdout byte for byte: (d, K) on both sides of each check, at the interval's
 # endpoints, at a K that six digits print as the interval's bound, and the
-# defaults (whose sha256 prefix CI pins as cbc12bd4b4859309)
+# defaults (pinned by sha256 as gain-check.stdout in tests/pins.py)
 GAIN_CHECK_PINS = [
     (("--d", "1", "--K", "-0.6"), DEFAULT_GAIN_CHECK),
     (("--d", "1", "--K", "-0.4"),
@@ -628,6 +628,20 @@ def test_sweep_takes_the_mode_from_the_config_unless_given(capsys, tmp_path, mod
     assert header.split(",")[2] == "mode" and row.split(",")[2] == written
 
 
+def test_sweep_runs_a_d_whose_gain_interval_bound_rounds_to_minus_one(capsys, tmp_path):
+    # (1-d)/(d+1) rounds to -1 at d = 1e16; the sweep does not need the
+    # interval, and records the cell's divergence (at step 1) as empty outcomes
+    cfg = tmp_path / "big_d.cfg"
+    cfg.write_text("d = 1e16\nt_end = 10\nt_on = 2\ntail = 2\n", encoding="utf-8")
+    out_path = tmp_path / "s.csv"
+    code, out, err = run_cli(capsys, "sweep", "--config", str(cfg), "--K=-0.6",
+                             "--epsilon", "0.1", "--out", str(out_path))
+    assert code == 0, err
+    assert out == "1 cells, 0 stabilized\n"
+    _, row = out_path.read_text(encoding="utf-8").splitlines()
+    assert row.split(",")[2:] == ["literal", "", "", "", "", ""]
+
+
 # --- reproduce -----------------------------------------------------------------------
 
 def test_reproduce_fig4(capsys, tmp_path):
@@ -736,7 +750,7 @@ def test_reproduce_writes_fig5_in_full_when_fig4s_csv_is_dev_null(capsys, tmp_pa
     code, _, _ = run_cli(capsys, "reproduce", "all", "--out-dir", str(tmp_path))
     assert code == 0
     fig5 = (tmp_path / "fig5_trajectory.csv").read_bytes()
-    assert hashlib.sha256(fig5).hexdigest()[:16] == "9b151002c085c517"
+    assert digest(fig5) == PINS["fig5_trajectory.csv"].sha256
     assert os.path.islink(tmp_path / "fig4_trajectory.csv")
 
 

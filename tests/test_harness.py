@@ -415,16 +415,6 @@ def test_sweep_cell_order_is_mode_then_K_then_eps(params, s0):
     ]
 
 
-def test_sweep_flags_inadmissible_gain(params, s0):
-    g = TimeGrid(0.0, 30.0, 0.1)
-    base = ControllerConfig(K=-0.6, epsilon=0.1, t_on=10.0)
-    rep = sweep(params, s0, g, [0.5, -0.6], [0.1], base, tail=10.0)
-    flags = {c.K: c.in_admissible_interval for c in rep.cells}
-    assert flags == {0.5: False, -0.6: True}
-    # the out-of-interval cell still completes
-    assert all(c.error is None for c in rep.cells)
-
-
 def test_sweep_contains_cell_failures(params, s0, grid):
     # K=20 with the gate pinned open diverges (oracle: step 12); K=0 is the
     # free flow and completes.  The sweep must record the failure and go on.

@@ -1,6 +1,5 @@
 import csv
 import errno
-import hashlib
 import io
 import math
 import os
@@ -39,6 +38,7 @@ from rabinovich import (
 from rabinovich import _decimals
 from rabinovich.cli import cli_dispatch
 from rabinovich._decimals import _BLOCK_ROWS, exact
+from pins import PINS, digest
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
 
@@ -175,16 +175,16 @@ def test_block_writer_matches_reference_on_gated_run(params, s0):
 def long_gated_run():
     # 20001 rows, the gate open on 41% of them, and one value in exponent
     # notation
-    cfg = parse_config("t_end = 200\ndt = 0.01\nmode = euler\nK = -0.3\nepsilon = 5\n")
+    cfg = parse_config(PINS["gated_long.csv"].config)
     return run_controlled(cfg.params, cfg.s0, cfg.grid, cfg.controller)
 
 
 def test_long_gated_csv_keeps_its_bytes(long_gated_run):
-    # sha256 prefix of this file as the per-row "%.17g" writer wrote it
+    # the pin is of this file as the per-row "%.17g" writer wrote it
     text = _dump(long_gated_run)
     assert long_gated_run.n_samples == 20001
     assert 0.4 < long_gated_run.active.mean() < 0.42
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "d8099540abb858a0"
+    assert digest(text.encode()) == PINS["gated_long.csv"].sha256
 
 
 def _write_peak(traj, path) -> int:
@@ -353,7 +353,7 @@ def test_writer_gives_each_of_two_destinations_the_bytes_of_one(tmp_path, long_g
     _stale(first, 7)
     write_trajectory_csv(long_gated_run, str(first), str(other) if second == "path" else other)
     text = _dump(long_gated_run)
-    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "d8099540abb858a0"
+    assert digest(text.encode()) == PINS["gated_long.csv"].sha256
     assert first.read_bytes() == text.encode()
     if second == "path":
         assert other.read_bytes() == text.encode()

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import rabinovich
+from pins import PINS
 
 
 def test_public_names_resolve():
@@ -51,3 +52,17 @@ def test_row_text_module_is_not_loaded_until_a_trajectory_is_written(tmp_path):
         "import": False, "csv": False, "sweep": False, "gain-check": False, "equilibria": False,
         "simulate": True,
     }
+
+
+def test_pin_values_are_written_only_in_the_pin_table():
+    # a re-issued pin then leaves no stale copy behind in a test or in CI
+    root = Path(__file__).resolve().parents[1]
+    table = (root / "tests" / "pins.py").read_text(encoding="utf-8")
+    values = {pin.sha256 for pin in PINS.values()}
+    assert all(table.count(value) == 1 for value in values)
+    others = [path for path in [*(root / "tests").glob("*.py"),
+                                *(root / ".github" / "workflows").glob("*.yml")]
+              if path.name != "pins.py"]
+    copies = [(path.name, value) for path in others for value in values
+              if value in path.read_text(encoding="utf-8")]
+    assert copies == []
