@@ -131,7 +131,7 @@ def parse_config(text: str) -> RunConfig:
         )
         lag = delay_steps(controller, grid.dt)
         point = equilibria(params).points[-1]  # largest |x|, |y|: the row overflows there first
-        closed_loop_jacobian(params, controller.K, point, mode=mode, tau=controller.tau)
+        closed_loop_jacobian(params, controller, point)
         check_report_settings(values["tail"], values["capture_radius"], grid.t_end - grid.t0)
         # Else the controller could never act on a step: a gate can open only
         # at a sample with a full delay window and t > t_on, and an open gate

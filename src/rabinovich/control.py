@@ -45,11 +45,9 @@ __all__ = [
     "PredictionMode",
     "prediction_mode",
     "ControllerConfig",
-    "GainInterval",
     "control_coefficients",
     "admissible_gain_interval",
     "closed_loop_scalar_coeff",
-    "eigen3",
     "closed_loop_jacobian",
     "delay_steps",
 ]
@@ -115,73 +113,35 @@ def control_coefficients(p: Params, cfg: ControllerConfig) -> tuple[float, float
     return cfg.K * cfg.tau, -p.d
 
 
-@dataclass(frozen=True)
-class GainInterval:
-    """Open interval (lo, hi) of admissible gains."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"empty gain interval ({self.lo!r}, {self.hi!r})")
-
-    def contains(self, K: float) -> bool:
-        return self.lo < K < self.hi
-
-
-def admissible_gain_interval(d: float) -> GainInterval:
+def admissible_gain_interval(d: float) -> tuple[float, float]:
     """Gains K for which |-d - K(d+1)| < 1, i.e. the scalar closed-loop
     coefficient of the controlled z-equation passes the discrete-style
     magnitude test.  Solving the two-sided inequality gives the open
-    interval (-1, (1-d)/(d+1))."""
+    interval (-1, (1-d)/(d+1)), returned as its ends ``(lo, hi)``."""
     d = _finite("d", d, positive=True)
     hi = (1.0 - d) / (d + 1.0)
     if hi <= -1.0:
         raise ValueError(
             f"d = {d!r} is too large: the interval bound (1-d)/(d+1) rounds to -1"
         )
-    return GainInterval(-1.0, hi)
+    return -1.0, hi
 
 
 def closed_loop_scalar_coeff(d: float, K: float) -> float:
     """Coefficient m = -d - K(d+1) of the linearized controlled z-equation,
     the A + K(A - 1) of its open-loop coefficient A = -d (the same bits:
-    negation is exact).  K = 0 recovers the open-loop decay rate -d.  A bad d,
-    or a gain so large that m overflows, is rejected with a ValueError."""
+    negation is exact).  K = 0 recovers the open-loop decay rate -d.  A bad d
+    or K, or a gain so large that m overflows, is rejected with a ValueError."""
     d = _finite("d", d, positive=True)
+    K = _finite("K", K)
     m = -d - K * (d + 1.0)
     if not math.isfinite(m):
-        raise ValueError(f"K = {float(K)!r} is too large: the coefficient A + K(A - 1) overflows")
+        raise ValueError(f"K = {K!r} is too large: the coefficient A + K(A - 1) overflows")
     return m
 
 
-def eigen3(M) -> tuple[complex, ...]:
-    """Eigenvalues of a 3x3 real matrix, sorted by descending real part then
-    descending imaginary part (keeps complex-conjugate pairs adjacent).
-
-    Backed by LAPACK via numpy; the regression suite checks the results
-    against the characteristic polynomial directly.
-    """
-    arr = np.asarray(M, dtype=float)
-    if arr.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 matrix, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("matrix entries must be finite")
-    vals = np.linalg.eigvals(arr)
-    order = np.lexsort((-vals.imag, -vals.real))
-    return tuple(complex(v) for v in vals[order])
-
-
-def closed_loop_jacobian(
-    p: Params,
-    K: float,
-    at: State,
-    *,
-    mode: PredictionMode = PredictionMode.DERIVATIVE,
-    tau: float = 1.0,
-) -> np.ndarray:
-    """Full 3x3 linearization of the flow with the control always on.
+def closed_loop_jacobian(p: Params, cfg: ControllerConfig, at: State) -> np.ndarray:
+    """Full 3x3 linearization of the flow with ``cfg``'s control always on.
 
     The control u = g*(c*z + x*y) of ``control_coefficients`` enters only the
     z-equation, so the open-loop Jacobian keeps its first two rows and the
@@ -189,11 +149,11 @@ def closed_loop_jacobian(
     Jacobian bit for bit.  A gain so large that the row overflows is rejected
     with a ValueError, which in EULER mode names tau too (the gain is K*tau).
     """
-    g, c = control_coefficients(p, ControllerConfig(K, mode=mode, tau=tau))
+    g, c = control_coefficients(p, cfg)
     row = ((1.0 + g) * at.y, (1.0 + g) * at.x, -p.d + g * c)
     if not all(map(math.isfinite, row)):
-        tau_too = f" with tau = {float(tau)!r}" if mode is PredictionMode.EULER else ""
-        raise ValueError(f"K = {float(K)!r}{tau_too} is too large: the controlled jacobian overflows")
+        tau_too = f" with tau = {cfg.tau!r}" if cfg.mode is PredictionMode.EULER else ""
+        raise ValueError(f"K = {cfg.K!r}{tau_too} is too large: the controlled jacobian overflows")
     J = jacobian(p, at)
     J[2] = row
     return J

@@ -6,11 +6,12 @@ import sys
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from rabinovich import cli, eigen3, equilibria, jacobian, read_trajectory_csv
+from rabinovich import cli, equilibria, jacobian, read_trajectory_csv
 from rabinovich import io as rio
 from rabinovich.cli import cli_dispatch
 from rabinovich.config import _FLOAT_KEYS, default_config
@@ -168,20 +169,6 @@ def test_gain_check_rejects_bad_d(capsys):
     assert "error" in err
 
 
-def test_gain_check_rejects_nan_gain(capsys):
-    code, out, err = run_cli(capsys, "gain-check", "--K", "nan")
-    assert code == 1
-    assert "--K" in err and "finite" in err
-    assert out == ""
-
-
-def test_gain_check_rejects_nan_d(capsys):
-    code, out, err = run_cli(capsys, "gain-check", "--d", "nan")
-    assert code == 1
-    assert "--d" in err and "finite" in err
-    assert out == ""
-
-
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv, option", [
     (("gain-check", "--K", "1e308"), "--K"),
@@ -263,7 +250,7 @@ def test_equilibria_open_loop_number_is_the_jacobians_max_re(capsys):
     points = equilibria(p).points
     assert len(pairs) == len(points) == 3
     for (open_loop, _), point in zip(pairs, points):
-        max_re = max(ev.real for ev in eigen3(jacobian(p, point)))
+        max_re = np.linalg.eigvals(jacobian(p, point)).real.max()
         assert open_loop.startswith(format(max_re, "+.6g") + " -> ")
 
 

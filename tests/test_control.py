@@ -17,7 +17,6 @@ from rabinovich import (
     closed_loop_scalar_coeff,
     control_coefficients,
     delay_steps,
-    eigen3,
     field_components,
     jacobian,
     run_controlled,
@@ -144,19 +143,13 @@ def test_control_term_is_the_written_law_in_coefficient_form(x, y, z, K, tau, d)
 # --- gain admissibility --------------------------------------------------------
 
 def test_interval_at_d_one():
-    interval = admissible_gain_interval(1.0)
-    assert (interval.lo, interval.hi) == (-1.0, 0.0)
-    assert interval.contains(-0.6)
-    assert not interval.contains(0.0)  # open at both ends
-    assert not interval.contains(-1.0)
+    assert admissible_gain_interval(1.0) == (-1.0, 0.0)
 
 
 def test_interval_at_d_three():
-    interval = admissible_gain_interval(3.0)
-    assert (interval.lo, interval.hi) == (-1.0, -0.5)
+    assert admissible_gain_interval(3.0) == (-1.0, -0.5)
     # spot check from the defining inequality
     assert abs(-3.0 - (-0.75) * 4.0) == 0.0 < 1.0
-    assert interval.contains(-0.75)
 
 
 def test_interval_rejects_bad_d():
@@ -182,8 +175,8 @@ def test_interval_agrees_with_scalar_check(d, K):
     # endpoint that the coefficient rounds onto the |coeff| = 1 boundary.
     coeff = closed_loop_scalar_coeff(d, K)
     assume(abs(abs(coeff) - 1.0) > 1e-9)
-    inside = admissible_gain_interval(d).contains(K)
-    assert inside == (abs(coeff) < 1.0)
+    lo, hi = admissible_gain_interval(d)
+    assert (lo < K < hi) == (abs(coeff) < 1.0)
 
 
 def test_interval_check_agreement_thousand_samples(rng):
@@ -192,7 +185,8 @@ def test_interval_check_agreement_thousand_samples(rng):
         d = float(rng.uniform(0.05, 10.0))
         K = float(rng.uniform(-3.0, 3.0))
         discrete_ok = abs(closed_loop_scalar_coeff(d, K)) < 1.0
-        assert admissible_gain_interval(d).contains(K) == discrete_ok
+        lo, hi = admissible_gain_interval(d)
+        assert (lo < K < hi) == discrete_ok
 
 
 # --- closed-loop checks ---------------------------------------------------------
@@ -216,17 +210,18 @@ def test_check_rejects_overflowing_gain(params, s0):
     with pytest.raises(ValueError, match="K = 1e\\+308 is too large"):
         closed_loop_scalar_coeff(1.0, 1e308)
     with pytest.raises(ValueError, match="K = -1e\\+308 is too large"):
-        closed_loop_jacobian(params, -1e308, s0)
+        closed_loop_jacobian(params, ControllerConfig(K=-1e308), s0)
 
 
 # --- full closed-loop jacobian ---------------------------------------------------
 
 def test_closed_loop_jacobian_zero_gain_is_open_loop(params, s0):
-    assert np.array_equal(closed_loop_jacobian(params, 0.0, s0), jacobian(params, s0))
+    J = closed_loop_jacobian(params, ControllerConfig(K=0.0), s0)
+    assert np.array_equal(J, jacobian(params, s0))
 
 
 def test_closed_loop_jacobian_z_row_at_equilibrium(params, eqs):
-    J = closed_loop_jacobian(params, -0.6, eqs.points[1])
+    J = closed_loop_jacobian(params, ControllerConfig(K=-0.6), eqs.points[1])
     assert J[2, 0] == pytest.approx(0.55916, abs=1e-4)   # (1+K) y*
     assert J[2, 1] == pytest.approx(1.84476, abs=1e-4)   # (1+K) x*
     assert J[2, 2] == pytest.approx(0.2, abs=1e-15)      # -d - K(d+1)
@@ -235,7 +230,7 @@ def test_closed_loop_jacobian_z_row_at_equilibrium(params, eqs):
 @given(x=coords, y=coords, z=coords, K=gains)
 def test_zz_entry_is_scalar_coeff_everywhere(x, y, z, K):
     p = Params(4.0, 1.0, 1.0, 6.75)
-    J = closed_loop_jacobian(p, K, State(x, y, z))
+    J = closed_loop_jacobian(p, ControllerConfig(K=K), State(x, y, z))
     assert J[2, 2] == closed_loop_scalar_coeff(p.d, K)
 
 
@@ -251,63 +246,13 @@ def test_closed_loop_jacobian_matches_finite_differences(params, rng, mode, tau)
 
     for _ in range(20):
         s = rng.uniform(-8.0, 8.0, size=3)
-        J = closed_loop_jacobian(params, cfg.K, State(*s), mode=mode, tau=tau)
+        J = closed_loop_jacobian(params, cfg, State(*s))
         eps = 1e-6
         for j in range(3):
             step = np.zeros(3)
             step[j] = eps
             col = (controlled(s + step) - controlled(s - step)) / (2 * eps)
             assert np.allclose(J[:, j], col, atol=1e-6)
-
-
-# --- eigenvalues -----------------------------------------------------------------
-
-def test_eigen3_identity():
-    assert eigen3(np.eye(3)) == (1 + 0j, 1 + 0j, 1 + 0j)
-
-
-def test_eigen3_diagonal():
-    lam = eigen3(np.diag([-4.0, -1.0, -1.0]))
-    assert lam == (-1 + 0j, -1 + 0j, -4 + 0j)  # sorted by descending real part
-
-
-def test_eigen3_open_loop_origin(params):
-    # block [[-4, 6.75], [6.75, -1]] has polynomial t^2 + 5t - 41.5625,
-    # roots (-5 +- sqrt(25 + 4*41.5625))/2; the z-row contributes -1
-    J = jacobian(params, State(0.0, 0.0, 0.0))
-    lam = eigen3(J)
-    disc = math.sqrt(25.0 + 4.0 * 41.5625)
-    assert lam[0].real == pytest.approx((-5.0 + disc) / 2.0, rel=1e-9)
-    assert lam[1].real == pytest.approx(-1.0, rel=1e-9)
-    assert lam[2].real == pytest.approx((-5.0 - disc) / 2.0, rel=1e-9)
-    assert all(ev.imag == 0.0 for ev in lam)
-    assert lam[0].real > 0.0  # the origin is unstable
-
-
-def test_eigen3_conjugate_pairs_adjacent(params, eqs):
-    lam = eigen3(jacobian(params, eqs.points[1]))
-    complex_ones = [ev for ev in lam if ev.imag != 0.0]
-    assert len(complex_ones) == 2
-    assert complex_ones[0] == complex_ones[1].conjugate()
-
-
-def test_eigen3_characteristic_residuals(rng):
-    # det(M - lam I) expanded via trace invariants; residual must be tiny
-    for _ in range(1000):
-        M = rng.uniform(-10.0, 10.0, size=(3, 3))
-        c2 = -np.trace(M)
-        c1 = 0.5 * (np.trace(M) ** 2 - np.trace(M @ M))
-        c0 = -np.linalg.det(M)
-        for lam in eigen3(M):
-            residual = abs(lam**3 + c2 * lam**2 + c1 * lam + c0)
-            assert residual < 1e-8
-
-
-def test_eigen3_rejects_nonfinite_and_wrong_shape():
-    with pytest.raises(ValueError):
-        eigen3(np.full((3, 3), math.nan))
-    with pytest.raises(ValueError):
-        eigen3(np.eye(4))
 
 
 # --- activation gate ---------------------------------------------------------------

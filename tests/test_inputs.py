@@ -87,12 +87,13 @@ BAD_INPUTS = [
      "d must be a positive finite number, got 0.0"),
     ("scalar-coeff-K", lambda: _refusal(closed_loop_scalar_coeff, 1.0, 1e308),
      "K = 1e+308 is too large: the coefficient A + K(A - 1) overflows"),
-    ("jacobian-literal", lambda: _refusal(closed_loop_jacobian, Params(4, 1, 1, 6.75), 1e308,
-                                          State(1, 1, 1)),
+    ("jacobian-literal", lambda: _refusal(closed_loop_jacobian, Params(4, 1, 1, 6.75),
+                                          ControllerConfig(K=1e308), State(1, 1, 1)),
      "K = 1e+308 is too large: the controlled jacobian overflows"),
-    ("jacobian-euler", lambda: _refusal(closed_loop_jacobian, Params(4, 1, 1, 6.75), -0.6,
-                                        State(10, 10, 10), mode=PredictionMode.EULER,
-                                        tau=1e308),
+    ("jacobian-euler",
+     lambda: _refusal(closed_loop_jacobian, Params(4, 1, 1, 6.75),
+                      ControllerConfig(K=-0.6, mode=PredictionMode.EULER, tau=1e308),
+                      State(10, 10, 10)),
      "K = -0.6 with tau = 1e+308 is too large: the controlled jacobian overflows"),
     ("report-tail", lambda: _refusal(check_report_settings, 0.0, 1.0, 10.0),
      "tail must be a positive finite number, got 0.0"),
@@ -130,6 +131,15 @@ BAD_INPUTS = [
     ("sweep-modes", lambda: _cli_refusal("sweep", "--K=-0.6", "--epsilon", "0.1",
                                          "--modes", "euler, forward"),
      "error: modes: expected one of literal,euler, got 'forward'\n"),
+    ("gain-check-K-nan", lambda: _cli_refusal("gain-check", "--K", "nan"),
+     "error: --K: K must be finite, got nan\n"),
+    ("gain-check-d-inf", lambda: _cli_refusal("gain-check", "--d", "inf"),
+     "error: --d: d must be a positive finite number, got inf\n"),
+    ("gain-check-K-text", lambda: _cli_refusal("gain-check", "--K", "abc"),
+     "usage: rabinovich gain-check [-h] [--d D] [--K K]\n"
+     "rabinovich gain-check: error: argument --K: invalid float value: 'abc'\n"),
+    ("equilibria-K-nan", lambda: _cli_refusal("equilibria", "--K", "nan"),
+     "error: --K: K must be finite, got nan\n"),
 ]
 
 
@@ -181,6 +191,9 @@ FLOAT_FIELDS = {
     "capture_radius": (True, lambda v: check_report_settings(1.0, v, 2.0) or float(v)),
     # m = -d at K = 0, so the coefficient's negation is d as stored
     "d of the scalar coefficient": (True, lambda v: -closed_loop_scalar_coeff(v, 0.0)),
+    # d + 1 rounds to 1 at this d, so m = -d - K is finite at every finite K
+    "K of the scalar coefficient": (False,
+                                    lambda v: (closed_loop_scalar_coeff(5e-324, v), float(v))[1]),
 }
 
 float_values = st.one_of(
@@ -205,9 +218,12 @@ def _bits(x: float) -> bytes:
 @example(field="t0", value=MAX)
 @example(field="t_end", value=-MAX)
 @example(field="t_end", value=-0.0)
+@example(field="K of the scalar coefficient", value=math.nan)
+@example(field="K of the scalar coefficient", value=-math.inf)
+@example(field="K of the scalar coefficient", value=-5e-324)
 def test_each_float_field_is_refused_exactly_when_its_rule_fails(field, value):
     positive, build = FLOAT_FIELDS[field]
-    name = "d" if field.startswith("d of") else field
+    name = field.split(" of ")[0]
     f = float(value)
     if not math.isfinite(f) or (positive and f <= 0.0):
         rule = "a positive finite number" if positive else "finite"
@@ -240,8 +256,11 @@ not_numbers = st.one_of(
 @given(field=st.sampled_from(sorted(FLOAT_FIELDS)), value=not_numbers)
 @example(field="a", value=10**400)
 @example(field="K", value=None)
+@example(field="K of the scalar coefficient", value=None)
+@example(field="K of the scalar coefficient", value="nan")
+@example(field="K of the scalar coefficient", value=b"4")
 def test_each_float_field_refuses_what_is_not_a_number(field, value):
     positive, build = FLOAT_FIELDS[field]
-    name = "d" if field.startswith("d of") else field
+    name = field.split(" of ")[0]
     rule = "a positive finite number" if positive else "finite"
     assert _refusal(build, value) == f"{name} must be {rule}, got {value!r}"

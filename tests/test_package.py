@@ -14,7 +14,8 @@ def test_public_names_resolve():
     assert len(set(rabinovich.__all__)) == len(rabinovich.__all__)
     removed = ("integrate", "FieldFn", "ReportSettings", "vector_field",
                "rk4_step", "check_state", "activation_gate", "control_term",
-               "SINGULAR_DET_TOL", "closed_loop_check", "StabilityVerdict", "gate_samples")
+               "SINGULAR_DET_TOL", "closed_loop_check", "StabilityVerdict", "gate_samples",
+               "eigen3", "GainInterval")
     for module in (rabinovich, rabinovich.integrator, rabinovich.control):
         for name in removed:
             assert not hasattr(module, name), (module.__name__, name)

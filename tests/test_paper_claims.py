@@ -10,6 +10,10 @@ open-loop ones.  The gain K* at which the positive-x point turns stable is
 found here by bisection on the largest real part of the Jacobian written out
 below; the package's ``closed_loop_jacobian`` must agree with it in sign on
 either side.
+
+The analytical results: each largest real part that ``equilibria`` prints is
+the largest real part of the roots of the characteristic polynomial of a
+Jacobian written out below, open-loop and with the control always on.
 """
 
 import math
@@ -17,7 +21,8 @@ import math
 import numpy as np
 import pytest
 
-from rabinovich import Params, PredictionMode, State, closed_loop_jacobian
+from rabinovich import ControllerConfig, Params, PredictionMode, State, closed_loop_jacobian
+from rabinovich.cli import cli_dispatch
 
 PARAMS = Params(4.0, 1.0, 1.0, 6.75)  # the reference chaotic parameter set
 TAU = 1.0
@@ -43,8 +48,26 @@ def euler_jacobian(p, K, tau, point):
     ])
 
 
+def literal_jacobian(p, K, point):
+    """The Jacobian of the open-loop x- and y-equations and of
+    z' = x*y - d*z + K*(x*y - (d+1)*z)."""
+    x, y, _ = point
+    J = euler_jacobian(p, 0.0, TAU, point)  # the open-loop flow's
+    J[2] = ((1.0 + K) * y, (1.0 + K) * x, -p.d - K * (p.d + 1.0))
+    return J
+
+
 def max_real(J):
     return float(np.linalg.eigvals(J).real.max())
+
+
+def max_real_of_roots(J):
+    """The largest real part of the roots of det(lambda*I - J), which is
+    lambda^3 - trace*lambda^2 + minors*lambda - det, where minors is the sum
+    of J's principal 2x2 minors."""
+    minors = (J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0] + J[0, 0] * J[2, 2] - J[0, 2] * J[2, 0]
+              + J[1, 1] * J[2, 2] - J[1, 2] * J[2, 1])
+    return float(np.roots([1.0, -np.trace(J), minors, -np.linalg.det(J)]).real.max())
 
 
 def test_positive_x_point_is_a_fixed_point():
@@ -73,7 +96,8 @@ def test_euler_threshold_lies_where_the_linearization_turns_stable():
 def test_package_jacobian_agrees_in_sign_on_either_side(K, expected):
     point = positive_x_point(PARAMS)
     ours = max_real(euler_jacobian(PARAMS, K, TAU, point))
-    J = closed_loop_jacobian(PARAMS, K, State(*point), mode=PredictionMode.EULER, tau=TAU)
+    cfg = ControllerConfig(K, mode=PredictionMode.EULER, tau=TAU)
+    J = closed_loop_jacobian(PARAMS, cfg, State(*point))
     theirs = max_real(J)
     assert math.copysign(1.0, theirs) == math.copysign(1.0, ours) == math.copysign(1.0, expected)
     assert theirs == pytest.approx(expected, abs=5e-5)
@@ -117,3 +141,43 @@ def largest_lyapunov_exponent(p, start, transient, span, dt):
 def test_free_flow_is_chaotic_by_its_largest_lyapunov_exponent():
     lam = largest_lyapunov_exponent(PARAMS, (1.5, -1.25, 3.5), 50.0, 500.0, 0.01)
     assert 0.40 < lam < 0.55
+
+
+def printed_max_real(out):
+    """{label: (open-loop text, controlled text)} of equilibria's stdout,
+    each text a max Re and its verdict."""
+    lines = out.splitlines()
+    return {
+        line.split(":")[0]: (lines[i + 1].split("max Re = ")[1], lines[i + 2].split("max Re = ")[1])
+        for i, line in enumerate(lines)
+        if "residual = " in line
+    }
+
+
+@pytest.mark.parametrize("config, argv, controlled, readme", [
+    ("", (), lambda point: literal_jacobian(PARAMS, -0.6, point), "+0.439018"),
+    ("mode = euler\nK = 0.6\n", (), lambda point: euler_jacobian(PARAMS, 0.6, TAU, point),
+     "+0.0549647"),
+    ("", ("--K", "0"), lambda point: literal_jacobian(PARAMS, 0.0, point), None),
+], ids=["literal-K=-0.6", "euler-K=0.6", "K=0"])
+def test_equilibria_prints_the_max_real_root_of_each_characteristic_polynomial(
+        capsys, tmp_path, config, argv, controlled, readme):
+    path = tmp_path / "eq.cfg"
+    path.write_text(config, encoding="utf-8")
+    assert cli_dispatch(["equilibria", "--config", str(path), *argv]) == 0
+    printed = printed_max_real(capsys.readouterr().out)
+    x, y, z = positive_x_point(PARAMS)
+    points = {"origin": (0.0, 0.0, 0.0), "positive-x": (x, y, z), "negative-x": (-x, -y, z)}
+    assert set(printed) == set(points)
+    for label, point in points.items():
+        jacobians = (euler_jacobian(PARAMS, 0.0, TAU, point), controlled(point))
+        for text, J in zip(printed[label], jacobians):
+            value, verdict = text.split(" -> ")
+            expected = max_real_of_roots(J)
+            assert float(value) == pytest.approx(expected, rel=1e-5)
+            assert verdict == f"{'stable' if expected < 0.0 else 'unstable'} (continuous)"
+    if readme is not None:  # README's controlled max Re of the off-axis pair
+        assert printed["positive-x"][1].split(" -> ")[0] == readme
+        assert printed["negative-x"][1].split(" -> ")[0] == readme
+    else:  # K = 0 prints the open-loop numbers twice
+        assert all(open_loop == ctl for open_loop, ctl in printed.values())
