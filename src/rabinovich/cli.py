@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from dataclasses import replace
 from itertools import combinations
@@ -60,22 +59,6 @@ def _load_config(path: Optional[str]) -> RunConfig:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from exc
     return parse_config(text)
-
-
-# Options whose value may be a list of negative numbers, like "-0.9,-0.6".
-# argparse takes such a token for an option, so it is attached with "=".
-_LIST_OPTIONS = ("--K", "--epsilon")
-_NEGATIVE_VALUE = re.compile(r"-[0-9.]")
-
-
-def _attach_negative_lists(argv: Sequence[str]) -> list:
-    args: list = []
-    for tok in argv:
-        if args and args[-1] in _LIST_OPTIONS and _NEGATIVE_VALUE.match(tok):
-            args[-1] += "=" + tok
-        else:
-            args.append(tok)
-    return args
 
 
 def _float_list(text: str, name: str) -> list:
@@ -325,12 +308,29 @@ def _parser() -> argparse.ArgumentParser:
 
 
 _PARSER = _parser()
+_VALUE_OPTIONS = frozenset(  # every subcommand option whose action's nargs is None
+    option
+    for sub in _PARSER._actions if isinstance(sub, argparse._SubParsersAction)
+    for command in sub.choices.values()
+    for option, action in command._option_string_actions.items() if action.nargs is None
+)
+
+
+def _attach_values(argv: Sequence[str]) -> list:
+    """argv with each value option joined to its next token by "=", unless that
+    token starts with "--": so "-0.6,-0.3", "-inf" and "-x.csv" are values."""
+    args: list = []
+    for tok in argv:
+        if args and args[-1] in _VALUE_OPTIONS and not tok.startswith("--"):
+            tok = args.pop() + "=" + tok
+        args.append(tok)
+    return args
 
 
 def cli_dispatch(argv: Sequence[str]) -> int:
     """Parse argv (without the program name) and run one subcommand."""
     try:
-        args = _PARSER.parse_args(_attach_negative_lists(argv))
+        args = _PARSER.parse_args(_attach_values(argv))
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; fold the latter
         # into the documented config/usage code.

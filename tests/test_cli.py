@@ -572,6 +572,16 @@ def test_sweep_negative_epsilon_list_names_the_field(capsys, tmp_path):
     assert err == "error: epsilon must be a positive finite number, got -0.1\n"
 
 
+def test_sweep_writes_an_output_path_that_starts_with_a_dash(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "short.cfg").write_text("t_end = 100\ndt = 0.1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "sweep", "--config", "short.cfg", "--K", "-0.6",
+                             "--epsilon", "0.1", "--out", "-x.csv")
+    assert code == 0, err
+    assert err == "wrote -x.csv\n"
+    assert (tmp_path / "-x.csv").read_text(encoding="utf-8").startswith("K,epsilon,mode,")
+
+
 def test_sweep_option_is_not_taken_for_a_gain_list(capsys, tmp_path):
     code, _, err = run_cli(capsys, "sweep", "--K", "--epsilon", "0.1",
                            "--out", str(tmp_path / "s.csv"))

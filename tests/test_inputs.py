@@ -140,6 +140,15 @@ BAD_INPUTS = [
      "rabinovich gain-check: error: argument --K: invalid float value: 'abc'\n"),
     ("equilibria-K-nan", lambda: _cli_refusal("equilibria", "--K", "nan"),
      "error: --K: K must be finite, got nan\n"),
+    # A value that starts with "-" is the option's value, not another option.
+    ("gain-check-K-minus-inf", lambda: _cli_refusal("gain-check", "--K", "-inf"),
+     "error: --K: K must be finite, got -inf\n"),
+    ("gain-check-d-negative", lambda: _cli_refusal("gain-check", "--d", "-1e5"),
+     "error: --d: d must be a positive finite number, got -100000.0\n"),
+    ("equilibria-K-minus-inf", lambda: _cli_refusal("equilibria", "--K", "-inf"),
+     "error: --K: K must be finite, got -inf\n"),
+    ("sweep-epsilon-minus-inf", lambda: _cli_refusal("sweep", "--K=-0.6", "--epsilon", "-inf"),
+     "error: epsilon must be a positive finite number, got -inf\n"),
 ]
 
 

@@ -14,6 +14,10 @@ either side.
 The analytical results: each largest real part that ``equilibria`` prints is
 the largest real part of the roots of the characteristic polynomial of a
 Jacobian written out below, open-loop and with the control always on.
+
+Convergence: this one runs the package's own loop, through ``run_each``, from
+100 starts on the attractor, and judges each run by its report.  Capture
+switches on past the threshold K* found above.
 """
 
 import math
@@ -21,7 +25,16 @@ import math
 import numpy as np
 import pytest
 
-from rabinovich import ControllerConfig, Params, PredictionMode, State, closed_loop_jacobian
+from rabinovich import (
+    ControllerConfig,
+    Params,
+    PredictionMode,
+    State,
+    TimeGrid,
+    closed_loop_jacobian,
+    run_each,
+    run_uncontrolled,
+)
 from rabinovich.cli import cli_dispatch
 
 PARAMS = Params(4.0, 1.0, 1.0, 6.75)  # the reference chaotic parameter set
@@ -181,3 +194,22 @@ def test_equilibria_prints_the_max_real_root_of_each_characteristic_polynomial(
         assert printed["negative-x"][1].split(" -> ")[0] == readme
     else:  # K = 0 prints the open-loop numbers twice
         assert all(open_loop == ctl for open_loop, ctl in printed.values())
+
+
+def test_capture_switches_on_past_the_euler_threshold():
+    # K* is about 0.837 (the bisection above): capture is none at the paper's
+    # gains in (-1, 0) nor at 0.7, below K*, and nearly every start at 1.5.
+    free = run_uncontrolled(PARAMS, State(1.5, -1.25, 3.5), TimeGrid(0.0, 496.0, 0.01))
+    starts = free.states[10000::400]  # every 4 time units from t = 100
+    assert len(starts) == 100
+    gains = (-0.6, -0.3, 0.7, 1.5)
+    cfgs = [ControllerConfig(K, epsilon=5.0, t_on=40.0, mode=PredictionMode.EULER, tau=TAU)
+            for K in gains]
+    captured = dict.fromkeys(gains, 0)
+    for start in starts:
+        runs = run_each(PARAMS, State(*start), TimeGrid(0.0, 100.0, 0.05), cfgs)
+        for K, (_, report) in zip(gains, runs):
+            assert report is not None, f"K = {K} diverged from {start}"
+            captured[K] += report.stabilized
+    assert captured[-0.6] == captured[-0.3] == captured[0.7] == 0
+    assert captured[1.5] >= 90
