@@ -3,6 +3,7 @@
 Subcommands: equilibria, simulate, gain-check, sweep, reproduce.
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
 stdout carries data, stderr carries diagnostics.
+Options are spelled in full: --name value, or --name=value for a value starting "--".
 An option with a config key only overrides it.  Every path a command writes
 is checked, against the others and the config read, before any run.
 """
@@ -257,7 +258,7 @@ def _cmd_reproduce(args: argparse.Namespace) -> int:
 def _parser() -> argparse.ArgumentParser:
     """The argument parser; built once, at import, as ``_PARSER``."""
     parser = argparse.ArgumentParser(
-        prog="rabinovich",
+        prog="rabinovich", allow_abbrev=False,
         description=(
             "Rabinovich system toolkit: equilibria and stability analysis, "
             "gated predictive control runs, gain checks, and (K, epsilon) sweeps."
@@ -266,7 +267,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eq = sub.add_parser(
-        "equilibria",
+        "equilibria", allow_abbrev=False,
         help="list fixed points with open-loop and controlled stability verdicts",
     )
     p_eq.add_argument("--config", help="key=value config file (defaults if omitted)")
@@ -274,7 +275,7 @@ def _parser() -> argparse.ArgumentParser:
     p_eq.set_defaults(func=_cmd_equilibria)
 
     p_sim = sub.add_parser(
-        "simulate", help="run one configuration; write trajectory CSV and report"
+        "simulate", allow_abbrev=False, help="run one configuration; write trajectory CSV and report"
     )
     p_sim.add_argument("--config", help="key=value config file (defaults if omitted)")
     p_sim.add_argument("--uncontrolled", action="store_true", help="open-loop run")
@@ -283,13 +284,14 @@ def _parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_gain = sub.add_parser(
-        "gain-check", help="admissible interval and both stability checks for (d, K)"
+        "gain-check", allow_abbrev=False,
+        help="admissible interval and both stability checks for (d, K)",
     )
     p_gain.add_argument("--d", type=float, default=1.0)
     p_gain.add_argument("--K", type=float, default=-0.6)
     p_gain.set_defaults(func=_cmd_gain_check)
 
-    p_sweep = sub.add_parser("sweep", help="grid of (mode, K, epsilon) runs to CSV")
+    p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="grid of (mode, K, epsilon) runs to CSV")
     p_sweep.add_argument("--config", help="base config for the sweep")
     p_sweep.add_argument("--K", required=True, help="comma-separated gains")
     p_sweep.add_argument("--epsilon", required=True, help="comma-separated thresholds")
@@ -298,7 +300,7 @@ def _parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_rep = sub.add_parser(
-        "reproduce", help="canned protocols: fig4 (t_on=40), fig5 (t_on=100)"
+        "reproduce", allow_abbrev=False, help="canned protocols: fig4 (t_on=40), fig5 (t_on=100)"
     )
     p_rep.add_argument("preset", choices=sorted(REPRODUCE_PRESETS) + ["all"])
     p_rep.add_argument("--out-dir", default=".")

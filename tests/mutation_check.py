@@ -31,6 +31,17 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 INPUTS = "tests/test_inputs.py::test_each_bad_input_is_refused_with_its_message"
 DASH_OUT = "tests/test_cli.py::test_sweep_writes_an_output_path_that_starts_with_a_dash"
+CLI = "tests/test_cli.py"
+CONFIG = "tests/test_config.py"
+HARNESS = "tests/test_harness.py"
+IO = "tests/test_io.py"
+PINS = "tests/test_acceptance.py::test_output_bit_identity_pins"
+# Every proper prefix of three characters or more of each sweep option.
+SWEEP_ABBREVIATED = [
+    f"{CLI}::test_an_abbreviated_option_is_unknown[sweep-{option[:n]}-of-{option[2:]}]"
+    for option in ("--config", "--K", "--epsilon", "--modes", "--out", "--help")
+    for n in range(3, len(option))
+]
 
 ROWS = [
     # A value that starts with a single "-" must stay the option's value.
@@ -62,6 +73,106 @@ ROWS = [
      "np.add.reduce(gaps * gaps, axis=1).argmin()",
      "equivalent: the squared distances have the same argmin, except where two"
      " of them round to one square root"),
+    # An option is known only by its full name.
+    ("cli.py", 'sub.add_parser("sweep", allow_abbrev=False, help=',
+     'sub.add_parser("sweep", help=', SWEEP_ABBREVIATED + [f"{INPUTS}[sweep-epsilon-abbreviated]"]),
+    ("cli.py", "return short if float(short) == x else repr(float(x))", "return short", [
+        f"{CLI}::test_inputs_and_bounds_echo_distinct_numbers_distinctly",
+        f"{CLI}::test_gain_check_output_is_pinned[d=1e7,K=-0.9999999]",
+    ]),
+    ("cli.py", "return EXIT_NUMERIC", "return EXIT_CONFIG", [
+        f"{CLI}::test_simulate_divergence_exits_two",
+        f"{CLI}::test_reproduce_divergence_exits_two",
+    ]),
+    ("cli.py", 'outputs = [*outputs, ("--config", config)]', "pass", [
+        f"{CLI}::test_output_that_names_the_config_fails_before_any_run[args0---out-csv-{{cfg}}]",
+        f"{CLI}::test_output_that_names_the_config_fails_before_any_run[args3---out-{{cfg}}]",
+    ]),
+    # The gate is strict: a sample whose r equals epsilon is shut.
+    ("harness.py", "active = r < epsilon", "active = r <= epsilon", [
+        f"{HARNESS}::test_gate_tie_past_the_first_open_sample_matches_reference[1]",
+        f"{HARNESS}::test_gate_tie_past_the_first_open_sample_matches_reference[10]",
+    ]),
+    ("harness.py", "opens = self.r(lag)[scanned:self.end] < cfg.epsilon",
+     "opens = self.r(lag)[scanned:self.end] <= cfg.epsilon", [
+         f"{HARNESS}::test_gate_ties_match_reference[1-epsilon-is-an-r]",
+         f"{HARNESS}::test_gate_ties_match_reference[10-epsilon-is-an-r]",
+     ]),
+    ("harness.py", "active = r_out[k - 1] < epsilon", "active = r_out[k - 1] <= epsilon",
+     "equivalent: _step resumes only past a sample that first_open found below epsilon"),
+    ("harness.py", 'int(np.searchsorted(self.t, cfg.t_on, "right"))',
+     'int(np.searchsorted(self.t, cfg.t_on, "left"))', [
+         f"{HARNESS}::test_gate_ties_match_reference[1-t_on-is-a-grid-time]",
+         f"{HARNESS}::test_gate_ties_match_reference[10-t_on-is-a-grid-time]",
+     ]),
+    ("harness.py", 'traj.states[np.searchsorted(traj.t, cut, "left"):]',
+     'traj.states[np.searchsorted(traj.t, cut, "right"):]', [
+         f"{PINS}[fig4_report.txt]",
+         f"{PINS}[fig5_report.txt]",
+     ]),
+    ("harness.py", "report = replace(shut_report, controller=cfg)", "report = shut_report", [
+        f"{HARNESS}::test_sweep_cells_match_independent_runs[gate-never-opens]",
+        f"{PINS}[fig5_report.txt]",
+    ]),
+    ("harness.py", "half, sixth, far = 0.5 * dt, dt / 6.0, 4.0 * limit",
+     "half, sixth, far = 0.5 * dt, dt / 6.0, math.inf", [
+         f"{HARNESS}::test_shut_gate_far_from_its_delayed_state_stops_the_run_at_once[-1.4-551]",
+         f"{HARNESS}::test_shut_gate_far_from_its_delayed_state_stops_the_run_at_once[-0.55-639]",
+     ]),
+    ("harness.py", "dropped = made - max(0, first + 1 - stepped)",
+     "dropped = made - max(0, first - stepped)", [
+         f"{HARNESS}::test_free_step_that_fails_past_the_first_open_gate_is_dropped_work",
+         f"{HARNESS}::test_free_stretch_steps_past_the_first_open_gate_less_than_it_gated[0.7-40.0]",
+     ]),
+    ("harness.py", "if tail >= span:", "if tail > span:", [
+        f"{CONFIG}::test_tail_must_fit_span",
+        f"{HARNESS}::test_report_rejects_bad_tail",
+        f"{INPUTS}[report-tail-span]",
+    ]),
+    ("harness.py", "array.flags.writeable = False", "pass", [
+        f"{HARNESS}::test_run_each_hands_a_never_open_run_on_read_only",
+        f"{HARNESS}::test_run_each_results_are_read_only",
+    ]),
+    ("harness.py", "_CHECK_ROWS = 512", "_CHECK_ROWS = 500", [
+        f"{HARNESS}::test_divergence_found_at_a_check_matches_reference_run[free-last-row-of-a-block]",
+        f"{HARNESS}::test_divergence_found_at_a_check_matches_reference_run"
+        "[per-sample-first-row-of-a-block]",
+        f"{HARNESS}::test_free_run_steps_past_a_divergence_to_its_next_check_only[0.21517-511]",
+    ]),
+    ("harness.py", "if n < 2:", "if n < 1:", [
+        f"{HARNESS}::test_trajectory_rejects_arrays_of_the_wrong_shape[arrays1-at least two samples]",
+        f"{IO}::test_read_rejects_header_and_one_row",
+    ]),
+    ("io.py", "os.ftruncate(fd, size)", "pass", [
+        f"{IO}::test_rewrite_of_a_longer_file_leaves_exactly_the_new_bytes_in_the_same_inode",
+        f"{IO}::test_failed_write_is_cut_where_it_stopped_and_names_its_file",
+    ]),
+    ("integrator.py", "MAX_STEPS = 10**7", "MAX_STEPS = 10**8", [
+        "tests/test_integrator.py::TestTimeGrid::test_step_count_is_bounded",
+    ]),
+    ("control.py", "if hi <= -1.0:", "if hi < -1.0:", [
+        "tests/test_control.py::test_interval_rejects_bad_d",
+        f"{INPUTS}[interval-d-too-large]",
+    ]),
+    ("dynamics.py", "if disc <= 0.0:", "if disc < 0.0:", [
+        "tests/test_dynamics.py::test_equilibria_degenerate_when_h2_at_most_ab[4.0-1.0-2.0]",
+        "tests/test_dynamics.py::test_equilibria_degenerate_when_h2_at_most_ab[9.0-1.0-3.0]",
+    ]),
+    ("config.py", "if lag >= n:", "if lag > n:", [
+        f"{CONFIG}::test_tau_must_be_shorter_than_span",
+    ]),
+    ("config.py", "if controller.t_on >= last_start:", "if controller.t_on > last_start:", [
+        f"{CONFIG}::test_t_on_must_be_before_the_last_step",
+    ]),
+    # The config's gain is checked at the point where the controlled row
+    # overflows first, not at the origin.
+    ("config.py", "point = equilibria(params).points[-1]", "point = equilibria(params).points[0]", [
+        f"{INPUTS}[config-gain-jacobian-off-axis]",
+    ]),
+    ("config.py", "if not abs(values[key]) <= DIVERGENCE_LIMIT:", "if False:", [
+        f"{CLI}::test_simulate_initial_state_beyond_the_limit_exits_one",
+        f"{CONFIG}::test_initial_state_beyond_the_divergence_limit_names_the_field[x0-1e7]",
+    ]),
 ]
 
 # Runs pytest on the given ids, then says where rabinovich came from and

@@ -209,6 +209,54 @@ def test_parser_is_reused_across_calls(capsys):
     assert third[0] == 0 and third[2] == ""
 
 
+def test_value_options_are_the_nine_that_take_a_value():
+    # Read from the parser's actions, so a Python whose argparse keeps them
+    # elsewhere fails here, not deep in a parse.
+    assert cli._VALUE_OPTIONS == {"--K", "--epsilon", "--d", "--config", "--modes",
+                                  "--out", "--out-csv", "--out-report", "--out-dir"}
+
+
+# Each subcommand with every option it has spelled in full (--help aside),
+# in arguments that run, relative to a directory holding short.cfg.
+FULL_ARGV = {
+    "equilibria": ["--config", "short.cfg", "--K", "-0.6"],
+    "simulate": ["--config", "short.cfg", "--uncontrolled",
+                 "--out-csv", "sim.csv", "--out-report", "sim.txt"],
+    "gain-check": ["--d", "1", "--K", "-0.6"],
+    "sweep": ["--config", "short.cfg", "--K", "-0.6", "--epsilon", "0.1",
+              "--modes", "euler", "--out", "sweep.csv"],
+    "reproduce": ["fig4", "--out-dir", "."],
+}
+ABBREVIATED = [
+    (command, option, option[:n])
+    for command, argv in FULL_ARGV.items()
+    for option in [tok for tok in argv if tok.startswith("--")] + ["--help"]
+    for n in range(3, len(option))
+]
+
+
+@pytest.mark.parametrize("command, option, prefix", ABBREVIATED,
+                         ids=[f"{c}-{p}-of-{o[2:]}" for c, o, p in ABBREVIATED])
+def test_an_abbreviated_option_is_unknown(capsys, tmp_path, monkeypatch, command, option, prefix):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "short.cfg").write_text("t_end = 30\nt_on = 10\ntail = 10\n", encoding="utf-8")
+    argv = [prefix if tok == option else tok for tok in FULL_ARGV[command]]
+    if option == "--help":
+        argv.append(prefix)
+    code, out, _ = run_cli(capsys, command, *argv)
+    assert (code, out) == (1, "")
+    assert os.listdir(tmp_path) == ["short.cfg"]
+
+
+@pytest.mark.parametrize("command", FULL_ARGV)
+def test_each_command_runs_with_its_options_spelled_in_full(capsys, tmp_path, monkeypatch,
+                                                            command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "short.cfg").write_text("t_end = 30\nt_on = 10\ntail = 10\n", encoding="utf-8")
+    code, _, err = run_cli(capsys, command, *FULL_ARGV[command])
+    assert code == 0, err
+
+
 # --- equilibria --------------------------------------------------------------------
 
 def test_equilibria_lists_reference_points(capsys):

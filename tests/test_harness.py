@@ -636,6 +636,9 @@ def test_gate_ties_match_reference(params, s0, lag, tie):
     assert not got.active[lag] and got.r[lag] == free.r[lag]
     if tie == "t_on-is-a-grid-time" and lag < DRAWN_GRID.n_steps:
         assert got.active[lag + 1]
+    # the samples gated one at a time start at the first open one, not at k
+    opened = np.flatnonzero(got.active)
+    assert got.work.gated == (DRAWN_GRID.n_steps - opened[0] if len(opened) else 0)
     assert_same_outcome(got, reference_run(params, s0, DRAWN_GRID, cfg))  # bytes, signs too
 
 

@@ -4,10 +4,12 @@ every bad input is refused with an error that names it."""
 import contextlib
 import io
 import math
+import os
 import struct
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,8 +41,9 @@ def _refusal(call, *args, **kwargs) -> str:
 
 
 def _cli_refusal(*argv) -> str:
+    # argparse wraps its usage line at the terminal's width, read from COLUMNS.
     err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    with contextlib.redirect_stderr(err), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         assert cli_dispatch(list(argv)) == 1
     return err.getvalue()
 
@@ -149,6 +152,15 @@ BAD_INPUTS = [
      "error: --K: K must be finite, got -inf\n"),
     ("sweep-epsilon-minus-inf", lambda: _cli_refusal("sweep", "--K=-0.6", "--epsilon", "-inf"),
      "error: epsilon must be a positive finite number, got -inf\n"),
+    # An option is known only by its full name.
+    ("sweep-epsilon-abbreviated", lambda: _cli_refusal("sweep", "--K", "-0.6",
+                                                       "--eps", "-0.1,0.5"),
+     "usage: rabinovich sweep [-h] [--config CONFIG] --K K --epsilon EPSILON\n"
+     "                        [--modes MODES] [--out OUT]\n"
+     "rabinovich sweep: error: the following arguments are required: --epsilon\n"),
+    ("simulate-out-csv-abbreviated", lambda: _cli_refusal("simulate", "--out-c", "x.csv"),
+     "usage: rabinovich [-h] {equilibria,simulate,gain-check,sweep,reproduce} ...\n"
+     "rabinovich: error: unrecognized arguments: --out-c x.csv\n"),
 ]
 
 
