@@ -145,10 +145,10 @@ def _step(p, grid, cfg, states, gate, k, stop):
     row k - 1, and return how many it stepped and the end of the rows that
     pass the divergence check: ``stop``, or the first failing row.
 
-    ``cfg=None`` steps the free flow.  Else row k - 1 is at or past the first
-    open sample, and the rows are gated per sample (less ``t > t_on``, which
-    holds there) into the arrays ``gate`` (u, flag, r), row k - 1's u too; a
-    step takes the u of an open sample as its first-stage control term.
+    ``cfg=None`` steps the free flow.  Else row k - 1 is the first open
+    sample, and the rows are gated per sample (less ``t > t_on``, which holds
+    there) into the arrays ``gate`` (u, flag, r), row k - 1's u too; a step
+    takes the u of an open sample as its first-stage control term.
 
     The state is three Python floats, each row written straight into
     ``states`` (one memoryview a column), whence the gate reads the delayed
@@ -172,15 +172,13 @@ def _step(p, grid, cfg, states, gate, k, stop):
     half, sixth, far = 0.5 * dt, dt / 6.0, 4.0 * limit
     x_out, y_out, z_out = map(memoryview, states.T)
     x, y, z = states[k - 1].tolist()
-    free, active = cfg is None, False
+    free, active = cfg is None, cfg is not None  # a gated run starts open
     if not free:
         lag, epsilon = delay_steps(cfg, dt), cfg.epsilon
         g, c = control_coefficients(p, cfg)  # u = g * (c*z + x*y)
         u_out, active_out, r_out = map(memoryview, gate)
-        active = r_out[k - 1] < epsilon
-        if active:
-            active_out[k - 1] = True
-            u_out[k - 1] = u = g * (c * z + x * y)
+        active_out[k - 1] = True
+        u_out[k - 1] = u = g * (c * z + x * y)
     start = k
     while k < stop:
         begin, end = k, min(stop, (k // _CHECK_ROWS + 1) * _CHECK_ROWS)
@@ -358,7 +356,7 @@ def run_each(
     earlier one stepped, and its r at each lag; a lone run steps on in its
     own flow's arrays, not a copy.  The runs of one lag whose gate never
     opens are one object, whose ``work`` is the first's; so is the report,
-    but for its controller, as it reads only t, the states and u (all 0).
+    but for its controller, which the report reads only to echo it.
     """
     check_report_settings(tail, capture_radius, grid.t_end - grid.t0)
     cfgs, eqs = list(cfgs), equilibria(p)
@@ -435,8 +433,9 @@ def convergence_report(
     The target is the equilibrium nearest the mean position over the tail
     window (the last ``tail`` time units); the run counts as stabilized iff
     the maximum distance to the target over that window is within
-    ``capture_radius``.  Control effort is the trapezoid-rule integral of
-    |u| over the whole run.  ``dt`` and ``t_end`` are echoed from ``grid``.
+    ``capture_radius``.  Control effort (a trapezoid-rule integral of |u|)
+    and the largest |u| are taken over the whole run: u is zero until the
+    gate first opens, past t_on.  ``cfg``, ``dt`` and ``t_end`` are echoed.
     """
     if traj.n_samples != grid.n_steps + 1:
         raise ValueError(f"grid has {grid.n_steps + 1} samples, the trajectory {traj.n_samples}")
@@ -457,11 +456,6 @@ def convergence_report(
 
     abs_u = np.abs(traj.u)
     effort = _trapezoid(abs_u, traj.t)
-    if cfg is not None:
-        post = abs_u[np.searchsorted(traj.t, cfg.t_on, "right"):]
-        max_abs_u = float(post.max()) if len(post) else 0.0
-    else:
-        max_abs_u = float(abs_u.max())
 
     return ConvergenceReport(
         target_label=eqs.labels[best_idx],
@@ -470,7 +464,7 @@ def convergence_report(
         tail_mean_distance=tail_mean,
         stabilized=tail_max <= capture_radius,
         control_effort=effort,
-        max_abs_u_post_activation=max_abs_u,
+        max_abs_u_post_activation=float(abs_u.max()),
         controller=cfg,
         dt=grid.dt,
         t_end=grid.t_end,

@@ -33,6 +33,14 @@ settings.register_profile(
 )
 
 
+@pytest.fixture(autouse=True)
+def _in_own_directory(tmp_path, monkeypatch):
+    """Run every test in its own empty directory, so that no test, passing or
+    failing, writes into the checkout; tests open repository files by their
+    absolute path."""
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.fixture(scope="session")
 def params() -> Params:
     # chaotic reference parameter set

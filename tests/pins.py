@@ -35,6 +35,10 @@ class Pin:
 # fig4's and fig5's gates never open at epsilon = 0.1, so both write the one
 # free run's bytes.
 _FREE_RUN_CSV = "9b151002c085c517"
+# The defaults but for mode, K and epsilon: dt = 0.1 over [0, 200], t_on = 40.
+_CAPTURED_ARGV = ("simulate", "--config", "pin.cfg", "--out-csv", "captured.csv",
+                  "--out-report", "captured.txt")
+_CAPTURED_CONFIG = "mode = euler\nK = 1.5\nepsilon = 5\n"
 
 PINS = {
     "fig4_trajectory.csv": Pin(("reproduce", "all"), _FREE_RUN_CSV),
@@ -62,6 +66,10 @@ PINS = {
         config="t_end = 200\ndt = 0.01\nmode = euler\nK = -0.3\nepsilon = 5\n",
     ),
     "gain-check.stdout": Pin(("gain-check",), "cbc12bd4b4859309"),
+    # the controller captures the run: the gate opens at t = 40.1, on 1557
+    # samples, and the tail settles at positive-x
+    "captured.csv": Pin(_CAPTURED_ARGV, "81464ab53a2c5079", config=_CAPTURED_CONFIG),
+    "captured.txt": Pin(_CAPTURED_ARGV, "73c51f30686d27c3", config=_CAPTURED_CONFIG),
 }
 
 

@@ -7,6 +7,7 @@ emits one pass/fail line per criterion.
 
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,13 +157,23 @@ def test_determinism_regression(tmp_path):
 
 
 @pytest.mark.parametrize("name", PINS)
-def test_output_bit_identity_pins(name, tmp_path, monkeypatch, capsys):
+def test_output_bit_identity_pins(name, tmp_path, capsys):
     # any change to the numerics or to an output format moves a pin
-    monkeypatch.chdir(tmp_path)
     assert cli_dispatch(command(name)) == 0
     printed = capsys.readouterr().out
     output = printed.encode() if name.endswith(".stdout") else (tmp_path / name).read_bytes()
     assert digest(output) == PINS[name].sha256
+
+
+def test_readme_shows_the_captured_run_as_pinned(tmp_path, capsys):
+    # README's command and report of the run the controller captures
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    argv = command("captured.txt")
+    assert f"```sh\nrabinovich {' '.join(argv)}\n```" in readme
+    assert cli_dispatch(argv) == 0
+    report = (tmp_path / "captured.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == report
+    assert f"```\n{report}```" in readme
 
 
 def test_invariant_suite(tmp_path):

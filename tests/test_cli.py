@@ -237,8 +237,7 @@ ABBREVIATED = [
 
 @pytest.mark.parametrize("command, option, prefix", ABBREVIATED,
                          ids=[f"{c}-{p}-of-{o[2:]}" for c, o, p in ABBREVIATED])
-def test_an_abbreviated_option_is_unknown(capsys, tmp_path, monkeypatch, command, option, prefix):
-    monkeypatch.chdir(tmp_path)
+def test_an_abbreviated_option_is_unknown(capsys, tmp_path, command, option, prefix):
     (tmp_path / "short.cfg").write_text("t_end = 30\nt_on = 10\ntail = 10\n", encoding="utf-8")
     argv = [prefix if tok == option else tok for tok in FULL_ARGV[command]]
     if option == "--help":
@@ -249,9 +248,7 @@ def test_an_abbreviated_option_is_unknown(capsys, tmp_path, monkeypatch, command
 
 
 @pytest.mark.parametrize("command", FULL_ARGV)
-def test_each_command_runs_with_its_options_spelled_in_full(capsys, tmp_path, monkeypatch,
-                                                            command):
-    monkeypatch.chdir(tmp_path)
+def test_each_command_runs_with_its_options_spelled_in_full(capsys, tmp_path, command):
     (tmp_path / "short.cfg").write_text("t_end = 30\nt_on = 10\ntail = 10\n", encoding="utf-8")
     code, _, err = run_cli(capsys, command, *FULL_ARGV[command])
     assert code == 0, err
@@ -345,8 +342,7 @@ def test_equilibria_degenerate_parameters(capsys, tmp_path):
 
 # --- simulate ----------------------------------------------------------------------
 
-def test_simulate_with_defaults(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_simulate_with_defaults(capsys, tmp_path):
     code, out, err = run_cli(capsys, "simulate")
     assert code == 0
     assert (tmp_path / "trajectory.csv").exists()
@@ -357,8 +353,7 @@ def test_simulate_with_defaults(capsys, tmp_path, monkeypatch):
     assert traj.n_samples == 2001
 
 
-def test_simulate_uncontrolled_flag(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_simulate_uncontrolled_flag(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "simulate", "--uncontrolled",
                            "--out-csv", "free.csv", "--out-report", "free.txt")
     assert code == 0
@@ -368,10 +363,9 @@ def test_simulate_uncontrolled_flag(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("t0, t_end", [(1.0, 201.0), (0.3, 200.3)])
-def test_simulate_report_echoes_the_configured_grid(capsys, tmp_path, monkeypatch, t0, t_end):
+def test_simulate_report_echoes_the_configured_grid(capsys, tmp_path, t0, t_end):
     # the samples' own spacing is not dt here: t[1] - t[0] is 0.10000000000000009
     # at t0 = 1 and 0.10000000000000003 at t0 = 0.3
-    monkeypatch.chdir(tmp_path)
     (tmp_path / "run.cfg").write_text(f"t0 = {t0!r}\nt_end = {t_end!r}\n")
     code, out, _ = run_cli(capsys, "simulate", "--config", "run.cfg")
     assert code == 0
@@ -384,8 +378,7 @@ def test_simulate_report_echoes_the_configured_grid(capsys, tmp_path, monkeypatc
     ("same.txt", "same.txt"), ("same.txt", "./same.txt"), ("sub/../same.txt", "same.txt"),
 ])
 def test_simulate_same_output_file_exits_one_before_running(
-        capsys, tmp_path, monkeypatch, csv_path, report_path):
-    monkeypatch.chdir(tmp_path)
+        capsys, tmp_path, csv_path, report_path):
     (tmp_path / "sub").mkdir()
     code, out, err = run_cli(
         capsys, "simulate", "--out-csv", csv_path, "--out-report", report_path,
@@ -398,9 +391,8 @@ def test_simulate_same_output_file_exits_one_before_running(
     assert not (tmp_path / "same.txt").exists()
 
 
-def test_simulate_same_output_file_from_config_exits_one(capsys, tmp_path, monkeypatch):
+def test_simulate_same_output_file_from_config_exits_one(capsys, tmp_path):
     # an existing file, and paths from the config
-    monkeypatch.chdir(tmp_path)
     (tmp_path / "kept.txt").write_text("kept\n")
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"out_csv = kept.txt\nout_report = {tmp_path / 'kept.txt'}\n")
@@ -532,8 +524,7 @@ def test_simulate_missing_config_exits_one(capsys, tmp_path):
     assert "cannot read config" in err
 
 
-def test_simulate_divergence_exits_two(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_simulate_divergence_exits_two(capsys, tmp_path):
     cfg = tmp_path / "blowup.cfg"
     cfg.write_text("K = 20\nepsilon = 1e9\nt_on = 0\n")
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
@@ -541,10 +532,9 @@ def test_simulate_divergence_exits_two(capsys, tmp_path, monkeypatch):
     assert "aborted at step" in err
 
 
-def test_simulate_non_finite_row_error_is_pinned(capsys, tmp_path, monkeypatch):
+def test_simulate_non_finite_row_error_is_pinned(capsys, tmp_path):
     # a gain of 1e200 overflows the control term inside the first open step;
     # the error names the row that step leaves non-finite, and its time
-    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "nonfinite.cfg"
     cfg.write_text("t_end = 100\ndt = 0.1\nK = 1e200\nepsilon = 1e9\nt_on = 0\n")
     assert run_cli(capsys, "simulate", "--config", str(cfg)) == (
@@ -559,9 +549,8 @@ def test_simulate_non_finite_row_error_is_pinned(capsys, tmp_path, monkeypatch):
     ("equilibria", "--K", "0.5"),
 ], ids=["simulate", "sweep", "equilibria", "equilibria-K"])
 def test_config_gain_that_overflows_the_jacobian_is_refused_before_any_run(
-        capsys, tmp_path, monkeypatch, argv):
+        capsys, tmp_path, argv):
     # the gate never opens on this protocol, so a run would not notice the gain
-    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "huge.cfg"
     cfg.write_text("K = 1e308\n")
     assert run_cli(capsys, *argv, "--config", str(cfg)) == (
@@ -592,9 +581,8 @@ def test_sweep_writes_csv(capsys, tmp_path):
     assert "8 cells" in out
 
 
-def test_sweep_readme_example_with_negative_gains(capsys, tmp_path, monkeypatch):
+def test_sweep_readme_example_with_negative_gains(capsys, tmp_path):
     # the README's command, negative list after a space, default --out
-    monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "sweep", "--K", "-0.9,-0.6,-0.3",
                              "--epsilon", "0.1,0.5", "--modes", "literal,euler")
     assert code == 0, err
@@ -620,8 +608,7 @@ def test_sweep_negative_epsilon_list_names_the_field(capsys, tmp_path):
     assert err == "error: epsilon must be a positive finite number, got -0.1\n"
 
 
-def test_sweep_writes_an_output_path_that_starts_with_a_dash(capsys, tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+def test_sweep_writes_an_output_path_that_starts_with_a_dash(capsys, tmp_path):
     (tmp_path / "short.cfg").write_text("t_end = 100\ndt = 0.1\n", encoding="utf-8")
     code, out, err = run_cli(capsys, "sweep", "--config", "short.cfg", "--K", "-0.6",
                              "--epsilon", "0.1", "--out", "-x.csv")
@@ -928,9 +915,8 @@ def _files(root):
     (["reproduce", "all", "--out-dir", ""], "--out-dir", ""),
 ])
 def test_output_that_cannot_be_written_fails_before_any_run(
-    capsys, tmp_path, monkeypatch, runs, args, option, bad
+    capsys, tmp_path, runs, args, option, bad
 ):
-    monkeypatch.chdir(tmp_path)  # where an empty option's default path would go
     paths = {"tmp": tmp_path, "missing": tmp_path / "missing"}
     (tmp_path / "paths.cfg").write_text(
         f"out_csv = {tmp_path}/missing/a.csv\nout_report = {tmp_path}/missing/r.txt\n"

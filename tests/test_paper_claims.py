@@ -18,6 +18,11 @@ Jacobian written out below, open-loop and with the control always on.
 Convergence: this one runs the package's own loop, through ``run_each``, from
 100 starts on the attractor, and judges each run by its report.  Capture
 switches on past the threshold K* found above.
+
+The gate's switch: a controlled run is fourth order in dt against a DOP853
+solution of the controlled field written out below when its switch lies on
+the grid, and first order when the switch is the first sample past a fixed
+t_on, which moves with dt.
 """
 
 import math
@@ -32,6 +37,7 @@ from rabinovich import (
     State,
     TimeGrid,
     closed_loop_jacobian,
+    run_controlled,
     run_each,
     run_uncontrolled,
 )
@@ -213,3 +219,64 @@ def test_capture_switches_on_past_the_euler_threshold():
             captured[K] += report.stabilized
     assert captured[-0.6] == captured[-0.3] == captured[0.7] == 0
     assert captured[1.5] >= 90
+
+
+SWITCH = 1.5  # where the orders below switch the control on
+ORDER_DTS = (0.02, 0.01, 0.005, 0.0025)  # at 0.04 neither run is asymptotic yet
+
+
+def controlled_reference(mode, K):
+    """The end state at t = 4 of a DOP853 solution of the free field up to
+    SWITCH and of the always-on controlled field from there, both written
+    out here: u = K*tau*(x*y - d*z) in euler mode, K*(x*y - (d+1)*z) in
+    literal mode, added to z'."""
+    integrate = pytest.importorskip("scipy.integrate")
+    p = PARAMS
+    g, c = (K * TAU, -p.d) if mode is PredictionMode.EULER else (K, -(p.d + 1.0))
+
+    def field(t, s, gain):
+        x, y, z = s
+        return [-p.a * x + p.h * y + y * z, p.h * x - p.b * y - x * z,
+                x * y - p.d * z + gain * (c * z + x * y)]
+
+    tight = dict(method="DOP853", rtol=1e-13, atol=1e-13)
+    free = integrate.solve_ivp(field, (0.0, SWITCH), [1.5, -1.25, 3.5], args=(0.0,), **tight)
+    on = integrate.solve_ivp(field, (SWITCH, 4.0), free.y[:, -1], args=(g,), **tight)
+    return on.y[:, -1]
+
+
+def controlled_orders(mode, K, t_on_of, opens_at):
+    """log2 of the ratios of neighbouring end-state errors over ORDER_DTS of
+    always-on runs with t_on = t_on_of(dt), each checked to open first at
+    the sample opens_at(dt)."""
+    reference, errors = controlled_reference(mode, K), []
+    for dt in ORDER_DTS:
+        cfg = ControllerConfig(K, epsilon=1e9, t_on=t_on_of(dt), mode=mode, tau=TAU)
+        traj = run_controlled(PARAMS, State(1.5, -1.25, 3.5), TimeGrid(0.0, 4.0, dt), cfg)
+        assert traj.t[traj.active.argmax()] == pytest.approx(opens_at(dt), abs=1e-9)
+        errors.append(float(np.linalg.norm(traj.states[-1] - reference)))
+    return [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
+
+
+MODES_AND_GAINS = pytest.mark.parametrize(
+    "mode, K", [(PredictionMode.EULER, 1.5), (PredictionMode.DERIVATIVE, 1.0)],
+    ids=["euler-K=1.5", "literal-K=1"])
+
+
+@MODES_AND_GAINS
+def test_controlled_run_is_fourth_order_with_its_switch_on_the_grid(mode, K):
+    # t_on half a step before SWITCH opens the gate at t = SWITCH at every dt,
+    # so RK4 steps each regime whole.  Measured orders 4.29, 4.16 and 4.08
+    # (euler) and 4.12, 4.07 and 4.04 (literal).
+    for order in controlled_orders(mode, K, lambda dt: SWITCH - 0.5 * dt, lambda dt: SWITCH):
+        assert order == pytest.approx(4.0, abs=0.3)
+
+
+@MODES_AND_GAINS
+def test_controlled_run_is_first_order_through_its_sampled_switch(mode, K):
+    # With t_on = SWITCH the gate opens at the first sample past it, SWITCH +
+    # dt: the switch moves with dt, and the run is first order (Gear and
+    # Osterby, ACM TOMS 10(1), 1984).  Measured orders 0.88, 0.95 and 0.97
+    # (euler) and 1.01, 1.00 and 1.00 (literal).
+    for order in controlled_orders(mode, K, lambda dt: SWITCH, lambda dt: SWITCH + dt):
+        assert order == pytest.approx(1.0, abs=0.3)
