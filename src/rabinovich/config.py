@@ -35,7 +35,6 @@ _DEFAULTS = {
     "x0": 1.5,
     "y0": -1.25,
     "z0": 3.5,
-    "t0": 0.0,
     "t_end": 200.0,
     "dt": 0.1,
     "K": -0.6,
@@ -121,7 +120,7 @@ def parse_config(text: str) -> RunConfig:
                 raise ValueError(
                     f"{key} must be at most {DIVERGENCE_LIMIT:g} in magnitude, got {values[key]!r}"
                 )
-        grid = TimeGrid(values["t0"], values["t_end"], values["dt"])
+        grid = TimeGrid(values["t_end"], values["dt"])
         controller = ControllerConfig(
             K=values["K"],
             epsilon=values["epsilon"],
@@ -132,16 +131,15 @@ def parse_config(text: str) -> RunConfig:
         lag = delay_steps(controller, grid.dt)
         point = equilibria(params).points[-1]  # largest |x|, |y|: the row overflows there first
         closed_loop_jacobian(params, controller, point)
-        check_report_settings(values["tail"], values["capture_radius"], grid.t_end - grid.t0)
+        check_report_settings(values["tail"], values["capture_radius"], grid.t_end)
         # Else the controller could never act on a step: a gate can open only
         # at a sample with a full delay window and t > t_on, and an open gate
         # controls the step from its sample, so that sample must come before
         # the last one.
         n = grid.n_steps
         if lag >= n:
-            span = grid.t_end - grid.t0
             raise ValueError(
-                f"tau ({controller.tau!r}) must be shorter than the run span ({span!r})"
+                f"tau ({controller.tau!r}) must be shorter than the run span ({grid.t_end!r})"
             )
         last_start = grid.time_at(n - 1)
         if controller.t_on >= last_start:

@@ -134,7 +134,7 @@ class Trajectory:
 def _divergence(k, grid, state) -> DivergenceError:
     """The error of a run whose row k, ``state``, failed the divergence check;
     a non-finite stage derivative always leaves a non-finite row."""
-    t_k = grid.time_at(k) if k else grid.t0
+    t_k = grid.time_at(k)
     if not np.isfinite(state).all():
         return DivergenceError(k, t_k, "non-finite state component")
     return DivergenceError(k, t_k, f"state magnitude exceeded {DIVERGENCE_LIMIT:g}")
@@ -358,7 +358,7 @@ def run_each(
     opens are one object, whose ``work`` is the first's; so is the report,
     but for its controller, which the report reads only to echo it.
     """
-    check_report_settings(tail, capture_radius, grid.t_end - grid.t0)
+    check_report_settings(tail, capture_radius, grid.t_end)
     cfgs, eqs = list(cfgs), equilibria(p)
     flow = _FreeFlow(p, s0, grid) if len(cfgs) > 1 else None
     shut = shut_report = None  # the last run whose gate never opened, and its report
@@ -439,7 +439,7 @@ def convergence_report(
     """
     if traj.n_samples != grid.n_steps + 1:
         raise ValueError(f"grid has {grid.n_steps + 1} samples, the trajectory {traj.n_samples}")
-    check_report_settings(tail, capture_radius, grid.t_end - grid.t0)
+    check_report_settings(tail, capture_radius, grid.t_end)
 
     # t strictly increases, so both windows are slices, not masked copies.
     cut = traj.t[-1] - tail
@@ -523,7 +523,7 @@ def sweep(
         raise ValueError("modes must be nonempty when given")
 
     cfgs = [
-        replace(base_cfg, K=float(K), epsilon=float(eps), mode=mode)
+        replace(base_cfg, K=K, epsilon=eps, mode=mode)
         for mode in mode_list for K in K_values for eps in eps_values
     ]
     results = run_each(p, s0, grid, cfgs, tail, capture_radius)

@@ -1,22 +1,23 @@
 """Trajectory, sweep and report files.
 
 Every file is UTF-8 text with "\n" line endings, whatever the platform and
-locale, written through one sink.  A path is written over from its start,
-not truncated when it is opened (which costs far more on a file that holds
-data), and then cut where the writing stopped, so no old byte stays past
-the new ones.  A text stream is handed the decoded text.  A failed write
-names its file.  The sweep CSV and the reports write each float as
-``format(x, ".17g")`` does.  A trajectory file is the header and one row a
-sample.  It is written and read in blocks of rows; the text of a block,
-written or read, is the ``_decimals`` module's (17 significant digits,
-which read back bit for bit), imported on the first trajectory write or
-read.  A write holds one block, formatted once for every destination it is
-written to.  A read counts the rows first and reads each block into its
-slice of output arrays allocated once, so it holds its output and one
-block.  Only the writer's format is read: LF line ends, the exact header,
-no blank lines, no quotes, and numbers as numpy's C text reader reads them.
-A read error names the first bad row (its line in the file) and, where one
-field is at fault, the column.
+locale, written through one sink.  A path (a str or an ``os.PathLike``) is
+written over from its start, not truncated when it is opened (which costs
+far more on a file that holds data), and then cut where the writing
+stopped, so no old byte stays past the new ones.  A text stream is handed
+the decoded text.  A failed write names its file.  The sweep CSV and the
+reports write each float as ``format(x, ".17g")`` does.  A trajectory file
+is the header and one row a sample.  It is written and read in blocks of
+rows; the text of a block, written or read, is the ``_decimals`` module's
+(17 significant digits, which read back bit for bit), imported on the first
+trajectory write or read.  A write holds one block, formatted once for
+every destination it is written to.  A read counts the rows first and reads
+each block into its slice of output arrays allocated once, so it holds its
+output and one block.  Only the writer's format is read: LF line ends, the
+exact header, no blank lines, no quotes, and numbers as numpy's C text
+reader reads them.  A read error names the first bad row (its line in the
+file) and, where one field is at fault, the column; a byte that is not
+UTF-8 is read as surrogateescape reads it, and fails its row's test.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ import numpy as np
 from .harness import (
     GATE_NOTE, R_NORM_NOTE, ConvergenceReport, SweepReport, Trajectory, _SampleError,
 )
+
+_File = Union[str, os.PathLike, TextIO]  # a path or a text stream
 
 __all__ = [
     "TRAJECTORY_HEADER",
@@ -63,14 +66,14 @@ _WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 @contextmanager
-def _sink(dest: Union[str, TextIO]):
+def _sink(dest: _File):
     """Yields a writer of UTF-8 bytes: into the file at path dest, or as
     text to the stream dest.  A path is opened as ``open(dest, "wb")`` opens
     it (created with mode 0o666 less the umask), but not truncated: it is
     written from offset 0, and a regular file is cut to the bytes written
     once the writing stops, for whatever reason; a device or a FIFO is never
     cut.  An OSError with no file names dest."""
-    if not isinstance(dest, str):
+    if not isinstance(dest, (str, os.PathLike)):
         yield lambda data: dest.write(data.decode())
         return
     try:
@@ -94,11 +97,11 @@ def _sink(dest: Union[str, TextIO]):
                 os.close(fd)
     except OSError as exc:
         if exc.filename is None:
-            exc.filename = dest
+            exc.filename = os.fspath(dest)
         raise
 
 
-def write_trajectory_csv(traj: Trajectory, dest: Union[str, TextIO], *more: Union[str, TextIO]) -> None:
+def write_trajectory_csv(traj: Trajectory, dest: _File, *more: _File) -> None:
     """Write one sample per row: t,x,y,z,u,active,r, to ``dest`` and to each
     of ``more``: each block is formatted once and written to all in turn.
 
@@ -141,7 +144,7 @@ def _locate(lines, first_row: int) -> None:
         raise ValueError(f"row {row}: not a line of the trajectory format: {line!r}")
 
 
-def read_trajectory_csv(source: Union[str, TextIO]) -> Trajectory:
+def read_trajectory_csv(source: _File) -> Trajectory:
     """Inverse of write_trajectory_csv: reads the format it writes and no
     other.  That is the exact header and one row a line, each line ended by
     "\\n": no CR, no blank lines, no quotes, and numbers as numpy's C reader
@@ -157,8 +160,8 @@ def read_trajectory_csv(source: Union[str, TextIO]) -> Trajectory:
     one of the two has.  The sample checks of Trajectory run once every row
     has been read.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="\n") as fh:
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "r", encoding="utf-8", errors="surrogateescape", newline="\n") as fh:
             return read_trajectory_csv(fh)
     if not source.seekable():
         # surrogatepass keeps any str, a lone surrogate too, to be refused
@@ -219,7 +222,7 @@ def _changed(row: int, rows: int) -> ValueError:
     )
 
 
-def write_sweep_csv(report: SweepReport, dest: Union[str, TextIO]) -> None:
+def write_sweep_csv(report: SweepReport, dest: _File) -> None:
     """One row per (K, epsilon, mode) cell, in the order the sweep ran.
 
     Cells whose simulation diverged carry the grid coordinates and empty
@@ -276,6 +279,6 @@ def render_report(report: ConvergenceReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_report(report: ConvergenceReport, dest: Union[str, TextIO]) -> None:
+def write_report(report: ConvergenceReport, dest: _File) -> None:
     with _sink(dest) as write:
         write(render_report(report).encode())

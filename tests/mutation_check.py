@@ -59,7 +59,7 @@ ROWS = [
          DASH_OUT,
      ]),
     ("integrator.py", "abs(quotient - n) >= 1e-9", "abs(quotient - n) >= 1e-6", [
-        "tests/test_integrator.py::TestTimeGrid::test_rejects_bad_grids[0.0-1.00000005-0.1]",
+        "tests/test_integrator.py::TestTimeGrid::test_rejects_bad_grids[1.00000005-0.1]",
         "tests/test_integrator.py::TestTimeGrid::test_whole_steps[1.00000005-0.1-expected5]",
     ]),
     ("harness.py", "stabilized=tail_max <= capture_radius",
@@ -157,6 +157,31 @@ ROWS = [
     ]),
     ("integrator.py", "MAX_STEPS = 10**7", "MAX_STEPS = 10**8", [
         "tests/test_integrator.py::TestTimeGrid::test_step_count_is_bounded",
+    ]),
+    # A run starts at t = 0 and ends past it.
+    ("integrator.py", '_finite("t_end", self.t_end, positive=True)',
+     '_finite("t_end", self.t_end, positive=False)', [
+         f"{INPUTS}[TimeGrid-t_end]",
+         f"{INPUTS}[TimeGrid-t_end-zero]",
+     ]),
+    # A sweep cell takes the controller's own input rule.
+    ("harness.py", "replace(base_cfg, K=K, epsilon=eps, mode=mode)",
+     "replace(base_cfg, K=float(K), epsilon=eps, mode=mode)", [
+         f"{INPUTS}[sweep-K-str]",
+         f"{INPUTS}[sweep-K-bare-str]",
+     ]),
+    # A path object is a path, not a stream.
+    ("io.py", "isinstance(dest, (str, os.PathLike))", "isinstance(dest, str)", [
+        f"{IO}::test_each_writer_takes_a_path_object_as_its_str[{writer}]"
+        for writer in ("trajectory", "trajectory-more", "sweep", "report")
+    ]),
+    ("io.py", "isinstance(source, (str, os.PathLike))", "isinstance(source, str)", [
+        f"{IO}::test_reader_takes_a_path_object_as_its_str",
+    ]),
+    # A byte that is not UTF-8 fails its row, in a path as in a stream.
+    ("io.py", 'errors="surrogateescape"', 'errors="strict"', [
+        f"{IO}::test_a_byte_that_is_not_utf8_names_its_row_in_a_path_as_in_a_stream",
+        f"{IO}::test_unseekable_stream_reads_as_the_path_does",
     ]),
     ("control.py", "if hi <= -1.0:", "if hi < -1.0:", [
         "tests/test_control.py::test_interval_rejects_bad_d",

@@ -362,15 +362,14 @@ def test_simulate_uncontrolled_flag(capsys, tmp_path):
     assert not traj.active.any()
 
 
-@pytest.mark.parametrize("t0, t_end", [(1.0, 201.0), (0.3, 200.3)])
-def test_simulate_report_echoes_the_configured_grid(capsys, tmp_path, t0, t_end):
-    # the samples' own spacing is not dt here: t[1] - t[0] is 0.10000000000000009
-    # at t0 = 1 and 0.10000000000000003 at t0 = 0.3
-    (tmp_path / "run.cfg").write_text(f"t0 = {t0!r}\nt_end = {t_end!r}\n")
+def test_simulate_report_echoes_the_configured_grid(capsys, tmp_path):
+    # the samples' own spacing is not dt everywhere: t[-1] - t[-2] is
+    # 0.09999999999999432 here
+    (tmp_path / "run.cfg").write_text("t_end = 200.3\n")
     code, out, _ = run_cli(capsys, "simulate", "--config", "run.cfg")
     assert code == 0
     assert "\ndt = 0.10000000000000001\n" in out
-    assert f"\nt_end = {t_end:.17g}\n" in out
+    assert "\nt_end = 200.30000000000001\n" in out
     assert (tmp_path / "report.txt").read_text() == out
 
 
@@ -464,22 +463,6 @@ def test_simulate_oversized_grid_exits_one_without_allocating(capsys, tmp_path):
     assert peak < 1_000_000
 
 
-def test_simulate_grid_whose_times_collide_exits_one_before_any_run(capsys, tmp_path, runs):
-    # refused when the config is read, naming dt, not after its 4800 steps
-    cfg = tmp_path / "late.cfg"
-    cfg.write_text(
-        "t0 = 1e17\nt_end = 100000000000000048\ndt = 0.01\ntail = 10\nt_on = 100000000000000016\n"
-    )
-    code, out, err = run_cli(
-        capsys, "simulate", "--config", str(cfg),
-        "--out-csv", str(tmp_path / "t.csv"), "--out-report", str(tmp_path / "r.txt"),
-    )
-    assert code == 1
-    assert err.startswith("error: dt = 0.01 is too small for times this large: ")
-    assert out == "" and runs == []
-    assert not (tmp_path / "t.csv").exists()
-
-
 def test_simulate_overflowing_delay_ratio_exits_one(capsys, tmp_path):
     cfg = tmp_path / "tau.cfg"
     cfg.write_text("t_end = 1e-9\ndt = 1e-10\ntau = 1e300\ntail = 1e-10\n")
@@ -495,7 +478,6 @@ def test_simulate_overflowing_delay_ratio_exits_one(capsys, tmp_path):
 @pytest.mark.parametrize("text, error", [
     ("tau = 300\n", "tau (300.0) must be shorter than the run span (200.0)"),
     ("tau = 200\n", "tau (200.0) must be shorter than the run span (200.0)"),
-    ("t0 = 150\ntau = 50\ntail = 10\n", "tau (50.0) must be shorter than the run span (50.0)"),
     ("t_on = 200\n", "t_on (200.0) must be before the last step starts, at t = 199.9"),
     ("t_on = 199.9\n", "t_on (199.9) must be before the last step starts, at t = 199.9"),
     ("t_end = 30\ntail = 10\n",
@@ -1027,9 +1009,9 @@ def test_extreme_config_values_exit_cleanly(tmp_path_factory, values, mode, unco
     # double, either sign: simulate and a 2 x 2 sweep exit 0, 1 or 2, with no
     # traceback and no numpy warning (warnings are errors here)
     grid = default_config().grid
-    t0, t_end, dt = (values.get(k, getattr(grid, k)) for k in ("t0", "t_end", "dt"))
-    if dt > 0.0 and t_end > t0:
-        assume(not 5000 <= (t_end - t0) / dt <= 10**7)  # too slow for tier-1
+    t_end, dt = (values.get(k, getattr(grid, k)) for k in ("t_end", "dt"))
+    if dt > 0.0 and t_end > 0.0:
+        assume(not 5000 <= t_end / dt <= 10**7)  # too slow for tier-1
     work = tmp_path_factory.getbasetemp() / "extreme-config"
     work.mkdir(exist_ok=True)
     cfg = work / "run.cfg"

@@ -261,7 +261,7 @@ def test_gate_inactive_before_window_fills(params, s0):
     # t_on = 0 and a huge epsilon open the gate on every sample that has a
     # state tau earlier; the first tau/dt = 3 samples have none.
     cfg = ControllerConfig(K=-0.6, epsilon=1e9, t_on=0.0, tau=0.375)
-    traj = run_controlled(params, s0, TimeGrid(0.0, 2.0, 0.125), cfg)
+    traj = run_controlled(params, s0, TimeGrid(2.0, 0.125), cfg)
     assert not traj.active[:3].any()
     assert np.all(traj.u[:3] == 0.0)
     assert np.all(np.isnan(traj.r[:3]))
@@ -341,7 +341,7 @@ def test_gate_samples_equals_scalar_gate_bit_for_bit(params, rng, lag):
     expected = scalar_r(states, lag, ControllerConfig(K=-0.6))
     if lag < len(states) - 1:
         assert (expected == 0.0).any()
-    flow = _FreeFlow(params, State(*states[0]), TimeGrid(0.0, (len(states) - 1) * 0.1, 0.1))
+    flow = _FreeFlow(params, State(*states[0]), TimeGrid((len(states) - 1) * 0.1, 0.1))
     flow.states[:] = states
     # computed as far as the flow is stepped, then on from there
     for end in sorted({min(lag + 17, len(states)), len(states)}):

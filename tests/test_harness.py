@@ -33,12 +33,12 @@ import reference
 from reference import activation_gate, check_state, control_term, nearest_equilibrium, rk4_step
 
 coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-short_grid = TimeGrid(0.0, 5.0, 0.1)
+short_grid = TimeGrid(5.0, 0.1)
 
 
 def constant_trajectory(point: State, t_end=30.0, dt=0.1, u=0.0, active=False):
     """A trajectory parked at ``point``, and its grid."""
-    g = TimeGrid(0.0, t_end, dt)
+    g = TimeGrid(t_end, dt)
     n = g.n_steps + 1
     return Trajectory(
         t=g.times(),
@@ -119,7 +119,7 @@ def test_trajectory_checks_allocate_no_float_temporaries(params, s0, controller)
     # A never-open run: the checks allocate one bool a sample for the times
     # and nothing for u (no nonzero entries); 9 bytes a sample with
     # np.diff and a masked copy of u.
-    run = run_controlled(params, s0, TimeGrid(0.0, 2000.0, 0.1), controller)
+    run = run_controlled(params, s0, TimeGrid(2000.0, 0.1), controller)
     assert run.n_samples == 20001 and not run.active.any()
     arrays = {name: getattr(run, name) for name in ("t", "states", "u", "active", "r")}
     tracemalloc.start()
@@ -190,7 +190,7 @@ def test_divergence_propagates_step_context(params):
     # blow-up field disguised as a run: huge positive gain, gate wide open
     cfg = ControllerConfig(K=20.0, epsilon=1e9, t_on=0.0)
     with pytest.raises(DivergenceError) as exc_info:
-        run_controlled(params, State(1.5, -1.25, 3.5), TimeGrid(0.0, 200.0, 0.1), cfg)
+        run_controlled(params, State(1.5, -1.25, 3.5), TimeGrid(200.0, 0.1), cfg)
     assert exc_info.value.step_index == 12  # oracle run
 
 
@@ -255,7 +255,7 @@ def test_modes_agree_while_gate_is_shut(params, s0, grid):
 def test_delay_window_fills_then_slides(params, s0):
     # lag 3: r is absent until three steps have been taken, then measures the
     # distance to the state exactly three samples back
-    g = TimeGrid(0.0, 5.0, 0.1)
+    g = TimeGrid(5.0, 0.1)
     traj = run_controlled(params, s0, g, ControllerConfig(K=-0.6, epsilon=0.5, tau=0.3))
     assert np.isnan(traj.r[:3]).all()
     S = traj.states
@@ -267,7 +267,7 @@ def test_delay_window_fills_then_slides(params, s0):
 def test_tau_must_fit_grid(params, s0):
     cfg = ControllerConfig(K=-0.6, tau=1.0)
     with pytest.raises(ValueError):
-        run_controlled(params, s0, TimeGrid(0.0, 3.0, 0.3), cfg)
+        run_controlled(params, s0, TimeGrid(3.0, 0.3), cfg)
 
 
 # --- convergence reports --------------------------------------------------------------
@@ -402,7 +402,7 @@ def test_sweep_single_zero_gain_cell_matches_uncontrolled(params, s0, grid, free
 
 
 def test_sweep_cell_order_is_mode_then_K_then_eps(params, s0):
-    g = TimeGrid(0.0, 30.0, 0.1)
+    g = TimeGrid(30.0, 0.1)
     base = ControllerConfig(K=-0.6, epsilon=0.1, t_on=10.0)
     rep = sweep(params, s0, g, [-0.6, -0.3], [0.1, 0.5], base,
                 modes=[PredictionMode.DERIVATIVE, PredictionMode.EULER], tail=10.0)
@@ -435,7 +435,7 @@ def test_sweep_contains_cell_failures(params, s0, grid):
 def test_sweep_whose_only_cell_diverges_refuses_bad_report_settings(params, s0, settings,
                                                                      message):
     # the settings are checked before the first run, not in its report
-    args = (params, s0, TimeGrid(0.0, 10.0, 0.1), [-1e30], [1e9],
+    args = (params, s0, TimeGrid(10.0, 0.1), [-1e30], [1e9],
             ControllerConfig(K=-0.6, epsilon=1e9, t_on=0.0))
     (cell,) = sweep(*args, tail=5.0).cells
     assert cell.report is None and "step" in cell.error
@@ -453,7 +453,7 @@ def test_sweep_rejects_empty_lists(params, s0, grid, controller):
 
 
 def test_sweep_accepts_numpy_arrays(params, s0):
-    g = TimeGrid(0.0, 30.0, 0.1)
+    g = TimeGrid(30.0, 0.1)
     base = ControllerConfig(K=-0.6, epsilon=0.1, t_on=10.0)
     from_lists = sweep(params, s0, g, [-0.6, -0.3], [0.1, 0.5], base, tail=10.0)
     from_arrays = sweep(params, s0, g, np.array([-0.6, -0.3]), np.array([0.1, 0.5]), base,
@@ -467,7 +467,7 @@ def test_sweep_accepts_numpy_arrays(params, s0):
 
 
 def test_sweep_is_deterministic(params, s0):
-    g = TimeGrid(0.0, 30.0, 0.1)
+    g = TimeGrid(30.0, 0.1)
     base = ControllerConfig(K=-0.6, epsilon=0.5, t_on=10.0)
     a = sweep(params, s0, g, [-0.6], [0.5], base, tail=10.0)
     b = sweep(params, s0, g, [-0.6], [0.5], base, tail=10.0)
@@ -517,10 +517,10 @@ def reference_run(p, s0, grid, cfg=None):
         return actives[k]
 
     y = s0.as_array()
-    check_state(y, 0, grid.t0)
-    active = record(0, grid.t0, y)
+    check_state(y, 0, 0.0)
+    active = record(0, 0.0, y)
     for k in range(1, n + 1):
-        t_prev, t_k = grid.t0 + (k - 1) * grid.dt, grid.t0 + k * grid.dt
+        t_prev, t_k = (k - 1) * grid.dt, k * grid.dt
         try:
             y = rk4_step(f_ctl if active else f_open, t_prev, y, grid.dt)
         except IntegrationError:  # a non-finite stage leaves a non-finite row
@@ -562,7 +562,7 @@ DIFFERENTIAL_CASES = {
 @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_CASES))
 def test_core_matches_rk4_step_reference(params, s0, name):
     cfg = DIFFERENTIAL_CASES[name]
-    g = TimeGrid(0.0, 100.0, 0.1)
+    g = TimeGrid(100.0, 0.1)
     core = core_run(params, s0, g, cfg)
     ref = reference_run(params, s0, g, cfg)
     if name.endswith("gate-open"):
@@ -577,7 +577,7 @@ def test_core_matches_rk4_step_reference(params, s0, name):
     (ControllerConfig(K=1e200, epsilon=1e9, t_on=0.0), "non-finite derivative"),
 ])
 def test_core_divergence_matches_reference(params, s0, cfg, cause):
-    g = TimeGrid(0.0, 100.0, 0.1)
+    g = TimeGrid(100.0, 0.1)
     core = outcome(core_run, params, s0, g, cfg)
     with np.errstate(over="ignore", invalid="ignore"):
         ref = outcome(reference_run, params, s0, g, cfg)
@@ -591,7 +591,7 @@ def test_core_divergence_matches_reference(params, s0, cfg, cause):
 
 # 200 steps with the delay a whole number of them: gates that open early,
 # late or never, laws that settle or diverge, both outcomes compared
-DRAWN_GRID = TimeGrid(0.0, 20.0, 0.1)
+DRAWN_GRID = TimeGrid(20.0, 0.1)
 drawn_gains = st.one_of(st.sampled_from([0.0, -0.0, -0.9, 1e200]), st.floats(-1.5, 2.0))
 drawn_thresholds = st.one_of(st.sampled_from([1e-9, 1e9]), st.floats(0.05, 20.0))
 drawn_controllers = st.builds(
@@ -626,7 +626,7 @@ def test_gate_ties_match_reference(params, s0, lag, tie):
     # later sample, or never, and not at k.
     tau = lag * DRAWN_GRID.dt
     free = reference_run(params, s0, DRAWN_GRID, ControllerConfig(0.5, epsilon=1e-300, tau=tau))
-    t_k = DRAWN_GRID.t0 + lag * DRAWN_GRID.dt  # the bits of TimeGrid.times() at k
+    t_k = lag * DRAWN_GRID.dt  # the bits of TimeGrid.times() at k
     if tie == "epsilon-is-an-r":
         cfg = ControllerConfig(0.5, epsilon=float(free.r[lag]), t_on=0.0, tau=tau)
     else:
@@ -689,7 +689,7 @@ def test_core_matches_reference_on_drawn_params(p, s0, cfg):
        second=st.builds(State, coords, coords, coords))
 def test_report_target_matches_reference_loop(p, first, second):
     # a tail alternating between two states, so its mean is neither of them
-    g = TimeGrid(0.0, 30.0, 0.1)
+    g = TimeGrid(30.0, 0.1)
     n = g.n_steps + 1
     traj = Trajectory(t=g.times(), states=np.resize([first.as_array(), second.as_array()], (n, 3)),
                       u=np.zeros(n), active=np.zeros(n, dtype=bool), r=np.full(n, np.nan))
@@ -716,7 +716,7 @@ ORACLE_DTS = (0.005, 0.0025, 0.00125, 0.000625)
 
 def core_endpoints(params, s0):
     """Final states of free runs over t in [0, 5], one per step in ORACLE_DTS."""
-    return [run_uncontrolled(params, s0, TimeGrid(0.0, 5.0, dt)).states[-1] for dt in ORACLE_DTS]
+    return [run_uncontrolled(params, s0, TimeGrid(5.0, dt)).states[-1] for dt in ORACLE_DTS]
 
 
 def halving_orders(errors):
@@ -756,7 +756,7 @@ def test_always_on_literal_control_settles_at_the_controlled_fixed_point(params,
     # Measured: the last state lies 3.4e-15 from the positive-x point.
     K = 1.0
     cfg = ControllerConfig(K=K, epsilon=1e9, t_on=0.0, mode=PredictionMode.DERIVATIVE)
-    traj = run_controlled(params, s0, TimeGrid(0.0, 200.0, 0.01), cfg)
+    traj = run_controlled(params, s0, TimeGrid(200.0, 0.01), cfg)
     d_K = (params.d + K * (params.d + 1.0)) / (1.0 + K)
     fixed = equilibria(Params(params.a, params.b, d_K, params.h)).points
     points = np.array([(pt.x, pt.y, pt.z) for pt in fixed])
@@ -768,7 +768,7 @@ def test_always_on_literal_control_settles_at_the_controlled_fixed_point(params,
 # --- sweep cells sharing the free-flow prefix -------------------------------------------
 
 BOTH_MODES = [PredictionMode.DERIVATIVE, PredictionMode.EULER]
-SWEEP_GRID = TimeGrid(0.0, 100.0, 0.1)  # lag 10 at the default tau = 1
+SWEEP_GRID = TimeGrid(100.0, 0.1)  # lag 10 at the default tau = 1
 
 
 def never_opened(firsts, errors):
@@ -946,7 +946,7 @@ def test_lone_never_open_run_peak_does_not_grow_with_t_on(params, s0):
     # cannot open, add no full-length temporaries (80.9 bytes a sample when
     # one pass gated them all).
     cfg = ControllerConfig(K=-0.6, epsilon=0.05, t_on=199.0)
-    traj, peak = lone_run_peak(params, s0, TimeGrid(0.0, 200.0, 0.01), cfg)
+    traj, peak = lone_run_peak(params, s0, TimeGrid(200.0, 0.01), cfg)
     assert traj.n_samples == 20001 and not traj.active.any()
     assert peak <= 55.0
 
@@ -955,7 +955,7 @@ def test_lone_run_steps_on_in_its_own_flow(params, s0):
     # Past its first open sample a lone run steps on in the arrays of its
     # free flow; a copy of them would add 32 bytes a sample.
     cfg = ControllerConfig(K=-0.3, epsilon=5.0, t_on=1000.0, mode=PredictionMode.EULER)
-    traj, peak = lone_run_peak(params, s0, TimeGrid(0.0, 2000.0, 0.1), cfg)
+    traj, peak = lone_run_peak(params, s0, TimeGrid(2000.0, 0.1), cfg)
     assert int(traj.active.argmax()) > 10000
     assert all(getattr(traj, name).flags.writeable for name in ARRAYS)
     assert peak <= 60.0
@@ -967,7 +967,7 @@ def test_lone_run_each_steps_on_in_its_own_flow(params, s0):
     # its own: its run is not copied off a flow kept for later runs (that
     # copy added 32 bytes a sample)
     cfg = ControllerConfig(K=-0.3, epsilon=5.0, t_on=1000.0, mode=PredictionMode.EULER)
-    grid = TimeGrid(0.0, 2000.0, 0.1)
+    grid = TimeGrid(2000.0, 0.1)
     (traj, report), apart = lone_run_peak(params, s0, grid, cfg, run_and_report)
     (got, got_report), alone = lone_run_peak(params, s0, grid, cfg, run_each_alone)
     assert int(got.active.argmax()) > 10000
@@ -1022,10 +1022,10 @@ def test_run_with_free_prefix_matches_run_without(params, s0, rng, name):
         # before, at and past the row where the free flow first opens the gate
         lag = delay_steps(cfg, SWEEP_GRID.dt)
         cuts += [lag, lag + 1]
-        t0, dt = SWEEP_GRID.t0, SWEEP_GRID.dt
+        dt = SWEEP_GRID.dt
         opening = next(
             (k for k in range(lag, len(free))
-             if activation_gate(free[k - lag], t0 + k * dt, free[k], cfg)[0]),
+             if activation_gate(free[k - lag], k * dt, free[k], cfg)[0]),
             None,
         )
         if opening is not None:
@@ -1067,7 +1067,7 @@ def test_run_each_gates_the_shared_prefix_on_its_r(params, s0, monkeypatch):
         return result
 
     monkeypatch.setattr(harness._FreeFlow, "r", counted)
-    grid = TimeGrid(0.0, 2000.0, 0.01)
+    grid = TimeGrid(2000.0, 0.01)
     cfgs = [
         ControllerConfig(K=-0.6, epsilon=1e-9),
         ControllerConfig(K=-0.3, epsilon=1e-9, mode=PredictionMode.EULER),
@@ -1219,7 +1219,7 @@ def test_open_sample_computes_its_control_term_once(params, s0, monkeypatch):
         return coefficients(*args)
 
     monkeypatch.setattr(harness, "control_coefficients", counted)
-    grid = TimeGrid(0.0, 60.0, 0.01)
+    grid = TimeGrid(60.0, 0.01)
     cfg = ControllerConfig(K=-0.3, epsilon=5.0, mode=PredictionMode.EULER)
     never = ControllerConfig(K=-0.6, epsilon=0.05)
     alone = run_controlled(params, s0, grid, cfg)
@@ -1247,15 +1247,15 @@ def opening_past(offset, p, s0, grid, tau=1.0):
     for after in range(lag + 1, len(states) - offset):
         before, here = r[after - lag:after - lag + offset].min(), r[after - lag + offset]
         if here < 0.99 * before:
-            t_on = grid.t0 + (after - 0.5) * grid.dt
+            t_on = (after - 0.5) * grid.dt
             cfg = ControllerConfig(K=-0.3, epsilon=(here + before) / 2, t_on=t_on, tau=tau)
             return grid, cfg, after + offset
     raise AssertionError("no such sample")
 
 
-DIVERGING_GRID = TimeGrid(0.0, 10.0, 0.25)  # the free flow diverges at step 6
+DIVERGING_GRID = TimeGrid(10.0, 0.25)  # the free flow diverges at step 6
 # the free flow diverges at step 24, and with lag 1 its r drops below 1.3 first at 18
-OPEN_THEN_DIVERGING_GRID = TimeGrid(0.0, 28.0, 0.28)
+OPEN_THEN_DIVERGING_GRID = TimeGrid(28.0, 0.28)
 OPEN_THEN_LASTING = ControllerConfig(K=-0.2, epsilon=1.3, t_on=0.0, tau=0.28)
 
 # name -> (grid, controller, the first open sample, None, or ("diverges", step))
@@ -1274,11 +1274,10 @@ STRETCH_CASES = {
     "t_on-beyond-every-grid-time": lambda p, s0: (
         SWEEP_GRID, ControllerConfig(K=-0.3, epsilon=1e9, t_on=1e300), None,
     ),
-    # (t_on - t0)/dt overflows to inf
+    # t_on/dt overflows to inf
     "t_on-largest-double": lambda p, s0: (
         SWEEP_GRID, ControllerConfig(K=-0.3, epsilon=1e9, t_on=sys.float_info.max), None,
     ),
-    "t0-nonzero": lambda p, s0: opening_past(7, p, s0, TimeGrid(3.0, 53.0, 0.1)),
     "lag-one": lambda p, s0: opening_past(4, p, s0, SWEEP_GRID, tau=0.1),
     "lag-longer-than-first-stretch": lambda p, s0: (
         SWEEP_GRID, ControllerConfig(K=-0.3, epsilon=1e9, t_on=0.0, tau=4.0), 40,
@@ -1316,7 +1315,7 @@ def test_free_stretch_edges_match_reference_run(params, s0, name):
 def test_free_stretch_edge_cases_diverge_where_named(params, s0):
     assert outcome(_run, params, s0, DIVERGING_GRID, None)[0] == 6
     assert outcome(_run, params, s0, OPEN_THEN_DIVERGING_GRID, None)[0] == 24
-    free = _run(params, s0, TimeGrid(0.0, 23 * 0.28, 0.28), None).states
+    free = _run(params, s0, TimeGrid(23 * 0.28, 0.28), None).states
     r = np.linalg.norm(free[1:] - free[:-1], axis=1)  # at samples 1, 2, ...
     assert r[17] < 1.3 <= r[:17].min()
 
@@ -1357,7 +1356,7 @@ def test_divergence_in_a_free_stretch_leaves_no_cycle(params, s0):
 # --- divergence found at a check of the stepped rows, not in the step --------------------
 
 def free_grid(dt):
-    return TimeGrid(0.0, 600 * dt, dt)
+    return TimeGrid(600 * dt, dt)
 
 
 FAR_START = State(2e6, 0.0, 0.0)
@@ -1371,10 +1370,10 @@ DIVERGENCE_CASES = {
     "free-first-row-of-a-block": (None, free_grid(0.22584), None, 512),
     # the gate opens at sample 51 (t > 5) and stays open: the per-sample phase
     "per-sample-last-row-of-a-block": (
-        None, TimeGrid(0.0, 60.0, 0.1), ControllerConfig(K=-0.52196, epsilon=1e9, t_on=5.0), 511,
+        None, TimeGrid(60.0, 0.1), ControllerConfig(K=-0.52196, epsilon=1e9, t_on=5.0), 511,
     ),
     "per-sample-first-row-of-a-block": (
-        None, TimeGrid(0.0, 60.0, 0.1), ControllerConfig(K=-0.5219, epsilon=1e9, t_on=5.0), 512,
+        None, TimeGrid(60.0, 0.1), ControllerConfig(K=-0.5219, epsilon=1e9, t_on=5.0), 512,
     ),
     "free-initial-state": (FAR_START, short_grid, None, 0),
     "controlled-initial-state": (FAR_START, short_grid, ControllerConfig(K=-0.3, t_on=0.0), 0),
@@ -1405,7 +1404,7 @@ def test_error_reads_the_failed_row(params, s0, monkeypatch, name):
     # The error is read from the failing row alone, which is the one step from
     # the state, gate and u of the checked row before; no step is taken again.
     start, grid, cfg, row = DIVERGENCE_CASES.get(name) or (
-        None, TimeGrid(0.0, 100.0, 0.1), ControllerConfig(K=1e200, epsilon=1e9, t_on=0.0), 11)
+        None, TimeGrid(100.0, 0.1), ControllerConfig(K=1e200, epsilon=1e9, t_on=0.0), 11)
     start = start or s0
     seen, divergence = [], harness._divergence
     monkeypatch.setattr(harness, "_divergence", lambda *args: seen.append(args) or divergence(*args))
@@ -1413,7 +1412,7 @@ def test_error_reads_the_failed_row(params, s0, monkeypatch, name):
         ref = outcome(reference_run, params, start, grid, cfg)
     assert outcome(_run, params, start, grid, cfg) == ref and ref[0] == row
     (k, _, state), = seen
-    before = _run(params, start, TimeGrid(grid.t0, grid.time_at(row - 1), grid.dt), cfg)
+    before = _run(params, start, TimeGrid(grid.time_at(row - 1), grid.dt), cfg)
     f_open, f_ctl = reference_fields(params, cfg)
     # the same step without its stage check, which a non-finite derivative fails
     monkeypatch.setattr(reference, "_eval", lambda f, t, y: np.asarray(f(t, y), dtype=float))
@@ -1427,14 +1426,14 @@ def test_error_reads_the_failed_row(params, s0, monkeypatch, name):
 ROW_ERRORS = {
     # each component of the start at the limit, and a step so long that the
     # third stage overflows
-    "free-non-finite-row": (State(1e6, 1e6, 1e6), TimeGrid(0.0, 1e21, 1e20), None,
+    "free-non-finite-row": (State(1e6, 1e6, 1e6), TimeGrid(1e21, 1e20), None,
                             "step 1 (t=1e+20): non-finite state component"),
-    "gated-non-finite-row": (None, TimeGrid(0.0, 100.0, 0.1),
+    "gated-non-finite-row": (None, TimeGrid(100.0, 0.1),
                              ControllerConfig(K=1e200, epsilon=1e9, t_on=0.0),
                              "step 11 (t=1.1): non-finite state component"),
     "free-row-beyond-the-limit": (None, free_grid(0.21517), None,
                                   "step 511 (t=109.95187): state magnitude exceeded 1e+06"),
-    "gated-row-beyond-the-limit": (None, TimeGrid(0.0, 100.0, 0.1),
+    "gated-row-beyond-the-limit": (None, TimeGrid(100.0, 0.1),
                                    ControllerConfig(K=-1.4, epsilon=5.0, t_on=40.0),
                                    "step 551 (t=55.1): state magnitude exceeded 1e+06"),
     "free-start-beyond-the-limit": (FAR_START, short_grid, None,
@@ -1451,7 +1450,7 @@ def test_divergence_error_names_the_failing_row_and_its_time(params, s0, name):
         core_run(params, start or s0, grid, cfg)
     assert str(info.value) == f"integration aborted at {expected}"
     k = info.value.step_index
-    assert info.value.time == (grid.time_at(k) if k else grid.t0)
+    assert info.value.time == grid.time_at(k)
 
 
 @pytest.mark.parametrize("dt, row", [(0.21517, 511), (0.22584, 512)])
@@ -1472,7 +1471,7 @@ def test_shut_gate_far_from_its_delayed_state_stops_the_run_at_once(params, s0, 
     # failing row r is at least 4 * DIVERGENCE_LIMIT, which two rows within
     # the limit cannot give, so the run checks there and does not step on to
     # row 1000, the end of its checked block.
-    grid = TimeGrid(0.0, 100.0, 0.1)
+    grid = TimeGrid(100.0, 0.1)
     cfg = ControllerConfig(K=K, epsilon=5.0, t_on=40.0)
     got = outcome(_run, params, s0, grid, cfg)
     with np.errstate(over="ignore", invalid="ignore"):

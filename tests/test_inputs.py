@@ -27,6 +27,7 @@ from rabinovich import (
     closed_loop_scalar_coeff,
     parse_config,
     prediction_mode,
+    sweep,
 )
 from rabinovich.cli import cli_dispatch
 from rabinovich.harness import check_report_settings
@@ -46,6 +47,11 @@ def _cli_refusal(*argv) -> str:
     with contextlib.redirect_stderr(err), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         assert cli_dispatch(list(argv)) == 1
     return err.getvalue()
+
+
+def _sweep_refusal(K_values) -> str:
+    return _refusal(sweep, Params(4, 1, 1, 6.75), State(1.5, -1.25, 3.5), TimeGrid(30.0, 0.1),
+                    K_values, [0.1], ControllerConfig(K=-0.6))
 
 
 BAD_INPUTS = [
@@ -72,11 +78,11 @@ BAD_INPUTS = [
      "epsilon must be a positive finite number, got -1.0"),
     ("Controller-mode", lambda: _refusal(ControllerConfig, K=-0.6, mode="literal"),
      "mode must be a PredictionMode, got 'literal'"),
-    ("TimeGrid-t0", lambda: _refusal(TimeGrid, math.nan, 1, 0.1),
-     "t0 must be finite, got nan"),
-    ("TimeGrid-t_end", lambda: _refusal(TimeGrid, 0, -math.inf, 0.1),
-     "t_end must be finite, got -inf"),
-    ("TimeGrid-dt", lambda: _refusal(TimeGrid, 0, 1, -0.0),
+    ("TimeGrid-t_end", lambda: _refusal(TimeGrid, -math.inf, 0.1),
+     "t_end must be a positive finite number, got -inf"),
+    ("TimeGrid-t_end-zero", lambda: _refusal(TimeGrid, 0, 0.1),
+     "t_end must be a positive finite number, got 0.0"),
+    ("TimeGrid-dt", lambda: _refusal(TimeGrid, 1, -0.0),
      "dt must be a positive finite number, got -0.0"),
     ("interval-d", lambda: _refusal(admissible_gain_interval, 0),
      "d must be a positive finite number, got 0.0"),
@@ -131,6 +137,9 @@ BAD_INPUTS = [
      "state component y must be finite, got b'1'"),
     ("Controller-K-None", lambda: _refusal(ControllerConfig, K=None),
      "K must be finite, got None"),
+    # A sweep cell takes the controller's own input rule.
+    ("sweep-K-str", lambda: _sweep_refusal(["-0.5"]), "K must be finite, got '-0.5'"),
+    ("sweep-K-bare-str", lambda: _sweep_refusal("0.5"), "K must be finite, got '0'"),
     ("sweep-modes", lambda: _cli_refusal("sweep", "--K=-0.6", "--epsilon", "0.1",
                                          "--modes", "euler, forward"),
      "error: modes: expected one of literal,euler, got 'forward'\n"),
@@ -178,20 +187,9 @@ def _as_float(value) -> float:
         return math.nan
 
 
-def _one_step_grid(t0, t_end) -> TimeGrid:
-    # dt = t_end - t0 is exact for two adjacent floats
-    return TimeGrid(t0, t_end, _as_float(t_end) - _as_float(t0))
-
-
-def _finite_or_zero(value) -> float:
-    value = _as_float(value)
-    return value if math.isfinite(value) else 0.0
-
-
 # (name in the error, positive, build: value -> the value as stored).  The other
 # inputs of each build are valid whatever the drawn value, so only its own
-# rule can refuse it, but for t_on's nonnegative rule and a grid end at
-# the far end of the floats, where the other end is not finite.
+# rule can refuse it, but for t_on's nonnegative rule.
 FLOAT_FIELDS = {
     "a": (True, lambda v: Params(v, 1, 1, 6.75).a),
     "b": (True, lambda v: Params(4, v, 1, 6.75).b),
@@ -204,10 +202,9 @@ FLOAT_FIELDS = {
     "epsilon": (True, lambda v: ControllerConfig(K=-0.6, epsilon=v).epsilon),
     "t_on": (False, lambda v: ControllerConfig(K=-0.6, t_on=v).t_on),
     "tau": (True, lambda v: ControllerConfig(K=-0.6, tau=v).tau),
-    "t0": (False, lambda v: _one_step_grid(v, math.nextafter(_finite_or_zero(v), math.inf)).t0),
-    "t_end": (False,
-              lambda v: _one_step_grid(math.nextafter(_finite_or_zero(v), -math.inf), v).t_end),
-    "dt": (True, lambda v: TimeGrid(0, v if 0 < _as_float(v) < math.inf else 1, v).dt),
+    # a one-step grid: t_end is its own step
+    "t_end": (True, lambda v: TimeGrid(v, v).t_end),
+    "dt": (True, lambda v: TimeGrid(v if 0 < _as_float(v) < math.inf else 1, v).dt),
     "tail": (True, lambda v: check_report_settings(v, 1.0, math.inf) or float(v)),
     "capture_radius": (True, lambda v: check_report_settings(1.0, v, 2.0) or float(v)),
     # m = -d at K = 0, so the coefficient's negation is d as stored
@@ -236,7 +233,6 @@ def _bits(x: float) -> bytes:
 @example(field="t_on", value=-0.0)
 @example(field="dt", value=5e-324)
 @example(field="epsilon", value=True)
-@example(field="t0", value=MAX)
 @example(field="t_end", value=-MAX)
 @example(field="t_end", value=-0.0)
 @example(field="K of the scalar coefficient", value=math.nan)
@@ -251,10 +247,6 @@ def test_each_float_field_is_refused_exactly_when_its_rule_fails(field, value):
         assert _refusal(build, value) == f"{name} must be {rule}, got {f!r}"
     elif field == "t_on" and f < 0.0:
         assert _refusal(build, value) == f"t_on must be nonnegative, got {f!r}"
-    elif (field, f) == ("t0", MAX):
-        assert _refusal(build, value) == "t_end must be finite, got inf"
-    elif (field, f) == ("t_end", -MAX):
-        assert _refusal(build, value) == "t0 must be finite, got -inf"
     else:
         stored = build(value)
         assert type(stored) is float and _bits(stored) == _bits(f)

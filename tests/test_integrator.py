@@ -13,7 +13,7 @@ from reference import rk4_step
 
 class TestTimeGrid:
     def test_basic(self):
-        g = TimeGrid(0.0, 1.0, 0.25)
+        g = TimeGrid(1.0, 0.25)
         assert g.n_steps == 4
         assert g.time_at(0) == 0.0
         assert g.time_at(4) == 1.0
@@ -21,95 +21,62 @@ class TestTimeGrid:
 
     def test_standard_grid_hits_landmarks_exactly(self):
         # 0.1 is inexact in binary but 400*0.1 and 2000*0.1 are exact
-        g = TimeGrid(0.0, 200.0, 0.1)
+        g = TimeGrid(200.0, 0.1)
         assert g.n_steps == 2000
         assert g.time_at(400) == 40.0
         assert g.time_at(1000) == 100.0
         assert g.time_at(2000) == 200.0
 
-    @pytest.mark.parametrize("t0,t_end,dt", [
-        (0.0, 1.0, 0.3),      # does not divide evenly
-        (0.0, 1 + 5e-8, 0.1),  # 5e-7 steps off a whole number
-        (0.0, 1.0, -0.1),     # negative step
-        (0.0, 1.0, 0.0),      # zero step
-        (1.0, 1.0, 0.1),      # empty span
-        (2.0, 1.0, 0.1),      # reversed span
-        (0.0, math.inf, 0.1),
+    @pytest.mark.parametrize("t_end,dt", [
+        (1.0, 0.3),      # does not divide evenly
+        (1 + 5e-8, 0.1),  # 5e-7 steps off a whole number
+        (1.0, -0.1),     # negative step
+        (1.0, 0.0),      # zero step
+        (0.0, 0.1),      # empty span
+        (-1.0, 0.1),     # reversed span
+        (math.inf, 0.1),
     ])
-    def test_rejects_bad_grids(self, t0, t_end, dt):
+    def test_rejects_bad_grids(self, t_end, dt):
         with pytest.raises(ValueError):
-            TimeGrid(t0, t_end, dt)
+            TimeGrid(t_end, dt)
 
     def test_step_count_is_bounded(self):
-        assert TimeGrid(0.0, float(MAX_STEPS), 1.0).n_steps == MAX_STEPS
+        assert TimeGrid(float(MAX_STEPS), 1.0).n_steps == MAX_STEPS
         with pytest.raises(ValueError, match="dt = 1.0 gives 10000001 steps, more than the 10000000"):
-            TimeGrid(0.0, float(MAX_STEPS + 1), 1.0)
+            TimeGrid(float(MAX_STEPS + 1), 1.0)
         with pytest.raises(ValueError, match=r"dt = 1e-09 gives 200000000000 steps"):
-            TimeGrid(0.0, 200.0, 1e-9)
+            TimeGrid(200.0, 1e-9)
         # a span/dt quotient that overflows to inf is a step count too
         with pytest.raises(ValueError, match=r"dt = 1e-300 gives inf steps"):
-            TimeGrid(0.0, 1e300, 1e-300)
+            TimeGrid(1e300, 1e-300)
 
     def test_step_count_is_worked_out_once_and_is_not_part_of_the_value(self, monkeypatch):
         calls, whole = [], integrator.whole_steps
         monkeypatch.setattr(integrator, "whole_steps", lambda *a: calls.append(a) or whole(*a))
-        g = TimeGrid(0.0, 1.0, 0.25)
+        g = TimeGrid(1.0, 0.25)
         assert (g.n_steps, g.n_steps, len(g.times())) == (4, 4, 5)
         assert calls == [(1.0, 0.25)]
-        # equality, hash and repr are those of (t0, t_end, dt) alone, as before
-        assert repr(g) == "TimeGrid(t0=0.0, t_end=1.0, dt=0.25)"
-        assert g == TimeGrid(0, 1, 0.25) and g != TimeGrid(0.0, 1.0, 0.125)
-        assert hash(g) == hash((0.0, 1.0, 0.25)) == hash(TimeGrid(0, 1, 0.25))
+        # equality, hash and repr are those of (t_end, dt) alone
+        assert repr(g) == "TimeGrid(t_end=1.0, dt=0.25)"
+        assert g == TimeGrid(1, 0.25) and g != TimeGrid(1.0, 0.125)
+        assert hash(g) == hash((1.0, 0.25)) == hash(TimeGrid(1, 0.25))
         assert replace(g, t_end=2.0).n_steps == 8
         with pytest.raises(FrozenInstanceError):
             g.n_steps = 5
-
-    def test_grid_whose_times_collide_is_refused_naming_dt(self):
-        # t0 + k*dt rounds to the same double for neighbouring k: 1e17 is 16 apart
-        # from the next double, so 0.01 moves no time until k is about 800
-        with pytest.raises(ValueError, match=(
-            r"^dt = 0.01 is too small for times this large: samples 0 and 1 of the grid"
-            r" both fall at t = 1e\+17$"
-        )):
-            TimeGrid(1e17, 100000000000000048.0, 0.01)
-        # a step below 4 ulps whose times still increase is checked and kept
-        g = TimeGrid(1e17, 1e17 + 64.0, 32.0)
-        assert 32.0 < 4 * math.ulp(1e17 + 64.0) and g.n_steps == 2
-        assert np.all(np.diff(g.times()) > 0.0)
-
-    @given(
-        t0=st.floats(-1e300, 1e300, allow_nan=False),
-        ulps=st.floats(4.0, 64.0),
-        n=st.integers(1, 2000),
-    )
-    def test_a_step_of_four_ulps_keeps_times_increasing(self, t0, ulps, n):
-        # the cheap rule TimeGrid trusts: dt >= 4 ulps of the grid's largest
-        # magnitude needs no look at the times
-        dt = ulps * math.ulp(abs(t0))
-        if dt == 0.0:
-            return
-        t_end = t0 + n * dt
-        try:
-            g = TimeGrid(t0, t_end, dt)
-        except ValueError:
-            return  # t_end rounded off the grid
-        if dt >= 4.0 * math.ulp(max(abs(t0), abs(t_end))):
-            t = g.times()
-            assert np.all(t[1:] > t[:-1])
 
     @pytest.mark.parametrize("length, dt, expected", [
         (0.3, 0.1, (2.9999999999999996, 3)),       # within 1e-9 of a whole number
         (1.0, 0.3, (3.3333333333333335, None)),
         (0.05, 0.1, (0.5, None)),                  # fewer than one step
         (1e300, 1e-10, (math.inf, None)),          # overflows: bounded before round
-        (1 + 5e-12, 0.1, (10.00000000005, 10)),     # the grid TimeGrid(0, 1 + 5e-12, 0.1)
+        (1 + 5e-12, 0.1, (10.00000000005, 10)),     # the grid TimeGrid(1 + 5e-12, 0.1)
         (1 + 5e-8, 0.1, (10.000000499999999, None)),  # 5e-7 off: TimeGrid refuses it
     ])
     def test_whole_steps(self, length, dt, expected):
         assert whole_steps(length, dt) == expected
 
     def test_times_matches_time_at(self):
-        g = TimeGrid(0.0, 5.0, 0.1)
+        g = TimeGrid(5.0, 0.1)
         ts = g.times()
         assert len(ts) == g.n_steps + 1
         for k in (0, 7, 23, g.n_steps):
@@ -157,7 +124,7 @@ class TestRk4Step:
         errs = []
         for dt in (0.1, 0.05, 0.025):
             y = np.array([1.0])
-            g = TimeGrid(0.0, 1.0, dt)
+            g = TimeGrid(1.0, dt)
             for k in range(g.n_steps):
                 y = rk4_step(lambda t, v: -v, g.time_at(k), y, dt)
             errs.append(abs(y[0] - math.exp(-1.0)))

@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cache
 from itertools import islice
 
 import numpy as np
@@ -21,6 +22,7 @@ from rabinovich import (
     Params,
     PredictionMode,
     State,
+    SweepCell,
     SweepReport,
     TimeGrid,
     Trajectory,
@@ -158,7 +160,7 @@ def _reference_csv(traj) -> str:
 def test_block_writer_matches_reference_on_gated_run(params, s0):
     # 2 * block + 1 rows: two full blocks and a one-row tail
     dt = 0.01
-    g = TimeGrid(0.0, 2 * _BLOCK_ROWS * dt, dt)
+    g = TimeGrid(2 * _BLOCK_ROWS * dt, dt)
     cfg = ControllerConfig(K=-0.3, epsilon=5.0, t_on=0.0, mode=PredictionMode.EULER)
     traj = run_controlled(params, s0, g, cfg)
     assert traj.n_samples == 2 * _BLOCK_ROWS + 1
@@ -386,7 +388,7 @@ def _reproduced(tmp_path):
 def test_rewrite_of_a_longer_file_leaves_exactly_the_new_bytes_in_the_same_inode(
     tmp_path, params, s0, controller, free_run, grid, eqs
 ):
-    short = TimeGrid(0.0, 30.0, 0.1)
+    short = TimeGrid(30.0, 0.1)
     for write, value, name in [
         (write_trajectory_csv, run_controlled(params, s0, short, controller), "traj.csv"),
         (write_sweep_csv, sweep(params, s0, short, [-0.6, -0.3], [0.1], controller, tail=10.0),
@@ -639,6 +641,40 @@ def test_file_path_interface(tmp_path):
     assert b"\r" not in path.read_bytes()
 
 
+@pytest.mark.parametrize("writer", ["trajectory", "trajectory-more", "sweep", "report"])
+def test_each_writer_takes_a_path_object_as_its_str(tmp_path, free_run, grid, eqs, writer):
+    # a pathlib.Path names a file, as its str does: it is not a stream
+    write = {
+        "trajectory": lambda dest: write_trajectory_csv(free_run, dest),
+        "trajectory-more": lambda dest: write_trajectory_csv(free_run, io.StringIO(), dest),
+        "sweep": lambda dest: write_sweep_csv(
+            SweepReport(cells=(SweepCell(-0.6, 0.1, "literal", None, "diverged"),)), dest),
+        "report": lambda dest: write_report(convergence_report(free_run, eqs, grid), dest),
+    }[writer]
+    write(str(tmp_path / "by-str"))
+    write(tmp_path / "by-path")
+    assert (tmp_path / "by-path").read_bytes() == (tmp_path / "by-str").read_bytes()
+
+
+def test_reader_takes_a_path_object_as_its_str(tmp_path, free_run):
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(free_run, str(path))
+    by_path, by_str = read_trajectory_csv(path), read_trajectory_csv(str(path))
+    for name in ("t", "states", "u", "active", "r"):
+        assert getattr(by_path, name).tobytes() == getattr(by_str, name).tobytes()
+
+
+def test_a_byte_that_is_not_utf8_names_its_row_in_a_path_as_in_a_stream(tmp_path):
+    data = HEADER.encode() + b"0,1,2,3,0,0,\n0.1,1,2,3,0,0,\n\xff0.2,1,2,3,0,0,\n"
+    path = tmp_path / "bad.csv"
+    path.write_bytes(data)
+    message = r"^row 4: t is not a number: '\\udcff0.2'$"
+    with pytest.raises(ValueError, match=message):
+        read_trajectory_csv(str(path))
+    with pytest.raises(ValueError, match=message):
+        read_trajectory_csv(io.StringIO(data.decode("utf-8", "surrogateescape")))
+
+
 def test_read_names_the_row_of_a_time_that_does_not_increase():
     text = HEADER + "0,1,2,3,0,0,\n0.1,1,2,3,0,0,\n0.1,1,2,3,0,0,\n0.3,1,2,3,0,0,\n"
     with pytest.raises(ValueError, match=r"^row 4: sample times must be strictly increasing$"):
@@ -657,7 +693,7 @@ def test_read_peak_memory_per_sample_is_bounded(tmp_path, params, s0):
     # The bound is 5% over 130.4 bytes a sample, the tracemalloc peak on
     # this file of the csv/float row reader that blocks replaced.
     cfg = ControllerConfig(K=-0.3, epsilon=5.0, mode=PredictionMode.EULER)
-    traj = run_controlled(params, s0, TimeGrid(0.0, 200.0, 0.01), cfg)
+    traj = run_controlled(params, s0, TimeGrid(200.0, 0.01), cfg)
     assert traj.n_samples == 20001
     path = tmp_path / "long.csv"
     write_trajectory_csv(traj, str(path))
@@ -702,7 +738,7 @@ def test_read_holds_its_output_and_one_block(tmp_path, params, s0, through):
     # many blocks the file has.  A pipe is copied to a temporary file to be
     # counted, which holds no more.
     cfg = ControllerConfig(K=-0.3, epsilon=5.0, mode=PredictionMode.EULER)
-    traj = run_controlled(params, s0, TimeGrid(0.0, 1000.0, 0.01), cfg)
+    traj = run_controlled(params, s0, TimeGrid(1000.0, 0.01), cfg)
     path = tmp_path / "longer.csv"
     write_trajectory_csv(traj, str(path))
     del traj
@@ -761,7 +797,7 @@ def test_unseekable_stream_reads_as_the_path_does(tmp_path, long_gated_run):
     text = path.read_text(encoding="utf-8")
 
     def through_a_pipe(stream):
-        with _pipe_path(stream.read().encode()) as fd_path:
+        with _pipe_path(stream.read().encode("utf-8", "surrogateescape")) as fd_path:
             return read_trajectory_csv(fd_path)
 
     def unseekable(stream):
@@ -773,8 +809,7 @@ def test_unseekable_stream_reads_as_the_path_does(tmp_path, long_gated_run):
         from_file = _outcome(read_trajectory_csv, each)
         assert (from_file[0] is ValueError) == fails
         assert _outcome(unseekable, each) == from_file
-        if each is not surrogate:  # a path is read as strict UTF-8
-            assert _outcome(through_a_pipe, each) == from_file
+        assert _outcome(through_a_pipe, each) == from_file
 
 
 class _Changing(io.StringIO):
@@ -912,11 +947,16 @@ def _outcome(read, text):
     return tuple((a.tobytes(), a.dtype.str, a.shape) for a in arrays)
 
 
+BASE_FILE_COUNT = 5
+
+
+@cache
 def _base_files():
     """Files from real runs and from arbitrary doubles, two full blocks and
-    a partial one each."""
+    a partial one each; made on first use, so that a run that fails fails
+    the tests that use them, not the file's collection."""
     p, s0 = Params(4.0, 1.0, 1.0, 6.75), State(1.5, -1.25, 3.5)
-    grid = TimeGrid(0.0, round(0.1 * (2 * _BLOCK_ROWS + 89), 1), 0.1)
+    grid = TimeGrid(round(0.1 * (2 * _BLOCK_ROWS + 89), 1), 0.1)
     runs = [
         run_uncontrolled(p, s0, grid),
         run_controlled(p, s0, grid, ControllerConfig(K=-0.6, epsilon=0.1, t_on=5.0)),
@@ -933,10 +973,10 @@ def _base_files():
         t=np.arange(n) * 0.1, states=doubles[:, 1:4],
         u=np.where(active, doubles[:, 4], 0.0), active=active, r=doubles[:, 0],
     ))
+    assert len(runs) == BASE_FILE_COUNT
     return [_dump(run) for run in runs]
 
 
-BASE_FILES = _base_files()
 # A row in the first block, at both sides of the first block boundary, in
 # the middle block, and in the last partial block.
 ROW_PICKS = (
@@ -1026,7 +1066,7 @@ def _only_the_row_reader_reads(text) -> bool:
 
 @settings(max_examples=examples(150))
 @given(
-    st.integers(0, len(BASE_FILES) - 1),
+    st.integers(0, BASE_FILE_COUNT - 1),
     st.lists(mutation, max_size=3),
     st.sampled_from(["keep", "all-crlf", "no-final-newline", "blank-tail"]),
 )
@@ -1035,7 +1075,7 @@ def _only_the_row_reader_reads(text) -> bool:
 @example(0, [("width", 0, 1), ("number", 0, 6)], "keep")
 @example(0, [("width", 0, 1), ("width", 0, 1), ("u-inactive", 0, 0)], "keep")
 def test_block_reader_matches_row_reader(tmp_path_factory, base, mutations, ending):
-    text = _mutate(BASE_FILES[base], mutations)
+    text = _mutate(_base_files()[base], mutations)
     if ending == "all-crlf":
         text = text.replace("\n", "\r\n")
     elif ending == "no-final-newline":
@@ -1070,7 +1110,7 @@ def test_block_reader_matches_row_reader(tmp_path_factory, base, mutations, endi
 def _kernel_file(rows=24):
     """The header and first rows of a gated run: negative numbers, empty
     and nonempty r, a block the exact kernel reads."""
-    text = "\n".join(BASE_FILES[3].split("\n")[:rows + 1]) + "\n"
+    text = "\n".join(_base_files()[3].split("\n")[:rows + 1]) + "\n"
     body = text.split("\n", 1)[1]
     assert exact(body, rows) is not None
     return text
@@ -1184,7 +1224,7 @@ def test_exact_kernel_rounds_as_float_does(texts):
 # --- sweep CSV --------------------------------------------------------------------
 
 def test_sweep_csv_layout(params, s0):
-    g = TimeGrid(0.0, 30.0, 0.1)
+    g = TimeGrid(30.0, 0.1)
     base = ControllerConfig(K=-0.6, epsilon=0.5, t_on=10.0)
     # K=0 completes (free flow); K=20 with the gate pinned open diverges
     rep = sweep(params, s0, g, [0.0, 20.0], [1e9], base, tail=10.0)
@@ -1204,7 +1244,7 @@ def test_sweep_csv_layout(params, s0):
 
 def test_sweep_csv_bytes_are_csv_writers(tmp_path, params, s0):
     # cells that complete and a cell that diverges; the reference is csv.writer's
-    g = TimeGrid(0.0, 30.0, 0.1)
+    g = TimeGrid(30.0, 0.1)
     base = ControllerConfig(K=-0.6, epsilon=0.5, t_on=10.0)
     rep = sweep(params, s0, g, [0.0, 20.0], [1e9], base,
                 modes=[PredictionMode.DERIVATIVE, PredictionMode.EULER], tail=10.0)
@@ -1231,7 +1271,7 @@ def test_sweep_csv_bytes_are_csv_writers(tmp_path, params, s0):
 
 
 def test_sweep_csv_file_interface(tmp_path, params, s0):
-    g = TimeGrid(0.0, 30.0, 0.1)
+    g = TimeGrid(30.0, 0.1)
     base = ControllerConfig(K=-0.6, epsilon=0.1, t_on=10.0)
     rep = sweep(params, s0, g, [-0.6], [0.1], base, tail=10.0)
     path = tmp_path / "sweep.csv"

@@ -205,7 +205,7 @@ def test_equilibria_prints_the_max_real_root_of_each_characteristic_polynomial(
 def test_capture_switches_on_past_the_euler_threshold():
     # K* is about 0.837 (the bisection above): capture is none at the paper's
     # gains in (-1, 0) nor at 0.7, below K*, and nearly every start at 1.5.
-    free = run_uncontrolled(PARAMS, State(1.5, -1.25, 3.5), TimeGrid(0.0, 496.0, 0.01))
+    free = run_uncontrolled(PARAMS, State(1.5, -1.25, 3.5), TimeGrid(496.0, 0.01))
     starts = free.states[10000::400]  # every 4 time units from t = 100
     assert len(starts) == 100
     gains = (-0.6, -0.3, 0.7, 1.5)
@@ -213,7 +213,7 @@ def test_capture_switches_on_past_the_euler_threshold():
             for K in gains]
     captured = dict.fromkeys(gains, 0)
     for start in starts:
-        runs = run_each(PARAMS, State(*start), TimeGrid(0.0, 100.0, 0.05), cfgs)
+        runs = run_each(PARAMS, State(*start), TimeGrid(100.0, 0.05), cfgs)
         for K, (_, report) in zip(gains, runs):
             assert report is not None, f"K = {K} diverged from {start}"
             captured[K] += report.stabilized
@@ -252,7 +252,7 @@ def controlled_orders(mode, K, t_on_of, opens_at):
     reference, errors = controlled_reference(mode, K), []
     for dt in ORDER_DTS:
         cfg = ControllerConfig(K, epsilon=1e9, t_on=t_on_of(dt), mode=mode, tau=TAU)
-        traj = run_controlled(PARAMS, State(1.5, -1.25, 3.5), TimeGrid(0.0, 4.0, dt), cfg)
+        traj = run_controlled(PARAMS, State(1.5, -1.25, 3.5), TimeGrid(4.0, dt), cfg)
         assert traj.t[traj.active.argmax()] == pytest.approx(opens_at(dt), abs=1e-9)
         errors.append(float(np.linalg.norm(traj.states[-1] - reference)))
     return [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
