@@ -4,8 +4,8 @@ Subcommands: equilibria, simulate, gain-check, sweep, reproduce.
 Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
 stdout carries data, stderr carries diagnostics.
 Options are spelled in full: --name value, or --name=value for a value starting "--".
-An option with a config key only overrides it.  Every path a command writes
-is checked, against the others and the config read, before any run.
+Every path a command writes is checked, against the others and the config
+read, before any run.
 """
 
 from __future__ import annotations
@@ -120,12 +120,13 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
         m = closed_loop_scalar_coeff(d, K)
     except ValueError as exc:
         raise ConfigError(f"--K: {exc}") from None
-    discrete_ok, continuous_ok = abs(m) < 1.0, m < 0.0
+    # |m| < 1 solved for K: exact at d = 1, where m rounds to -1 for -2.8e-17 < K < 0
+    discrete_ok, continuous_ok = lo < K < hi, m < 0.0
     out = sys.stdout
     print(f"gain K = {_echo(K)} at d = {_echo(d)}", file=out)
     print(
         f"admissible interval: ({_echo(lo)}, {_echo(hi)})"
-        f" -> K inside: {'yes' if lo < K < hi else 'no'}",
+        f" -> K inside: {'yes' if discrete_ok else 'no'}",
         file=out,
     )
     print(f"closed-loop coefficient -d - K(d+1) = {format(m, '+.6g')}", file=out)
@@ -151,7 +152,7 @@ def _cmd_gain_check(args: argparse.Namespace) -> int:
 
 
 def _check_outputs(outputs: Sequence[tuple], config: Optional[str]) -> None:
-    """Raises, before any run, unless each (option or key, path) output is not
+    """Raises, before any run, unless each (option, path) output is not
     empty, its directory exists and it is not a directory, and no two outputs,
     nor an output and the config read (if a regular file, so not /dev/stdin),
     name one file: a bad path must neither fail late nor overwrite an input."""
@@ -178,20 +179,14 @@ def _check_outputs(outputs: Sequence[tuple], config: Optional[str]) -> None:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    out_csv = cfg.out_csv if args.out_csv is None else args.out_csv
-    out_report = cfg.out_report if args.out_report is None else args.out_report
-    _check_outputs(
-        [("out_csv" if args.out_csv is None else "--out-csv", out_csv),
-         ("out_report" if args.out_report is None else "--out-report", out_report)],
-        args.config,
-    )
+    _check_outputs([("--out-csv", args.out_csv), ("--out-report", args.out_report)], args.config)
     controller = None if args.uncontrolled else cfg.controller
     (traj, report), = run_each(cfg.params, cfg.s0, cfg.grid, [controller], cfg.tail, cfg.capture_radius)
     if report is None:
         raise traj
-    write_trajectory_csv(traj, out_csv)
-    write_report(report, out_report)
-    print(f"wrote {out_csv} and {out_report}", file=sys.stderr)
+    write_trajectory_csv(traj, args.out_csv)
+    write_report(report, args.out_report)
+    print(f"wrote {args.out_csv} and {args.out_report}", file=sys.stderr)
     sys.stdout.write(render_report(report))
     return EXIT_OK
 
@@ -279,8 +274,8 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--config", help="key=value config file (defaults if omitted)")
     p_sim.add_argument("--uncontrolled", action="store_true", help="open-loop run")
-    p_sim.add_argument("--out-csv", help="override the config's trajectory path")
-    p_sim.add_argument("--out-report", help="override the config's report path")
+    p_sim.add_argument("--out-csv", default="trajectory.csv", help="trajectory CSV path")
+    p_sim.add_argument("--out-report", default="report.txt", help="report path")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_gain = sub.add_parser(

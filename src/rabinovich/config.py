@@ -44,8 +44,6 @@ _DEFAULTS = {
     "capture_radius": DEFAULT_CAPTURE_RADIUS,
     "tail": DEFAULT_TAIL,
     "mode": "literal",
-    "out_csv": "trajectory.csv",
-    "out_report": "report.txt",
 }
 CONFIG_KEYS = tuple(_DEFAULTS)
 _FLOAT_KEYS = tuple(key for key in CONFIG_KEYS if isinstance(_DEFAULTS[key], float))
@@ -63,7 +61,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully validated single-run configuration."""
+    """A fully validated single-run configuration; the command line names its outputs."""
 
     params: Params
     s0: State
@@ -71,8 +69,6 @@ class RunConfig:
     controller: ControllerConfig
     capture_radius: float
     tail: float
-    out_csv: str
-    out_report: str
 
 
 def parse_config(text: str) -> RunConfig:
@@ -157,8 +153,6 @@ def parse_config(text: str) -> RunConfig:
         controller=controller,
         capture_radius=values["capture_radius"],
         tail=values["tail"],
-        out_csv=values["out_csv"],
-        out_report=values["out_report"],
     )
 
 

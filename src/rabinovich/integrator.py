@@ -94,6 +94,8 @@ class TimeGrid:
             raise ValueError(
                 f"grid does not divide evenly: t_end/dt = {quotient!r} is not an integer"
             )
+        if not math.isfinite(n * self.dt):  # else times() would end at inf
+            raise ValueError(f"t_end = {self.t_end!r} is too large: {n} * dt overflows")
         object.__setattr__(self, "n_steps", n)
 
     def time_at(self, k: int) -> float:

@@ -164,6 +164,16 @@ ROWS = [
          f"{INPUTS}[TimeGrid-t_end]",
          f"{INPUTS}[TimeGrid-t_end-zero]",
      ]),
+    # The last time of a grid is finite.
+    ("integrator.py", "math.isfinite(n * self.dt)", "True", [
+        f"{INPUTS}[TimeGrid-t_end-overflows]",
+        f"{CLI}::test_simulate_grid_whose_last_time_overflows_exits_one",
+    ]),
+    # gain-check tests its one criterion on K, for both lines that state it.
+    ("cli.py", "discrete_ok, continuous_ok = lo < K < hi, m < 0.0",
+     "discrete_ok, continuous_ok = abs(m) < 1.0, m < 0.0", [
+         f"{CLI}::test_gain_check_states_its_discrete_check_once_near_zero",
+     ]),
     # A sweep cell takes the controller's own input rule.
     ("harness.py", "replace(base_cfg, K=K, epsilon=eps, mode=mode)",
      "replace(base_cfg, K=float(K), epsilon=eps, mode=mode)", [

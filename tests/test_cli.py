@@ -153,6 +153,18 @@ def test_gain_check_output_is_pinned(capsys, argv, expected):
     assert run_cli(capsys, "gain-check", *argv) == (0, expected, "")
 
 
+def test_gain_check_states_its_discrete_check_once_near_zero(capsys):
+    # m = -1 - 2K rounds to -1 for -2.8e-17 < K < 0, so |m| < 1 would fail
+    # what K inside passes; both lines print the one test of K
+    assert run_cli(capsys, "gain-check", "--K=-1e-17") == (0, (
+        "gain K = -1e-17 at d = 1\n"
+        "admissible interval: (-1, 0) -> K inside: yes\n"
+        "closed-loop coefficient -d - K(d+1) = -1\n"
+        "discrete check (spectral radius < 1): PASS (rho = 1)\n"
+        "continuous check (max Re < 0): PASS (max Re = -1)\n"
+    ), "")
+
+
 @pytest.mark.parametrize("argv, expected", [
     (("--K", "1e308"),
      "error: --K: K = 1e+308 is too large: the coefficient A + K(A - 1) overflows\n"),
@@ -343,10 +355,11 @@ def test_equilibria_degenerate_parameters(capsys, tmp_path):
 # --- simulate ----------------------------------------------------------------------
 
 def test_simulate_with_defaults(capsys, tmp_path):
+    # with no options, the outputs go to their default paths in the working directory
     code, out, err = run_cli(capsys, "simulate")
     assert code == 0
-    assert (tmp_path / "trajectory.csv").exists()
-    assert (tmp_path / "report.txt").exists()
+    assert err == "wrote trajectory.csv and report.txt\n"
+    assert sorted(os.listdir(tmp_path)) == ["report.txt", "trajectory.csv"]
     assert "run summary" in out
     assert "target:" in out
     traj = read_trajectory_csv(str(tmp_path / "trajectory.csv"))
@@ -390,19 +403,16 @@ def test_simulate_same_output_file_exits_one_before_running(
     assert not (tmp_path / "same.txt").exists()
 
 
-def test_simulate_same_output_file_from_config_exits_one(capsys, tmp_path):
-    # an existing file, and paths from the config
-    (tmp_path / "kept.txt").write_text("kept\n")
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"out_csv = kept.txt\nout_report = {tmp_path / 'kept.txt'}\n")
-    code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
+def test_simulate_option_that_names_the_other_default_exits_one(capsys, tmp_path):
+    (tmp_path / "report.txt").write_text("kept\n")
+    code, out, err = run_cli(capsys, "simulate", "--out-csv", "report.txt")
     assert code == 1
-    assert "out_csv ('kept.txt') and out_report (" in err and "name the same file" in err
-    assert (tmp_path / "kept.txt").read_text() == "kept\n"
-    # an override that parts them runs
-    code, _, _ = run_cli(capsys, "simulate", "--config", str(cfg), "--out-report", "r.txt")
-    assert code == 0
-    assert (tmp_path / "kept.txt").read_text().startswith("t,x,y,z,u,active,r\n")
+    assert err == (
+        "error: --out-csv ('report.txt') and --out-report ('report.txt') name the same file\n"
+    )
+    assert out == ""
+    assert os.listdir(tmp_path) == ["report.txt"]
+    assert (tmp_path / "report.txt").read_text() == "kept\n"
 
 
 def test_simulate_bad_config_exits_one(capsys, tmp_path):
@@ -473,6 +483,18 @@ def test_simulate_overflowing_delay_ratio_exits_one(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error: tau must be a positive integer multiple of dt")
     assert "Traceback" not in err and out == ""
+
+
+@pytest.mark.filterwarnings("error")
+def test_simulate_grid_whose_last_time_overflows_exits_one(capsys, tmp_path):
+    # t_end / dt is within 1e-9 of 3, but the last time 3 * dt is inf
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("t_end = 1.7976931348623157e308\ndt = 5.992310449541053e307\n"
+                   "tau = 5.992310449541053e307\ntail = 1e307\nt_on = 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 1
+    assert err == "error: t_end = 1.7976931348623157e+308 is too large: 3 * dt overflows\n"
+    assert out == "" and os.listdir(tmp_path) == ["huge.cfg"]
 
 
 @pytest.mark.parametrize("text, error", [
@@ -880,17 +902,17 @@ def _files(root):
      "--out-csv", "{missing}/a.csv"),
     (["simulate", "--out-csv", "{tmp}/a.csv", "--out-report", "{missing}/r.txt"],
      "--out-report", "{missing}/r.txt"),
-    (["simulate", "--uncontrolled", "--config", "{tmp}/paths.cfg"],
-     "out_csv", "{missing}/a.csv"),
-    (["simulate", "--config", "{tmp}/paths.cfg", "--out-csv", "{tmp}/a.csv"],
-     "out_report", "{missing}/r.txt"),
+    # one option alone: the other path, at its default, does not hide it
+    (["simulate", "--uncontrolled", "--out-csv", "{missing}/a.csv"],
+     "--out-csv", "{missing}/a.csv"),
+    (["simulate", "--out-report", "{missing}/r.txt"], "--out-report", "{missing}/r.txt"),
     (["sweep", "--K", "-0.6,-0.3", "--epsilon", "0.1", "--out", "{missing}/s.csv"],
      "--out", "{missing}/s.csv"),
     (["reproduce", "all", "--out-dir", "{missing}"], "--out-dir", "{missing}"),
     (["simulate", "--out-csv", "{tmp}", "--out-report", "{tmp}/r.txt"], "--out-csv", "{tmp}"),
     (["sweep", "--K", "-0.6", "--epsilon", "0.1", "--out", "{tmp}"], "--out", "{tmp}"),
     (["sweep", "--K", "-0.6,-0.3", "--epsilon", "0.1", "--out", ""], "--out", ""),
-    (["simulate", "--config", "{tmp}/empty.cfg", "--out-report", "{tmp}/r.txt"], "out_csv", ""),
+    (["simulate", "--out-report", ""], "--out-report", ""),
     (["simulate", "--out-csv", "", "--out-report", "{tmp}/r.txt"], "--out-csv", ""),
     (["simulate", "--out-csv", "{tmp}/a.csv", "--out-report", ""], "--out-report", ""),
     # joined, its paths would name files in the current directory
@@ -900,10 +922,6 @@ def test_output_that_cannot_be_written_fails_before_any_run(
     capsys, tmp_path, runs, args, option, bad
 ):
     paths = {"tmp": tmp_path, "missing": tmp_path / "missing"}
-    (tmp_path / "paths.cfg").write_text(
-        f"out_csv = {tmp_path}/missing/a.csv\nout_report = {tmp_path}/missing/r.txt\n"
-    )
-    (tmp_path / "empty.cfg").write_text("out_csv =\n")
     before = _files(tmp_path)
     code, out, err = run_cli(capsys, *(arg.format(**paths) for arg in args))
     assert code == 1
@@ -937,7 +955,7 @@ def test_output_whose_folder_is_a_file_exits_one(capsys, tmp_path, runs, args, o
      "--out-csv", "{cfg}"),
     (["simulate", "--config", "{cfg}", "--out-csv", "{tmp}/a.csv", "--out-report", "{cfg}"],
      "--out-report", "{cfg}"),
-    (["simulate", "--config", "{cfg}", "--out-report", "{tmp}/r.txt"], "out_csv", "{cfg}"),
+    (["simulate", "--config", "{cfg}", "--out-csv", "{cfg}"], "--out-csv", "{cfg}"),
     (["sweep", "--config", "{cfg}", "--K=-0.6", "--epsilon", "0.1", "--out", "{cfg}"],
      "--out", "{cfg}"),
     (["sweep", "--config", "{cfg}", "--K=-0.6", "--epsilon", "0.1", "--out", "{link}"],
@@ -950,7 +968,7 @@ def test_output_that_names_the_config_fails_before_any_run(
 ):
     # else the run would write over the config, and the next run with it fail
     paths = {"tmp": tmp_path, "cfg": tmp_path / "run.cfg", "link": tmp_path / "link.cfg"}
-    paths["cfg"].write_text(f"t_end = 30\nt_on = 10\ntail = 10\nout_csv = {paths['cfg']}\n")
+    paths["cfg"].write_text("t_end = 30\nt_on = 10\ntail = 10\n")
     paths["link"].symlink_to(paths["cfg"])
     before, text = _files(tmp_path), paths["cfg"].read_bytes()
     argv = [arg.format(**paths) for arg in args]

@@ -22,8 +22,6 @@ def test_empty_text_gives_reference_defaults():
     assert cfg.controller.tau == 1.0
     assert cfg.capture_radius == 0.5
     assert cfg.tail == 20.0
-    assert cfg.out_csv == "trajectory.csv"
-    assert cfg.out_report == "report.txt"
 
 
 def test_default_config_equals_empty_parse():
@@ -50,6 +48,11 @@ def test_unknown_key_reports_line_number():
     # every run starts at t = 0: there is no key for its start
     with pytest.raises(ConfigError, match=r"^line 1: unknown key 't0'$"):
         parse_config("t0 = 0")
+    # outputs are named on the command line: the config holds only the run
+    with pytest.raises(ConfigError, match=r"^line 1: unknown key 'out_csv'$"):
+        parse_config("out_csv = a.csv\n")
+    with pytest.raises(ConfigError, match=r"^line 2: unknown key 'out_report'$"):
+        parse_config("K = -0.6\nout_report = r.txt\n")
 
 
 def test_duplicate_key_rejected():
@@ -134,12 +137,6 @@ def test_nonfinite_value_rejected():
 def test_nonfinite_value_names_the_field(text, field):
     with pytest.raises(ConfigError, match=rf"line 1: {field} must be finite"):
         parse_config(text)
-
-
-def test_output_paths_pass_through():
-    cfg = parse_config("out_csv = results/a.csv\nout_report = results/a.txt\n")
-    assert cfg.out_csv == "results/a.csv"
-    assert cfg.out_report == "results/a.txt"
 
 
 @given(

@@ -84,6 +84,9 @@ BAD_INPUTS = [
      "t_end must be a positive finite number, got 0.0"),
     ("TimeGrid-dt", lambda: _refusal(TimeGrid, 1, -0.0),
      "dt must be a positive finite number, got -0.0"),
+    # the steps' quotient is within 1e-9 of 3, but the last time k*dt overflows
+    ("TimeGrid-t_end-overflows", lambda: _refusal(TimeGrid, MAX, MAX / 3),
+     "t_end = 1.7976931348623157e+308 is too large: 3 * dt overflows"),
     ("interval-d", lambda: _refusal(admissible_gain_interval, 0),
      "d must be a positive finite number, got 0.0"),
     ("interval-d-too-large", lambda: _refusal(admissible_gain_interval, 1e16),
