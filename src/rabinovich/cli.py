@@ -55,7 +55,7 @@ def _load_config(path: Optional[str]) -> RunConfig:
     if path is None:
         return default_config()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from exc
@@ -89,23 +89,18 @@ def _jacobian_line(label: str, J) -> str:
 
 def _cmd_equilibria(args: argparse.Namespace) -> int:
     cfg = _load_config(args.config)
-    p, eqs = cfg.params, equilibria(cfg.params)
-    # Every point is worked out before a line is printed, so an error prints nothing.
-    try:
-        ctl = cfg.controller if args.K is None else replace(cfg.controller, K=args.K)
-        controlled = [closed_loop_jacobian(p, ctl, point) for _, point in eqs.labeled()]
-    except ValueError as exc:
-        raise ConfigError(f"--K: {exc}") from None  # the config's own K passed
+    p, ctl, eqs = cfg.params, cfg.controller, equilibria(cfg.params)
+    controlled = f"controlled (K={_echo(ctl.K)})"
     lines = [f"parameters: a={_fmt(p.a)} b={_fmt(p.b)} d={_fmt(p.d)} h={_fmt(p.h)}"]
     if eqs.degenerate:
         lines.append("degenerate case (h^2 <= a*b): only the origin")
-    for (label, point), J in zip(eqs.labeled(), controlled):
+    for label, point in eqs.labeled():
         lines.append(
             f"{label}: ({point.x:.4f}, {point.y:.4f}, {point.z:.4f})"
             f"  residual = {format(residual_norm(p, point), '.3e')}"
         )
         lines.append(_jacobian_line("open-loop", jacobian(p, point)))
-        lines.append(_jacobian_line(f"controlled (K={_echo(ctl.K)})", J))
+        lines.append(_jacobian_line(controlled, closed_loop_jacobian(p, ctl, point)))
     sys.stdout.write("\n".join(lines) + "\n")
     return EXIT_OK
 
@@ -266,7 +261,6 @@ def _parser() -> argparse.ArgumentParser:
         help="list fixed points with open-loop and controlled stability verdicts",
     )
     p_eq.add_argument("--config", help="key=value config file (defaults if omitted)")
-    p_eq.add_argument("--K", type=float, default=None, help="gain for the controlled jacobian")
     p_eq.set_defaults(func=_cmd_equilibria)
 
     p_sim = sub.add_parser(

@@ -149,7 +149,7 @@ def equilibria(p: Params) -> EquilibriumSet:
     The mirror point (-x*, -y*, z*) completes the set.
 
     When h^2 <= a*b the off-origin branch has no real solution and the
-    returned set is flagged degenerate.
+    returned set is flagged degenerate; an x* that overflows is a ValueError.
     """
     origin = State(0.0, 0.0, 0.0)
     disc = p.h * p.h - p.a * p.b
@@ -158,6 +158,8 @@ def equilibria(p: Params) -> EquilibriumSet:
     z_star = math.sqrt(disc)
     y_star = math.sqrt(p.a * p.d * z_star / (p.h + z_star))
     x_star = y_star * (p.h + z_star) / p.a
+    if not math.isfinite(x_star):
+        raise ValueError(f"a={p.a!r} b={p.b!r} d={p.d!r} h={p.h!r} are too large: x* overflows")
     return EquilibriumSet(
         (origin, State(x_star, y_star, z_star), State(-x_star, -y_star, z_star)),
         degenerate=False,

@@ -211,6 +211,18 @@ ROWS = [
     # overflows first, not at the origin.
     ("config.py", "point = equilibria(params).points[-1]", "point = equilibria(params).points[0]", [
         f"{INPUTS}[config-gain-jacobian-off-axis]",
+        f"{CLI}::test_every_accepted_config_runs_equilibria",
+    ]),
+    # Parameters whose fixed points overflow are refused by name.
+    ("dynamics.py", "math.isfinite(x_star)", "True", [
+        f"{INPUTS}[equilibria-overflow]",
+        f"{INPUTS}[config-equilibria-overflow]",
+    ]),
+    # A config byte that is not UTF-8 fails its line.
+    ("cli.py", 'errors="surrogateescape"', 'errors="strict"', [
+        f"{CLI}::test_config_byte_that_is_not_utf8_fails_its_line[value]",
+        f"{CLI}::test_config_byte_that_is_not_utf8_fails_its_line[key]",
+        f"{CLI}::test_config_byte_that_is_not_utf8_in_a_comment_is_dropped_with_it",
     ]),
     ("config.py", "if not abs(values[key]) <= DIVERGENCE_LIMIT:", "if False:", [
         f"{CLI}::test_simulate_initial_state_beyond_the_limit_exits_one",

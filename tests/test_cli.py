@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from rabinovich import cli, equilibria, jacobian, read_trajectory_csv
 from rabinovich import io as rio
 from rabinovich.cli import cli_dispatch
-from rabinovich.config import _FLOAT_KEYS, default_config
+from rabinovich.config import _FLOAT_KEYS, ConfigError, default_config, parse_config
 from pins import PINS, digest
 
 
@@ -185,8 +185,7 @@ def test_gain_check_rejects_bad_d(capsys):
 @pytest.mark.parametrize("argv, option", [
     (("gain-check", "--K", "1e308"), "--K"),
     (("gain-check", "--d", "1e308", "--K", "5"), "--d"),
-    (("equilibria", "--K", "1e308"), "--K"),
-], ids=["gain-check-K", "gain-check-d", "equilibria-K"])
+], ids=["gain-check-K", "gain-check-d"])
 def test_huge_finite_input_names_the_option(capsys, argv, option):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
@@ -194,7 +193,7 @@ def test_huge_finite_input_names_the_option(capsys, argv, option):
     assert out == ""
 
 
-def test_inputs_and_bounds_echo_distinct_numbers_distinctly(capsys):
+def test_inputs_and_bounds_echo_distinct_numbers_distinctly(capsys, tmp_path):
     # 6 significant digits print both K and the upper bound as -1
     code, out, _ = run_cli(capsys, "gain-check", "--d", "1e7", "--K", "-0.9999999")
     assert code == 0
@@ -202,7 +201,9 @@ def test_inputs_and_bounds_echo_distinct_numbers_distinctly(capsys):
         "gain K = -0.9999999 at d = 1e+07\n"
         "admissible interval: (-1, -0.99999980000002) -> K inside: yes\n"
     )
-    code, out, _ = run_cli(capsys, "equilibria", "--K", "-0.9999999")
+    cfg = tmp_path / "gain.cfg"
+    cfg.write_text("K = -0.9999999\n")
+    code, out, _ = run_cli(capsys, "equilibria", "--config", str(cfg))
     assert code == 0
     assert out.count("open-loop jacobian: max Re = ") == 3
     assert out.count("controlled (K=-0.9999999) jacobian: max Re = ") == 3
@@ -229,9 +230,11 @@ def test_value_options_are_the_nine_that_take_a_value():
 
 
 # Each subcommand with every option it has spelled in full (--help aside),
-# in arguments that run, relative to a directory holding short.cfg.
+# in arguments that run, relative to a directory holding short.cfg; the gain
+# that equilibria linearizes with is the config's.
+SHORT_CFG = "t_end = 30\nt_on = 10\ntail = 10\nK = -0.6\n"
 FULL_ARGV = {
-    "equilibria": ["--config", "short.cfg", "--K", "-0.6"],
+    "equilibria": ["--config", "short.cfg"],
     "simulate": ["--config", "short.cfg", "--uncontrolled",
                  "--out-csv", "sim.csv", "--out-report", "sim.txt"],
     "gain-check": ["--d", "1", "--K", "-0.6"],
@@ -250,7 +253,7 @@ ABBREVIATED = [
 @pytest.mark.parametrize("command, option, prefix", ABBREVIATED,
                          ids=[f"{c}-{p}-of-{o[2:]}" for c, o, p in ABBREVIATED])
 def test_an_abbreviated_option_is_unknown(capsys, tmp_path, command, option, prefix):
-    (tmp_path / "short.cfg").write_text("t_end = 30\nt_on = 10\ntail = 10\n", encoding="utf-8")
+    (tmp_path / "short.cfg").write_text(SHORT_CFG, encoding="utf-8")
     argv = [prefix if tok == option else tok for tok in FULL_ARGV[command]]
     if option == "--help":
         argv.append(prefix)
@@ -261,7 +264,7 @@ def test_an_abbreviated_option_is_unknown(capsys, tmp_path, command, option, pre
 
 @pytest.mark.parametrize("command", FULL_ARGV)
 def test_each_command_runs_with_its_options_spelled_in_full(capsys, tmp_path, command):
-    (tmp_path / "short.cfg").write_text("t_end = 30\nt_on = 10\ntail = 10\n", encoding="utf-8")
+    (tmp_path / "short.cfg").write_text(SHORT_CFG, encoding="utf-8")
     code, _, err = run_cli(capsys, command, *FULL_ARGV[command])
     assert code == 0, err
 
@@ -290,8 +293,10 @@ def _equilibria_max_re(out):
     ]
 
 
-def test_equilibria_zero_gain_prints_the_open_loop_numbers_twice(capsys):
-    code, out, _ = run_cli(capsys, "equilibria", "--K", "0")
+def test_equilibria_zero_gain_prints_the_open_loop_numbers_twice(capsys, tmp_path):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("K = 0\n")
+    code, out, _ = run_cli(capsys, "equilibria", "--config", str(cfg))
     assert code == 0
     pairs = _equilibria_max_re(out)
     assert len(pairs) == 3
@@ -319,7 +324,8 @@ def test_equilibria_linearizes_the_euler_law(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "equilibria", "--config", str(cfg))
     assert code == 0
     assert out.count("controlled (K=0.6) jacobian: max Re = +0.0549647 -> unstable (continuous)") == 2
-    code, out, _ = run_cli(capsys, "equilibria", "--K", "0.6")
+    cfg.write_text("K = 0.6\n")
+    code, out, _ = run_cli(capsys, "equilibria", "--config", str(cfg))
     assert out.count("controlled (K=0.6) jacobian: max Re = -0.202776 -> stable (continuous)") == 2
     # the euler gain is K*tau: tau = 0.5 halves it
     cfg.write_text("mode = euler\nK = 0.6\ntau = 0.5\n")
@@ -327,20 +333,43 @@ def test_equilibria_linearizes_the_euler_law(capsys, tmp_path):
     assert out.count("controlled (K=0.6) jacobian: max Re = +0.114363 -> unstable (continuous)") == 2
 
 
-@pytest.mark.parametrize("mode, argv, expected", [
-    ("euler", (), "K = -0.6 with tau = 1e+308"),
-    ("euler", ("--K", "10"), "--K: K = 10.0 with tau = 1e+308"),
-    ("literal", ("--K", "1e308"), "--K: K = 1e+308"),
-])
-def test_equilibria_overflow_names_the_gain_of_its_mode(capsys, tmp_path, mode, argv, expected):
-    # In euler mode the gain is K*tau, so a tau this large overflows the row.
-    # The config's own K is refused like any other bad key, so with --K it is
-    # 0, which overflows nothing, and the error is the option's.
+@pytest.mark.parametrize("mode, gain, expected", [
+    ("euler", "", "K = -0.6 with tau = 1e+308"),
+    ("euler", "K = 10", "K = 10.0 with tau = 1e+308"),
+    ("literal", "K = 1e308", "K = 1e+308"),
+], ids=["euler-K=-0.6", "euler-K=10", "literal-K=1e308"])
+def test_equilibria_overflow_names_the_gain_of_its_mode(capsys, tmp_path, mode, gain, expected):
+    # In euler mode the gain is K*tau, so a tau this large overflows the row;
+    # in literal mode the gain is K alone.
     cfg = tmp_path / "big.cfg"
     cfg.write_text(f"t_end = 1.5e308\ndt = 1e307\ntau = 1e308\nmode = {mode}\nt_on = 0\n"
-                   f"tail = 1e307\n{'K = 0' if argv else ''}\n")
-    assert run_cli(capsys, "equilibria", "--config", str(cfg), *argv) == (
+                   f"tail = 1e307\n{gain}\n")
+    assert run_cli(capsys, "equilibria", "--config", str(cfg)) == (
         1, "", f"error: {expected} is too large: the controlled jacobian overflows\n")
+
+
+def test_equilibria_takes_its_gain_from_the_config_only(capsys):
+    code, out, err = run_cli(capsys, "equilibria", "--K", "0.5")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("text, expected", [
+    (b"K = -0.6\xff\n", "error: line 1: K: not a number: '-0.6\\udcff'\n"),
+    (b"t_end = 30\nK\xff = 1\n", "error: line 2: unknown key 'K\\udcff'\n"),
+], ids=["value", "key"])
+def test_config_byte_that_is_not_utf8_fails_its_line(capsys, tmp_path, text, expected):
+    cfg = tmp_path / "bytes.cfg"
+    cfg.write_bytes(text)
+    assert run_cli(capsys, "equilibria", "--config", str(cfg)) == (1, "", expected)
+
+
+def test_config_byte_that_is_not_utf8_in_a_comment_is_dropped_with_it(capsys, tmp_path):
+    cfg = tmp_path / "comment.cfg"
+    cfg.write_bytes(b"# gain \xff\nK = 0 # \xfe\n")
+    code, out, err = run_cli(capsys, "equilibria", "--config", str(cfg))
+    assert (code, err) == (0, "")
+    assert out.count("controlled (K=0) jacobian: max Re = ") == 3
 
 
 def test_equilibria_degenerate_parameters(capsys, tmp_path):
@@ -550,8 +579,7 @@ def test_simulate_non_finite_row_error_is_pinned(capsys, tmp_path):
     ("simulate",),
     ("sweep", "--K=-0.6", "--epsilon", "0.1"),
     ("equilibria",),
-    ("equilibria", "--K", "0.5"),
-], ids=["simulate", "sweep", "equilibria", "equilibria-K"])
+], ids=["simulate", "sweep", "equilibria"])
 def test_config_gain_that_overflows_the_jacobian_is_refused_before_any_run(
         capsys, tmp_path, argv):
     # the gate never opens on this protocol, so a run would not notice the gain
@@ -1049,3 +1077,26 @@ def test_extreme_config_values_exit_cleanly(tmp_path_factory, values, mode, unco
         code, _, err = dispatch_captured(argv)
         assert code in (0, 1, 2), (argv, err)
         assert "Traceback" not in err
+
+
+coefficients = st.floats(min_value=0.0, max_value=1e150, exclude_min=True)
+
+
+@given(a=coefficients, b=coefficients, d=coefficients, h=coefficients,
+       K=st.floats(allow_nan=False, allow_infinity=False),
+       mode=st.sampled_from(["literal", "euler"]), tau=st.sampled_from([0.1, 1.0, 100.0]))
+# in euler mode -d + K*tau*(-d) is finite, and only the off-axis row overflows
+@example(a=4.0, b=1.0, d=1.0, h=6.75, K=1e308, mode="euler", tau=1.0)
+def test_every_accepted_config_runs_equilibria(tmp_path_factory, a, b, d, h, K, mode, tau):
+    # parse_config checks the gain at one fixed point only; each point of a
+    # config it accepts linearizes, and equilibria prints 1 or 3 of them
+    text = f"a = {a!r}\nb = {b!r}\nd = {d!r}\nh = {h!r}\nK = {K!r}\nmode = {mode}\ntau = {tau!r}\n"
+    try:
+        parse_config(text)
+    except ConfigError:
+        return
+    cfg = tmp_path_factory.getbasetemp() / "accepted.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    code, out, err = dispatch_captured(["equilibria", "--config", str(cfg)])
+    assert (code, err) == (0, "")
+    assert out.count("residual = ") == (1 if "only the origin" in out else 3)

@@ -25,6 +25,7 @@ from rabinovich import (
     admissible_gain_interval,
     closed_loop_jacobian,
     closed_loop_scalar_coeff,
+    equilibria,
     parse_config,
     prediction_mode,
     sweep,
@@ -47,6 +48,12 @@ def _cli_refusal(*argv) -> str:
     with contextlib.redirect_stderr(err), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         assert cli_dispatch(list(argv)) == 1
     return err.getvalue()
+
+
+def _equilibria_refusal(config_text) -> str:
+    with open("bad.cfg", "w", encoding="utf-8") as fh:  # in the test's own directory
+        fh.write(config_text)
+    return _cli_refusal("equilibria", "--config", "bad.cfg")
 
 
 def _sweep_refusal(K_values) -> str:
@@ -119,6 +126,11 @@ BAD_INPUTS = [
      "mode: expected one of literal,euler, got 'Euler'"),
     ("config-float", lambda: _refusal(parse_config, "\ndt = -inf\n"),
      "line 2: dt must be finite, got '-inf'"),
+    # Each Params passes its own rule, but z* or y* overflows, which reaches x*.
+    ("equilibria-overflow", lambda: _refusal(equilibria, Params(1e200, 1, 1e200, 1e101)),
+     "a=1e+200 b=1.0 d=1e+200 h=1e+101 are too large: x* overflows"),
+    ("config-equilibria-overflow", lambda: _refusal(parse_config, "h = 1e200\n"),
+     "a=4.0 b=1.0 d=1.0 h=1e+200 are too large: x* overflows"),
     ("config-gain-jacobian", lambda: _refusal(parse_config, "K = 1e308\n"),
      "K = 1e+308 is too large: the controlled jacobian overflows"),
     # -d + g*c is finite at g = 1e308 in euler mode, and only x* overflows (1+g)*x
@@ -153,15 +165,15 @@ BAD_INPUTS = [
     ("gain-check-K-text", lambda: _cli_refusal("gain-check", "--K", "abc"),
      "usage: rabinovich gain-check [-h] [--d D] [--K K]\n"
      "rabinovich gain-check: error: argument --K: invalid float value: 'abc'\n"),
-    ("equilibria-K-nan", lambda: _cli_refusal("equilibria", "--K", "nan"),
-     "error: --K: K must be finite, got nan\n"),
+    ("equilibria-K-nan", lambda: _equilibria_refusal("K = nan\n"),
+     "error: line 1: K must be finite, got 'nan'\n"),
     # A value that starts with "-" is the option's value, not another option.
     ("gain-check-K-minus-inf", lambda: _cli_refusal("gain-check", "--K", "-inf"),
      "error: --K: K must be finite, got -inf\n"),
     ("gain-check-d-negative", lambda: _cli_refusal("gain-check", "--d", "-1e5"),
      "error: --d: d must be a positive finite number, got -100000.0\n"),
-    ("equilibria-K-minus-inf", lambda: _cli_refusal("equilibria", "--K", "-inf"),
-     "error: --K: K must be finite, got -inf\n"),
+    ("equilibria-K-minus-inf", lambda: _equilibria_refusal("K = -inf\n"),
+     "error: line 1: K must be finite, got '-inf'\n"),
     ("sweep-epsilon-minus-inf", lambda: _cli_refusal("sweep", "--K=-0.6", "--epsilon", "-inf"),
      "error: epsilon must be a positive finite number, got -inf\n"),
     # An option is known only by its full name.

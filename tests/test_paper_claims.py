@@ -173,17 +173,17 @@ def printed_max_real(out):
     }
 
 
-@pytest.mark.parametrize("config, argv, controlled, readme", [
-    ("", (), lambda point: literal_jacobian(PARAMS, -0.6, point), "+0.439018"),
-    ("mode = euler\nK = 0.6\n", (), lambda point: euler_jacobian(PARAMS, 0.6, TAU, point),
+@pytest.mark.parametrize("config, controlled, readme", [
+    ("", lambda point: literal_jacobian(PARAMS, -0.6, point), "+0.439018"),
+    ("mode = euler\nK = 0.6\n", lambda point: euler_jacobian(PARAMS, 0.6, TAU, point),
      "+0.0549647"),
-    ("", ("--K", "0"), lambda point: literal_jacobian(PARAMS, 0.0, point), None),
+    ("K = 0\n", lambda point: literal_jacobian(PARAMS, 0.0, point), None),
 ], ids=["literal-K=-0.6", "euler-K=0.6", "K=0"])
 def test_equilibria_prints_the_max_real_root_of_each_characteristic_polynomial(
-        capsys, tmp_path, config, argv, controlled, readme):
+        capsys, tmp_path, config, controlled, readme):
     path = tmp_path / "eq.cfg"
     path.write_text(config, encoding="utf-8")
-    assert cli_dispatch(["equilibria", "--config", str(path), *argv]) == 0
+    assert cli_dispatch(["equilibria", "--config", str(path)]) == 0
     printed = printed_max_real(capsys.readouterr().out)
     x, y, z = positive_x_point(PARAMS)
     points = {"origin": (0.0, 0.0, 0.0), "positive-x": (x, y, z), "negative-x": (-x, -y, z)}
