@@ -106,15 +106,10 @@ def _cmd_equilibria(args: argparse.Namespace) -> int:
 
 
 def _cmd_gain_check(args: argparse.Namespace) -> int:
-    d, K = args.d, args.K
-    try:
-        lo, hi = admissible_gain_interval(d)
-    except ValueError as exc:
-        raise ConfigError(f"--d: {exc}") from None
-    try:
-        m = closed_loop_scalar_coeff(d, K)
-    except ValueError as exc:
-        raise ConfigError(f"--K: {exc}") from None
+    cfg = _load_config(args.config)
+    d, K = cfg.params.d, cfg.controller.K
+    lo, hi = admissible_gain_interval(d)
+    m = closed_loop_scalar_coeff(d, K)
     # |m| < 1 solved for K: exact at d = 1, where m rounds to -1 for -2.8e-17 < K < 0
     discrete_ok, continuous_ok = lo < K < hi, m < 0.0
     out = sys.stdout
@@ -274,10 +269,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p_gain = sub.add_parser(
         "gain-check", allow_abbrev=False,
-        help="admissible interval and both stability checks for (d, K)",
+        help="admissible interval and both stability checks for the config's (d, K)",
     )
-    p_gain.add_argument("--d", type=float, default=1.0)
-    p_gain.add_argument("--K", type=float, default=-0.6)
+    p_gain.add_argument("--config", help="key=value config file (defaults if omitted)")
     p_gain.set_defaults(func=_cmd_gain_check)
 
     p_sweep = sub.add_parser("sweep", allow_abbrev=False, help="grid of (mode, K, epsilon) runs to CSV")

@@ -47,7 +47,6 @@ SWEEP_ABBREVIATED = [
 ROWS = [
     # A value that starts with a single "-" must stay the option's value.
     ("cli.py", 'not tok.startswith("--")', 'not tok.startswith("-")', [
-        f"{INPUTS}[gain-check-d-negative]",
         f"{INPUTS}[sweep-epsilon-minus-inf]",
         DASH_OUT,
         "tests/test_cli.py::test_sweep_readme_example_with_negative_gains",
@@ -55,7 +54,6 @@ ROWS = [
     # Every value option of the parser is joined, not only the gain lists.
     ("cli.py", "if action.nargs is None",
      'if action.nargs is None and option in ("--K", "--epsilon")', [
-         f"{INPUTS}[gain-check-d-negative]",
          DASH_OUT,
      ]),
     ("integrator.py", "abs(quotient - n) >= 1e-9", "abs(quotient - n) >= 1e-6", [
@@ -211,7 +209,7 @@ ROWS = [
     # overflows first, not at the origin.
     ("config.py", "point = equilibria(params).points[-1]", "point = equilibria(params).points[0]", [
         f"{INPUTS}[config-gain-jacobian-off-axis]",
-        f"{CLI}::test_every_accepted_config_runs_equilibria",
+        f"{CLI}::test_every_accepted_config_runs_equilibria_and_gain_check",
     ]),
     # Parameters whose fixed points overflow are refused by name.
     ("dynamics.py", "math.isfinite(x_star)", "True", [

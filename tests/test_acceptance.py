@@ -71,12 +71,14 @@ def test_gain_interval_reproduction():
         assert discrete_ok == (lo < K < hi)
 
 
-def test_linearization_coefficient_and_discrepancy_note(capsys):
+def test_linearization_coefficient_and_discrepancy_note(capsys, tmp_path):
     coeff = closed_loop_scalar_coeff(1.0, -0.6)
     assert abs(coeff - 0.2) < 1e-15
     assert abs(coeff) < 1.0             # discrete: spectral radius 0.2 < 1
     assert not coeff < 0.0              # continuous: max Re = +0.2 > 0
-    assert cli_dispatch(["gain-check", "--d", "1", "--K", "-0.6"]) == 0
+    cfg = tmp_path / "gain.cfg"
+    cfg.write_text("d = 1\nK = -0.6\n", encoding="utf-8")
+    assert cli_dispatch(["gain-check", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" in out
     assert "criteria disagree" in out

@@ -45,8 +45,16 @@ def test_help_exits_zero(capsys):
 
 # --- gain-check ------------------------------------------------------------------
 
-def test_gain_check_reference_pair(capsys):
-    code, out, _ = run_cli(capsys, "gain-check", "--d", "1", "--K", "-0.6")
+def gain_cfg(tmp_path, text):
+    """The path of a config of text, for gain-check to read."""
+    cfg = tmp_path / "gain.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    return str(cfg)
+
+
+def test_gain_check_reference_pair(capsys, tmp_path):
+    cfg = gain_cfg(tmp_path, "d = 1\nK = -0.6\n")
+    code, out, _ = run_cli(capsys, "gain-check", "--config", cfg)
     assert code == 0
     assert "(-1, 0)" in out
     assert "K inside: yes" in out
@@ -56,17 +64,19 @@ def test_gain_check_reference_pair(capsys):
     assert "criteria disagree" in out  # the explanatory note
 
 
-def test_gain_check_agreeing_pair_has_no_note(capsys):
+def test_gain_check_agreeing_pair_has_no_note(capsys, tmp_path):
     # K=-0.4 at d=1: coefficient -0.2, both checks pass
-    code, out, _ = run_cli(capsys, "gain-check", "--d", "1", "--K", "-0.4")
+    cfg = gain_cfg(tmp_path, "d = 1\nK = -0.4\n")
+    code, out, _ = run_cli(capsys, "gain-check", "--config", cfg)
     assert code == 0
     assert "discrete check (spectral radius < 1): PASS" in out
     assert "continuous check (max Re < 0): PASS" in out
     assert "disagree" not in out
 
 
-def test_gain_check_outside_interval(capsys):
-    code, out, _ = run_cli(capsys, "gain-check", "--d", "1", "--K", "0.5")
+def test_gain_check_outside_interval(capsys, tmp_path):
+    cfg = gain_cfg(tmp_path, "d = 1\nK = 0.5\n")
+    code, out, _ = run_cli(capsys, "gain-check", "--config", cfg)
     assert code == 0
     assert "K inside: no" in out
     assert "discrete check (spectral radius < 1): FAIL" in out
@@ -89,54 +99,54 @@ DEFAULT_GAIN_CHECK = (
 )
 
 
-# stdout byte for byte: (d, K) on both sides of each check, at the interval's
-# endpoints, at a K that six digits print as the interval's bound, and the
-# defaults (pinned by sha256 as gain-check.stdout in tests/pins.py)
+# stdout byte for byte for the config's (d, K): on both sides of each check,
+# at the interval's endpoints, at a K that six digits print as the interval's
+# bound, and with no config (pinned by sha256 as gain-check.stdout in tests/pins.py)
 GAIN_CHECK_PINS = [
-    (("--d", "1", "--K", "-0.6"), DEFAULT_GAIN_CHECK),
-    (("--d", "1", "--K", "-0.4"),
+    (("1", "-0.6"), DEFAULT_GAIN_CHECK),
+    (("1", "-0.4"),
      "gain K = -0.4 at d = 1\n"
      "admissible interval: (-1, 0) -> K inside: yes\n"
      "closed-loop coefficient -d - K(d+1) = -0.2\n"
      "discrete check (spectral radius < 1): PASS (rho = 0.2)\n"
      "continuous check (max Re < 0): PASS (max Re = -0.2)\n"),
-    (("--d", "1", "--K", "0.5"),
+    (("1", "0.5"),
      "gain K = 0.5 at d = 1\n"
      "admissible interval: (-1, 0) -> K inside: no\n"
      "closed-loop coefficient -d - K(d+1) = -2\n"
      "discrete check (spectral radius < 1): FAIL (rho = 2)\n"
      "continuous check (max Re < 0): PASS (max Re = -2)\n" + FAILS_STABLE),
-    (("--d", "0.5", "--K", "-0.9"),
+    (("0.5", "-0.9"),
      "gain K = -0.9 at d = 0.5\n"
      "admissible interval: (-1, 0.3333333333333333) -> K inside: yes\n"
      "closed-loop coefficient -d - K(d+1) = +0.85\n"
      "discrete check (spectral radius < 1): PASS (rho = 0.85)\n"
      "continuous check (max Re < 0): FAIL (max Re = +0.85)\n" + PASSES_UNSTABLE),
-    (("--d", "3", "--K", "-0.2"),
+    (("3", "-0.2"),
      "gain K = -0.2 at d = 3\n"
      "admissible interval: (-1, -0.5) -> K inside: no\n"
      "closed-loop coefficient -d - K(d+1) = -2.2\n"
      "discrete check (spectral radius < 1): FAIL (rho = 2.2)\n"
      "continuous check (max Re < 0): PASS (max Re = -2.2)\n" + FAILS_STABLE),
-    (("--d", "1e7", "--K", "-0.9999999"),
+    (("1e7", "-0.9999999"),
      "gain K = -0.9999999 at d = 1e+07\n"
      "admissible interval: (-1, -0.99999980000002) -> K inside: yes\n"
      "closed-loop coefficient -d - K(d+1) = -9.87202e-08\n"
      "discrete check (spectral radius < 1): PASS (rho = 9.87202e-08)\n"
      "continuous check (max Re < 0): PASS (max Re = -9.87202e-08)\n"),
-    (("--d", "1", "--K", "-1"),
+    (("1", "-1"),
      "gain K = -1 at d = 1\n"
      "admissible interval: (-1, 0) -> K inside: no\n"
      "closed-loop coefficient -d - K(d+1) = +1\n"
      "discrete check (spectral radius < 1): FAIL (rho = 1)\n"
      "continuous check (max Re < 0): FAIL (max Re = +1)\n"),
-    (("--d", "2", "--K", "0"),
+    (("2", "0"),
      "gain K = 0 at d = 2\n"
      "admissible interval: (-1, -0.3333333333333333) -> K inside: no\n"
      "closed-loop coefficient -d - K(d+1) = -2\n"
      "discrete check (spectral radius < 1): FAIL (rho = 2)\n"
      "continuous check (max Re < 0): PASS (max Re = -2)\n" + FAILS_STABLE),
-    (("--d", "0.25", "--K", "0.3"),
+    (("0.25", "0.3"),
      "gain K = 0.3 at d = 0.25\n"
      "admissible interval: (-1, 0.6) -> K inside: yes\n"
      "closed-loop coefficient -d - K(d+1) = -0.625\n"
@@ -146,17 +156,19 @@ GAIN_CHECK_PINS = [
 ]
 
 
-@pytest.mark.parametrize("argv, expected", GAIN_CHECK_PINS, ids=[
-    "d={},K={}".format(*argv[1::2]) if argv else "defaults" for argv, _ in GAIN_CHECK_PINS
+@pytest.mark.parametrize("d_K, expected", GAIN_CHECK_PINS, ids=[
+    "d={},K={}".format(*d_K) if d_K else "defaults" for d_K, _ in GAIN_CHECK_PINS
 ])
-def test_gain_check_output_is_pinned(capsys, argv, expected):
+def test_gain_check_output_is_pinned(capsys, tmp_path, d_K, expected):
+    argv = ["--config", gain_cfg(tmp_path, "d = {}\nK = {}\n".format(*d_K))] if d_K else []
     assert run_cli(capsys, "gain-check", *argv) == (0, expected, "")
 
 
-def test_gain_check_states_its_discrete_check_once_near_zero(capsys):
+def test_gain_check_states_its_discrete_check_once_near_zero(capsys, tmp_path):
     # m = -1 - 2K rounds to -1 for -2.8e-17 < K < 0, so |m| < 1 would fail
     # what K inside passes; both lines print the one test of K
-    assert run_cli(capsys, "gain-check", "--K=-1e-17") == (0, (
+    cfg = gain_cfg(tmp_path, "K = -1e-17\n")
+    assert run_cli(capsys, "gain-check", "--config", cfg) == (0, (
         "gain K = -1e-17 at d = 1\n"
         "admissible interval: (-1, 0) -> K inside: yes\n"
         "closed-loop coefficient -d - K(d+1) = -1\n"
@@ -165,37 +177,37 @@ def test_gain_check_states_its_discrete_check_once_near_zero(capsys):
     ), "")
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (("--K", "1e308"),
-     "error: --K: K = 1e+308 is too large: the coefficient A + K(A - 1) overflows\n"),
-    (("--d", "1e308", "--K", "5"),
-     "error: --d: d = 1e+308 is too large: the interval bound (1-d)/(d+1) rounds to -1\n"),
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text, expected", [
+    # the euler gain K*tau = 1e307 keeps the config's jacobian finite, and
+    # the literal coefficient overflows
+    ("mode = euler\ntau = 0.1\nK = 1e308\n",
+     "error: K = 1e+308 is too large: the coefficient A + K(A - 1) overflows\n"),
+    # h^2 <= ab leaves only the origin, so no x* overflows at this d
+    ("d = 1e308\nh = 1\n",
+     "error: d = 1e+308 is too large: the interval bound (1-d)/(d+1) rounds to -1\n"),
 ], ids=["K-1e308", "d-1e308"])
-def test_gain_check_overflow_errors_are_pinned(capsys, argv, expected):
-    assert run_cli(capsys, "gain-check", *argv) == (1, "", expected)
+def test_gain_check_overflow_errors_are_pinned(capsys, tmp_path, text, expected):
+    assert run_cli(capsys, "gain-check", "--config", gain_cfg(tmp_path, text)) == (1, "", expected)
 
 
-def test_gain_check_rejects_bad_d(capsys):
-    code, _, err = run_cli(capsys, "gain-check", "--d", "-1", "--K", "-0.6")
+def test_gain_check_rejects_bad_d(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "gain-check", "--config", gain_cfg(tmp_path, "d = -1\n"))
     assert code == 1
     assert "error" in err
 
 
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv, option", [
-    (("gain-check", "--K", "1e308"), "--K"),
-    (("gain-check", "--d", "1e308", "--K", "5"), "--d"),
-], ids=["gain-check-K", "gain-check-d"])
-def test_huge_finite_input_names_the_option(capsys, argv, option):
-    code, out, err = run_cli(capsys, *argv)
-    assert code == 1
-    assert err.startswith(f"error: {option}: ") and "too large" in err
-    assert out == ""
+@pytest.mark.parametrize("option", [["--d", "1"], ["--K", "-0.6"]], ids=["d", "K"])
+def test_gain_check_takes_d_and_K_from_the_config_only(capsys, option):
+    code, out, err = run_cli(capsys, "gain-check", *option)
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments" in err
 
 
 def test_inputs_and_bounds_echo_distinct_numbers_distinctly(capsys, tmp_path):
     # 6 significant digits print both K and the upper bound as -1
-    code, out, _ = run_cli(capsys, "gain-check", "--d", "1e7", "--K", "-0.9999999")
+    code, out, _ = run_cli(capsys, "gain-check",
+                           "--config", gain_cfg(tmp_path, "d = 1e7\nK = -0.9999999\n"))
     assert code == 0
     assert out.startswith(
         "gain K = -0.9999999 at d = 1e+07\n"
@@ -212,32 +224,33 @@ def test_inputs_and_bounds_echo_distinct_numbers_distinctly(capsys, tmp_path):
     assert out.startswith("gain K = -0.6 at d = 1\nadmissible interval: (-1, 0) -> K inside: yes\n")
 
 
-def test_parser_is_reused_across_calls(capsys):
-    first = run_cli(capsys, "gain-check", "--K", "-0.4")
+def test_parser_is_reused_across_calls(capsys, tmp_path):
+    cfg = gain_cfg(tmp_path, "K = -0.4\n")
+    first = run_cli(capsys, "gain-check", "--config", cfg)
     code, _, err = run_cli(capsys, "gain-check", "--K", "abc")
     assert code == 1
     assert "--K" in err
-    third = run_cli(capsys, "gain-check", "--K", "-0.4")
+    third = run_cli(capsys, "gain-check", "--config", cfg)
     assert first == third
     assert third[0] == 0 and third[2] == ""
 
 
-def test_value_options_are_the_nine_that_take_a_value():
+def test_value_options_are_the_eight_that_take_a_value():
     # Read from the parser's actions, so a Python whose argparse keeps them
     # elsewhere fails here, not deep in a parse.
-    assert cli._VALUE_OPTIONS == {"--K", "--epsilon", "--d", "--config", "--modes",
+    assert cli._VALUE_OPTIONS == {"--K", "--epsilon", "--config", "--modes",
                                   "--out", "--out-csv", "--out-report", "--out-dir"}
 
 
 # Each subcommand with every option it has spelled in full (--help aside),
 # in arguments that run, relative to a directory holding short.cfg; the gain
-# that equilibria linearizes with is the config's.
+# that equilibria linearizes with and gain-check checks is the config's.
 SHORT_CFG = "t_end = 30\nt_on = 10\ntail = 10\nK = -0.6\n"
 FULL_ARGV = {
     "equilibria": ["--config", "short.cfg"],
     "simulate": ["--config", "short.cfg", "--uncontrolled",
                  "--out-csv", "sim.csv", "--out-report", "sim.txt"],
-    "gain-check": ["--d", "1", "--K", "-0.6"],
+    "gain-check": ["--config", "short.cfg"],
     "sweep": ["--config", "short.cfg", "--K", "-0.6", "--epsilon", "0.1",
               "--modes", "euler", "--out", "sweep.csv"],
     "reproduce": ["fig4", "--out-dir", "."],
@@ -1034,7 +1047,9 @@ def dispatch_captured(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.filterwarnings("error")
+# Only RuntimeWarning, numpy's: an "error" mark would also turn the warnings of
+# Hypothesis's own report hook into errors, and a failing draw crash pytest.
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=60)
 @given(
     values=st.dictionaries(st.sampled_from(_FLOAT_KEYS), st.sampled_from(EXTREME_DOUBLES),
@@ -1087,9 +1102,14 @@ coefficients = st.floats(min_value=0.0, max_value=1e150, exclude_min=True)
        mode=st.sampled_from(["literal", "euler"]), tau=st.sampled_from([0.1, 1.0, 100.0]))
 # in euler mode -d + K*tau*(-d) is finite, and only the off-axis row overflows
 @example(a=4.0, b=1.0, d=1.0, h=6.75, K=1e308, mode="euler", tau=1.0)
-def test_every_accepted_config_runs_equilibria(tmp_path_factory, a, b, d, h, K, mode, tau):
+# at tau = 0.1 the euler row is finite, and the literal coefficient overflows
+@example(a=4.0, b=1.0, d=1.0, h=6.75, K=1e308, mode="euler", tau=0.1)
+def test_every_accepted_config_runs_equilibria_and_gain_check(tmp_path_factory, a, b, d, h, K,
+                                                                mode, tau):
     # parse_config checks the gain at one fixed point only; each point of a
-    # config it accepts linearizes, and equilibria prints 1 or 3 of them
+    # config it accepts linearizes, and equilibria prints 1 or 3 of them.
+    # gain-check checks the literal law whatever the mode: it runs, or names
+    # a d or a K too large for that law.
     text = f"a = {a!r}\nb = {b!r}\nd = {d!r}\nh = {h!r}\nK = {K!r}\nmode = {mode}\ntau = {tau!r}\n"
     try:
         parse_config(text)
@@ -1100,3 +1120,10 @@ def test_every_accepted_config_runs_equilibria(tmp_path_factory, a, b, d, h, K, 
     code, out, err = dispatch_captured(["equilibria", "--config", str(cfg)])
     assert (code, err) == (0, "")
     assert out.count("residual = ") == (1 if "only the origin" in out else 3)
+    code, out, err = dispatch_captured(["gain-check", "--config", str(cfg)])
+    assert (code, err) in [
+        (0, ""),
+        (1, f"error: d = {d!r} is too large: the interval bound (1-d)/(d+1) rounds to -1\n"),
+        (1, f"error: K = {K!r} is too large: the coefficient A + K(A - 1) overflows\n"),
+    ]
+    assert out.startswith("gain K = ") if code == 0 else out == ""

@@ -50,10 +50,10 @@ def _cli_refusal(*argv) -> str:
     return err.getvalue()
 
 
-def _equilibria_refusal(config_text) -> str:
+def _config_refusal(command, config_text) -> str:
     with open("bad.cfg", "w", encoding="utf-8") as fh:  # in the test's own directory
         fh.write(config_text)
-    return _cli_refusal("equilibria", "--config", "bad.cfg")
+    return _cli_refusal(command, "--config", "bad.cfg")
 
 
 def _sweep_refusal(K_values) -> str:
@@ -158,22 +158,21 @@ BAD_INPUTS = [
     ("sweep-modes", lambda: _cli_refusal("sweep", "--K=-0.6", "--epsilon", "0.1",
                                          "--modes", "euler, forward"),
      "error: modes: expected one of literal,euler, got 'forward'\n"),
-    ("gain-check-K-nan", lambda: _cli_refusal("gain-check", "--K", "nan"),
-     "error: --K: K must be finite, got nan\n"),
-    ("gain-check-d-inf", lambda: _cli_refusal("gain-check", "--d", "inf"),
-     "error: --d: d must be a positive finite number, got inf\n"),
-    ("gain-check-K-text", lambda: _cli_refusal("gain-check", "--K", "abc"),
-     "usage: rabinovich gain-check [-h] [--d D] [--K K]\n"
-     "rabinovich gain-check: error: argument --K: invalid float value: 'abc'\n"),
-    ("equilibria-K-nan", lambda: _equilibria_refusal("K = nan\n"),
+    ("gain-check-K-nan", lambda: _config_refusal("gain-check", "K = nan\n"),
      "error: line 1: K must be finite, got 'nan'\n"),
-    # A value that starts with "-" is the option's value, not another option.
-    ("gain-check-K-minus-inf", lambda: _cli_refusal("gain-check", "--K", "-inf"),
-     "error: --K: K must be finite, got -inf\n"),
-    ("gain-check-d-negative", lambda: _cli_refusal("gain-check", "--d", "-1e5"),
-     "error: --d: d must be a positive finite number, got -100000.0\n"),
-    ("equilibria-K-minus-inf", lambda: _equilibria_refusal("K = -inf\n"),
+    ("gain-check-d-inf", lambda: _config_refusal("gain-check", "d = inf\n"),
+     "error: line 1: d must be finite, got 'inf'\n"),
+    ("gain-check-K-text", lambda: _config_refusal("gain-check", "K = abc\n"),
+     "error: line 1: K: not a number: 'abc'\n"),
+    ("equilibria-K-nan", lambda: _config_refusal("equilibria", "K = nan\n"),
+     "error: line 1: K must be finite, got 'nan'\n"),
+    ("gain-check-K-minus-inf", lambda: _config_refusal("gain-check", "K = -inf\n"),
      "error: line 1: K must be finite, got '-inf'\n"),
+    ("gain-check-d-negative", lambda: _config_refusal("gain-check", "d = -1e5\n"),
+     "error: d must be a positive finite number, got -100000.0\n"),
+    ("equilibria-K-minus-inf", lambda: _config_refusal("equilibria", "K = -inf\n"),
+     "error: line 1: K must be finite, got '-inf'\n"),
+    # A value that starts with "-" is the option's value, not another option.
     ("sweep-epsilon-minus-inf", lambda: _cli_refusal("sweep", "--K=-0.6", "--epsilon", "-inf"),
      "error: epsilon must be a positive finite number, got -inf\n"),
     # An option is known only by its full name.
