@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: equilibria, simulate, gain-check, sweep, reproduce.
-Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure.
+Exit codes: 0 success, 1 configuration or usage error, 2 numerical failure,
+141 stdout closed by its reader.
 stdout carries data, stderr carries diagnostics.
 Options are spelled in full: --name value, or --name=value for a value starting "--".
 Every path a command writes is checked, against the others and the config
@@ -28,7 +29,7 @@ from .control import (
 )
 from .dynamics import equilibria, jacobian, residual_norm
 from .harness import run_each, sweep
-from .integrator import IntegrationError
+from .integrator import DivergenceError
 from .io import render_report, write_report, write_sweep_csv, write_trajectory_csv
 
 __all__ = ["cli_dispatch", "main", "REPRODUCE_PRESETS"]
@@ -39,6 +40,7 @@ REPRODUCE_PRESETS = {"fig4": 40.0, "fig5": 100.0}
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_NUMERIC = 2
+EXIT_PIPE = 141  # what shells report for a writer that SIGPIPE killed
 
 
 def _fmt(x: float) -> str:
@@ -94,7 +96,7 @@ def _cmd_equilibria(args: argparse.Namespace) -> int:
     lines = [f"parameters: a={_fmt(p.a)} b={_fmt(p.b)} d={_fmt(p.d)} h={_fmt(p.h)}"]
     if eqs.degenerate:
         lines.append("degenerate case (h^2 <= a*b): only the origin")
-    for label, point in eqs.labeled():
+    for label, point in zip(eqs.labels, eqs.points):
         lines.append(
             f"{label}: ({point.x:.4f}, {point.y:.4f}, {point.z:.4f})"
             f"  residual = {format(residual_norm(p, point), '.3e')}"
@@ -321,8 +323,16 @@ def cli_dispatch(argv: Sequence[str]) -> int:
         # into the documented config/usage code.
         return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
-        return args.func(args)
-    except IntegrationError as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # here, not at exit, so that a closed pipe is caught below
+        return code
+    except BrokenPipeError:
+        # The reader stopped early: point stdout at devnull, so that the flush
+        # at exit does not fail again, as Python's signal documentation does.
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return EXIT_PIPE
+    except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except OSError as exc:

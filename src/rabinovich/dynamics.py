@@ -93,20 +93,16 @@ class EquilibriumSet:
     """
 
     points: tuple[State, ...]
-    degenerate: bool
 
     _LABELS = ("origin", "positive-x", "negative-x")
 
     @property
-    def count(self) -> int:
-        return len(self.points)
+    def degenerate(self) -> bool:
+        return len(self.points) == 1
 
     @property
     def labels(self) -> tuple[str, ...]:
-        return self._LABELS[: self.count]
-
-    def labeled(self) -> tuple[tuple[str, State], ...]:
-        return tuple(zip(self.labels, self.points))
+        return self._LABELS[: len(self.points)]
 
 
 def field_components(a: float, b: float, d: float, h: float,
@@ -149,21 +145,18 @@ def equilibria(p: Params) -> EquilibriumSet:
     The mirror point (-x*, -y*, z*) completes the set.
 
     When h^2 <= a*b the off-origin branch has no real solution and the
-    returned set is flagged degenerate; an x* that overflows is a ValueError.
+    returned set is the origin alone; an x* that overflows is a ValueError.
     """
     origin = State(0.0, 0.0, 0.0)
     disc = p.h * p.h - p.a * p.b
     if disc <= 0.0:
-        return EquilibriumSet((origin,), degenerate=True)
+        return EquilibriumSet((origin,))
     z_star = math.sqrt(disc)
     y_star = math.sqrt(p.a * p.d * z_star / (p.h + z_star))
     x_star = y_star * (p.h + z_star) / p.a
     if not math.isfinite(x_star):
         raise ValueError(f"a={p.a!r} b={p.b!r} d={p.d!r} h={p.h!r} are too large: x* overflows")
-    return EquilibriumSet(
-        (origin, State(x_star, y_star, z_star), State(-x_star, -y_star, z_star)),
-        degenerate=False,
-    )
+    return EquilibriumSet((origin, State(x_star, y_star, z_star), State(-x_star, -y_star, z_star)))
 
 
 def residual_norm(p: Params, s: State) -> float:

@@ -41,7 +41,7 @@ from .control import (
     delay_steps,
 )
 from .dynamics import EquilibriumSet, Params, State, _finite, equilibria
-from .integrator import DIVERGENCE_LIMIT, DivergenceError, IntegrationError, TimeGrid
+from .integrator import DIVERGENCE_LIMIT, DivergenceError, TimeGrid
 
 __all__ = [
     "Trajectory",
@@ -345,11 +345,11 @@ def run_controlled(
 def run_each(
     p: Params, s0: State, grid: TimeGrid, cfgs: Iterable[Optional[ControllerConfig]],
     tail: float = DEFAULT_TAIL, capture_radius: float = DEFAULT_CAPTURE_RADIUS,
-) -> Iterator[tuple[Union[Trajectory, IntegrationError], Optional[ConvergenceReport]]]:
+) -> Iterator[tuple[Union[Trajectory, DivergenceError], Optional[ConvergenceReport]]]:
     """Check the report settings, then yield, in order, each controller's
     ``run_controlled(p, s0, grid, cfg)`` (``run_uncontrolled`` for None), bit
     for bit, with read-only arrays, and its ``convergence_report`` with
-    ``tail`` and ``capture_radius``; or the ``IntegrationError`` it raised,
+    ``tail`` and ``capture_radius``; or the ``DivergenceError`` it raised,
     without its traceback, and None.
 
     Several runs share one free flow, which each steps only past what an
@@ -365,7 +365,7 @@ def run_each(
     for cfg in cfgs:
         try:
             result = _run(p, s0, grid, cfg, flow)
-        except IntegrationError as exc:
+        except DivergenceError as exc:
             # Yielded as a value, without its traceback: this frame holds it
             # while suspended, and the traceback's frames would close a cycle
             # that keeps the failed run's arrays until a collection.

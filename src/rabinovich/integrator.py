@@ -1,4 +1,4 @@
-"""The fixed time grid of the RK4 runs, the divergence limit and its errors.
+"""The fixed time grid of the RK4 runs, the divergence limit and its error.
 
 Runs take fixed RK4 steps only: the simulation protocols this package
 reproduces use a constant step, and a fixed grid keeps runs bit-for-bit
@@ -24,7 +24,6 @@ from .dynamics import _finite
 
 __all__ = [
     "TimeGrid",
-    "IntegrationError",
     "DivergenceError",
     "DIVERGENCE_LIMIT",
 ]
@@ -60,11 +59,7 @@ def whole_steps(length: float, dt: float) -> tuple[float, Optional[int]]:
     return quotient, n
 
 
-class IntegrationError(RuntimeError):
-    """A step's state failed the divergence check."""
-
-
-class DivergenceError(IntegrationError):
+class DivergenceError(RuntimeError):
     """State left the admissible region; carries the offending step index."""
 
     def __init__(self, step_index: int, time: float, reason: str):

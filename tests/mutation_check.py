@@ -37,6 +37,7 @@ CONFIG = "tests/test_config.py"
 HARNESS = "tests/test_harness.py"
 IO = "tests/test_io.py"
 PINS = "tests/test_acceptance.py::test_output_bit_identity_pins"
+STOPS_EARLY = f"{CLI}::test_a_reader_that_stops_early_exits_141_with_no_error"
 # Every proper prefix of three characters or more of each sweep option.
 SWEEP_ABBREVIATED = [
     f"{CLI}::test_an_abbreviated_option_is_unknown[sweep-{option[:n]}-of-{option[2:]}]"
@@ -199,6 +200,11 @@ ROWS = [
         "tests/test_dynamics.py::test_equilibria_degenerate_when_h2_at_most_ab[4.0-1.0-2.0]",
         "tests/test_dynamics.py::test_equilibria_degenerate_when_h2_at_most_ab[9.0-1.0-3.0]",
     ]),
+    # A set is degenerate by its points alone.
+    ("dynamics.py", "return len(self.points) == 1", "return len(self.points) < 1", [
+        f"tests/test_dynamics.py::test_equilibria_degenerate_when_h2_at_most_ab[{case}]"
+        for case in ("4.0-1.0-2.0", "4.0-1.0-1.0", "9.0-1.0-3.0")
+    ]),
     ("config.py", "if lag >= n:", "if lag > n:", [
         f"{CONFIG}::test_tau_must_be_shorter_than_span",
     ]),
@@ -225,6 +231,19 @@ ROWS = [
     ("config.py", "if not abs(values[key]) <= DIVERGENCE_LIMIT:", "if False:", [
         f"{CLI}::test_simulate_initial_state_beyond_the_limit_exits_one",
         f"{CONFIG}::test_initial_state_beyond_the_divergence_limit_names_the_field[x0-1e7]",
+    ]),
+    # A reader that stops early is not a usage error: exit 141, no error line.
+    ("cli.py", "except BrokenPipeError:", "except ():", [
+        f"{STOPS_EARLY}[{command}-{buffering}]"
+        for command in ("reproduce-fig4", "gain-check") for buffering in ("buffered", "unbuffered")
+    ]),
+    # Buffered output reaches the pipe in cli_dispatch, not at exit.
+    ("cli.py", "sys.stdout.flush()", "pass", [
+        f"{STOPS_EARLY}[{command}-buffered]" for command in ("reproduce-fig4", "gain-check")
+    ]),
+    # What a failed flush left in the buffer goes to devnull at exit.
+    ("cli.py", "os.dup2(null.fileno(), sys.stdout.fileno())", "pass", [
+        f"{STOPS_EARLY}[{command}-buffered]" for command in ("reproduce-fig4", "gain-check")
     ]),
 ]
 

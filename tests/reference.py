@@ -24,7 +24,7 @@ import numpy as np
 
 from rabinovich.control import ControllerConfig, control_coefficients
 from rabinovich.dynamics import EquilibriumSet, Params
-from rabinovich.integrator import DIVERGENCE_LIMIT, DivergenceError, IntegrationError
+from rabinovich.integrator import DIVERGENCE_LIMIT, DivergenceError
 
 
 def check_state(y: np.ndarray, step_index: int, t: float) -> None:
@@ -40,7 +40,7 @@ def check_state(y: np.ndarray, step_index: int, t: float) -> None:
 def _eval(f: Callable, t: float, y: np.ndarray) -> np.ndarray:
     k = np.asarray(f(t, y), dtype=float)
     if not np.isfinite(k).all():
-        raise IntegrationError(f"non-finite derivative at t={t!r}")
+        raise FloatingPointError(f"non-finite derivative at t={t!r}")
     return k
 
 
@@ -48,7 +48,7 @@ def rk4_step(f: Callable, t: float, state, dt: float) -> np.ndarray:
     """One classical RK4 update with the (1, 2, 2, 1)/6 weighting.
 
     Pure function of its inputs; identical inputs give bit-identical
-    output.  Raises IntegrationError if the field returns a non-finite
+    output.  Raises FloatingPointError if the field returns a non-finite
     derivative at any stage.
     """
     if dt <= 0.0:

@@ -2,6 +2,7 @@ import builtins
 import contextlib
 import io
 import os
+import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -41,6 +42,33 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
     assert "equilibria" in out and "reproduce" in out
+
+
+# A reader that stops before the output comes, as "| true" does.  Unbuffered,
+# the command's first write to stdout fails; buffered, cli_dispatch's flush.
+# A reader that closes after reading a line would race the writer.  It runs in
+# a subprocess, because the command points its stdout descriptor at devnull.
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv, err", [
+    (["reproduce", "fig4"], "fig4: wrote ./fig4_trajectory.csv and ./fig4_report.txt\n"),
+    (["gain-check"], ""),
+], ids=["reproduce-fig4", "gain-check"])
+def test_a_reader_that_stops_early_exits_141_with_no_error(tmp_path, argv, err, unbuffered):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rabinovich.cli", *argv],
+                              cwd=tmp_path, env=env, stdout=write_end,
+                              stderr=subprocess.PIPE, encoding="utf-8")
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, err)
+    written = sorted(os.listdir(tmp_path))
+    assert written == (["fig4_report.txt", "fig4_trajectory.csv"] if err else [])
+    for name in written:
+        assert digest((tmp_path / name).read_bytes()) == PINS[name].sha256, name
 
 
 # --- gain-check ------------------------------------------------------------------
@@ -390,8 +418,13 @@ def test_equilibria_degenerate_parameters(capsys, tmp_path):
     cfg.write_text("h = 1\n")  # h^2 <= ab
     code, out, _ = run_cli(capsys, "equilibria", "--config", str(cfg))
     assert code == 0
-    assert "only the origin" in out
-    assert "positive-x" not in out
+    assert out == (
+        "parameters: a=4 b=1 d=1 h=1\n"
+        "degenerate case (h^2 <= a*b): only the origin\n"
+        "origin: (0.0000, 0.0000, 0.0000)  residual = 0.000e+00\n"
+        "  open-loop jacobian: max Re = -0.697224 -> stable (continuous)\n"
+        "  controlled (K=-0.6) jacobian: max Re = +0.2 -> unstable (continuous)\n"
+    )
 
 
 # --- simulate ----------------------------------------------------------------------

@@ -64,7 +64,7 @@ def test_mirror_symmetry_is_bitwise(x, y, z):
 
 def test_equilibria_reference_values(params, eqs):
     assert not eqs.degenerate
-    assert eqs.count == 3
+    assert len(eqs.points) == 3
     assert eqs.points[0] == State(0.0, 0.0, 0.0)
 
     pos = eqs.points[1]
@@ -89,16 +89,23 @@ def test_equilibria_closed_form_identities(params, eqs):
 
 def test_equilibria_labels(eqs):
     assert eqs.labels == ("origin", "positive-x", "negative-x")
-    assert eqs.labeled()[1][0] == "positive-x"
 
 
 @pytest.mark.parametrize("a,b,h", [(4.0, 1.0, 2.0), (4.0, 1.0, 1.0), (9.0, 1.0, 3.0)])
 def test_equilibria_degenerate_when_h2_at_most_ab(a, b, h):
     got = equilibria(Params(a, b, 1.0, h))
     assert got.degenerate
-    assert got.count == 1
     assert got.points == (State(0.0, 0.0, 0.0),)
     assert got.labels == ("origin",)
+
+
+def test_equilibrium_set_is_degenerate_by_its_points_alone(eqs):
+    # the set takes its points only, so it cannot disagree with them
+    origin = State(0.0, 0.0, 0.0)
+    assert EquilibriumSet((origin,)).degenerate
+    assert not EquilibriumSet(eqs.points).degenerate
+    assert EquilibriumSet((origin,)) == equilibria(Params(4.0, 1.0, 1.0, 2.0))
+    assert EquilibriumSet(eqs.points) == eqs
 
 
 @given(
@@ -108,7 +115,7 @@ def test_equilibria_degenerate_when_h2_at_most_ab(a, b, h):
 def test_equilibria_residual_small_across_parameters(d, h):
     p = Params(4.0, 1.0, d, h)  # h^2 > ab = 4 guaranteed by h > 2.1
     got = equilibria(p)
-    assert got.count == 3
+    assert len(got.points) == 3
     for point in got.points:
         assert residual_norm(p, point) < 1e-9
 

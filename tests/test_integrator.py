@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rabinovich import DIVERGENCE_LIMIT, IntegrationError, TimeGrid, integrator
+from rabinovich import DIVERGENCE_LIMIT, TimeGrid, integrator
 from rabinovich.integrator import MAX_STEPS, whole_steps
 from reference import rk4_step
 
@@ -116,7 +116,7 @@ class TestRk4Step:
     def test_nonfinite_derivative_raises(self):
         def bad(t, y):
             return np.array([math.nan])
-        with pytest.raises(IntegrationError):
+        with pytest.raises(FloatingPointError):
             rk4_step(bad, 0.0, np.array([1.0]), 0.1)
 
     def test_convergence_order_is_four(self):

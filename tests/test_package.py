@@ -15,10 +15,12 @@ def test_public_names_resolve():
     removed = ("integrate", "FieldFn", "ReportSettings", "vector_field",
                "rk4_step", "check_state", "activation_gate", "control_term",
                "SINGULAR_DET_TOL", "closed_loop_check", "StabilityVerdict", "gate_samples",
-               "eigen3", "GainInterval")
+               "eigen3", "GainInterval", "IntegrationError")
     for module in (rabinovich, rabinovich.integrator, rabinovich.control):
         for name in removed:
             assert not hasattr(module, name), (module.__name__, name)
+    for name in ("count", "labeled"):
+        assert not hasattr(rabinovich.EquilibriumSet, name), name
 
 
 # Runs the CLI command after command in a fresh interpreter and records, after

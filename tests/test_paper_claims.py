@@ -19,6 +19,14 @@ Convergence: this one runs the package's own loop, through ``run_each``, from
 100 starts on the attractor, and judges each run by its report.  Capture
 switches on past the threshold K* found above.
 
+The paper's gains, under the law it analysed: prediction-based control of the
+flow's time-tau map (T. Ushio and S. Yamamoto, "Prediction-based control of
+chaos", Phys. Lett. A 264 (1999) 30-35), where z is corrected once a lag,
+z <- z + K*(z - z(t - tau)).  Its linear part at positive-x is stable exactly
+for K in (-1, K_hi(tau)), inside the paper's interval (-1, 0), and a numpy
+RK4 batch written out below captures the same 100 starts at K = -0.9 and
+-0.6.  The shipped modes force dz/dt continuously instead, and do not.
+
 The gate's switch: a controlled run is fourth order in dt against a DOP853
 solution of the controlled field written out below when its switch lies on
 the grid, and first order when the switch is the first sample past a fixed
@@ -29,6 +37,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rabinovich import (
     ControllerConfig,
@@ -202,12 +211,18 @@ def test_equilibria_prints_the_max_real_root_of_each_characteristic_polynomial(
         assert all(open_loop == ctl for open_loop, ctl in printed.values())
 
 
-def test_capture_switches_on_past_the_euler_threshold():
-    # K* is about 0.837 (the bisection above): capture is none at the paper's
-    # gains in (-1, 0) nor at 0.7, below K*, and nearly every start at 1.5.
+@pytest.fixture(scope="module")
+def attractor_starts():
     free = run_uncontrolled(PARAMS, State(1.5, -1.25, 3.5), TimeGrid(496.0, 0.01))
     starts = free.states[10000::400]  # every 4 time units from t = 100
     assert len(starts) == 100
+    return starts
+
+
+def test_capture_switches_on_past_the_euler_threshold(attractor_starts):
+    # K* is about 0.837 (the bisection above): capture is none at the paper's
+    # gains in (-1, 0) nor at 0.7, below K*, and nearly every start at 1.5.
+    starts = attractor_starts
     gains = (-0.6, -0.3, 0.7, 1.5)
     cfgs = [ControllerConfig(K, epsilon=5.0, t_on=40.0, mode=PredictionMode.EULER, tau=TAU)
             for K in gains]
@@ -219,6 +234,79 @@ def test_capture_switches_on_past_the_euler_threshold():
             captured[K] += report.stabilized
     assert captured[-0.6] == captured[-0.3] == captured[0.7] == 0
     assert captured[1.5] >= 90
+
+
+def map_closed_loop(M, K):
+    """The linear part of the time-tau map under the sampled law: M with its
+    z-row replaced by M_z + K*(M_z - e_z)."""
+    C = M.copy()
+    C[2] = M[2] + K * (M[2] - (0.0, 0.0, 1.0))
+    return C
+
+
+def spectral_radius(A):
+    return float(np.abs(np.linalg.eigvals(A)).max())
+
+
+@pytest.mark.parametrize("tau, rho_open, k_hi", [(1.0, 1.172, -0.400), (0.5, 1.082, -0.097)])
+def test_sampled_law_is_stable_on_the_map_exactly_inside_the_paper_interval(tau, rho_open, k_hi):
+    # M = expm(J*tau), J the open-loop Jacobian at positive-x, is unstable;
+    # the gains that make it stable are one interval, from -1 to K_hi(tau).
+    M = scipy.linalg.expm(euler_jacobian(PARAMS, 0.0, tau, positive_x_point(PARAMS)) * tau)
+    assert spectral_radius(M) == pytest.approx(rho_open, abs=1e-3)
+    gains = np.linspace(-2.0, 1.0, 3001)  # a step of 0.001
+    stable = np.flatnonzero([spectral_radius(map_closed_loop(M, K)) < 1.0 for K in gains])
+    assert np.array_equal(stable, np.arange(stable[0], stable[-1] + 1))
+    assert gains[stable[0] - 1] == pytest.approx(-1.0, abs=1e-12)  # -1 is the lower edge
+    assert gains[stable[-1]] == pytest.approx(k_hi, abs=0.01)
+    if tau == 1.0:  # the paper's gain
+        assert spectral_radius(map_closed_loop(M, -0.6)) == pytest.approx(0.881, abs=1e-3)
+
+
+def sampled_capture(starts, gains, epsilon=5.0, t_on=40.0, dt=0.1, t_end=200.0, tail=20.0):
+    """{K: starts captured} under the sampled law, by RK4 in numpy with one
+    lane a (gain, start): at each multiple of the lag TAU past t_on where
+    r = |s - s(t - TAU)| < epsilon, z <- z + K*(z - z(t - TAU)), with
+    s(t - TAU) the state held, after its own correction, one lag before.  A
+    lane is captured when it is within 0.5 of one fixed point at every
+    multiple of the lag in the last ``tail`` time units."""
+    p, lag = PARAMS, round(TAU / dt)
+    K = np.repeat(gains, len(starts))
+    s = np.tile(np.asarray(starts).T, len(gains))  # (3, lanes)
+    x, y, z = positive_x_point(p)
+    points = np.array([(0.0, 0.0, 0.0), (x, y, z), (-x, -y, z)])[:, :, None]
+
+    def field(w):
+        x, y, z = w
+        return np.array((-p.a * x + p.h * y + y * z, p.h * x - p.b * y - x * z, x * y - p.d * z))
+
+    held, worst = s.copy(), np.zeros((3, s.shape[1]))
+    for k in range(1, round(t_end / dt) + 1):
+        k1 = field(s)
+        k2 = field(s + 0.5 * dt * k1)
+        k3 = field(s + 0.5 * dt * k2)
+        k4 = field(s + dt * k3)
+        s = s + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if k % lag:
+            continue
+        t = k // lag * TAU
+        if t > t_on:
+            gate = np.sqrt(((s - held) ** 2).sum(axis=0)) < epsilon
+            s[2] = np.where(gate, s[2] + K * (s[2] - held[2]), s[2])
+        held = s.copy()
+        if t >= t_end - tail:
+            worst = np.maximum(worst, np.sqrt(((s - points) ** 2).sum(axis=1)))
+    assert np.isfinite(s).all()
+    captured = (worst <= 0.5).any(axis=0).reshape(len(gains), -1).sum(axis=1)
+    return dict(zip(gains, captured.tolist()))
+
+
+def test_sampled_law_captures_at_the_paper_gains(attractor_starts):
+    # the same starts that no gain in (-1, 0) captures in euler mode; the
+    # switch lies at the map's K_hi(1) = -0.400 above
+    captured = sampled_capture(attractor_starts, (-0.9, -0.6, -0.3, 0.3))
+    assert captured[-0.9] >= 90 and captured[-0.6] >= 90
+    assert captured[-0.3] == captured[0.3] == 0
 
 
 SWITCH = 1.5  # where the orders below switch the control on
